@@ -34,6 +34,7 @@ from .linalg import (
     projection_from_basis,
     subspace_meet_dims,
     sym_eig,
+    symmetric_norm,
 )
 from .topology import (
     ComponentLabel,
@@ -75,6 +76,7 @@ __all__ = [
     "projection_from_basis",
     "subspace_meet_dims",
     "sym_eig",
+    "symmetric_norm",
     "ComponentLabel",
     "MetricReport",
     "ScalarFunction",

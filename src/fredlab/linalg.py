@@ -31,20 +31,13 @@ ORTHONORMALITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical cutoffs used by rank and eigenvalue decisions.
-
-    ``rank_tol`` is a relative singular-value cutoff, ``eig_tol`` the slack
-    for eigenvalue coincidence tests; ``rank_tol >= eig_tol > 0``.
-    """
+    """Relative singular-value cutoff ``rank_tol > 0`` used by rank decisions."""
 
     rank_tol: float = 1e-8
-    eig_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.eig_tol > 0.0 and self.rank_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.rank_tol < self.eig_tol:
-            raise ValueError("rank_tol must be at least eig_tol")
+        if not self.rank_tol > 0.0:
+            raise ValueError("rank_tol must be strictly positive")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -114,18 +107,11 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def sym_eig(a, tol=DEFAULT_TOLERANCES):
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(a):
+    """Eigendecomposition of an (n, n) matrix symmetric to ``SYMMETRY_TOL`` relative.
 
-    Parameters
-    ----------
-    a : (n, n) array_like, symmetric to ``SYMMETRY_TOL`` relative
-    tol : Tolerances, unused by the dense solver but part of the call contract
-
-    Returns
-    -------
-    SpectralDecomposition with ascending eigenvalues and reconstruction
-    residual below ``1e-10 * (1 + |a|)``.
+    Returns a :class:`SpectralDecomposition` with ascending eigenvalues and
+    reconstruction residual below ``1e-10 * (1 + |a|)``.
     """
     a = require_symmetric(a, "sym_eig input")
     try:
@@ -144,14 +130,24 @@ def operator_norm(m):
         raise NoConvergence(str(exc)) from exc
 
 
+def symmetric_norm(m):
+    """Operator norm of a real symmetric matrix: its largest ``|eigenvalue|``."""
+    m = require_symmetric(m, "symmetric_norm input")
+    try:
+        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NoConvergence(str(exc)) from exc
+
+
 def apply_scalar_function(dec, f):
     """Evaluate ``f`` on a spectral decomposition: ``Q f(w) Q^T``.
 
-    ``f`` is applied eigenvalue by eigenvalue and may return real or complex
-    scalars; a non-finite value raises :class:`FunctionUndefinedAtEigenvalue`.
+    ``f`` is called once on the eigenvalue array; a scalar return is broadcast.
+    Values may be complex; a non-finite one raises :class:`FunctionUndefinedAtEigenvalue`.
     """
     try:
-        vals = np.asarray([f(float(lam)) for lam in dec.eigenvalues])
+        with np.errstate(all="ignore"):
+            vals = f(dec.eigenvalues)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise FunctionUndefinedAtEigenvalue(str(exc)) from exc
     if not np.all(np.isfinite(vals)):
@@ -210,10 +206,7 @@ def span(*vectors):
 
 def projection_from_basis(s):
     """Orthogonal projection ``B B^T`` onto the subspace ``s``."""
-    b = s.basis
-    if b.shape[1] == 0:
-        return np.zeros((s.ambient_dim, s.ambient_dim))
-    return b @ b.T
+    return s.basis @ s.basis.T
 
 
 def subspace_meet_dims(s1, s2, tol=DEFAULT_TOLERANCES):

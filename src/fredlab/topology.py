@@ -69,61 +69,37 @@ def _check_same_dim(a0, a1):
         raise DimensionMismatch(f"operator dims {a0.dim} != {a1.dim}")
 
 
-class FunctionKind(Enum):
-    P0 = "P0"
-    PPLUS = "Pplus"
-    PMINUS = "Pminus"
-    R = "r"
-    ALPHA_RAMP = "alpha_ramp"
-    CUSTOM = "custom"
-
-
 def bounded_transform_scalar(lam):
     """The scalar bounded transform ``x / sqrt(1 + x^2)``."""
     return lam / np.sqrt(1.0 + lam * lam)
 
 
+#: Half-width of the ramp probe: 0 below ``-RAMP_WIDTH``, 1 above ``+RAMP_WIDTH``.
+RAMP_WIDTH = 0.5
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar test function used to compare operators through calculus.
+    """A named scalar test function used to compare operators through calculus.
 
-    The ramp is 0 below ``-ramp_width``, 1 above ``+ramp_width`` and linear in
-    between; ``fn`` is consulted only for ``CUSTOM`` kind.
+    ``fn`` takes an array of eigenvalues and returns an array of the same
+    shape, or a scalar (see :func:`linalg.apply_scalar_function`).
     """
 
-    kind: FunctionKind
-    ramp_width: float = 0.5
-    fn: Callable[[float], complex] | None = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind is FunctionKind.ALPHA_RAMP and not self.ramp_width > 0:
-            raise ValueError("ramp width must be positive")
-        if self.kind is FunctionKind.CUSTOM and self.fn is None:
-            raise ValueError("custom scalar function needs a callable")
-        object.__setattr__(self, "name", self.name or self.kind.value)
+    name: str
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, lam):
-        k = self.kind
-        if k is FunctionKind.P0:
-            return 1.0
-        if k is FunctionKind.PPLUS:
-            return 1.0 / (lam + 1j)
-        if k is FunctionKind.PMINUS:
-            return 1.0 / (lam - 1j)
-        if k is FunctionKind.R:
-            return bounded_transform_scalar(lam)
-        if k is FunctionKind.ALPHA_RAMP:
-            w = self.ramp_width
-            return float(np.clip((lam + w) / (2.0 * w), 0.0, 1.0))
         return self.fn(lam)
 
 
-P0 = ScalarFunction(FunctionKind.P0)
-P_PLUS = ScalarFunction(FunctionKind.PPLUS)
-P_MINUS = ScalarFunction(FunctionKind.PMINUS)
-RIESZ_R = ScalarFunction(FunctionKind.R)
-ALPHA_RAMP = ScalarFunction(FunctionKind.ALPHA_RAMP)
+P0 = ScalarFunction("P0", lambda lam: 1.0)
+P_PLUS = ScalarFunction("Pplus", lambda lam: 1.0 / (lam + 1j))
+P_MINUS = ScalarFunction("Pminus", lambda lam: 1.0 / (lam - 1j))
+RIESZ_R = ScalarFunction("r", bounded_transform_scalar)
+ALPHA_RAMP = ScalarFunction(
+    "alpha_ramp", lambda lam: np.clip((lam + RAMP_WIDTH) / (2.0 * RAMP_WIDTH), 0.0, 1.0)
+)
 
 #: Default probe set: the bounded generators plus the two strictly finer ones.
 DEFAULT_PROBES = (P0, P_PLUS, P_MINUS, RIESZ_R, ALPHA_RAMP)
@@ -163,56 +139,48 @@ def riesz_inverse(t):
 def riesz_metric(a0, a1):
     """Operator-norm distance of the bounded transforms; always below 2."""
     _check_same_dim(a0, a1)
-    return linalg.operator_norm(riesz_map(a0) - riesz_map(a1))
+    return linalg.symmetric_norm(riesz_map(a0) - riesz_map(a1))
 
 
 def resolvents_at_i(a):
     """The pair ``((i + A)^{-1}, (i - A)^{-1})`` via spectral calculus."""
-    plus = a.apply(lambda lam: 1.0 / (1j + lam))
-    minus = a.apply(lambda lam: 1.0 / (1j - lam))
-    return plus, minus
+    plus = a.apply(P_PLUS)
+    # for real symmetric A, (i - A)^{-1} = -conj((i + A)^{-1})
+    return plus, -plus.conj()
 
 
 def gap_metric(a0, a1):
-    """Sum of the operator-norm differences of the two resolvents at ``+-i``."""
+    """Sum of the operator-norm differences of the two resolvents at ``+-i``.
+
+    The ``-i`` branch is minus the conjugate of the ``+i`` branch (see
+    :func:`resolvents_at_i`), so both norms are equal and the sum is twice one.
+    """
     _check_same_dim(a0, a1)
-    p0, m0 = resolvents_at_i(a0)
-    p1, m1 = resolvents_at_i(a1)
-    return linalg.operator_norm(p0 - p1) + linalg.operator_norm(m0 - m1)
+    return 2.0 * linalg.operator_norm(a0.apply(P_PLUS) - a1.apply(P_PLUS))
 
 
 def subspace_gap(s1, s2):
     """Operator norm of the difference of the orthogonal projections."""
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(f"ambient dims {s1.ambient_dim} != {s2.ambient_dim}")
-    return linalg.operator_norm(
+    return linalg.symmetric_norm(
         linalg.projection_from_basis(s1) - linalg.projection_from_basis(s2)
     )
-
-
-def _graph_projection_spectral(a):
-    # Projection onto {(x, Ax)} assembled from spectral blocks of
-    # (1+A^2)^{-1}, (1+A^2)^{-1}A and A(1+A^2)^{-1}A.
-    top_left = a.apply(lambda lam: 1.0 / (1.0 + lam * lam))
-    off = a.apply(lambda lam: lam / (1.0 + lam * lam))
-    bottom_right = a.apply(lambda lam: lam * lam / (1.0 + lam * lam))
-    return np.block([[top_left, off], [off, bottom_right]])
 
 
 def generator_distance_profile(a0, a1, fns=DEFAULT_PROBES):
     """Distances ``|f(A0) - f(A1)|`` for each probe, bundled with gap, Riesz
     and graph distances of the pair."""
+    from .lagrangian import graph_subspace  # lagrangian imports this module
+
     _check_same_dim(a0, a1)
     dists = {}
     for f in fns:
         dists[f.name] = linalg.operator_norm(a0.apply(f) - a1.apply(f))
-    delta = linalg.operator_norm(
-        _graph_projection_spectral(a0) - _graph_projection_spectral(a1)
-    )
     return MetricReport(
         gamma=gap_metric(a0, a1),
         rho=riesz_metric(a0, a1),
-        delta_graphs=delta,
+        delta_graphs=subspace_gap(graph_subspace(a0), graph_subspace(a1)),
         generator_distances=dists,
     )
 

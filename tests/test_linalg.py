@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fredlab import linalg
+from fredlab import linalg, topology
 from fredlab.errors import (
     AmbientMismatch,
     EmptyMatrix,
@@ -11,6 +11,7 @@ from fredlab.errors import (
     NonSquare,
     NotSymmetric,
 )
+from fredlab.gallery import FugledeSpec, fuglede_operator
 
 RECON_TOL = 1e-10
 HOMOMORPHISM_TOL = 1e-9
@@ -90,6 +91,44 @@ class TestOperatorNorm:
             linalg.operator_norm(np.zeros((0, 0)))
 
 
+def fuglede_riesz_difference(n):
+    return topology.riesz_map(fuglede_operator(FugledeSpec(n, 4 * n))) - topology.riesz_map(
+        fuglede_operator(FugledeSpec(0, 4 * n))
+    )
+
+
+def projection_difference():
+    rng = np.random.default_rng(3)
+    s1, s2 = (linalg.Subspace.from_spanning(rng.standard_normal((12, 5))) for _ in range(2))
+    return linalg.projection_from_basis(s1) - linalg.projection_from_basis(s2)
+
+
+SYMMETRIC_CASES = {
+    "zero": lambda: np.zeros((4, 4)),
+    **{
+        f"random-{n}": lambda n=n: random_symmetric(np.random.default_rng(n), n, 3.0)
+        for n in (1, 5, 40)
+    },
+    "projections": projection_difference,
+    **{f"fuglede-{n}": lambda n=n: fuglede_riesz_difference(n) for n in (1, 4, 16)},
+}
+
+
+class TestSymmetricNorm:
+    @pytest.mark.parametrize("case", SYMMETRIC_CASES)
+    def test_matches_operator_norm(self, case):
+        m = SYMMETRIC_CASES[case]()
+        assert linalg.symmetric_norm(m) == pytest.approx(
+            linalg.operator_norm(m), rel=1e-12, abs=0.0
+        )
+
+    def test_rejects_non_symmetric(self):
+        with pytest.raises(NotSymmetric):
+            linalg.symmetric_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotSymmetric):
+            linalg.symmetric_norm(np.array([[1j, 0.0], [0.0, 1.0]]))
+
+
 class TestScalarFunction:
     def test_identity_reconstructs(self):
         rng = np.random.default_rng(17)
@@ -131,8 +170,13 @@ class TestScalarFunction:
 
     def test_undefined_value(self):
         dec = linalg.sym_eig(np.diag([0.0, 1.0]))
-        with pytest.raises(FunctionUndefinedAtEigenvalue):
-            linalg.apply_scalar_function(dec, lambda x: 1.0 / x)
+        for f in (lambda x: 1.0 / x, lambda x: np.sqrt(x - 1.0)):
+            with pytest.raises(FunctionUndefinedAtEigenvalue):
+                linalg.apply_scalar_function(dec, f)
+        # a scalar return is broadcast over the spectrum
+        np.testing.assert_allclose(
+            linalg.apply_scalar_function(dec, lambda lam: 1.0), np.eye(2), atol=1e-15
+        )
 
 
 class TestSubspaces:
@@ -200,7 +244,5 @@ class TestMeetDims:
 
 
 def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        linalg.Tolerances(rank_tol=1e-14, eig_tol=1e-12)
     with pytest.raises(ValueError):
         linalg.Tolerances(rank_tol=0.0)

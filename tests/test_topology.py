@@ -5,6 +5,7 @@ import pytest
 
 from fredlab import linalg, topology
 from fredlab.errors import DimensionMismatch
+from fredlab.lagrangian import graph_projection_formula
 from fredlab.topology import (
     ALPHA_RAMP,
     P_MINUS,
@@ -118,6 +119,18 @@ class TestGapMetric:
             g = topology.gap_metric(sa([[0.0]]), sa([[t]]))
             assert g <= 3.0 * t
             assert g >= 0.5 * t
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_explicit_two_branch_sum(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        n = int(rng.integers(2, 21))
+        a0, a1 = (random_operator(rng, n, scale=3.0) for _ in range(2))
+
+        def branch(f):
+            return linalg.operator_norm(a0.apply(f) - a1.apply(f))
+
+        two_branch = branch(lambda lam: 1.0 / (1j + lam)) + branch(lambda lam: 1.0 / (1j - lam))
+        assert abs(topology.gap_metric(a0, a1) - two_branch) <= 1e-12
 
     def test_metric_axioms_on_random_triples(self):
         rng = np.random.default_rng(6)
@@ -244,8 +257,16 @@ class TestGeneratorProfile:
         assert report.generator_distances["Pplus"] <= report.gamma + 1e-12
         assert report.generator_distances["Pminus"] <= report.gamma + 1e-12
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delta_graphs_matches_block_formula(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        a, b = random_operator(rng, 9, 3.0), random_operator(rng, 9, 3.0)
+        report = topology.generator_distance_profile(a, b, fns=())
+        oracle = linalg.operator_norm(graph_projection_formula(a) - graph_projection_formula(b))
+        assert abs(report.delta_graphs - oracle) <= 1e-10
+
     def test_custom_function(self):
-        probe = ScalarFunction(topology.FunctionKind.CUSTOM, fn=np.sin, name="sine")
+        probe = ScalarFunction("sine", np.sin)
         a, b = sa([[0.0]]), sa([[np.pi / 2.0]])
         report = topology.generator_distance_profile(a, b, fns=(probe,))
         assert report.generator_distances["sine"] == pytest.approx(1.0, abs=1e-12)
@@ -257,10 +278,6 @@ class TestRampFunction:
         assert ALPHA_RAMP(10.0) == 1.0
         assert ALPHA_RAMP(0.0) == pytest.approx(0.5)
         assert ALPHA_RAMP(0.25) == pytest.approx(0.75)
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            ScalarFunction(topology.FunctionKind.ALPHA_RAMP, ramp_width=0.0)
 
 
 class TestRelativeBound:
