@@ -143,44 +143,31 @@ def boundary_lines(s):
 
 
 def _block_tridiagonal(diag, upper, lower):
-    """Dense matrix from per-node 2x2 diagonal blocks and per-edge couplings."""
-    n = diag.shape[0]
-    idx = np.arange(n)
-    out = np.zeros((n, 2, n, 2))
-    out[idx, :, idx, :] = diag
-    out[idx[:-1], :, idx[1:], :] = upper
-    out[idx[1:], :, idx[:-1], :] = lower
-    return out.reshape(2 * n, 2 * n)
+    """Sparse matrix from per-node 2x2 diagonal blocks and per-edge couplings."""
+    idx = np.arange(diag.shape[0])
+    block_rows = np.concatenate([idx, idx[:-1], idx[1:]])
+    block_cols = np.concatenate([idx, idx[1:], idx[:-1]])
+    local = np.arange(2)
+    rows, cols = np.broadcast_arrays(
+        2 * block_rows[:, None, None] + local[:, None],
+        2 * block_cols[:, None, None] + local,
+    )
+    values = np.concatenate([diag, upper, lower])
+    size = 2 * idx.size
+    return scipy.sparse.csc_array(
+        (values.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)
+    )
 
 
 def _constraint_map(grid_m, s):
     # Columns: the allowed direction at node 0, the full interior nodes, the
     # allowed direction at node M.  All columns are orthonormal.
     n_free = 2 * grid_m
-    r = np.zeros((2 * (grid_m + 1), n_free))
     v0, v1 = boundary_lines(s)
-    r[0:2, 0] = v0
-    rows = np.arange(2, 2 * grid_m)
-    r[rows, rows - 1] = 1.0
-    r[2 * grid_m : 2 * grid_m + 2, n_free - 1] = v1
-    return r
-
-
-def _constrain(x, v0, v1):
-    # R^T x R without forming R: the map is the identity on interior nodes
-    # and picks one direction at each endpoint
-    n_free = x.shape[0] - 2
-    y = np.empty((n_free, n_free))
-    y[1:-1, 1:-1] = x[2:-2, 2:-2]
-    y[0, 0] = v0 @ x[0:2, 0:2] @ v0
-    y[-1, -1] = v1 @ x[-2:, -2:] @ v1
-    y[0, -1] = v0 @ x[0:2, -2:] @ v1
-    y[-1, 0] = v1 @ x[-2:, 0:2] @ v0
-    y[0, 1:-1] = v0 @ x[0:2, 2:-2]
-    y[1:-1, 0] = x[2:-2, 0:2] @ v0
-    y[-1, 1:-1] = v1 @ x[-2:, 2:-2]
-    y[1:-1, -1] = x[2:-2, -2:] @ v1
-    return y
+    rows = np.arange(2 * grid_m + 2)
+    cols = np.concatenate([[0, 0], np.arange(1, n_free - 1), [n_free - 1, n_free - 1]])
+    values = np.concatenate([v0, np.ones(n_free - 2), v1])
+    return scipy.sparse.csc_array((values, (rows, cols)), shape=(rows.size, n_free))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,24 +178,28 @@ class DiscretizedOperator:
     mass matrix, and ``square_stiffness`` the exact quadratic form of the
     squared operator; central first-order stencils carry a spurious sawtooth
     branch through the near-zero spectrum, so eigenvalues are extracted from
-    the square, which is free of it.
+    the square, which is free of it.  All three are banded and stored as
+    ``scipy.sparse.csc_array``; dense input is converted.
     """
 
-    stiffness: np.ndarray
-    mass: np.ndarray
-    square_stiffness: np.ndarray
+    stiffness: scipy.sparse.csc_array
+    mass: scipy.sparse.csc_array
+    square_stiffness: scipy.sparse.csc_array
     dof_map: str
 
     def __post_init__(self):
-        k = np.asarray(self.stiffness, dtype=float)
-        m = np.asarray(self.mass, dtype=float)
-        k2 = np.asarray(self.square_stiffness, dtype=float)
-        if k.shape != m.shape or k.shape != k2.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
+        fields = (self.stiffness, self.mass, self.square_stiffness)
+        shape = np.shape(self.stiffness)
+        if len(shape) != 2 or shape[0] != shape[1] or any(np.shape(x) != shape for x in fields):
             raise InvalidConfig("stiffness, mass and square must be square and congruent")
-        if linalg.symmetry_defect(k) > 1e-12 or linalg.symmetry_defect(k2) > 1e-12:
-            raise NotSymmetric("stiffness is not symmetric")
+        k, m, k2 = (scipy.sparse.csc_array(x, dtype=float) for x in fields)
+        for x in (k, k2):
+            if abs(x - x.T).max() > 1e-12 * max(1.0, abs(x).max()):
+                raise NotSymmetric("stiffness is not symmetric")
+        _, upper = scipy.sparse.linalg.spbandwidth(m)
+        band = [np.pad(m.diagonal(d), (d, 0)) for d in range(upper, -1, -1)]
         try:
-            np.linalg.cholesky(m)
+            scipy.linalg.cholesky_banded(band)
         except np.linalg.LinAlgError as exc:
             raise MassNotPositiveDefinite(str(exc)) from exc
         object.__setattr__(self, "stiffness", k)
@@ -264,6 +255,7 @@ def assemble_floer_operator(cfg):
     diag2[1:] += elem2[:, 2:4, 2:4]
     k2_full = _block_tridiagonal(diag2, elem2[:, 0:2, 2:4], elem2[:, 2:4, 0:2])
 
+    r = _constraint_map(m_el, cfg.s)
     v0, v1 = boundary_lines(cfg.s)
     dof_map = (
         f"node 0 along ({v0[0]:+.6f},{v0[1]:+.6f}); "
@@ -271,22 +263,11 @@ def assemble_floer_operator(cfg):
         f"node {m_el} along ({v1[0]:+.6f},{v1[1]:+.6f})"
     )
     return DiscretizedOperator(
-        stiffness=_constrain(k_full, v0, v1),
-        mass=_constrain(m_full, v0, v1),
-        square_stiffness=_constrain(k2_full, v0, v1),
+        stiffness=r.T @ k_full @ r,
+        mass=r.T @ m_full @ r,
+        square_stiffness=r.T @ k2_full @ r,
         dof_map=dof_map,
     )
-
-
-def _cholesky_reduce(matrix, mass):
-    """Congruence ``L^{-1} K L^{-T}`` with the Cholesky factor of the mass."""
-    try:
-        chol = np.linalg.cholesky(mass)
-    except np.linalg.LinAlgError as exc:
-        raise MassNotPositiveDefinite(str(exc)) from exc
-    half = scipy.linalg.solve_triangular(chol, matrix, lower=True)
-    reduced = scipy.linalg.solve_triangular(chol, half.T, lower=True).T
-    return 0.5 * (reduced + reduced.T), chol
 
 
 def _mu_clusters(mus, k_window, scale):
@@ -304,55 +285,46 @@ def _mu_clusters(mus, k_window, scale):
     return clusters
 
 
-#: Above this size the smallest squared eigenvalues come from a shift-invert
-#: solve on the block-tridiagonal pencil instead of a dense factorization.
+#: Above this size (and with room for ARPACK's six values of slack beyond the
+#: window) the smallest squared eigenvalues come from a sparse shift-invert solve.
 _DENSE_CUTOFF = 200
 
 
-def _sign_clusters(op, mus, vectors, clusters, k_window):
+def _sign_clusters(op, vectors, clusters, k_window):
     # vectors are mass-orthonormal columns in original coordinates
     out = []
     for start, stop in clusters:
         block = vectors[:, start:stop]
-        small_k = block.T @ op.stiffness @ block
-        small_m = block.T @ op.mass @ block
-        sub, _ = _cholesky_reduce(0.5 * (small_k + small_k.T), small_m)
-        out.extend(np.linalg.eigvalsh(sub))
+        small_k = block.T @ (op.stiffness @ block)
+        small_m = block.T @ (op.mass @ block)
+        out.extend(scipy.linalg.eigh(small_k, small_m, eigvals_only=True))
     nearest = sorted(out, key=lambda lam: (abs(lam), lam))[:k_window]
     return np.sort(np.asarray(nearest))
 
 
 def _spectrum_dense(op, k_window):
-    reduced, chol = _cholesky_reduce(op.square_stiffness, op.mass)
-    mus = np.linalg.eigvalsh(reduced)
-    scale = max(1.0, float(mus[min(k_window, op.dim) - 1]))
-    clusters = _mu_clusters(mus, k_window, scale)
-    needed = clusters[-1][1]
-    _, vecs = scipy.linalg.eigh(reduced, subset_by_index=(0, needed - 1))
-    back = scipy.linalg.solve_triangular(chol.T, vecs, lower=False)
-    return _sign_clusters(op, mus, back, clusters, k_window)
+    k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
+    mus = scipy.linalg.eigh(k2, mass, eigvals_only=True)
+    clusters = _mu_clusters(mus, k_window, max(1.0, float(mus[k_window - 1])))
+    _, vecs = scipy.linalg.eigh(k2, mass, subset_by_index=(0, clusters[-1][1] - 1))
+    return _sign_clusters(op, vecs, clusters, k_window)
 
 
 def _spectrum_shift_invert(op, k_window):
     # the constrained matrices are banded, so factoring K2 + eps*M is cheap;
     # a fixed start vector keeps the result deterministic
-    n_req = min(op.dim, k_window + 6)
-    k2 = scipy.sparse.csc_matrix(op.square_stiffness)
-    mass = scipy.sparse.csc_matrix(op.mass)
+    n_req = k_window + 6
     v0 = np.linspace(1.0, 2.0, op.dim)
     mus, vecs = scipy.sparse.linalg.eigsh(
-        k2, k=n_req, M=mass, sigma=-1e-6, which="LM", v0=v0
+        op.square_stiffness, k=n_req, M=op.mass, sigma=-1e-6, which="LM", v0=v0
     )
     order = np.argsort(mus)
     mus, vecs = mus[order], vecs[:, order]
-    scale = max(1.0, float(mus[min(k_window, n_req) - 1]))
-    clusters = _mu_clusters(mus, k_window, scale)
-    if sum(b - a for a, b in clusters) < k_window or (
-        clusters[-1][1] == n_req and n_req < op.dim
-    ):
+    clusters = _mu_clusters(mus, k_window, max(1.0, float(mus[k_window - 1])))
+    if sum(b - a for a, b in clusters) < k_window or clusters[-1][1] == n_req:
         # retrieved window may cut through a degenerate cluster
         raise NoConvergence("shift-invert window inconclusive")
-    return _sign_clusters(op, mus, vecs, clusters, k_window)
+    return _sign_clusters(op, vecs, clusters, k_window)
 
 
 def floer_spectrum(op, k_window):
@@ -368,7 +340,7 @@ def floer_spectrum(op, k_window):
     k_window = int(k_window)
     if k_window < 1 or k_window > op.dim:
         raise InvalidConfig(f"window size {k_window} outside 1..{op.dim}")
-    if op.dim > _DENSE_CUTOFF:
+    if op.dim > _DENSE_CUTOFF and k_window + 6 < op.dim:
         try:
             return _spectrum_shift_invert(op, k_window)
         except (NoConvergence, scipy.sparse.linalg.ArpackError):
@@ -383,11 +355,11 @@ def mass_normalized(op):
     compared with the operator metrics directly.  The tail is marked as
     two-sided: the underlying first-order operator is unbounded both ways.
     """
-    dec = linalg.sym_eig(op.mass)
+    dec = linalg.sym_eig(op.mass.toarray())
     if np.min(dec.eigenvalues) <= 0.0:
         raise MassNotPositiveDefinite("mass matrix has a nonpositive eigenvalue")
     root_inv = linalg.apply_scalar_function(dec, lambda mu: 1.0 / np.sqrt(mu))
-    a = root_inv @ op.stiffness @ root_inv
+    a = root_inv @ op.stiffness.toarray() @ root_inv
     return SelfAdjointOperator(0.5 * (a + a.T), tail=_TAIL_BOTH)
 
 
@@ -638,7 +610,7 @@ def h1_operator_norm(x, grid_m):
 
 def domain_subspace(cfg):
     """Constrained grid functions of one boundary value problem, as a subspace."""
-    r = _constraint_map(cfg.grid_m, cfg.s)
+    r = _constraint_map(cfg.grid_m, cfg.s).toarray()
     return linalg.Subspace(r.shape[0], r)
 
 

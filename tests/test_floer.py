@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from fredlab import floer, linalg, topology
 from fredlab.errors import (
     GaugeSingular,
     InvalidConfig,
+    MassNotPositiveDefinite,
     NoRootBracketed,
+    NotSymmetric,
     SamplingTooCoarse,
 )
 from fredlab.floer import (
     BoundaryProjector,
     Coupling,
     CutoffProfile,
+    DiscretizedOperator,
     FloerConfig,
     assemble_floer_operator,
     boundary_coefficient_operator,
@@ -81,8 +87,13 @@ class TestAssembly:
             FloerConfig.constant(0.3j, 1.0, 12, coupling=Coupling.LINEAR_IMAGINARY),
         ):
             op = assemble_floer_operator(cfg)
-            assert linalg.symmetry_defect(op.stiffness) <= 1e-12
-            assert linalg.symmetry_defect(op.square_stiffness) <= 1e-12
+            assert linalg.symmetry_defect(op.stiffness.toarray()) <= 1e-12
+            assert linalg.symmetry_defect(op.square_stiffness.toarray()) <= 1e-12
+            # the pencil stays banded: three nodes' worth of couplings per row
+            for x in (op.stiffness, op.mass, op.square_stiffness):
+                assert isinstance(x, scipy.sparse.csc_array)
+                assert max(scipy.sparse.linalg.spbandwidth(x)) <= 3
+                assert x.nnz <= 8 * op.dim
 
     def test_dof_count(self):
         for m in (8, 33):
@@ -91,7 +102,7 @@ class TestAssembly:
 
     def test_mass_positive_definite(self):
         op = assemble_floer_operator(FloerConfig.zero(0.5, 16))
-        w = np.linalg.eigvalsh(op.mass)
+        w = np.linalg.eigvalsh(op.mass.toarray())
         assert np.min(w) > 0.0
 
     def test_mass_normalized_operator(self):
@@ -99,11 +110,18 @@ class TestAssembly:
         a = mass_normalized(op)
         assert topology.classify_component(a) is topology.ComponentLabel.F_ZERO
         # same pencil spectrum, computed through the unsymmetric product
-        w_pencil = np.linalg.eigvals(np.linalg.solve(op.mass, op.stiffness))
+        mass = op.mass.toarray()
+        w_pencil = np.linalg.eigvals(np.linalg.solve(mass, op.stiffness.toarray()))
         np.testing.assert_allclose(np.max(np.abs(w_pencil.imag)), 0.0, atol=1e-8)
         np.testing.assert_allclose(
             np.sort(a.decomposition.eigenvalues), np.sort(w_pencil.real), atol=1e-7
         )
+        # the dense branch solves the squared pencil by a generalized eigh;
+        # the unsymmetric product must give the same values
+        k2 = op.square_stiffness.toarray()
+        squares = np.linalg.eigvals(np.linalg.solve(mass, k2))
+        mus = scipy.linalg.eigh(k2, mass, eigvals_only=True)
+        np.testing.assert_allclose(mus, np.sort(squares.real), atol=1e-8)
 
 
 class TestSpectrum:
@@ -158,6 +176,48 @@ class TestSpectrum:
         w2 = floer_spectrum(op, 5)
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_allclose(w1, floer._spectrum_dense(op, 5), atol=1e-9)
+
+    def test_full_window_above_the_cutoff(self):
+        # ARPACK needs slack beyond the window; without it the dense route runs
+        op = assemble_floer_operator(FloerConfig.zero(0.8, 101))
+        assert op.dim > floer._DENSE_CUTOFF
+        np.testing.assert_array_equal(
+            floer_spectrum(op, op.dim), floer._spectrum_dense(op, op.dim)
+        )
+
+
+class TestDiscretizedOperator:
+    def _pencil(self):
+        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 1.0, 8))
+        return op.stiffness.toarray(), op.mass.toarray(), op.square_stiffness.toarray()
+
+    def test_dense_input_is_stored_sparse(self):
+        k, m, k2 = self._pencil()
+        op = DiscretizedOperator(k, m, k2, "dense")
+        for x, dense in ((op.stiffness, k), (op.mass, m), (op.square_stiffness, k2)):
+            assert isinstance(x, scipy.sparse.csc_array)
+            np.testing.assert_array_equal(x.toarray(), dense)
+
+    @pytest.mark.parametrize("field", [0, 2])
+    def test_nonsymmetric_stiffness(self, field):
+        pencil = self._pencil()
+        pencil[field][0, 1] += 1e-6
+        with pytest.raises(NotSymmetric):
+            DiscretizedOperator(*pencil, "skew")
+
+    def test_indefinite_mass(self):
+        k, m, k2 = self._pencil()
+        # positive diagonal, indefinite 2x2 minor: only the band can tell
+        m[2, 3] = m[3, 2] = 1.0
+        with pytest.raises(MassNotPositiveDefinite):
+            DiscretizedOperator(k, m, k2, "indefinite")
+
+    def test_mismatched_shapes(self):
+        k, m, k2 = self._pencil()
+        with pytest.raises(InvalidConfig):
+            DiscretizedOperator(k, m[:-1, :-1], k2, "short mass")
+        with pytest.raises(InvalidConfig):
+            DiscretizedOperator(k[:, :-1], m[:, :-1], k2[:, :-1], "rectangular")
 
 
 class TestShooting:
