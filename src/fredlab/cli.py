@@ -143,7 +143,6 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     if grid_m < 8 or s_count < 8:
         raise InvalidConfig("need grid >= 8 and s-count >= 8")
     samples = parse_a_spec(a_spec, grid_m)
-    coeff_is_zero = not np.any(samples)
     rows = []
 
     for s in ORACLE_ANGLES:
@@ -172,7 +171,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
             str(s_count),
             "spectral_flow",
             float(flow),
-            2.0 if coeff_is_zero else None,
+            2.0,
             0.0,
         )
     )

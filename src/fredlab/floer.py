@@ -363,79 +363,73 @@ def mass_normalized(op):
     return SelfAdjointOperator(0.5 * (a + a.T), tail=_TAIL_BOTH)
 
 
-def _transfer_matrices(cfg, lams, n_steps):
-    """End values ``u(1)`` of ``u' = (B(t) - lam J) u``, ``u(0) = (1, 0)``.
+def _end_angles(cfg, lams, n_steps):
+    """Prufer angle ``theta(1)`` of ``u' = (B(t) - lam J) u``, ``u(0) = (1, 0)``.
 
-    Fourth-order Runge-Kutta on a fixed grid aligned with the coefficient
-    samples, vectorized over the batch of spectral parameters ``lams``.
+    With ``u = r (cos theta, sin theta)`` the angle alone obeys ``theta' =
+    c0 - lam + c1 cos(2 theta) + c2 sin(2 theta)``.  Fourth-order Runge-Kutta
+    on a fixed grid aligned with the coefficient samples, vectorized over
+    the batch of spectral parameters ``lams``.
     """
-    b_nodes = coefficient_matrices(cfg)
-
-    def b_at(t):
-        # piecewise-linear interpolation of the sampled coefficient
-        x = min(max(t, 0.0), 1.0) * cfg.grid_m
-        k = min(int(x), cfg.grid_m - 1)
-        w = x - k
-        return (1.0 - w) * b_nodes[k] + w * b_nodes[k + 1]
-
-    lams = np.asarray(lams, dtype=float)
-    u = np.zeros((2, lams.size))
-    u[0] = 1.0
+    b = coefficient_matrices(cfg)
+    t = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    c0, c1, c2 = (
+        np.interp(t, cfg.nodes, 0.5 * x)
+        for x in (b[:, 1, 0] - b[:, 0, 1], b[:, 1, 0] + b[:, 0, 1], b[:, 1, 1] - b[:, 0, 0])
+    )
     dt = 1.0 / n_steps
+    # linearized about its equilibria theta' has rate 2 |(c1, c2)|; past RK4's
+    # real stability bound 2.785 the angle is garbage and so is the root count
+    if 2.0 * dt * float(np.max(np.hypot(c1, c2))) > 2.785:
+        raise SamplingTooCoarse(f"{n_steps} steps cannot resolve a coefficient this large")
+    lams = np.asarray(lams, dtype=float)
+    theta = np.zeros(lams.size)
 
-    def rhs(t, y):
-        by = b_at(t) @ y
-        return by - lams * (J2 @ y)
+    def rhs(j, th):
+        return c0[j] - lams + c1[j] * np.cos(2.0 * th) + c2[j] * np.sin(2.0 * th)
 
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * dt, u + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, u + 0.5 * dt * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return u
+    for i in range(0, 2 * n_steps, 2):
+        k1 = rhs(i, theta)
+        k2 = rhs(i + 1, theta + 0.5 * dt * k1)
+        k3 = rhs(i + 1, theta + 0.5 * dt * k2)
+        k4 = rhs(i + 2, theta + dt * k3)
+        theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return theta
 
 
-def shooting_eigenvalues(cfg, search_interval, refine_tol=1e-10, scan_step=0.05):
+def shooting_eigenvalues(cfg, search_interval):
     """Grid-free eigenvalue oracle by shooting from ``t = 0``.
 
-    ``lam`` is an eigenvalue exactly when the end value ``u(1)`` of the
-    integrated system is parallel to the admissible line at ``t = 1``; the
-    mismatch is the component along the line's unit normal, and its sign
-    changes are refined by bisection.  An empty result is legal.
+    ``lam`` is an eigenvalue exactly when ``F(lam) = theta(1; lam) + s`` is a
+    multiple of ``pi``, with ``theta`` the Prufer angle of ``u``.  ``F``
+    decreases strictly, so the multiples between ``F(hi)`` and ``F(lo)``
+    count the roots in ``[lo, hi]`` exactly; all of them are refined at once
+    by Illinois steps to a bracket of ``1e-12``.  An empty result is legal.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not lo < hi:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise NoRootBracketed(f"malformed search interval ({lo}, {hi})")
-    steps_per_element = max(1, math.ceil(1024 / cfg.grid_m))
-    n_steps = steps_per_element * cfg.grid_m
-    _, v1 = boundary_lines(cfg.s)
-    normal = np.array([-v1[1], v1[0]])
-
-    def mismatch(lams):
-        ends = _transfer_matrices(cfg, lams, n_steps)
-        return normal @ ends
-
-    n_scan = max(8, math.ceil((hi - lo) / scan_step))
-    grid = np.linspace(lo, hi, n_scan + 1)
-    vals = mismatch(grid)
-
-    roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
-    sign_change = vals[:-1] * vals[1:] < 0.0
-    a = grid[:-1][sign_change]
-    b = grid[1:][sign_change]
-    fa = vals[:-1][sign_change]
-    while a.size and np.max(b - a) > refine_tol:
-        mid = 0.5 * (a + b)
-        fm = mismatch(mid)
-        go_left = fa * fm <= 0.0
-        b = np.where(go_left, mid, b)
-        a = np.where(go_left, a, mid)
-        fa = np.where(go_left, fa, fm)
-    roots.extend(0.5 * (a + b))
-    return np.array(sorted(set(np.round(roots, 12))))
+    n_steps = max(1, math.ceil(1024 / cfg.grid_m)) * cfg.grid_m
+    f_lo, f_hi = _end_angles(cfg, [lo, hi], n_steps) + cfg.s
+    targets = np.pi * np.arange(math.ceil(f_hi / np.pi), math.floor(f_lo / np.pi) + 1)
+    # F - target is >= 0 at a and <= 0 at b; an exact zero closes the bracket
+    ga, gb = f_lo - targets, f_hi - targets
+    a, b = np.where(gb == 0.0, hi, lo), np.where(ga == 0.0, lo, hi)
+    side = np.zeros(targets.size)  # +1 if the last step moved b, -1 if a
+    for _ in range(100):
+        act = np.flatnonzero(b - a > 1e-12)
+        if not act.size:
+            return np.sort(0.5 * (a + b))
+        x = np.clip(b[act] - gb[act] * (b[act] - a[act]) / (gb[act] - ga[act]), a[act], b[act])
+        gx = _end_angles(cfg, x, n_steps) + cfg.s - targets[act]
+        to_a, to_b = gx >= 0.0, gx <= 0.0
+        # Illinois: halve the value at an end kept twice in a row
+        ga[act[~to_a & (side[act] > 0)]] *= 0.5
+        gb[act[~to_b & (side[act] < 0)]] *= 0.5
+        a[act[to_a]], ga[act[to_a]] = x[to_a], gx[to_a]
+        b[act[to_b]], gb[act[to_b]] = x[to_b], gx[to_b]
+        side[act] = np.where(to_b, 1.0, -1.0)
+    raise NoConvergence(f"shooting left a bracket of width {float(np.max(b - a)):.3e}")
 
 
 def spectral_flow(family, k_window, zero_tol=1e-9):

@@ -56,6 +56,13 @@ class TestFloerExperiment:
         with pytest.raises(InvalidConfig):
             cli.run_floer(grid_m=4, s_count=16)
 
+    def test_flow_expected_for_nonzero_coefficient(self):
+        # theta(1; 0) does not depend on s, so every full loop has flow +2
+        rows = cli.run_floer(grid_m=32, s_count=64, a_spec="const:1.5,-0.7")
+        flow = [r for r in rows if r.metric == "spectral_flow"]
+        assert len(flow) == 1 and flow[0].expected == 2.0
+        assert not cli.violations(rows)
+
 
 class TestSuites:
     def test_graph_suite_clean(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -221,17 +222,24 @@ class TestDiscretizedOperator:
 
 
 class TestShooting:
+    # for a = 0 the Prufer angle is theta(1; lam) = -lam exactly, so the
+    # roots are the closed-form ladder {s + k*pi}
     def test_rotation_roots(self):
         cfg = FloerConfig.zero(np.pi / 2.0, 16)
         roots = shooting_eigenvalues(cfg, (-2.0, 2.0))
         np.testing.assert_allclose(
-            roots, [-1.5707963267948966, 1.5707963267948966], atol=1e-9
+            roots, [-1.5707963267948966, 1.5707963267948966], rtol=0.0, atol=1e-11
         )
 
     def test_rotation_roots_wide_window(self):
-        cfg = FloerConfig.zero(1.0, 16)
-        roots = shooting_eigenvalues(cfg, (-8.0, 8.0))
-        np.testing.assert_allclose(roots, sorted([1.0 + k * np.pi for k in (-2, -1, 0, 1, 2)]), atol=1e-9)
+        for s, interval, ks in (
+            (1.0, (-8.0, 8.0), (-2, -1, 0, 1, 2)),
+            (np.pi, (-4.0, 4.0), (-2, -1, 0)),
+        ):
+            roots = shooting_eigenvalues(FloerConfig.zero(s, 16), interval)
+            np.testing.assert_allclose(
+                roots, sorted(s + k * np.pi for k in ks), rtol=0.0, atol=1e-11
+            )
 
     def test_grid_free(self):
         r1 = shooting_eigenvalues(FloerConfig.zero(2.0, 8), (-2.0, 4.0))
@@ -242,9 +250,56 @@ class TestShooting:
         cfg = FloerConfig.zero(1.5, 16)
         assert shooting_eigenvalues(cfg, (1.6, 2.0)).size == 0
 
+    @pytest.mark.parametrize("coupling", list(Coupling))
+    def test_angle_matches_vector_integration(self, coupling):
+        # the unwrapped angle of u(t) from an adaptive solver on the 2-vector
+        # system u' = (B - lam J) u is an independent oracle for theta(1)
+        t = np.linspace(0.0, 1.0, 17)
+        if coupling is Coupling.ANTILINEAR:
+            samples = (0.8 + 0.4j) * np.sin(np.pi * t) + 0.5 * t
+        else:
+            samples = 1j * (0.7 + np.cos(3.0 * t))
+        cfg = FloerConfig(samples, 1.3, 16, coupling=coupling)
+        b = floer.coefficient_matrices(cfg)
+        lams = np.array([-3.0, -0.4, 0.0, 1.7, 5.0])
+        expected = []
+        for lam in lams:
+            def rhs(x, u):
+                bx = np.array([np.interp(x, cfg.nodes, c) for c in b.reshape(-1, 4).T])
+                return (bx.reshape(2, 2) - lam * floer.J2) @ u
+
+            sol = scipy.integrate.solve_ivp(
+                rhs, (0.0, 1.0), [1.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-12,
+                t_eval=np.linspace(0.0, 1.0, 401), max_step=1.0 / 64.0,
+            )
+            expected.append(np.unwrap(np.arctan2(sol.y[1], sol.y[0]))[-1])
+        np.testing.assert_allclose(
+            floer._end_angles(cfg, lams, 1024), expected, rtol=0.0, atol=1e-9
+        )
+
+    def test_close_pair_is_counted(self):
+        # a deep double well puts two roots 0.03 apart near zero; the count
+        # must find both, however close they are
+        t = np.linspace(0.0, 1.0, 65)
+        samples = 14.0 * np.tanh(40.0 * (t - 0.25)) * np.tanh(40.0 * (t - 0.75))
+        cfg = FloerConfig(samples, 1.3, 64)
+        roots = shooting_eigenvalues(cfg, (-0.52, 0.48))
+        assert roots.size == 2
+        w = floer_spectrum(assemble_floer_operator(cfg), 2)
+        np.testing.assert_allclose(roots, w, atol=2e-3)
+
+    def test_stiff_coefficient_is_rejected(self):
+        # |a| dt beyond RK4's stability bound would give a garbage count
+        for a in (1500.0, 1e150):
+            with pytest.raises(SamplingTooCoarse):
+                shooting_eigenvalues(FloerConfig.constant(a, 1.0, 16), (-1.0, 1.0))
+        cfg = FloerConfig.constant(1000.0, 1.0, 16)
+        assert shooting_eigenvalues(cfg, (-1.0, 1.0)).size == 0
+
     def test_malformed_interval(self):
-        with pytest.raises(NoRootBracketed):
-            shooting_eigenvalues(FloerConfig.zero(1.5, 16), (2.0, 2.0))
+        for interval in ((2.0, 2.0), (-np.inf, 0.0), (0.0, np.nan)):
+            with pytest.raises(NoRootBracketed):
+                shooting_eigenvalues(FloerConfig.zero(1.5, 16), interval)
 
 
 class TestSpectralFlow:
