@@ -145,10 +145,14 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     samples = parse_a_spec(a_spec, grid_m)
     rows = []
 
-    for s in ORACLE_ANGLES:
-        cfg = floer.FloerConfig(samples, s, grid_m)
-        w = floer.floer_spectrum(floer.assemble_floer_operator(cfg), WINDOW)
-        roots = floer.shooting_eigenvalues(cfg, (float(w[0]) - 0.75, float(w[-1]) + 0.75))
+    configs = [floer.FloerConfig(samples, s, grid_m) for s in ORACLE_ANGLES]
+    windows = [floer.floer_spectrum(floer.assemble_floer_operator(c), WINDOW) for c in configs]
+    # one batch: the Prufer angle does not depend on s, so configs[0] serves all
+    oracle = floer.shooting_eigenvalues(
+        configs[0],
+        [(c.s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)) for c, w in zip(configs, windows)],
+    )
+    for s, w, roots in zip(ORACLE_ANGLES, windows, oracle):
         label, param = f"s={s:.4f}", f"{s!r}"
         for i, lam in enumerate(w):
             expected = float(roots[np.argmin(np.abs(roots - lam))]) if roots.size else None

@@ -193,6 +193,8 @@ class DiscretizedOperator:
         if len(shape) != 2 or shape[0] != shape[1] or any(np.shape(x) != shape for x in fields):
             raise InvalidConfig("stiffness, mass and square must be square and congruent")
         k, m, k2 = (scipy.sparse.csc_array(x, dtype=float) for x in fields)
+        if not all(np.all(np.isfinite(x.data)) for x in (k, m, k2)):
+            raise InvalidConfig("stiffness, mass or square holds NaN or Inf")
         for x in (k, k2):
             if abs(x - x.T).max() > 1e-12 * max(1.0, abs(x).max()):
                 raise NotSymmetric("stiffness is not symmetric")
@@ -270,8 +272,14 @@ def assemble_floer_operator(cfg):
     )
 
 
-def _mu_clusters(mus, k_window, scale):
-    """Index ranges of near-degenerate values covering the first k_window slots."""
+def _mu_clusters(mus, k_window, dim):
+    """Index ranges of near-degenerate values covering the first k_window slots.
+
+    ``mus`` are the smallest of ``dim`` values, ascending.  Returns ``None``
+    when the last cluster reaches the end of ``mus`` before ``dim``, since it
+    may then continue past the values at hand.
+    """
+    scale = max(1.0, float(mus[k_window - 1]))
     clusters = []
     covered = 0
     start = 0
@@ -282,6 +290,8 @@ def _mu_clusters(mus, k_window, scale):
         clusters.append((start, stop))
         covered += stop - start
         start = stop
+    if covered < k_window or start == mus.size < dim:
+        return None
     return clusters
 
 
@@ -303,10 +313,16 @@ def _sign_clusters(op, vectors, clusters, k_window):
 
 
 def _spectrum_dense(op, k_window):
+    # LAPACK selects the subset by index with Sturm counts, so these are
+    # certified to be the n_req smallest; only a cluster running into the
+    # last slot needs the whole spectrum
     k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
-    mus = scipy.linalg.eigh(k2, mass, eigvals_only=True)
-    clusters = _mu_clusters(mus, k_window, max(1.0, float(mus[k_window - 1])))
-    _, vecs = scipy.linalg.eigh(k2, mass, subset_by_index=(0, clusters[-1][1] - 1))
+    n_req = min(k_window + 6, op.dim)
+    mus, vecs = scipy.linalg.eigh(k2, mass, subset_by_index=(0, n_req - 1))
+    clusters = _mu_clusters(mus, k_window, op.dim)
+    if clusters is None:
+        mus, vecs = scipy.linalg.eigh(k2, mass)
+        clusters = _mu_clusters(mus, k_window, op.dim)
     return _sign_clusters(op, vecs, clusters, k_window)
 
 
@@ -320,8 +336,8 @@ def _spectrum_shift_invert(op, k_window):
     )
     order = np.argsort(mus)
     mus, vecs = mus[order], vecs[:, order]
-    clusters = _mu_clusters(mus, k_window, max(1.0, float(mus[k_window - 1])))
-    if sum(b - a for a, b in clusters) < k_window or clusters[-1][1] == n_req:
+    clusters = _mu_clusters(mus, k_window, op.dim)
+    if clusters is None:
         # retrieved window may cut through a degenerate cluster
         raise NoConvergence("shift-invert window inconclusive")
     return _sign_clusters(op, vecs, clusters, k_window)
@@ -363,13 +379,16 @@ def mass_normalized(op):
     return SelfAdjointOperator(0.5 * (a + a.T), tail=_TAIL_BOTH)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _end_angles(cfg, lams, n_steps):
     """Prufer angle ``theta(1)`` of ``u' = (B(t) - lam J) u``, ``u(0) = (1, 0)``.
 
     With ``u = r (cos theta, sin theta)`` the angle alone obeys ``theta' =
     c0 - lam + c1 cos(2 theta) + c2 sin(2 theta)``.  Fourth-order Runge-Kutta
     on a fixed grid aligned with the coefficient samples, vectorized over
-    the batch of spectral parameters ``lams``.
+    the batch of spectral parameters ``lams``.  A coefficient near the float
+    limit overflows ``c0``, ``c1``, ``c2`` or the angle; that raises
+    :class:`InvalidConfig` once the angle is found not finite.
     """
     b = coefficient_matrices(cfg)
     t = np.linspace(0.0, 1.0, 2 * n_steps + 1)
@@ -394,34 +413,49 @@ def _end_angles(cfg, lams, n_steps):
         k3 = rhs(i + 1, theta + 0.5 * dt * k2)
         k4 = rhs(i + 2, theta + dt * k3)
         theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(theta)):
+        raise InvalidConfig("coefficient too large: the Prufer angle is not finite")
     return theta
 
 
-def shooting_eigenvalues(cfg, search_interval):
+def shooting_eigenvalues(cfg, queries):
     """Grid-free eigenvalue oracle by shooting from ``t = 0``.
 
-    ``lam`` is an eigenvalue exactly when ``F(lam) = theta(1; lam) + s`` is a
-    multiple of ``pi``, with ``theta`` the Prufer angle of ``u``.  ``F``
-    decreases strictly, so the multiples between ``F(hi)`` and ``F(lo)``
-    count the roots in ``[lo, hi]`` exactly; all of them are refined at once
-    by Illinois steps to a bracket of ``1e-12``.  An empty result is legal.
+    ``cfg`` gives the coefficient; its own angle is not used.  Each query
+    ``(s, (lo, hi))`` asks for the eigenvalues in ``[lo, hi]`` at boundary
+    angle ``s``.  ``lam`` is one exactly when ``F(lam) = theta(1; lam) + s``
+    is a multiple of ``pi``, with ``theta`` the Prufer angle of ``u``, which
+    does not depend on ``s``.  ``F`` decreases strictly, so the multiples
+    between ``F(hi)`` and ``F(lo)`` count the roots in ``[lo, hi]`` exactly;
+    the roots of all queries are refined at once by Illinois steps to a
+    bracket of ``1e-12``.  Returns one ascending root array per query; an
+    empty one is legal.
     """
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise NoRootBracketed(f"malformed search interval ({lo}, {hi})")
+    queries = np.array([(s, lo, hi) for s, (lo, hi) in queries], dtype=float).reshape(-1, 3)
+    for s, lo, hi in queries:
+        if not (np.all(np.isfinite((s, lo, hi))) and lo < hi):
+            raise NoRootBracketed(f"malformed query: angle {s}, interval ({lo}, {hi})")
+    s, lo, hi = queries.T
     n_steps = max(1, math.ceil(1024 / cfg.grid_m)) * cfg.grid_m
-    f_lo, f_hi = _end_angles(cfg, [lo, hi], n_steps) + cfg.s
-    targets = np.pi * np.arange(math.ceil(f_hi / np.pi), math.floor(f_lo / np.pi) + 1)
+    f_lo, f_hi = _end_angles(cfg, np.concatenate([lo, hi]), n_steps).reshape(2, -1) + s
+    multiples = [
+        np.arange(math.ceil(fh / np.pi), math.floor(fl / np.pi) + 1) for fl, fh in zip(f_lo, f_hi)
+    ]
+    # one bracket per root, each tagged with the query it answers
+    owner = np.repeat(np.arange(s.size), [k.size for k in multiples])
+    targets = np.pi * np.concatenate([np.zeros(0), *multiples])
     # F - target is >= 0 at a and <= 0 at b; an exact zero closes the bracket
-    ga, gb = f_lo - targets, f_hi - targets
-    a, b = np.where(gb == 0.0, hi, lo), np.where(ga == 0.0, lo, hi)
+    ga, gb = f_lo[owner] - targets, f_hi[owner] - targets
+    a = np.where(gb == 0.0, hi[owner], lo[owner])
+    b = np.where(ga == 0.0, lo[owner], hi[owner])
     side = np.zeros(targets.size)  # +1 if the last step moved b, -1 if a
     for _ in range(100):
         act = np.flatnonzero(b - a > 1e-12)
         if not act.size:
-            return np.sort(0.5 * (a + b))
+            roots = 0.5 * (a + b)
+            return [np.sort(roots[owner == q]) for q in range(s.size)]
         x = np.clip(b[act] - gb[act] * (b[act] - a[act]) / (gb[act] - ga[act]), a[act], b[act])
-        gx = _end_angles(cfg, x, n_steps) + cfg.s - targets[act]
+        gx = _end_angles(cfg, x, n_steps) + s[owner[act]] - targets[act]
         to_a, to_b = gx >= 0.0, gx <= 0.0
         # Illinois: halve the value at an end kept twice in a row
         ga[act[~to_a & (side[act] > 0)]] *= 0.5

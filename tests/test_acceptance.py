@@ -149,8 +149,8 @@ def test_criterion_7_floer_oracle_agreement():
         for m in (200, 400):
             cfg = floer.FloerConfig.zero(s, m)
             w = floer.floer_spectrum(floer.assemble_floer_operator(cfg), 5)
-            roots = floer.shooting_eigenvalues(
-                cfg, (float(w[0]) - 0.75, float(w[-1]) + 0.75)
+            (roots,) = floer.shooting_eigenvalues(
+                cfg, [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75))]
             )
             closed_form = np.array(
                 sorted((s + k * np.pi for k in range(-6, 7)), key=abs)[:5]

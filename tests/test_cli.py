@@ -1,12 +1,28 @@
 """Tests for the experiment runner: determinism, formats, exit codes."""
 
+import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from fredlab import cli
 from fredlab.errors import InvalidConfig
+
+#: Recorded reports under ``tests/data`` and the ``fredlab`` flags that made
+#: them.  Re-record one with ``fredlab <flags> --out tests/data/<name>`` only
+#: when a change to that report is intended.
+GOLDEN_REPORTS = {
+    "fuglede.csv": ["fuglede"],
+    "graph.csv": ["graph"],
+    "perturb.csv": ["perturb"],
+    "identities.csv": ["identities"],
+    "floer_dense.csv": [
+        "floer", "--grid", "48", "--s-count", "32", "--a", "const:1.5,-0.7"
+    ],
+    "floer_arpack.csv": ["floer", "--grid", "128", "--s-count", "16"],
+}
 
 
 class TestRows:
@@ -131,3 +147,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("experiment,label,param,metric,value,expected,abs_error")
         assert "gap_branch_plus" in out
+
+
+class TestGoldenReports:
+    # refactors keep every report: the same rows in the same order, and each
+    # value and expected value within 1e-10 of the recording
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_matches_recording(self, name, tmp_path):
+        out = tmp_path / name
+        assert cli.main([*GOLDEN_REPORTS[name], "--strict", "--out", str(out)]) == 0
+        with open(out, newline="") as got_fh, open(
+            pathlib.Path(__file__).parent / "data" / name, newline=""
+        ) as want_fh:
+            got, want = list(csv.DictReader(got_fh)), list(csv.DictReader(want_fh))
+        keys = ("experiment", "label", "param", "metric")
+        assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
+        for g, w in zip(got, want):
+            for col in ("value", "expected"):
+                assert (g[col] == "") == (w[col] == ""), (w, col)
+                if w[col]:
+                    assert abs(float(g[col]) - float(w[col])) <= 1e-10, (w, col)

@@ -155,7 +155,7 @@ class TestSpectrum:
         samples = (0.8 + 0.4j) * np.sin(np.pi * np.linspace(0.0, 1.0, 65))
         cfg = FloerConfig(samples, 1.3, 64)
         w = floer_spectrum(assemble_floer_operator(cfg), 3)
-        roots = shooting_eigenvalues(cfg, (float(w[0] - 0.4), float(w[-1] + 0.4)))
+        (roots,) = shooting_eigenvalues(cfg, [(cfg.s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(w, roots, atol=5e-3)
 
     def test_linear_coupling_shifts_the_ladder(self):
@@ -165,7 +165,7 @@ class TestSpectrum:
         cfg = FloerConfig.constant(1j * q, s, 64, coupling=Coupling.LINEAR_IMAGINARY)
         w = floer_spectrum(assemble_floer_operator(cfg), 5)
         np.testing.assert_allclose(w, ladder(s - q, 5), atol=1e-4)
-        roots = shooting_eigenvalues(cfg, (float(w[0] - 0.4), float(w[-1] + 0.4)))
+        (roots,) = shooting_eigenvalues(cfg, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(roots, ladder(s - q, 5), atol=1e-8)
 
     def test_large_grid_path_deterministic_and_consistent(self):
@@ -184,6 +184,58 @@ class TestSpectrum:
         assert op.dim > floer._DENSE_CUTOFF
         np.testing.assert_array_equal(
             floer_spectrum(op, op.dim), floer._spectrum_dense(op, op.dim)
+        )
+
+    @staticmethod
+    def _count_full_solves(monkeypatch, dim):
+        # generalized eigh calls of full size; the sign step's small blocks
+        # are not counted
+        calls = []
+        real_eigh = scipy.linalg.eigh
+
+        def counting(a, b=None, **kwargs):
+            if np.shape(a) == (dim, dim):
+                calls.append(kwargs.get("subset_by_index"))
+            return real_eigh(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        return calls
+
+    @staticmethod
+    def _whole_spectrum_window(op, k_window):
+        # the window from every eigenpair of the squared pencil
+        mus, vecs = scipy.linalg.eigh(op.square_stiffness.toarray(), op.mass.toarray())
+        clusters = floer._mu_clusters(mus, k_window, op.dim)
+        return floer._sign_clusters(op, vecs, clusters, k_window)
+
+    def test_dense_window_is_one_solve(self, monkeypatch):
+        op = assemble_floer_operator(FloerConfig.constant(1.5 - 0.7j, 1.0, 48))
+        calls = self._count_full_solves(monkeypatch, op.dim)
+        w = floer._spectrum_dense(op, 5)
+        assert calls == [(0, 10)]
+        np.testing.assert_allclose(w, self._whole_spectrum_window(op, 5), rtol=0.0, atol=1e-12)
+
+    def test_degenerate_edge_takes_the_whole_spectrum(self, monkeypatch):
+        # mu = 1 is 8-fold (lam = +1 five times, -1 three times), so a window
+        # of 1 with 6 values of slack cuts through that cluster; from 7 of its
+        # 8 vectors the first-order form would give a value strictly inside
+        # (-1, 1).  Roundoff decides which sign wins the tie at |lam| = 1.
+        dim = 20
+        lams = np.concatenate([[1.0] * 5, [-1.0] * 3, [2.0, -2.5, 3.0, -3.5], 4.0 + np.arange(8)])
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((dim, dim)))
+        k = q @ np.diag(lams) @ q.T
+        k = 0.5 * (k + k.T)
+        k2 = k @ k
+        op = DiscretizedOperator(k, np.eye(dim), 0.5 * (k2 + k2.T), "eightfold")
+        calls = self._count_full_solves(monkeypatch, dim)
+        w = floer_spectrum(op, 1)
+        assert calls == [(0, 6), None]
+        np.testing.assert_allclose(np.abs(w), [1.0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.abs(w), np.abs(self._whole_spectrum_window(op, 1)), rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            floer_spectrum(op, 9), [-1.0] * 3 + [1.0] * 5 + [2.0], rtol=0.0, atol=1e-12
         )
 
 
@@ -220,13 +272,24 @@ class TestDiscretizedOperator:
         with pytest.raises(InvalidConfig):
             DiscretizedOperator(k[:, :-1], m[:, :-1], k2[:, :-1], "rectangular")
 
+    def test_nonfinite_entries(self):
+        # NaN passes a symmetry test, since every comparison with it is false
+        k, m, k2 = self._pencil()
+        k[0, 1] = k[1, 0] = np.nan
+        with pytest.raises(InvalidConfig):
+            DiscretizedOperator(k, m, k2, "nan")
+        # a coefficient near the float limit overflows the squared form
+        cfg = FloerConfig.constant(1e308 + 1e308j, 1.0, 16)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidConfig):
+            assemble_floer_operator(cfg)
+
 
 class TestShooting:
     # for a = 0 the Prufer angle is theta(1; lam) = -lam exactly, so the
     # roots are the closed-form ladder {s + k*pi}
     def test_rotation_roots(self):
         cfg = FloerConfig.zero(np.pi / 2.0, 16)
-        roots = shooting_eigenvalues(cfg, (-2.0, 2.0))
+        (roots,) = shooting_eigenvalues(cfg, [(cfg.s, (-2.0, 2.0))])
         np.testing.assert_allclose(
             roots, [-1.5707963267948966, 1.5707963267948966], rtol=0.0, atol=1e-11
         )
@@ -236,19 +299,19 @@ class TestShooting:
             (1.0, (-8.0, 8.0), (-2, -1, 0, 1, 2)),
             (np.pi, (-4.0, 4.0), (-2, -1, 0)),
         ):
-            roots = shooting_eigenvalues(FloerConfig.zero(s, 16), interval)
+            (roots,) = shooting_eigenvalues(FloerConfig.zero(s, 16), [(s, interval)])
             np.testing.assert_allclose(
                 roots, sorted(s + k * np.pi for k in ks), rtol=0.0, atol=1e-11
             )
 
     def test_grid_free(self):
-        r1 = shooting_eigenvalues(FloerConfig.zero(2.0, 8), (-2.0, 4.0))
-        r2 = shooting_eigenvalues(FloerConfig.zero(2.0, 64), (-2.0, 4.0))
+        (r1,) = shooting_eigenvalues(FloerConfig.zero(2.0, 8), [(2.0, (-2.0, 4.0))])
+        (r2,) = shooting_eigenvalues(FloerConfig.zero(2.0, 64), [(2.0, (-2.0, 4.0))])
         np.testing.assert_allclose(r1, r2, atol=1e-9)
 
     def test_empty_result_is_legal(self):
         cfg = FloerConfig.zero(1.5, 16)
-        assert shooting_eigenvalues(cfg, (1.6, 2.0)).size == 0
+        assert shooting_eigenvalues(cfg, [(1.5, (1.6, 2.0))])[0].size == 0
 
     @pytest.mark.parametrize("coupling", list(Coupling))
     def test_angle_matches_vector_integration(self, coupling):
@@ -283,7 +346,7 @@ class TestShooting:
         t = np.linspace(0.0, 1.0, 65)
         samples = 14.0 * np.tanh(40.0 * (t - 0.25)) * np.tanh(40.0 * (t - 0.75))
         cfg = FloerConfig(samples, 1.3, 64)
-        roots = shooting_eigenvalues(cfg, (-0.52, 0.48))
+        (roots,) = shooting_eigenvalues(cfg, [(1.3, (-0.52, 0.48))])
         assert roots.size == 2
         w = floer_spectrum(assemble_floer_operator(cfg), 2)
         np.testing.assert_allclose(roots, w, atol=2e-3)
@@ -292,14 +355,60 @@ class TestShooting:
         # |a| dt beyond RK4's stability bound would give a garbage count
         for a in (1500.0, 1e150):
             with pytest.raises(SamplingTooCoarse):
-                shooting_eigenvalues(FloerConfig.constant(a, 1.0, 16), (-1.0, 1.0))
+                shooting_eigenvalues(FloerConfig.constant(a, 1.0, 16), [(1.0, (-1.0, 1.0))])
         cfg = FloerConfig.constant(1000.0, 1.0, 16)
-        assert shooting_eigenvalues(cfg, (-1.0, 1.0)).size == 0
+        assert shooting_eigenvalues(cfg, [(1.0, (-1.0, 1.0))])[0].size == 0
 
     def test_malformed_interval(self):
         for interval in ((2.0, 2.0), (-np.inf, 0.0), (0.0, np.nan)):
             with pytest.raises(NoRootBracketed):
-                shooting_eigenvalues(FloerConfig.zero(1.5, 16), interval)
+                shooting_eigenvalues(FloerConfig.zero(1.5, 16), [(1.5, interval)])
+        # one bad query spoils the batch, and the angle must be finite too
+        queries = [(1.5, (0.0, 1.0)), (np.nan, (0.0, 1.0))]
+        with pytest.raises(NoRootBracketed):
+            shooting_eigenvalues(FloerConfig.zero(1.5, 16), queries)
+
+    def test_overflowing_coefficient_is_rejected(self):
+        # c0 = -inf outright, or finite but overflowing the RK4 stages
+        for q in (1e308, 5e307):
+            cfg = FloerConfig.constant(q * 1j, 1.0, 16, coupling=Coupling.LINEAR_IMAGINARY)
+            for queries in ([(1.0, (-1.0, 1.0))], [(1.0, (-1.0, 1.0)), (2.0, (0.0, 3.0))]):
+                with pytest.raises(InvalidConfig):
+                    shooting_eigenvalues(cfg, queries)
+
+    def test_batch_equals_single_queries_in_fewer_integrations(self, monkeypatch):
+        # the four queries run_floer makes on const:1.5,-0.7; the batch must
+        # give each query's roots and integrate no more often than the
+        # slowest query does alone
+        samples = np.full(49, 1.5 - 0.7j)
+        queries = []
+        for s in (0.5, 1.0, np.pi, 5.0):
+            w = floer_spectrum(assemble_floer_operator(FloerConfig(samples, s, 48)), 5)
+            queries.append((s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)))
+        cfg = FloerConfig(samples, 0.0, 48)
+        calls = []
+        real_end_angles = floer._end_angles
+
+        def counting(*args):
+            calls.append(1)
+            return real_end_angles(*args)
+
+        monkeypatch.setattr(floer, "_end_angles", counting)
+        singles, single_calls = [], []
+        for query in queries:
+            calls.clear()
+            singles.extend(shooting_eigenvalues(cfg, [query]))
+            single_calls.append(len(calls))
+        calls.clear()
+        batch = shooting_eigenvalues(cfg, queries)
+        assert len(calls) <= max(single_calls) < sum(single_calls)
+        assert len(batch) == len(queries)
+        for roots, single in zip(batch, singles):
+            assert roots.size == single.size == 5
+            np.testing.assert_allclose(roots, single, rtol=0.0, atol=1e-12)
+
+    def test_empty_batch(self):
+        assert shooting_eigenvalues(FloerConfig.zero(1.5, 16), []) == []
 
 
 class TestSpectralFlow:
