@@ -148,6 +148,51 @@ class TestGapMetric:
             topology.gap_metric(sa([[0.0]]), sa(np.zeros((2, 2))))
 
 
+class TestGapEigenbasisRoute:
+    """The gap from the pair's eigenbases against the two-branch resolvents."""
+
+    def test_no_svd_and_no_resolvent(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        a0, a1 = (random_operator(rng, 64, scale=3.0) for _ in range(2))
+        calls = []
+        svd, apply = np.linalg.svd, linalg.apply_scalar_function
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+        monkeypatch.setattr(
+            linalg, "apply_scalar_function", lambda *a: calls.append("apply") or apply(*a)
+        )
+        assert topology.gap_metric(a0, a1) > 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("b", [1e150, 1e200, 1e300])
+    def test_huge_eigenvalues(self, b):
+        # only the entry b flips: 2 * |1/(b+i) - 1/(-b+i)| = 4b/(1+b^2)
+        g = topology.gap_metric(sa(np.diag([b, 1.0])), sa(np.diag([-b, 1.0])))
+        assert g == pytest.approx(4.0 / b, rel=1e-12)
+
+    def test_gap_below_smallest_float(self):
+        # one ulp at 8e307 moves the resolvent by about 2e-324, which rounds to 0
+        x = 8e307
+        assert topology.gap_metric(sa([[x]]), sa([[np.nextafter(x, np.inf)]])) == 0.0
+
+    def test_floer_neighbours(self):
+        from fredlab import floer
+
+        cfg = floer.FloerConfig.constant(1.5 - 0.7j, 0.5, 48)
+        a0, a1 = (
+            floer.mass_normalized(floer.assemble_floer_operator(cfg.with_angle(s)))
+            for s in (0.5, 0.55)
+        )
+        assert a0.dim == 96
+
+        def branch(f):
+            return linalg.operator_norm(a0.apply(f) - a1.apply(f))
+
+        gab = topology.gap_metric(a0, a1)
+        assert abs(gab - branch(P_PLUS) - branch(P_MINUS)) <= 1e-12
+        assert gab == topology.gap_metric(a1, a0)
+        assert topology.gap_metric(a0, SelfAdjointOperator(a0.matrix.copy())) == 0.0
+
+
 class TestRieszMetric:
     def test_self_distance_and_symmetry(self):
         rng = np.random.default_rng(7)
