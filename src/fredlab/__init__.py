@@ -28,7 +28,6 @@ from .lagrangian import (
 from .linalg import (
     SpectralDecomposition,
     Subspace,
-    Tolerances,
     apply_scalar_function,
     operator_norm,
     projection_from_basis,
@@ -37,12 +36,9 @@ from .linalg import (
     symmetric_norm,
 )
 from .topology import (
-    ComponentLabel,
     MetricReport,
     ScalarFunction,
     SelfAdjointOperator,
-    TailDescriptor,
-    classify_component,
     gap_metric,
     generator_distance_profile,
     relative_bound_surrogate,
@@ -70,19 +66,15 @@ __all__ = [
     "suspension",
     "SpectralDecomposition",
     "Subspace",
-    "Tolerances",
     "apply_scalar_function",
     "operator_norm",
     "projection_from_basis",
     "subspace_meet_dims",
     "sym_eig",
     "symmetric_norm",
-    "ComponentLabel",
     "MetricReport",
     "ScalarFunction",
     "SelfAdjointOperator",
-    "TailDescriptor",
-    "classify_component",
     "gap_metric",
     "generator_distance_profile",
     "relative_bound_surrogate",

@@ -34,16 +34,9 @@ from .errors import (
     NotSymmetric,
     SamplingTooCoarse,
 )
-from .topology import (
-    EssentialSpectrumSigns,
-    MetricReport,
-    SelfAdjointOperator,
-    TailDescriptor,
-)
+from .topology import MetricReport, SelfAdjointOperator
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-_TAIL_BOTH = TailDescriptor(EssentialSpectrumSigns.BOTH)
 
 #: 3-point Gauss-Legendre rule on [0, 1]; exact through degree 5.
 _GAUSS_XI = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -268,75 +261,81 @@ def assemble_floer_operator(cfg):
     )
 
 
-def _mu_clusters(mus, k_window, dim):
-    """Index ranges of near-degenerate values covering the first k_window slots.
+#: Relative spacing below which two squared eigenvalues count as degenerate.
+_DEGENERACY_RTOL = 1e-5
 
-    ``mus`` are the smallest of ``dim`` values, ascending.  Returns ``None``
-    when the last cluster reaches the end of ``mus`` before ``dim``, since it
-    may then continue past the values at hand.
-    """
-    scale = max(1.0, float(mus[k_window - 1]))
-    clusters = []
-    covered = 0
-    start = 0
-    while start < mus.size and covered < k_window:
-        stop = start + 1
-        while stop < mus.size and mus[stop] - mus[stop - 1] <= 1e-5 * scale:
-            stop += 1
-        clusters.append((start, stop))
-        covered += stop - start
-        start = stop
-    if covered < k_window or start == mus.size < dim:
-        return None
-    return clusters
-
-
-#: Above this size (and with room for ARPACK's six values of slack beyond the
-#: window) the smallest squared eigenvalues come from a sparse shift-invert solve.
+#: Above this size the smallest squared eigenvalues come from ARPACK shift-invert.
 _DENSE_CUTOFF = 200
 
 
-def _sign_clusters(op, vectors, clusters, k_window):
-    # vectors are mass-orthonormal columns in original coordinates
-    out = []
-    for start, stop in clusters:
-        block = vectors[:, start:stop]
-        small_k = block.T @ (op.stiffness @ block)
-        small_m = block.T @ (op.mass @ block)
-        out.extend(scipy.linalg.eigh(small_k, small_m, eigvals_only=True))
-    nearest = sorted(out, key=lambda lam: (abs(lam), lam))[:k_window]
-    return np.sort(np.asarray(nearest))
+def _ritz_window(op, mus, vecs, k_window):
+    """One Rayleigh-Ritz step of the first-order pencil on a retrieved block.
+
+    ``mus`` (ascending) and mass-orthonormal ``vecs`` are the smallest squared
+    eigenpairs.  The block ends in the widest gap of ``mus[k_window - 1:]``
+    (at the spectrum's end if all is at hand and no gap is open), so no ``+-lam``
+    pair is split.  Returns the ``k_window`` Ritz values nearest zero (negative
+    first at equal ``|lam|``) and the block size, or ``None`` if no gap is open.
+    """
+    gaps = np.diff(mus[k_window - 1 :])
+    if gaps.size and gaps.max() > _DEGENERACY_RTOL * max(1.0, float(mus[-1])):
+        size = k_window + int(np.argmax(gaps))
+    elif mus.size == op.dim:
+        size = op.dim
+    else:
+        return None
+    v = vecs[:, :size]
+    ritz = scipy.linalg.eigh(v.T @ (op.stiffness @ v), v.T @ (op.mass @ v), eigvals_only=True)
+    nearest = sorted(ritz, key=lambda lam: (abs(lam), lam))[:k_window]
+    return np.sort(np.asarray(nearest)), size
+
+
+def _count_below(op, cut):
+    """Number of squared eigenvalues below ``cut``: the negative inertia of
+    ``K2 - cut M`` (Sylvester), read off the pivots of an unpivoted LDL^T."""
+    options = {"SymmetricMode": True}
+    try:
+        lu = scipy.sparse.linalg.splu(
+            op.square_stiffness - cut * op.mass, "NATURAL", diag_pivot_thresh=0.0, options=options
+        )
+    except RuntimeError as exc:  # an exactly zero pivot
+        raise NoConvergence(f"inertia count at {cut:.6g} failed: {exc}") from exc
+    if np.any(lu.perm_r != np.arange(op.dim)):
+        raise NoConvergence(f"inertia count at {cut:.6g} needed row pivoting")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def _spectrum_dense(op, k_window):
     # LAPACK selects the subset by index with Sturm counts, so these are
-    # certified to be the n_req smallest; only a cluster running into the
-    # last slot needs the whole spectrum
+    # certified to be the n_req smallest; a degenerate slack widens the subset
     k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
     n_req = min(k_window + 6, op.dim)
-    mus, vecs = scipy.linalg.eigh(k2, mass, subset_by_index=(0, n_req - 1))
-    clusters = _mu_clusters(mus, k_window, op.dim)
-    if clusters is None:
-        mus, vecs = scipy.linalg.eigh(k2, mass)
-        clusters = _mu_clusters(mus, k_window, op.dim)
-    return _sign_clusters(op, vecs, clusters, k_window)
+    while True:
+        mus, vecs = scipy.linalg.eigh(k2, mass, subset_by_index=(0, n_req - 1))
+        found = _ritz_window(op, mus, vecs, k_window)
+        if found is not None:
+            return found[0]
+        n_req = min(2 * n_req, op.dim)
 
 
 def _spectrum_shift_invert(op, k_window):
     # the constrained matrices are banded, so factoring K2 + eps*M is cheap;
     # a fixed start vector keeps the result deterministic
-    n_req = k_window + 6
     v0 = np.linspace(1.0, 2.0, op.dim)
     mus, vecs = scipy.sparse.linalg.eigsh(
-        op.square_stiffness, k=n_req, M=op.mass, sigma=-1e-6, which="LM", v0=v0
+        op.square_stiffness, k=k_window + 6, M=op.mass, sigma=-1e-6, which="LM", v0=v0
     )
     order = np.argsort(mus)
     mus, vecs = mus[order], vecs[:, order]
-    clusters = _mu_clusters(mus, k_window, op.dim)
-    if clusters is None:
-        # retrieved window may cut through a degenerate cluster
-        raise NoConvergence("shift-invert window inconclusive")
-    return _sign_clusters(op, vecs, clusters, k_window)
+    found = _ritz_window(op, mus, vecs, k_window)
+    if found is None:
+        raise NoConvergence("shift-invert slack holds no open gap")
+    window, size = found
+    # ARPACK may skip a value; the count below the middle of the cut finds it
+    count = _count_below(op, 0.5 * (mus[size - 1] + mus[size]))
+    if count != size:
+        raise NoConvergence(f"inertia count {count} below the cut: {count - size} missed")
+    return window
 
 
 def floer_spectrum(op, k_window):
@@ -344,10 +343,12 @@ def floer_spectrum(op, k_window):
 
     Solves the squared pencil ``K2 x = mu M x``; the smallest ``mu`` are the
     squares of the wanted eigenvalues and carry no contribution from the
-    sawtooth branch of the first-order stencil.  Signs (and near-degenerate
-    ``+-lam`` pairs) are resolved by diagonalizing the first-order form on
-    each ``mu`` cluster; a cluster is never split, since that would mix the
-    two branches of a pair.
+    sawtooth branch of the first-order stencil.  One Rayleigh-Ritz step of
+    the first-order form on their vectors, cut at the widest gap beyond the
+    window, gives the signed values and keeps ``+-lam`` pairs together.
+    LAPACK's Sturm counts make the dense subset complete; an ARPACK block
+    must match the inertia count of ``K2 - c M`` at its cut, or the dense
+    route runs instead.
     """
     k_window = int(k_window)
     if k_window < 1 or k_window > op.dim:
@@ -364,15 +365,14 @@ def mass_normalized(op):
     """The pencil as a single symmetric matrix ``M^{-1/2} K M^{-1/2}``.
 
     All boundary angles share one coordinate space, so these matrices can be
-    compared with the operator metrics directly.  The tail is marked as
-    two-sided: the underlying first-order operator is unbounded both ways.
+    compared with the operator metrics directly.
     """
     dec = linalg.sym_eig(op.mass.toarray())
     if np.min(dec.eigenvalues) <= 0.0:
         raise MassNotPositiveDefinite("mass matrix has a nonpositive eigenvalue")
     root_inv = linalg.apply_scalar_function(dec, lambda mu: 1.0 / np.sqrt(mu))
     a = root_inv @ op.stiffness.toarray() @ root_inv
-    return SelfAdjointOperator(0.5 * (a + a.T), tail=_TAIL_BOTH)
+    return SelfAdjointOperator(0.5 * (a + a.T))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -13,14 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidSpec
-from .topology import (
-    EssentialSpectrumSigns,
-    SelfAdjointOperator,
-    TailDescriptor,
-    relative_bound_surrogate,
-)
-
-_TAIL_PLUS = TailDescriptor(EssentialSpectrumSigns.PLUS_ONLY)
+from .topology import SelfAdjointOperator, relative_bound_surrogate
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ def fuglede_operator(spec):
     diag = np.arange(1.0, spec.dim + 1.0)
     if spec.n >= 1:
         diag[spec.n - 1] = -float(spec.n)
-    return SelfAdjointOperator(np.diag(diag), tail=_TAIL_PLUS)
+    return SelfAdjointOperator(np.diag(diag))
 
 
 class FugledeExpected(NamedTuple):
@@ -92,7 +85,7 @@ class PerturbationSchedule:
 
     def perturbed(self, k):
         """The k-th perturbed operator ``base + S_k``."""
-        return SelfAdjointOperator(self.base.matrix + self.deltas[k], tail=self.base.tail)
+        return SelfAdjointOperator(self.base.matrix + self.deltas[k])
 
 
 def perturbation_family(base, seed, schedule):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg, topology
 from .errors import AmbientMismatch, NonSquare
-from .linalg import DEFAULT_TOLERANCES, Subspace
+from .linalg import Subspace
 from .topology import SelfAdjointOperator
 
 #: Residual below which the Lagrangian condition J P J^T = I - P is accepted.
@@ -105,14 +105,14 @@ class LagrangianPair:
                 raise ValueError(f"{name} is not Lagrangian")
 
 
-def fredholm_pair_index(pair, tol=DEFAULT_TOLERANCES):
+def fredholm_pair_index(pair):
     """Index and kernel dimension of a pair of Lagrangians.
 
     Returns ``(dim(L0 & L1) - codim(L0 + L1), dim(L0 & L1))``.  For two
     half-dimensional subspaces of a finite doubling the index is always 0;
     the informative integer is the kernel dimension.
     """
-    meet, codim = linalg.subspace_meet_dims(pair.lambda0, pair.lambda1, tol)
+    meet, codim = linalg.subspace_meet_dims(pair.lambda0, pair.lambda1)
     return meet - codim, meet
 
 

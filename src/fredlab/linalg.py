@@ -2,8 +2,8 @@
 spectral functional calculus and orthonormal subspace algebra.
 
 Matrices are plain ``numpy.ndarray`` objects (real ``float64`` or
-``complex128``); the structured values defined here (:class:`Tolerances`,
-:class:`SpectralDecomposition`, :class:`Subspace`) are frozen dataclasses and
+``complex128``); the structured values defined here
+(:class:`SpectralDecomposition`, :class:`Subspace`) are frozen dataclasses and
 safe to share between threads.
 """
 
@@ -28,19 +28,8 @@ SYMMETRY_TOL = 1e-12
 #: Max-norm slack for orthonormality of stored bases and eigenvector matrices.
 ORTHONORMALITY_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative singular-value cutoff ``rank_tol > 0`` used by rank decisions."""
-
-    rank_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not self.rank_tol > 0.0:
-            raise ValueError("rank_tol must be strictly positive")
-
-
-DEFAULT_TOLERANCES = Tolerances()
+#: Relative singular-value cutoff of the rank decisions.
+RANK_TOL = 1e-8
 
 
 def _as_matrix(m, name="matrix"):
@@ -186,7 +175,7 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_spanning(cls, vectors, tol=DEFAULT_TOLERANCES):
+    def from_spanning(cls, vectors):
         """Subspace spanned by the columns of ``vectors`` (rank-trimmed SVD)."""
         v = np.asarray(vectors, dtype=float)
         if v.ndim != 2:
@@ -194,7 +183,7 @@ class Subspace:
         if v.shape[1] == 0:
             return cls(v.shape[0], v)
         u, s, _ = np.linalg.svd(v, full_matrices=False)
-        keep = s > tol.rank_tol * (s[0] if s.size else 0.0)
+        keep = s > RANK_TOL * (s[0] if s.size else 0.0)
         return cls(v.shape[0], u[:, keep])
 
 
@@ -209,11 +198,11 @@ def projection_from_basis(s):
     return s.basis @ s.basis.T
 
 
-def subspace_meet_dims(s1, s2, tol=DEFAULT_TOLERANCES):
+def subspace_meet_dims(s1, s2):
     """Intersection dimension and codimension of the sum of two subspaces.
 
     Returns ``(dim(s1 & s2), ambient - dim(s1 + s2))``.  The intersection
-    dimension counts principal-angle cosines within ``tol.rank_tol`` of 1;
+    dimension counts principal-angle cosines within ``RANK_TOL`` of 1;
     the sum's dimension is the numerical rank of the stacked bases.
     """
     if s1.ambient_dim != s2.ambient_dim:
@@ -222,11 +211,11 @@ def subspace_meet_dims(s1, s2, tol=DEFAULT_TOLERANCES):
         dim_meet = 0
     else:
         cosines = np.linalg.svd(s1.basis.T @ s2.basis, compute_uv=False)
-        dim_meet = int(np.count_nonzero(cosines >= 1.0 - tol.rank_tol))
+        dim_meet = int(np.count_nonzero(cosines >= 1.0 - RANK_TOL))
     stacked = np.hstack([s1.basis, s2.basis])
     if stacked.shape[1] == 0:
         rank = 0
     else:
         sv = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.count_nonzero(sv > tol.rank_tol * sv[0])) if sv[0] > 0 else 0
+        rank = int(np.count_nonzero(sv > RANK_TOL * sv[0])) if sv[0] > 0 else 0
     return dim_meet, s1.ambient_dim - rank

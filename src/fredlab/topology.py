@@ -3,42 +3,24 @@
 Implements the bounded transform ``A -> A(1+A^2)^{-1/2}``, the gap distance
 from the eigenbases of a pair, the Riesz distance, distances of scalar
 functions applied to a pair of operators, a certified relative-bound
-estimate, and the metadata-driven component classification of Fredholm
-selfadjoint operators.
+estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch
-
-
-class EssentialSpectrumSigns(Enum):
-    """Declared knowledge about the essential spectrum of the untruncated operator."""
-
-    NONE = "none"
-    PLUS_ONLY = "plus_only"
-    MINUS_ONLY = "minus_only"
-    BOTH = "both"
-
-
-@dataclass(frozen=True)
-class TailDescriptor:
-    """Analytic annotation a finite truncation cannot recover on its own."""
-
-    ess_spectrum_signs: EssentialSpectrumSigns = EssentialSpectrumSigns.NONE
+from .errors import DimensionMismatch, NoConvergence
 
 
 @dataclass(frozen=True, eq=False)
 class SelfAdjointOperator:
-    """A symmetric matrix, optionally annotated with tail metadata.
+    """A symmetric matrix.
 
     The spectral decomposition is computed once on first use and cached on the
     instance; the value is immutable afterwards, so sharing across threads is
@@ -46,7 +28,6 @@ class SelfAdjointOperator:
     """
 
     matrix: np.ndarray
-    tail: TailDescriptor | None = None
 
     def __post_init__(self):
         m = linalg.require_symmetric(self.matrix, "operator matrix")
@@ -179,7 +160,12 @@ def gap_metric(a0, a1):
     if scale == 0.0:  # the gap is below the smallest float
         return 0.0
     f /= scale
-    return 2.0 * scale * linalg.symmetric_norm(f.T @ f) ** 0.5
+    # F^T F is symmetric by construction, so it skips symmetric_norm's check
+    try:
+        top = np.linalg.eigvalsh(f.T @ f)[-1]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NoConvergence(str(exc)) from exc
+    return 2.0 * scale * float(top) ** 0.5
 
 
 def subspace_gap(s1, s2):
@@ -220,27 +206,3 @@ def relative_bound_surrogate(a, s):
     damp = a.apply(lambda lam: 1.0 / (1.0 + abs(lam)))
     return linalg.operator_norm(s @ damp)
 
-
-class ComponentLabel(Enum):
-    F_PLUS = "F_plus"
-    F_MINUS = "F_minus"
-    F_ZERO = "F_0"
-    UNKNOWN = "unknown"
-
-
-def classify_component(a):
-    """Connected component of the Fredholm-selfadjoint space, from tail metadata.
-
-    A finite truncation alone cannot see essential spectrum, so operators
-    without metadata are classified as UNKNOWN rather than guessed at.
-    """
-    if a.tail is None:
-        return ComponentLabel.UNKNOWN
-    signs = a.tail.ess_spectrum_signs
-    if signs is EssentialSpectrumSigns.PLUS_ONLY:
-        return ComponentLabel.F_PLUS
-    if signs is EssentialSpectrumSigns.MINUS_ONLY:
-        return ComponentLabel.F_MINUS
-    if signs is EssentialSpectrumSigns.BOTH:
-        return ComponentLabel.F_ZERO
-    return ComponentLabel.UNKNOWN

@@ -12,6 +12,7 @@ from fredlab.errors import (
     GaugeSingular,
     InvalidConfig,
     MassNotPositiveDefinite,
+    NoConvergence,
     NoRootBracketed,
     NotSymmetric,
     SamplingTooCoarse,
@@ -109,7 +110,6 @@ class TestAssembly:
     def test_mass_normalized_operator(self):
         op = assemble_floer_operator(FloerConfig.zero(0.5, 16))
         a = mass_normalized(op)
-        assert topology.classify_component(a) is topology.ComponentLabel.F_ZERO
         # same pencil spectrum, computed through the unsymmetric product
         mass = op.mass.toarray()
         w_pencil = np.linalg.eigvals(np.linalg.solve(mass, op.stiffness.toarray()))
@@ -201,25 +201,28 @@ class TestSpectrum:
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
         return calls
 
-    @staticmethod
-    def _whole_spectrum_window(op, k_window):
-        # the window from every eigenpair of the squared pencil
-        mus, vecs = scipy.linalg.eigh(op.square_stiffness.toarray(), op.mass.toarray())
-        clusters = floer._mu_clusters(mus, k_window, op.dim)
-        return floer._sign_clusters(op, vecs, clusters, k_window)
-
     def test_dense_window_is_one_solve(self, monkeypatch):
         op = assemble_floer_operator(FloerConfig.constant(1.5 - 0.7j, 1.0, 48))
         calls = self._count_full_solves(monkeypatch, op.dim)
         w = floer._spectrum_dense(op, 5)
         assert calls == [(0, 10)]
-        np.testing.assert_allclose(w, self._whole_spectrum_window(op, 5), rtol=0.0, atol=1e-12)
+        # where the block is cut does not matter: a Ritz step on twice as
+        # many squared-pencil vectors gives the same window
+        mus, vecs = scipy.linalg.eigh(
+            op.square_stiffness.toarray(), op.mass.toarray(), subset_by_index=(0, 21)
+        )
+        ritz = scipy.linalg.eigvalsh(vecs.T @ (op.stiffness @ vecs), vecs.T @ (op.mass @ vecs))
+        np.testing.assert_allclose(w, np.sort(sorted(ritz, key=abs)[:5]), rtol=0.0, atol=1e-12)
+        cfg = FloerConfig.constant(1.5 - 0.7j, 1.0, 48)
+        (roots,) = shooting_eigenvalues(cfg, [(cfg.s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
+        np.testing.assert_allclose(w, roots, atol=1e-2)
 
-    def test_degenerate_edge_takes_the_whole_spectrum(self, monkeypatch):
+    def test_degenerate_slack_widens_the_subset(self, monkeypatch):
         # mu = 1 is 8-fold (lam = +1 five times, -1 three times), so a window
-        # of 1 with 6 values of slack cuts through that cluster; from 7 of its
-        # 8 vectors the first-order form would give a value strictly inside
-        # (-1, 1).  Roundoff decides which sign wins the tie at |lam| = 1.
+        # of 1 with 6 values of slack sees no open gap; from 7 of its 8
+        # vectors the first-order form would give a value strictly inside
+        # (-1, 1).  The subset doubles once and the block ends in the widest
+        # gap, 16 -> 25.  Roundoff decides which sign wins the tie at |lam| = 1.
         dim = 20
         lams = np.concatenate([[1.0] * 5, [-1.0] * 3, [2.0, -2.5, 3.0, -3.5], 4.0 + np.arange(8)])
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((dim, dim)))
@@ -229,14 +232,74 @@ class TestSpectrum:
         op = DiscretizedOperator(k, np.eye(dim), 0.5 * (k2 + k2.T))
         calls = self._count_full_solves(monkeypatch, dim)
         w = floer_spectrum(op, 1)
-        assert calls == [(0, 6), None]
+        assert calls == [(0, 6), (0, 13)]
         np.testing.assert_allclose(np.abs(w), [1.0], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            np.abs(w), np.abs(self._whole_spectrum_window(op, 1)), rtol=0.0, atol=1e-12
-        )
         np.testing.assert_allclose(
             floer_spectrum(op, 9), [-1.0] * 3 + [1.0] * 5 + [2.0], rtol=0.0, atol=1e-12
         )
+
+    def test_dropped_eigenpair_is_counted(self, monkeypatch):
+        # an ARPACK run that skips a value would shift the window silently;
+        # the inertia count at the cut sees one value more than the block
+        op = assemble_floer_operator(FloerConfig.zero(0.8, 128))
+        real_eigsh = scipy.sparse.linalg.eigsh
+        calls = []
+
+        def dropping(*args, **kwargs):
+            calls.append(kwargs["k"])
+            mus, vecs = real_eigsh(*args, **kwargs)
+            keep = np.argsort(mus)[np.arange(mus.size) != 1]
+            return mus[keep], vecs[:, keep]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", dropping)
+        with pytest.raises(NoConvergence, match="1 missed"):
+            floer._spectrum_shift_invert(op, 5)
+        np.testing.assert_array_equal(floer_spectrum(op, 5), floer._spectrum_dense(op, 5))
+        assert calls == [11, 11]
+
+
+def smooth_coefficient(seed, grid_m):
+    """Seeded sum of three damped cosine modes with complex amplitudes."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, grid_m + 1)
+    a = np.zeros(grid_m + 1, dtype=complex)
+    for k in (1, 2, 3):
+        amp = complex(rng.normal(), rng.normal()) / k
+        a += amp * np.cos(k * np.pi * t + rng.uniform(0.0, 2.0 * np.pi))
+    return a
+
+
+class TestSmoothSweep:
+    """Grid 96, 512 angles, the strong seed-6 coefficient.
+
+    Near ``s = 1.52`` its squared pencil holds a near-degenerate pair
+    ``lam = +-8.064``, whose vectors each mix both signs; a Rayleigh
+    quotient per vector gave a spurious ``-2.86`` inside the window.
+    """
+
+    GRID = 96
+    SWEEP = np.linspace(0.0, 2.0 * np.pi, 512)
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        a = smooth_coefficient(6, self.GRID)
+        return a, [assemble_floer_operator(FloerConfig(a, float(s), self.GRID)) for s in self.SWEEP]
+
+    def test_every_window_matches_shooting(self, family):
+        a, ops = family
+        windows = [floer_spectrum(op, 5) for op in ops]
+        queries = [
+            (float(s), (float(w[0] - 0.3), float(w[-1] + 0.3))) for s, w in zip(self.SWEEP, windows)
+        ]
+        roots = shooting_eigenvalues(FloerConfig(a, 0.0, self.GRID), queries)
+        for s, w, r in zip(self.SWEEP, windows, roots):
+            assert r.size == 5, f"s = {s}: oracle finds {r}, window {w}"
+            np.testing.assert_allclose(w, r, rtol=0.0, atol=1e-5, err_msg=f"s = {s}")
+
+    def test_near_degenerate_pair_keeps_the_flow(self, family):
+        _, ops = family
+        assert spectral_flow(ops[120:130], 5) == 0
+        assert spectral_flow(ops, 5) == 2
 
 
 class TestDiscretizedOperator:

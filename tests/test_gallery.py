@@ -6,7 +6,6 @@ import pytest
 from fredlab import gallery, linalg, topology
 from fredlab.errors import InvalidSpec
 from fredlab.gallery import FugledeSpec, fuglede_expected, fuglede_operator
-from fredlab.topology import ComponentLabel
 
 
 class TestFlippedDiagonalFamily:
@@ -23,10 +22,6 @@ class TestFlippedDiagonalFamily:
         np.testing.assert_allclose(
             a3.matrix, np.diag([1.0, 2.0, -3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
         )
-
-    def test_tail_classification(self):
-        a0 = fuglede_operator(FugledeSpec(0, 4))
-        assert topology.classify_component(a0) is ComponentLabel.F_PLUS
 
     def test_window_too_small(self):
         with pytest.raises(InvalidSpec):

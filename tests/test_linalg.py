@@ -241,8 +241,3 @@ class TestMeetDims:
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             linalg.subspace_meet_dims(linalg.span([1.0, 0.0]), linalg.span([1.0, 0.0, 0.0]))
-
-
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        linalg.Tolerances(rank_tol=0.0)

@@ -1,0 +1,121 @@
+"""Property tests for the certified spectrum windows.
+
+Every case ends either in a typed :class:`FredlabError` or in a window that
+passes the inertia count: the squared-pencil values below a cut, counted by
+an unpivoted LDL^T of ``K2 - c M``, are exactly the ones in the block.
+"""
+
+import numpy as np
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fredlab import floer
+from fredlab.errors import FredlabError
+from fredlab.floer import DiscretizedOperator, FloerConfig, assemble_floer_operator, floer_spectrum
+
+DIM = 24
+
+
+def _pair_operator(lam, eps, seed):
+    # a near-degenerate +-lam pair inside a spread of simple values
+    others = [0.3, -0.7, 1.9, -2.6, 3.4, -4.1] + list(5.0 + 0.8 * np.arange(DIM - 8))
+    lams = np.array([lam, -lam - eps] + others)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((DIM, DIM)))
+    k = q @ np.diag(lams) @ q.T
+    k = 0.5 * (k + k.T)
+    k2 = k @ k
+    return DiscretizedOperator(k, np.eye(DIM), 0.5 * (k2 + k2.T)), lams
+
+
+def _smooth_operator(amps, s, grid_m=8):
+    t = np.linspace(0.0, 1.0, grid_m + 1)
+    a = sum(amp * np.cos((k + 1) * np.pi * t) for k, amp in enumerate(amps))
+    return assemble_floer_operator(FloerConfig(np.asarray(a, dtype=complex), s, grid_m))
+
+
+def _dense_mus(op):
+    return scipy.linalg.eigh(op.square_stiffness.toarray(), op.mass.toarray(), eigvals_only=True)
+
+
+def _assert_same_window(w, ref, atol):
+    """Equal windows, up to the sign of a value tied with its mirror at the edge."""
+    np.testing.assert_allclose(np.sort(np.abs(w)), np.sort(np.abs(ref)), rtol=0.0, atol=atol)
+    inner = np.abs(ref) < np.max(np.abs(ref)) - 1e-6
+    mine = np.abs(w) < np.max(np.abs(w)) - 1e-6
+    np.testing.assert_allclose(w[mine], ref[inner], rtol=0.0, atol=atol)
+
+
+def _certified_or_typed(op, k_window):
+    """ARPACK window on ``op``, which passed the count, so it equals the dense
+    one; a typed error is the other legal end."""
+    try:
+        w = floer._spectrum_shift_invert(op, k_window)
+    except FredlabError:
+        return
+    _assert_same_window(w, floer._spectrum_dense(op, k_window), 1e-8)
+
+
+amplitude = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40)
+@given(
+    lam=st.floats(0.1, 4.5),
+    eps=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5, 1e-3]),
+    seed=st.integers(0, 2**16),
+    k_window=st.integers(1, 9),
+)
+def test_near_degenerate_pair_is_never_split(lam, eps, seed, k_window):
+    op, lams = _pair_operator(lam, eps, seed)
+    w = floer_spectrum(op, k_window)
+    nearest = np.sort(np.abs(lams))[:k_window]
+    np.testing.assert_allclose(np.sort(np.abs(w)), nearest, rtol=0.0, atol=1e-9)
+    assert all(np.min(np.abs(lams - x)) <= 1e-9 for x in w)
+    _certified_or_typed(op, k_window)
+
+
+@settings(max_examples=30)
+@given(
+    amps=st.lists(amplitude, min_size=1, max_size=3),
+    s=st.one_of(st.sampled_from([0.0, 2.0 * np.pi]), st.floats(0.0, 2.0 * np.pi)),
+    k_window=st.integers(1, 9),
+)
+def test_coarsest_grid_window_is_certified(amps, s, k_window):
+    try:
+        op = _smooth_operator(amps, s)
+        w = floer_spectrum(op, k_window)
+    except FredlabError:
+        return
+    assert w.shape == (k_window,) and np.all(np.diff(w) >= 0.0)
+    _certified_or_typed(op, k_window)
+
+
+@settings(max_examples=30)
+@given(amps=st.lists(amplitude, min_size=1, max_size=3), k_window=st.integers(1, 9))
+def test_the_two_ends_of_the_loop_agree(amps, k_window):
+    # s = 0 and s = 2 pi put the same boundary line at t = 1
+    try:
+        w0 = floer_spectrum(_smooth_operator(amps, 0.0), k_window)
+        w1 = floer_spectrum(_smooth_operator(amps, 2.0 * np.pi), k_window)
+    except FredlabError:
+        return
+    _assert_same_window(w0, w1, 1e-9)
+
+
+@settings(max_examples=30)
+@given(
+    amps=st.lists(amplitude, min_size=1, max_size=3),
+    s=st.floats(0.0, 2.0 * np.pi),
+    slot=st.integers(0, 14),
+    frac=st.floats(0.05, 0.95),
+)
+def test_inertia_count_matches_the_dense_count(amps, s, slot, frac):
+    op = _smooth_operator(amps, s)
+    mus = _dense_mus(op)
+    cut = mus[slot] + frac * (mus[slot + 1] - mus[slot])
+    try:
+        count = floer._count_below(op, cut)
+    except FredlabError:
+        return
+    assert count == np.count_nonzero(mus < cut)

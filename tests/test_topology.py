@@ -1,4 +1,4 @@
-"""Tests for operator metrics, functional-calculus distances and classification."""
+"""Tests for operator metrics and functional-calculus distances."""
 
 import numpy as np
 import pytest
@@ -11,18 +11,15 @@ from fredlab.topology import (
     P_MINUS,
     P_PLUS,
     RIESZ_R,
-    ComponentLabel,
-    EssentialSpectrumSigns,
     ScalarFunction,
     SelfAdjointOperator,
-    TailDescriptor,
 )
 
 IDENTITY_TOL = 1e-10
 
 
-def sa(matrix, tail=None):
-    return SelfAdjointOperator(np.asarray(matrix, dtype=float), tail)
+def sa(matrix):
+    return SelfAdjointOperator(np.asarray(matrix, dtype=float))
 
 
 def random_operator(rng, n, scale=1.0):
@@ -351,18 +348,3 @@ class TestRelativeBound:
             rhs = c * (np.linalg.norm(a.matrix @ u) + np.linalg.norm(u))
             assert lhs <= rhs + 1e-10
 
-
-class TestClassification:
-    def test_metadata_driven(self):
-        m = np.diag([1.0, 2.0, 3.0])
-        plus = sa(m, TailDescriptor(EssentialSpectrumSigns.PLUS_ONLY))
-        minus = sa(m, TailDescriptor(EssentialSpectrumSigns.MINUS_ONLY))
-        both = sa(m, TailDescriptor(EssentialSpectrumSigns.BOTH))
-        none = sa(m, TailDescriptor(EssentialSpectrumSigns.NONE))
-        assert topology.classify_component(plus) is ComponentLabel.F_PLUS
-        assert topology.classify_component(minus) is ComponentLabel.F_MINUS
-        assert topology.classify_component(both) is ComponentLabel.F_ZERO
-        assert topology.classify_component(none) is ComponentLabel.UNKNOWN
-
-    def test_missing_tail_is_unknown(self):
-        assert topology.classify_component(sa(np.eye(2))) is ComponentLabel.UNKNOWN
