@@ -135,32 +135,30 @@ def boundary_lines(s):
     return v0, v1
 
 
-def _block_tridiagonal(diag, upper, lower):
-    """Sparse matrix from per-node 2x2 diagonal blocks and per-edge couplings."""
-    idx = np.arange(diag.shape[0])
-    block_rows = np.concatenate([idx, idx[:-1], idx[1:]])
-    block_cols = np.concatenate([idx, idx[1:], idx[:-1]])
-    local = np.arange(2)
-    rows, cols = np.broadcast_arrays(
-        2 * block_rows[:, None, None] + local[:, None],
-        2 * block_cols[:, None, None] + local,
-    )
-    values = np.concatenate([diag, upper, lower])
-    size = 2 * idx.size
-    return scipy.sparse.csc_array(
-        (values.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)
-    )
-
-
-def _constraint_map(grid_m, s):
-    # Columns: the allowed direction at node 0, the full interior nodes, the
-    # allowed direction at node M.  All columns are orthonormal.
+def _node_dofs(grid_m, s):
+    """Node dof table: coordinate ``i = 2 n + c`` (component ``c`` of node ``n``)
+    of a constrained grid function is ``weight[i] * x[dof[i]]``.  Both components
+    of an end node map to one dof, weighted by that end's boundary line; each
+    interior coordinate is its own dof with weight 1."""
     n_free = 2 * grid_m
     v0, v1 = boundary_lines(s)
-    rows = np.arange(2 * grid_m + 2)
-    cols = np.concatenate([[0, 0], np.arange(1, n_free - 1), [n_free - 1, n_free - 1]])
-    values = np.concatenate([v0, np.ones(n_free - 2), v1])
-    return scipy.sparse.csc_array((values, (rows, cols)), shape=(rows.size, n_free))
+    dof = np.concatenate([[0, 0], np.arange(1, n_free - 1), [n_free - 1, n_free - 1]])
+    return dof, np.concatenate([v0, np.ones(n_free - 2), v1])
+
+
+def _scatter(blocks, dof, weight):
+    """Sum per-element 4x4 blocks on nodes ``(e, e + 1)`` through a dof table
+    into one CSC matrix; entries that cancel exactly are dropped."""
+    coords = 2 * np.arange(blocks.shape[0])[:, None] + np.arange(4)
+    d, w = dof[coords], weight[coords]
+    rows, cols = np.broadcast_arrays(d[:, :, None], d[:, None, :])
+    values = blocks * w[:, :, None] * w[:, None, :]
+    size = int(dof[-1]) + 1
+    x = scipy.sparse.coo_array(
+        (values.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)
+    ).tocsc()
+    x.eliminate_zeros()
+    return x.copy()  # frees the COO-sized buffers the pruned arrays still view
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +185,9 @@ class DiscretizedOperator:
         k, m, k2 = (scipy.sparse.csc_array(x, dtype=float) for x in fields)
         if not all(np.all(np.isfinite(x.data)) for x in (k, m, k2)):
             raise InvalidConfig("stiffness, mass or square holds NaN or Inf")
-        for x in (k, k2):
+        for name, x in (("stiffness", k), ("mass", m), ("square_stiffness", k2)):
             if abs(x - x.T).max() > 1e-12 * max(1.0, abs(x).max()):
-                raise NotSymmetric("stiffness is not symmetric")
+                raise NotSymmetric(f"{name} is not symmetric")
         _, upper = scipy.sparse.linalg.spbandwidth(m)
         band = [np.pad(m.diagonal(d), (d, 0)) for d in range(upper, -1, -1)]
         try:
@@ -211,58 +209,52 @@ def assemble_floer_operator(cfg):
 
     The first-order part uses the symmetrized weak form, whose boundary
     correction vanishes on the admissible boundary lines, so the assembled
-    stiffness is symmetric to machine precision.  One scalar coordinate is
-    eliminated at each endpoint in the rotated frame of its boundary line.
+    stiffness is symmetric to machine precision.  Per-element 4x4 blocks are
+    scattered through the node dof table, which keeps one scalar coordinate
+    at each endpoint, along its boundary line.
     A coefficient near the float limit overflows the element sums; the
     resulting NaN or Inf entries raise :class:`InvalidConfig` in
     :class:`DiscretizedOperator`.
     """
     m_el = cfg.grid_m
     h = 1.0 / m_el
-    n_nodes = m_el + 1
     c_nodes = -np.einsum("ij,njk->nik", J2, coefficient_matrices(cfg))
     cl, cr = c_nodes[:-1], c_nodes[1:]
 
     # symmetrized first-order term (+J/2 above the node diagonal, -J/2 below)
     # plus the zeroth-order term with C interpolated linearly per element
-    diag = np.zeros((n_nodes, 2, 2))
-    diag[:-1] += h * (cl / 4.0 + cr / 12.0)
-    diag[1:] += h * (cl / 12.0 + cr / 4.0)
     off = h * (cl + cr) / 12.0
-    k_full = _block_tridiagonal(
-        diag, off + 0.5 * J2, np.transpose(off, (0, 2, 1)) - 0.5 * J2
+    k_e = np.block(
+        [
+            [h * (cl / 4.0 + cr / 12.0), off + 0.5 * J2],
+            [np.transpose(off, (0, 2, 1)) - 0.5 * J2, h * (cl / 12.0 + cr / 4.0)],
+        ]
     )
-
-    mass_diag = np.zeros((n_nodes, 2, 2))
-    mass_diag[:-1] += (h / 3.0) * np.eye(2)
-    mass_diag[1:] += (h / 3.0) * np.eye(2)
-    mass_off = np.broadcast_to((h / 6.0) * np.eye(2), (m_el, 2, 2))
-    m_full = _block_tridiagonal(mass_diag, mass_off, mass_off)
+    m_e = np.broadcast_to((h / 6.0) * np.kron([[2.0, 1.0], [1.0, 2.0]], np.eye(2)), k_e.shape)
 
     # exact element integrals of <A u_h, A v_h>: degree-4 integrand
-    elem2 = np.zeros((m_el, 4, 4))
+    k2_e = np.zeros((m_el, 4, 4))
     for xi, wgt in zip(_GAUSS_XI, _GAUSS_W):
         c_here = (1.0 - xi) * cl + xi * cr
         basis = np.concatenate(
             [(-1.0 / h) * J2 + (1.0 - xi) * c_here, (1.0 / h) * J2 + xi * c_here],
             axis=2,
         )
-        elem2 += (wgt * h) * np.einsum("eij,eik->ejk", basis, basis)
-    diag2 = np.zeros((n_nodes, 2, 2))
-    diag2[:-1] += elem2[:, 0:2, 0:2]
-    diag2[1:] += elem2[:, 2:4, 2:4]
-    k2_full = _block_tridiagonal(diag2, elem2[:, 0:2, 2:4], elem2[:, 2:4, 0:2])
+        k2_e += (wgt * h) * np.einsum("eij,eik->ejk", basis, basis)
 
-    r = _constraint_map(m_el, cfg.s)
+    dof, weight = _node_dofs(m_el, cfg.s)
     return DiscretizedOperator(
-        stiffness=r.T @ k_full @ r,
-        mass=r.T @ m_full @ r,
-        square_stiffness=r.T @ k2_full @ r,
+        stiffness=_scatter(k_e, dof, weight),
+        mass=_scatter(m_e, dof, weight),
+        square_stiffness=_scatter(k2_e, dof, weight),
     )
 
 
 #: Relative spacing below which two squared eigenvalues count as degenerate.
 _DEGENERACY_RTOL = 1e-5
+
+#: Roundoff bound on ``|lam|`` of a ``+-lam`` pair (they agree to about 1e-14).
+_MIRROR_RTOL = 1e-10
 
 #: Above this size the smallest squared eigenvalues come from ARPACK shift-invert.
 _DENSE_CUTOFF = 200
@@ -275,7 +267,8 @@ def _ritz_window(op, mus, vecs, k_window):
     eigenpairs.  The block ends in the widest gap of ``mus[k_window - 1:]``
     (at the spectrum's end if all is at hand and no gap is open), so no ``+-lam``
     pair is split.  Returns the ``k_window`` Ritz values nearest zero (negative
-    first at equal ``|lam|``) and the block size, or ``None`` if no gap is open.
+    first where ``|lam|`` ties within ``_MIRROR_RTOL``, so roundoff never picks
+    the sign of a mirror pair) and the block size, or ``None`` if no gap is open.
     """
     gaps = np.diff(mus[k_window - 1 :])
     if gaps.size and gaps.max() > _DEGENERACY_RTOL * max(1.0, float(mus[-1])):
@@ -286,8 +279,11 @@ def _ritz_window(op, mus, vecs, k_window):
         return None
     v = vecs[:, :size]
     ritz = scipy.linalg.eigh(v.T @ (op.stiffness @ v), v.T @ (op.mass @ v), eigvals_only=True)
-    nearest = sorted(ritz, key=lambda lam: (abs(lam), lam))[:k_window]
-    return np.sort(np.asarray(nearest)), size
+    mag = np.abs(ritz)
+    edge = np.sort(mag)[k_window - 1]
+    tied = np.abs(mag - edge) <= _MIRROR_RTOL * max(1.0, float(edge))
+    order = np.lexsort((ritz, np.where(tied, edge, mag)))
+    return np.sort(ritz[order[:k_window]]), size
 
 
 def _count_below(op, cut):
@@ -462,15 +458,18 @@ def shooting_eigenvalues(cfg, queries):
     raise NoConvergence(f"shooting left a bracket of width {float(np.max(b - a)):.3e}")
 
 
-def spectral_flow(family, k_window, zero_tol=1e-9):
+#: Below this magnitude (under the physical scale) an eigenvalue sits at zero.
+_ZERO_TOL = 1e-9
+
+
+def spectral_flow(family, k_window):
     """Signed count of pencil eigenvalues crossing zero along a family.
 
     Crossings are counted upward minus downward with the half-open
-    convention: an eigenvalue sitting at zero counts when it arrives there,
-    not when it leaves.  ``zero_tol`` decides when a computed eigenvalue sits
-    at zero; it must stay below the physical eigenvalue scale.  Consecutive
-    windows are aligned by value, allowing the window to slide by at most one
-    branch per step; larger motion raises :class:`SamplingTooCoarse`.
+    convention: an eigenvalue sitting at zero (within ``_ZERO_TOL``) counts
+    when it arrives there, not when it leaves.  Consecutive windows are
+    aligned by value, allowing the window to slide by at most one branch per
+    step; larger motion raises :class:`SamplingTooCoarse`.
     """
     windows = [np.asarray(floer_spectrum(op, k_window), dtype=float) for op in family]
     flow = 0
@@ -495,8 +494,8 @@ def spectral_flow(family, k_window, zero_tol=1e-9):
                 f"{float(np.min(gaps)):.3e}"
             )
         for p, q in pairs:
-            at_or_above_prev = p >= -zero_tol
-            at_or_above_next = q >= -zero_tol
+            at_or_above_prev = p >= -_ZERO_TOL
+            at_or_above_next = q >= -_ZERO_TOL
             if not at_or_above_prev and at_or_above_next:
                 flow += 1
             elif at_or_above_prev and not at_or_above_next:
@@ -614,14 +613,11 @@ def cutoff_gauge_U(hat_u, eta, grid_m):
 
 def _h1_gram(grid_m):
     h = 1.0 / grid_m
-    n = grid_m + 1
-    mass = np.zeros((n, n))
-    stiff = np.zeros((n, n))
-    for k in range(grid_m):
-        sl = slice(k, k + 2)
-        mass[sl, sl] += h * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-        stiff[sl, sl] += (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return np.kron(mass + stiff, np.eye(2))
+    mass = h * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    stiff = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    n = 2 * (grid_m + 1)
+    blocks = np.broadcast_to(np.kron(mass + stiff, np.eye(2)), (grid_m, 4, 4))
+    return _scatter(blocks, np.arange(n), np.ones(n)).toarray()
 
 
 def h1_operator_norm(x, grid_m):
@@ -634,8 +630,10 @@ def h1_operator_norm(x, grid_m):
 
 def domain_subspace(cfg):
     """Constrained grid functions of one boundary value problem, as a subspace."""
-    r = _constraint_map(cfg.grid_m, cfg.s).toarray()
-    return linalg.Subspace(r.shape[0], r)
+    dof, weight = _node_dofs(cfg.grid_m, cfg.s)
+    basis = np.zeros((dof.size, int(dof[-1]) + 1))
+    basis[np.arange(dof.size), dof] = weight
+    return linalg.Subspace(dof.size, basis)
 
 
 def rho_continuity_profile(cfg_base, s_samples):

@@ -72,7 +72,7 @@ def graph_projection_formula(a):
     return np.block([[g, g @ m], [m @ g, m @ g @ m]])
 
 
-def is_lagrangian(s, doubling, tol=LAGRANGIAN_TOL):
+def is_lagrangian(s, doubling):
     """Whether ``J`` carries ``s`` onto its orthogonal complement."""
     if s.ambient_dim != doubling.ambient_dim:
         raise AmbientMismatch(
@@ -83,7 +83,7 @@ def is_lagrangian(s, doubling, tol=LAGRANGIAN_TOL):
     p = linalg.projection_from_basis(s)
     j = doubling.complex_structure()
     residual = linalg.operator_norm(j @ p @ j.T - (np.eye(s.ambient_dim) - p))
-    return bool(residual <= tol)
+    return bool(residual <= LAGRANGIAN_TOL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,14 +53,14 @@ def symmetry_defect(a):
     return float(np.max(np.abs(a - transposed))) / scale
 
 
-def require_symmetric(a, name="matrix", tol=SYMMETRY_TOL):
+def require_symmetric(a, name="matrix"):
     """Return ``a`` as a float array, raising unless it is square and symmetric."""
     a = _as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise NonSquare(f"{name} has shape {a.shape}")
     if np.iscomplexobj(a):
         raise NotSymmetric(f"{name} must be real")
-    if symmetry_defect(a) > tol:
+    if symmetry_defect(a) > SYMMETRY_TOL:
         raise NotSymmetric(
             f"{name} deviates from symmetry by {symmetry_defect(a):.3e} (relative)"
         )

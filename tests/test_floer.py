@@ -97,6 +97,39 @@ class TestAssembly:
                 assert max(scipy.sparse.linalg.spbandwidth(x)) <= 3
                 assert x.nnz <= 8 * op.dim
 
+    @pytest.mark.parametrize("s", [0.0, np.pi / 2, 1.0, 2.0 * np.pi])
+    @pytest.mark.parametrize("a", [0.0, 0.3 + 0.2j, "random"])
+    def test_scatter_equals_constraint_products(self, monkeypatch, s, a):
+        # the dof table restricts the full nodal matrices to the domain: each
+        # constrained matrix is R^T X R, R's columns the admissible directions
+        m = 12
+        if a == "random":
+            rng = np.random.default_rng(5)
+            samples = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        else:
+            samples = np.full(m + 1, complex(a))
+        cfg = FloerConfig(samples, s, m)
+        op = assemble_floer_operator(cfg)
+        n = 2 * (m + 1)
+        monkeypatch.setattr(floer, "_node_dofs", lambda grid_m, s: (np.arange(n), np.ones(n)))
+        full = assemble_floer_operator(cfg)
+        v0, v1 = boundary_lines(s)
+        r = np.zeros((n, n - 2))
+        r[0:2, 0], r[-2:, -1] = v0, v1
+        r[2:-2, 1:-1] = np.eye(n - 4)
+        for field in ("stiffness", "mass", "square_stiffness"):
+            x, x_full = getattr(op, field), getattr(full, field).toarray()
+            want = r.T @ x_full @ r
+            scale = np.max(np.abs(want))
+            np.testing.assert_allclose(x.toarray(), want, rtol=0.0, atol=1e-14 * scale)
+            # exact cancellations (zero weights at s = 0, the zero diagonal of
+            # J) leave no stored zeros behind
+            assert np.all(x.data != 0.0)
+
+    def test_nnz_at_grid_400(self):
+        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 1.0, 400))
+        assert (op.stiffness.nnz, op.mass.nnz, op.square_stiffness.nnz) == (4790, 2398, 2398)
+
     def test_dof_count(self):
         for m in (8, 33):
             op = assemble_floer_operator(FloerConfig.zero(1.0, m))
@@ -222,7 +255,7 @@ class TestSpectrum:
         # of 1 with 6 values of slack sees no open gap; from 7 of its 8
         # vectors the first-order form would give a value strictly inside
         # (-1, 1).  The subset doubles once and the block ends in the widest
-        # gap, 16 -> 25.  Roundoff decides which sign wins the tie at |lam| = 1.
+        # gap, 16 -> 25.  The negative value wins the tie at |lam| = 1.
         dim = 20
         lams = np.concatenate([[1.0] * 5, [-1.0] * 3, [2.0, -2.5, 3.0, -3.5], 4.0 + np.arange(8)])
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((dim, dim)))
@@ -233,10 +266,19 @@ class TestSpectrum:
         calls = self._count_full_solves(monkeypatch, dim)
         w = floer_spectrum(op, 1)
         assert calls == [(0, 6), (0, 13)]
-        np.testing.assert_allclose(np.abs(w), [1.0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(w, [-1.0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(
             floer_spectrum(op, 9), [-1.0] * 3 + [1.0] * 5 + [2.0], rtol=0.0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("s, k_window", [(0.0, 2), (0.0, 4), (np.pi / 2, 5)])
+    def test_mirror_tie_takes_the_negative_value(self, s, k_window):
+        # a = 0 puts s + k*pi at the window's edge as a +-lam pair: both
+        # routes keep the negative one, whichever roundoff made smaller
+        op = assemble_floer_operator(FloerConfig.zero(s, 8))
+        w = floer._spectrum_shift_invert(op, k_window)
+        np.testing.assert_allclose(w, floer._spectrum_dense(op, k_window), rtol=0.0, atol=1e-12)
+        assert w[0] == -np.max(np.abs(w))
 
     def test_dropped_eigenpair_is_counted(self, monkeypatch):
         # an ARPACK run that skips a value would shift the window silently;
@@ -314,11 +356,12 @@ class TestDiscretizedOperator:
             assert isinstance(x, scipy.sparse.csc_array)
             np.testing.assert_array_equal(x.toarray(), dense)
 
-    @pytest.mark.parametrize("field", [0, 2])
+    @pytest.mark.parametrize("field", [0, 1, 2])
     def test_nonsymmetric_stiffness(self, field):
         pencil = self._pencil()
         pencil[field][0, 1] += 1e-6
-        with pytest.raises(NotSymmetric):
+        name = ("stiffness", "mass", "square_stiffness")[field]
+        with pytest.raises(NotSymmetric, match=f"^{name} is not symmetric"):
             DiscretizedOperator(*pencil)
 
     def test_indefinite_mass(self):
