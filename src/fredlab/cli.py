@@ -9,6 +9,7 @@ Rows that carry an expected value also carry an internal tolerance; with
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -163,10 +164,10 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
             )
 
     sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
-    family = [
+    family = (
         floer.assemble_floer_operator(floer.FloerConfig(samples, float(s), grid_m))
         for s in sweep
-    ]
+    )
     flow = floer.spectral_flow(family, WINDOW)
     rows.append(
         ReportRow(
@@ -180,32 +181,13 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
         )
     )
 
-    pairs = min(NEIGHBOR_PAIRS, s_count - 1)
-    base = floer.FloerConfig(samples, float(sweep[0]), grid_m)
-    d0 = floer.boundary_coefficient_operator(base)
-    normalized = [
-        floer.mass_normalized(family[k]) for k in range(pairs + 1)
-    ]
-    for k in range(pairs):
-        s_a, s_b = float(sweep[k]), float(sweep[k + 1])
-        label = f"s={s_a:.4f}->{s_b:.4f}"
-        param = f"{s_b - s_a!r}"
-        nu = floer.nu_metric(
-            floer.boundary_projector(s_a), floer.boundary_projector(s_b), d0
-        )
-        rows.append(ReportRow("floer", label, param, "nu_neighbor", float(nu)))
-        rows.append(
-            ReportRow(
-                "floer", label, param, "rho_neighbor",
-                topology.riesz_metric(normalized[k], normalized[k + 1]),
-            )
-        )
-        rows.append(
-            ReportRow(
-                "floer", label, param, "gamma_neighbor",
-                topology.gap_metric(normalized[k], normalized[k + 1]),
-            )
-        )
+    profile = floer.rho_continuity_profile(
+        floer.FloerConfig(samples, 0.0, grid_m), sweep[: NEIGHBOR_PAIRS + 1]
+    )
+    for (s_a, s_b), metrics in zip(itertools.pairwise(sweep.tolist()), profile):
+        label, param = f"s={s_a:.4f}->{s_b:.4f}", f"{s_b - s_a!r}"
+        for name, value in metrics._asdict().items():
+            rows.append(ReportRow("floer", label, param, f"{name}_neighbor", value))
     return rows
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +25,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import linalg, topology
-from .lagrangian import kato_consistency
 from .errors import (
     GaugeSingular,
     InvalidConfig,
@@ -34,7 +34,7 @@ from .errors import (
     NotSymmetric,
     SamplingTooCoarse,
 )
-from .topology import MetricReport, SelfAdjointOperator
+from .topology import SelfAdjointOperator
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -465,11 +465,12 @@ _ZERO_TOL = 1e-9
 def spectral_flow(family, k_window):
     """Signed count of pencil eigenvalues crossing zero along a family.
 
-    Crossings are counted upward minus downward with the half-open
-    convention: an eigenvalue sitting at zero (within ``_ZERO_TOL``) counts
-    when it arrives there, not when it leaves.  Consecutive windows are
-    aligned by value, allowing the window to slide by at most one branch per
-    step; larger motion raises :class:`SamplingTooCoarse`.
+    ``family`` is any iterable of operators; it is consumed once.  Crossings
+    are counted upward minus downward with the half-open convention: an
+    eigenvalue sitting at zero (within ``_ZERO_TOL``) counts when it arrives
+    there, not when it leaves.  Consecutive windows are aligned by value,
+    allowing the window to slide by at most one branch per step; larger
+    motion raises :class:`SamplingTooCoarse`.
     """
     windows = [np.asarray(floer_spectrum(op, k_window), dtype=float) for op in family]
     flow = 0
@@ -636,25 +637,35 @@ def domain_subspace(cfg):
     return linalg.Subspace(dof.size, basis)
 
 
+class NeighbourMetrics(NamedTuple):
+    """Distances between two neighbouring members of the family."""
+
+    nu: float
+    rho: float
+    gamma: float
+
+
 def rho_continuity_profile(cfg_base, s_samples):
     """Metric moduli between neighbouring members of the family.
 
-    Assembles each angle on the shared grid, mass-normalizes, and reports the
-    gap, Riesz and graph distances for every consecutive pair of samples.
+    For each consecutive pair of angles: the boundary-projector distance
+    ``nu`` and the Riesz and gap distances of the two mass-normalized
+    operators on the shared grid.  The operators are built one angle at a
+    time, so at most two are alive at once.
     """
-    operators = [
-        mass_normalized(assemble_floer_operator(cfg_base.with_angle(float(s))))
-        for s in s_samples
-    ]
-    reports = []
-    for a0, a1 in zip(operators, operators[1:]):
-        delta, gamma = kato_consistency(a0, a1)
-        reports.append(
-            MetricReport(
-                gamma=gamma,
-                rho=topology.riesz_metric(a0, a1),
-                delta_graphs=delta,
-                generator_distances={},
+    d0 = boundary_coefficient_operator(cfg_base)
+    profile, p0, a0 = [], None, None
+    for s in map(float, s_samples):
+        p1 = boundary_projector(s)
+        # until this call returns a0 and a1 name one operator: two alive at most
+        a1 = mass_normalized(assemble_floer_operator(cfg_base.with_angle(s)))
+        if a0 is not None:
+            profile.append(
+                NeighbourMetrics(
+                    nu_metric(p0, p1, d0),
+                    topology.riesz_metric(a0, a1),
+                    topology.gap_metric(a0, a1),
+                )
             )
-        )
-    return reports
+        p0, a0 = p1, a1
+    return profile

@@ -210,17 +210,8 @@ def test_criterion_10_bvp_continuity():
     rho_fine = max(r.rho for r in fine)
     assert rho_coarse >= 1.5 * rho_fine, f"ratio {rho_coarse / rho_fine}"
 
-    d0 = floer.boundary_coefficient_operator(cfg)
-
-    def nu_max(samples):
-        return max(
-            floer.nu_metric(
-                floer.boundary_projector(float(a)), floer.boundary_projector(float(b)), d0
-            )
-            for a, b in zip(samples, samples[1:])
-        )
-
-    nu_coarse, nu_fine = nu_max(coarse_s), nu_max(fine_s)
+    nu_coarse = max(r.nu for r in coarse)
+    nu_fine = max(r.nu for r in fine)
     assert nu_fine < nu_coarse
     assert nu_fine <= 1.05 * (fine_s[1] - fine_s[0])
     print(

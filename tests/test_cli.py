@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fredlab import cli
+from fredlab import cli, floer
 from fredlab.errors import InvalidConfig
 
 #: Recorded reports under ``tests/data`` and the ``fredlab`` flags that made
@@ -71,6 +71,18 @@ class TestFloerExperiment:
     def test_bad_config(self):
         with pytest.raises(InvalidConfig):
             cli.run_floer(grid_m=4, s_count=16)
+
+    def test_neighbour_rows_are_the_continuity_profile(self):
+        rows = [r for r in cli.run_floer(grid_m=24, s_count=16) if r.metric.endswith("_neighbor")]
+        sweep = np.linspace(0.0, 2.0 * np.pi, 16)[:5].tolist()
+        cfg = floer.FloerConfig(np.zeros(25, dtype=complex), 0.0, 24)
+        profile = floer.rho_continuity_profile(cfg, sweep)
+        assert [r.value for r in rows] == [v for m in profile for v in m]
+        assert [r.metric for r in rows] == ["nu_neighbor", "rho_neighbor", "gamma_neighbor"] * 4
+        for k, r in enumerate(rows):
+            s_a, s_b = sweep[k // 3], sweep[k // 3 + 1]
+            assert (r.label, r.param) == (f"s={s_a:.4f}->{s_b:.4f}", repr(s_b - s_a))
+        assert rows[0].label == "s=0.0000->0.4189" and rows[0].param == "0.41887902047863906"
 
     def test_flow_expected_for_nonzero_coefficient(self):
         # theta(1; 0) does not depend on s, so every full loop has flow +2

@@ -1,5 +1,7 @@
 """Tests for the interval boundary-value family: assembly, spectra, flow, gauges."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -537,6 +539,13 @@ class TestSpectralFlow:
         total = spectral_flow(fam, 5)
         assert spectral_flow(fam[: cut + 1], 5) + spectral_flow(fam[cut:], 5) == total
 
+    def test_family_may_be_a_one_pass_iterator(self):
+        fam = [
+            assemble_floer_operator(FloerConfig.zero(float(s), 32))
+            for s in np.linspace(0.0, 2.0 * np.pi, 128)
+        ]
+        assert spectral_flow(iter(fam), 5) == spectral_flow(fam, 5) == 2
+
     def test_too_coarse(self):
         # a non-constant coefficient distorts the eigenvalue ladder; three
         # samples over a wide angle sweep then move branches past half a gap
@@ -691,13 +700,33 @@ class TestRhoContinuity:
         cfg = FloerConfig.zero(0.3, 16)
         samples = np.linspace(0.3, 0.7, 5)
         reports = rho_continuity_profile(cfg, samples)
+        assert max(r.nu for r in reports) < 0.11
+        assert max(r.rho for r in reports) < 0.2
+
+    def test_nu_is_the_boundary_projector_distance(self):
+        cfg = FloerConfig.constant(0.8 - 0.3j, 0.0, 16)
+        samples = [0.3, 0.5, 1.2]
         d0 = boundary_coefficient_operator(cfg)
-        nus = [
+        expected = [
             nu_metric(boundary_projector(a), boundary_projector(b), d0)
             for a, b in zip(samples, samples[1:])
         ]
-        assert max(nus) < 0.11
-        assert max(r.rho for r in reports) < 0.2
+        assert [r.nu for r in rho_continuity_profile(cfg, samples)] == expected
+
+    def test_at_most_two_operators_alive(self, monkeypatch):
+        live, peak = set(), []
+
+        def tracked(op):
+            a = mass_normalized(op)
+            live.add(id(a))
+            weakref.finalize(a, live.discard, id(a))
+            peak.append(len(live))
+            return a
+
+        monkeypatch.setattr(floer, "mass_normalized", tracked)
+        reports = rho_continuity_profile(FloerConfig.zero(0.3, 16), np.linspace(0.3, 1.1, 9))
+        assert len(reports) == 8 and len(peak) == 9
+        assert max(peak) == 2
 
     def test_lipschitz_constant_grid_stable(self):
         samples = np.linspace(0.3, 0.7, 5)

@@ -177,4 +177,14 @@ class TestKatoConsistency:
             [2.0 * n / (1.0 + n * n) for n in (1, 2, 4, 8, 16)],
             atol=1e-10,
         )
-        np.testing.assert_allclose(gammas, [2.0 * d for d in deltas], atol=1e-10)
+        np.testing.assert_allclose(deltas, [g / 2.0 for g in gammas], rtol=0.0, atol=1e-12)
+
+    # |P_A - P_B| = |(A+i)^{-1} - (B+i)^{-1}| for the graph projections of
+    # selfadjoint A, B, and the gap sums two branches of that norm
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21, 40])
+    def test_graph_distance_is_half_the_gap_on_random_pairs(self, dim):
+        scale = (-4.0, 4.0)
+        a0 = gallery.random_selfadjoint(dim, seed=100 + dim, spectrum_range=scale)
+        a1 = gallery.random_selfadjoint(dim, seed=200 + dim, spectrum_range=scale)
+        delta, gamma = kato_consistency(a0, a1)
+        assert abs(delta - gamma / 2.0) <= 1e-12
