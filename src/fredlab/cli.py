@@ -19,7 +19,7 @@ import numpy as np
 from . import floer, gallery, lagrangian, linalg, topology
 from .errors import FredlabError, InvalidConfig
 from .gallery import FugledeSpec, fuglede_expected, fuglede_operator
-from .topology import ALPHA_RAMP
+from .topology import ALPHA_RAMP, P_MINUS, P_PLUS
 
 CSV_COLUMNS = ("experiment", "label", "param", "metric", "value", "expected", "abs_error")
 
@@ -102,19 +102,16 @@ def run_fuglede(n_list=(1, 2, 4, 8, 16), dim_factor=4):
         a_n = fuglede_operator(FugledeSpec(n, dim))
         a_0 = fuglede_operator(FugledeSpec(0, dim))
         expected = fuglede_expected(n)
-        p_n, m_n = topology.resolvents_at_i(a_n)
-        p_0, m_0 = topology.resolvents_at_i(a_0)
-        label, param = f"n={n}", str(n)
-
-        def row(metric, value, exp, tol=1e-8):
-            rows.append(ReportRow("fuglede", label, param, metric, float(value), exp, tol))
-
-        row("gap_branch_plus", linalg.operator_norm(p_n - p_0), expected.resolvent_branch)
-        row("gap_branch_minus", linalg.operator_norm(m_n - m_0), expected.resolvent_branch)
-        row("gamma", topology.gap_metric(a_n, a_0), 2.0 * expected.resolvent_branch)
-        row("rho", topology.riesz_metric(a_n, a_0), expected.rho)
-        alpha = linalg.operator_norm(a_n.apply(ALPHA_RAMP) - a_0.apply(ALPHA_RAMP))
-        row("alpha_dist", alpha, expected.alpha_dist)
+        report = topology.generator_distance_profile(a_n, a_0, fns=(P_PLUS, P_MINUS, ALPHA_RAMP))
+        probes = report.generator_distances
+        for metric, value, exp in (
+            ("gap_branch_plus", probes["Pplus"], expected.resolvent_branch),
+            ("gap_branch_minus", probes["Pminus"], expected.resolvent_branch),
+            ("gamma", report.gamma, 2.0 * expected.resolvent_branch),
+            ("rho", report.rho, expected.rho),
+            ("alpha_dist", probes["alpha_ramp"], expected.alpha_dist),
+        ):
+            rows.append(ReportRow("fuglede", f"n={n}", str(n), metric, value, exp, 1e-8))
     return rows
 
 
@@ -130,11 +127,17 @@ def parse_a_spec(text, grid_m):
             raise InvalidConfig(f"bad constant coefficient spec {text!r}") from exc
     if text.startswith("samples:"):
         path = text[len("samples:") :]
-        data = np.loadtxt(path, ndmin=2)
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh if line.split("#", 1)[0].strip()]
+        if not lines:  # loadtxt only warns on a file without data rows
+            raise InvalidConfig(f"coefficient file {path!r} holds no data")
+        data = np.loadtxt(lines, ndmin=2)
         if data.shape != (grid_m + 1, 2):
             raise InvalidConfig(
                 f"coefficient file must hold {grid_m + 1} rows of (re, im), got {data.shape}"
             )
+        if not np.all(np.isfinite(data)):
+            raise InvalidConfig("coefficient file holds NaN or Inf")
         return data[:, 0] + 1j * data[:, 1]
     raise InvalidConfig(f"unrecognized coefficient spec {text!r}")
 
@@ -210,13 +213,10 @@ def run_graph(dim=20, trials=100, seed=7):
         worst_proj = max(
             worst_proj, linalg.operator_norm(p - lagrangian.graph_projection_formula(a))
         )
-        j = lagrangian.SymplecticDoubling(n).complex_structure()
-        worst_lagr = max(
-            worst_lagr, linalg.operator_norm(j @ p @ j.T - (np.eye(2 * n) - p))
-        )
-        meet, _ = linalg.subspace_meet_dims(
-            lagrangian.SymplecticDoubling(n).horizontal(), s
-        )
+        doubling = lagrangian.SymplecticDoubling(n)
+        j = doubling.complex_structure()
+        worst_lagr = max(worst_lagr, linalg.operator_norm(j @ p @ j.T - (np.eye(2 * n) - p)))
+        meet, _ = linalg.subspace_meet_dims(doubling.horizontal(), s)
         worst_kernel = max(worst_kernel, abs(meet - zeros))
         w = lagrangian.suspension(rng.standard_normal((n, n))).decomposition.eigenvalues
         worst_susp = max(worst_susp, float(np.max(np.abs(w + w[::-1]))))
@@ -239,8 +239,10 @@ def run_graph(dim=20, trials=100, seed=7):
         a_0 = fuglede_operator(FugledeSpec(0, 4 * n))
         delta, gamma = lagrangian.kato_consistency(a_n, a_0)
         agree = agree and ((delta < threshold) == (gamma < threshold))
-        rows.append(ReportRow("graph", f"n={n}", str(n), "delta_graphs", delta))
-        rows.append(ReportRow("graph", f"n={n}", str(n), "gamma", gamma))
+        # the graph distance of selfadjoint operators is one resolvent branch
+        branch = fuglede_expected(n).resolvent_branch
+        rows.append(ReportRow("graph", f"n={n}", str(n), "delta_graphs", delta, branch, 1e-8))
+        rows.append(ReportRow("graph", f"n={n}", str(n), "gamma", gamma, 2.0 * branch, 1e-8))
     rows.append(
         ReportRow("graph", "kato", "1e-3", "joint_below_threshold_match", float(agree), 1.0, 0.0)
     )

@@ -93,11 +93,10 @@ class MetricReport:
 
     gamma: float
     rho: float
-    delta_graphs: float
     generator_distances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = [self.gamma, self.rho, self.delta_graphs, *self.generator_distances.values()]
+        vals = [self.gamma, self.rho, *self.generator_distances.values()]
         arr = np.asarray(vals, dtype=float)
         if not (np.all(np.isfinite(arr)) and np.all(arr >= 0.0)):
             raise ValueError("metric report entries must be finite and nonnegative")
@@ -178,10 +177,8 @@ def subspace_gap(s1, s2):
 
 
 def generator_distance_profile(a0, a1, fns=DEFAULT_PROBES):
-    """Distances ``|f(A0) - f(A1)|`` for each probe, bundled with gap, Riesz
-    and graph distances of the pair."""
-    from .lagrangian import graph_subspace  # lagrangian imports this module
-
+    """Distances ``|f(A0) - f(A1)|`` for each probe, bundled with the gap and
+    Riesz distances of the pair."""
     _check_same_dim(a0, a1)
     dists = {}
     for f in fns:
@@ -189,7 +186,6 @@ def generator_distance_profile(a0, a1, fns=DEFAULT_PROBES):
     return MetricReport(
         gamma=gap_metric(a0, a1),
         rho=riesz_metric(a0, a1),
-        delta_graphs=subspace_gap(graph_subspace(a0), graph_subspace(a1)),
         generator_distances=dists,
     )
 

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fredlab import cli, floer
+from fredlab import cli, floer, topology
 from fredlab.errors import InvalidConfig
 
 #: Recorded reports under ``tests/data`` and the ``fredlab`` flags that made
@@ -55,6 +55,23 @@ class TestFugledeExperiment:
         rhos = [r.value for r in rows if r.metric == "rho"]
         assert all(a < b for a, b in zip(rhos, rhos[1:]))
         assert rhos[-1] < 2.0
+
+    def test_rows_come_from_one_profile_per_n(self, monkeypatch):
+        calls = []
+        profile = topology.generator_distance_profile
+
+        def counted(a0, a1, fns):
+            calls.append([f.name for f in fns])
+            return profile(a0, a1, fns)
+
+        def refuse(a):
+            raise AssertionError("fuglede must read its branches from the profile")
+
+        monkeypatch.setattr(topology, "generator_distance_profile", counted)
+        monkeypatch.setattr(topology, "resolvents_at_i", refuse)
+        rows = cli.run_fuglede(n_list=(1, 2, 4), dim_factor=4)
+        assert calls == [["Pplus", "Pminus", "alpha_ramp"]] * 3
+        assert len(rows) == 15 and not cli.violations(rows)
 
 
 class TestFloerExperiment:
@@ -132,6 +149,41 @@ class TestASpec:
     def test_unknown(self):
         with pytest.raises(InvalidConfig):
             cli.parse_a_spec("sin(t)", 8)
+
+    def test_empty_samples_file_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("# no data\n\n")
+        with pytest.raises(InvalidConfig, match="holds no data"):
+            cli.parse_a_spec(f"samples:{path}", 8)
+
+
+#: Malformed ``samples:`` files for a grid of 8, so 9 rows of (re, im) are due.
+MALFORMED_SAMPLES = {
+    "empty": "",
+    "non_numeric": "a b\n" * 9,
+    "nan_row": "0 0\n" * 4 + "nan 0\n" + "0 0\n" * 4,
+    "inf_row": "0 0\n" * 4 + "0 inf\n" + "0 0\n" * 4,
+    "one_column": "0\n" * 9,
+    "three_columns": "0 0 0\n" * 9,
+    "too_few_rows": "0 0\n" * 4,
+    "ragged": "0 0\n" * 4 + "0 0 0\n" + "0 0\n" * 4,
+    "missing_path": None,
+}
+
+
+class TestMalformedSamples:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SAMPLES))
+    def test_exits_2_with_one_message(self, case, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        if MALFORMED_SAMPLES[case] is not None:
+            path.write_text(MALFORMED_SAMPLES[case])
+        code = cli.main(["floer", "--grid", "8", "--s-count", "8", "--a", f"samples:{path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("fredlab: ")
+        assert "Traceback" not in captured.err
 
 
 class TestMain:

@@ -179,6 +179,14 @@ class TestKatoConsistency:
         )
         np.testing.assert_allclose(deltas, [g / 2.0 for g in gammas], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delta_matches_block_formula(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        a, b = (sa(0.5 * (m + m.T)) for m in rng.standard_normal((2, 9, 9)) * 3.0)
+        delta, _ = kato_consistency(a, b)
+        oracle = linalg.operator_norm(graph_projection_formula(a) - graph_projection_formula(b))
+        assert abs(delta - oracle) <= 1e-10
+
     # |P_A - P_B| = |(A+i)^{-1} - (B+i)^{-1}| for the graph projections of
     # selfadjoint A, B, and the gap sums two branches of that norm
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21, 40])

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from fredlab import linalg, topology
+from fredlab import lagrangian, linalg, topology
 from fredlab.errors import DimensionMismatch
-from fredlab.lagrangian import graph_projection_formula
 from fredlab.topology import (
     ALPHA_RAMP,
     P_MINUS,
@@ -276,7 +275,6 @@ class TestGeneratorProfile:
         report = topology.generator_distance_profile(a, a)
         assert report.gamma == 0.0
         assert report.rho == 0.0
-        assert report.delta_graphs == 0.0
         assert all(v == 0.0 for v in report.generator_distances.values())
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -299,13 +297,16 @@ class TestGeneratorProfile:
         assert report.generator_distances["Pplus"] <= report.gamma + 1e-12
         assert report.generator_distances["Pminus"] <= report.gamma + 1e-12
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_delta_graphs_matches_block_formula(self, seed):
-        rng = np.random.default_rng(700 + seed)
-        a, b = random_operator(rng, 9, 3.0), random_operator(rng, 9, 3.0)
-        report = topology.generator_distance_profile(a, b, fns=())
-        oracle = linalg.operator_norm(graph_projection_formula(a) - graph_projection_formula(b))
-        assert abs(report.delta_graphs - oracle) <= 1e-10
+    def test_builds_no_graph_subspace(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the profile must not build graph subspaces")
+
+        monkeypatch.setattr(lagrangian, "graph_subspace", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        rng = np.random.default_rng(15)
+        a, b = random_operator(rng, 6), random_operator(rng, 6)
+        report = topology.generator_distance_profile(a, b)
+        assert set(vars(report)) == {"gamma", "rho", "generator_distances"}
 
     def test_custom_function(self):
         probe = ScalarFunction("sine", np.sin)
