@@ -22,6 +22,11 @@ GOLDEN_REPORTS = {
         "floer", "--grid", "48", "--s-count", "32", "--a", "const:1.5,-0.7"
     ],
     "floer_arpack.csv": ["floer", "--grid", "128", "--s-count", "16"],
+    # seeded smooth coefficient (perfbench's smooth_coefficient(3, 96)), %.17g
+    "floer_smooth.csv": [
+        "floer", "--grid", "96", "--s-count", "64",
+        "--a", f"samples:{pathlib.Path(__file__).parent / 'data' / 'smooth3_grid96.txt'}",
+    ],
 }
 
 
