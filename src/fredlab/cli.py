@@ -128,10 +128,22 @@ def parse_a_spec(text, grid_m):
     if text.startswith("samples:"):
         path = text[len("samples:") :]
         with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh if line.split("#", 1)[0].strip()]
-        if not lines:  # loadtxt only warns on a file without data rows
+            lines = [(n, line.split("#", 1)[0].split()) for n, line in enumerate(fh, start=1)]
+        rows = [(n, cells) for n, cells in lines if cells]
+        if not rows:
             raise InvalidConfig(f"coefficient file {path!r} holds no data")
-        data = np.loadtxt(lines, ndmin=2)
+        (first, head), values = rows[0], []
+        for n, cells in rows:
+            if len(cells) != len(head):
+                raise InvalidConfig(
+                    f"coefficient file {path!r}: line {n} has {len(cells)} columns, "
+                    f"line {first} has {len(head)}"
+                )
+            try:
+                values.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise InvalidConfig(f"coefficient file {path!r}, line {n}: {exc}") from exc
+        data = np.array(values)
         if data.shape != (grid_m + 1, 2):
             raise InvalidConfig(
                 f"coefficient file must hold {grid_m + 1} rows of (re, im), got {data.shape}"
@@ -149,12 +161,13 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     samples = parse_a_spec(a_spec, grid_m)
     rows = []
 
-    configs = [floer.FloerConfig(samples, s, grid_m) for s in ORACLE_ANGLES]
-    windows = [floer.floer_spectrum(floer.assemble_floer_operator(c), WINDOW) for c in configs]
-    # one batch: the Prufer angle does not depend on s, so configs[0] serves all
+    # one pencil for the oracle angles and the sweep: only the data depends on s
+    pencil = floer.FloerPencil(floer.FloerConfig(samples, 0.0, grid_m))
+    windows = [floer.floer_spectrum(pencil.at(s), WINDOW) for s in ORACLE_ANGLES]
+    # one batch: the Prufer angle does not depend on s, so one config serves all
     oracle = floer.shooting_eigenvalues(
-        configs[0],
-        [(c.s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)) for c, w in zip(configs, windows)],
+        pencil.cfg,
+        [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)) for s, w in zip(ORACLE_ANGLES, windows)],
     )
     for s, w, roots in zip(ORACLE_ANGLES, windows, oracle):
         label, param = f"s={s:.4f}", f"{s!r}"
@@ -167,11 +180,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
             )
 
     sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
-    family = (
-        floer.assemble_floer_operator(floer.FloerConfig(samples, float(s), grid_m))
-        for s in sweep
-    )
-    flow = floer.spectral_flow(family, WINDOW)
+    flow = floer.spectral_flow((pencil.at(float(s)) for s in sweep), WINDOW)
     rows.append(
         ReportRow(
             "floer",
@@ -184,9 +193,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
         )
     )
 
-    profile = floer.rho_continuity_profile(
-        floer.FloerConfig(samples, 0.0, grid_m), sweep[: NEIGHBOR_PAIRS + 1]
-    )
+    profile = floer.rho_continuity_profile(pencil.cfg, sweep[: NEIGHBOR_PAIRS + 1])
     for (s_a, s_b), metrics in zip(itertools.pairwise(sweep.tolist()), profile):
         label, param = f"s={s_a:.4f}->{s_b:.4f}", f"{s_b - s_a!r}"
         for name, value in metrics._asdict().items():

@@ -15,7 +15,7 @@ transport one domain onto another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -146,19 +146,62 @@ def _node_dofs(grid_m, s):
     return dof, np.concatenate([v0, np.ones(n_free - 2), v1])
 
 
-def _scatter(blocks, dof, weight):
-    """Sum per-element 4x4 blocks on nodes ``(e, e + 1)`` through a dof table
-    into one CSC matrix; entries that cancel exactly are dropped."""
-    coords = 2 * np.arange(blocks.shape[0])[:, None] + np.arange(4)
-    d, w = dof[coords], weight[coords]
-    rows, cols = np.broadcast_arrays(d[:, :, None], d[:, None, :])
-    values = blocks * w[:, :, None] * w[:, None, :]
-    size = int(dof[-1]) + 1
-    x = scipy.sparse.coo_array(
-        (values.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)
-    ).tocsc()
-    x.eliminate_zeros()
-    return x.copy()  # frees the COO-sized buffers the pruned arrays still view
+class _DofPattern(NamedTuple):
+    """CSC pattern of per-element 4x4 blocks on nodes ``(e, e + 1)`` summed
+    through a node dof table, and the data slot of each block entry.  The
+    dof indices fix it; the weights only scale the entries."""
+
+    coords: np.ndarray  # (n_el, 4) nodal coordinates of each block
+    indices: np.ndarray
+    indptr: np.ndarray
+    slot: np.ndarray  # (n_el * 16,) data position of each block entry
+
+    @classmethod
+    def of(cls, dof, n_el):
+        coords = 2 * np.arange(n_el)[:, None] + np.arange(4)
+        d = dof[coords]
+        size = int(dof[-1]) + 1
+        # column-major key of block entry (e, i, j): row d[e, i], column d[e, j]
+        keys = (d[:, None, :] * size + d[:, :, None]).ravel()
+        pattern, slot = np.unique(keys, return_inverse=True)
+        indptr = np.searchsorted(pattern, size * np.arange(size + 1))
+        return cls(coords, pattern % size, indptr, slot)
+
+    def csc(self, values):
+        """Sum the block entries ``values`` into their slots in input order;
+        entries that cancel exactly are dropped."""
+        data = np.bincount(self.slot, weights=values.ravel(), minlength=self.indices.size)
+        keep = data != 0.0
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        size = self.indptr.size - 1
+        return scipy.sparse.csc_array(
+            (data[keep], self.indices[keep], kept[self.indptr]), shape=(size, size)
+        )
+
+
+def _asymmetry(x):
+    """``max |x - x^T|`` of a CSC matrix; the CSR arrays of ``x`` are the CSC
+    arrays of ``x^T``, so a symmetric pattern needs no sparse arithmetic."""
+    xt = x.tocsr()
+    if (
+        x.has_canonical_format
+        and np.array_equal(x.indptr, xt.indptr)
+        and np.array_equal(x.indices, xt.indices)
+    ):
+        return float(np.max(np.abs(x.data - xt.data), initial=0.0))
+    return float(abs(x - x.T).max())
+
+
+def _upper_band(x):
+    """Upper band storage of a CSC matrix, the layout ``cholesky_banded`` reads:
+    entry ``(i, j)``, ``i <= j``, sits at row ``width + i - j`` of column ``j``."""
+    n = x.shape[0]
+    col = np.repeat(np.arange(n), np.diff(x.indptr))
+    offset = col - x.indices
+    upper = offset >= 0
+    width = int(np.max(offset, initial=0))
+    flat = (width - offset[upper]) * n + col[upper]
+    return np.bincount(flat, weights=x.data[upper], minlength=(width + 1) * n).reshape(-1, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +229,10 @@ class DiscretizedOperator:
         if not all(np.all(np.isfinite(x.data)) for x in (k, m, k2)):
             raise InvalidConfig("stiffness, mass or square holds NaN or Inf")
         for name, x in (("stiffness", k), ("mass", m), ("square_stiffness", k2)):
-            if abs(x - x.T).max() > 1e-12 * max(1.0, abs(x).max()):
+            if _asymmetry(x) > 1e-12 * max(1.0, float(np.max(np.abs(x.data), initial=0.0))):
                 raise NotSymmetric(f"{name} is not symmetric")
-        _, upper = scipy.sparse.linalg.spbandwidth(m)
-        band = [np.pad(m.diagonal(d), (d, 0)) for d in range(upper, -1, -1)]
         try:
-            scipy.linalg.cholesky_banded(band)
+            scipy.linalg.cholesky_banded(_upper_band(m))
         except np.linalg.LinAlgError as exc:
             raise MassNotPositiveDefinite(str(exc)) from exc
         object.__setattr__(self, "stiffness", k)
@@ -203,18 +244,12 @@ class DiscretizedOperator:
         return self.stiffness.shape[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def assemble_floer_operator(cfg):
-    """Piecewise-linear element discretization of ``J u' + C(t) u``.
+def _element_blocks(cfg):
+    """Per-element 4x4 blocks of ``K``, ``M`` and ``K2``, stacked.
 
     The first-order part uses the symmetrized weak form, whose boundary
     correction vanishes on the admissible boundary lines, so the assembled
-    stiffness is symmetric to machine precision.  Per-element 4x4 blocks are
-    scattered through the node dof table, which keeps one scalar coordinate
-    at each endpoint, along its boundary line.
-    A coefficient near the float limit overflows the element sums; the
-    resulting NaN or Inf entries raise :class:`InvalidConfig` in
-    :class:`DiscretizedOperator`.
+    stiffness is symmetric to machine precision.
     """
     m_el = cfg.grid_m
     h = 1.0 / m_el
@@ -241,13 +276,46 @@ def assemble_floer_operator(cfg):
             axis=2,
         )
         k2_e += (wgt * h) * np.einsum("eij,eik->ejk", basis, basis)
+    return np.stack([k_e, m_e, k2_e])
 
-    dof, weight = _node_dofs(m_el, cfg.s)
-    return DiscretizedOperator(
-        stiffness=_scatter(k_e, dof, weight),
-        mass=_scatter(m_e, dof, weight),
-        square_stiffness=_scatter(k2_e, dof, weight),
-    )
+
+@dataclass(frozen=True, eq=False)
+class FloerPencil:
+    """Piecewise-linear element discretization of ``J u' + C(t) u`` for one
+    coefficient, at every boundary angle.
+
+    The angle enters only through the weights of the last dof, so the
+    element blocks (all the quadrature) and the CSC pattern of the node dof
+    table are built once; :meth:`at` rebuilds only the data.  The dof table
+    keeps one scalar coordinate at each endpoint, along its boundary line.
+    ``cfg``'s own angle is not used.  A coefficient near the float limit
+    overflows the element sums; the resulting NaN or Inf entries raise
+    :class:`InvalidConfig` in :class:`DiscretizedOperator`.
+    """
+
+    cfg: FloerConfig
+    blocks: np.ndarray = field(init=False, repr=False)
+    pattern: _DofPattern = field(init=False, repr=False)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __post_init__(self):
+        dof, _ = _node_dofs(self.cfg.grid_m, self.cfg.s)
+        object.__setattr__(self, "blocks", _element_blocks(self.cfg))
+        object.__setattr__(self, "pattern", _DofPattern.of(dof, self.cfg.grid_m))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def at(self, s):
+        """The discretized operator at boundary angle ``s``."""
+        cfg = self.cfg.with_angle(s)
+        _, weight = _node_dofs(cfg.grid_m, cfg.s)
+        w = weight[self.pattern.coords]
+        values = (self.blocks * w[:, :, None]) * w[:, None, :]
+        return DiscretizedOperator(*(self.pattern.csc(v) for v in values))
+
+
+def assemble_floer_operator(cfg):
+    """The discretized operator of one member of the family (see :class:`FloerPencil`)."""
+    return FloerPencil(cfg).at(cfg.s)
 
 
 #: Relative spacing below which two squared eigenvalues count as degenerate.
@@ -307,7 +375,10 @@ def _spectrum_dense(op, k_window):
     k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
     n_req = min(k_window + 6, op.dim)
     while True:
-        mus, vecs = scipy.linalg.eigh(k2, mass, subset_by_index=(0, n_req - 1))
+        # DiscretizedOperator guarantees finite entries
+        mus, vecs = scipy.linalg.eigh(
+            k2, mass, subset_by_index=(0, n_req - 1), check_finite=False
+        )
         found = _ritz_window(op, mus, vecs, k_window)
         if found is not None:
             return found[0]
@@ -618,7 +689,7 @@ def _h1_gram(grid_m):
     stiff = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     n = 2 * (grid_m + 1)
     blocks = np.broadcast_to(np.kron(mass + stiff, np.eye(2)), (grid_m, 4, 4))
-    return _scatter(blocks, np.arange(n), np.ones(n)).toarray()
+    return _DofPattern.of(np.arange(n), grid_m).csc(blocks).toarray()
 
 
 def h1_operator_norm(x, grid_m):
@@ -654,11 +725,12 @@ def rho_continuity_profile(cfg_base, s_samples):
     time, so at most two are alive at once.
     """
     d0 = boundary_coefficient_operator(cfg_base)
+    pencil = FloerPencil(cfg_base)
     profile, p0, a0 = [], None, None
     for s in map(float, s_samples):
         p1 = boundary_projector(s)
         # until this call returns a0 and a1 name one operator: two alive at most
-        a1 = mass_normalized(assemble_floer_operator(cfg_base.with_angle(s)))
+        a1 = mass_normalized(pencil.at(s))
         if a0 is not None:
             profile.append(
                 NeighbourMetrics(

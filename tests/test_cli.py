@@ -191,6 +191,28 @@ class TestMalformedSamples:
         assert "Traceback" not in captured.err
 
 
+    def test_ragged_file_names_the_line(self, tmp_path, capsys):
+        # the 7th line is the 5th data row: comments and blanks count as lines
+        path = tmp_path / "a.txt"
+        path.write_text("# re im\n\n" + "0 0\n" * 4 + "0 0 0\n" + "0 0\n" * 4)
+        code = cli.main(["floer", "--grid", "8", "--s-count", "8", "--a", f"samples:{path}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("fredlab: ")
+        assert "line 7 has 3 columns, line 3 has 2" in line
+        assert "usecols" not in captured.err and "Traceback" not in captured.err
+
+    def test_non_numeric_cell_names_the_line(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("0 0\n" * 3 + "# note\n" + "0 x\n" + "0 0\n" * 5)
+        with pytest.raises(InvalidConfig, match="line 5: could not convert"):
+            cli.parse_a_spec(f"samples:{path}", 8)
+
+    def test_overflowing_coefficient_is_a_typed_error(self):
+        with pytest.raises(InvalidConfig, match="NaN or Inf"):
+            cli.run_floer(grid_m=16, s_count=8, a_spec="const:1e308,1e308")
+
 class TestMain:
     def test_csv_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

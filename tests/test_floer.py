@@ -25,6 +25,7 @@ from fredlab.floer import (
     CutoffProfile,
     DiscretizedOperator,
     FloerConfig,
+    FloerPencil,
     assemble_floer_operator,
     boundary_coefficient_operator,
     boundary_lines,
@@ -158,6 +159,114 @@ class TestAssembly:
         squares = np.linalg.eigvals(np.linalg.solve(mass, k2))
         mus = scipy.linalg.eigh(k2, mass, eigvals_only=True)
         np.testing.assert_allclose(mus, np.sort(squares.real), atol=1e-8)
+
+
+def _case(kind, s, m=12):
+    """One coefficient of each kind, at boundary angle ``s``."""
+    if kind == "zero":
+        return FloerConfig.zero(s, m)
+    if kind == "constant":
+        return FloerConfig.constant(0.3 + 0.2j, s, m)
+    if kind == "random":
+        rng = np.random.default_rng(5)
+        return FloerConfig(rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1), s, m)
+    q = 1.5 * np.cos(np.linspace(0.0, 3.0, m + 1))
+    return FloerConfig(1j * q, s, m, coupling=Coupling.LINEAR_IMAGINARY)
+
+
+class TestFloerPencil:
+    @pytest.mark.parametrize("s", [0.0, np.pi / 2, 1.0, 2.0 * np.pi])
+    @pytest.mark.parametrize("kind", ["zero", "constant", "random", "linear"])
+    def test_equals_the_element_sum_bitwise(self, s, kind):
+        # each constrained matrix is R^T X R, X the unassembled element blocks
+        # and R the weighted dof table: entry (X_e[a, b] * w_a) * w_b summed
+        # element by element, here through scipy's COO -> CSC route
+        cfg = _case(kind, s)
+        op = FloerPencil(cfg.with_angle(0.3)).at(s)
+        dof, weight = floer._node_dofs(cfg.grid_m, s)
+        coords = 2 * np.arange(cfg.grid_m)[:, None] + np.arange(4)
+        d, w = dof[coords], weight[coords]
+        rows, cols = np.broadcast_arrays(d[:, :, None], d[:, None, :])
+        fields = ("stiffness", "mass", "square_stiffness")
+        for field, blocks in zip(fields, floer._element_blocks(cfg)):
+            values = (blocks * w[:, :, None]) * w[:, None, :]
+            want = scipy.sparse.coo_array(
+                (values.ravel(), (rows.ravel(), cols.ravel())), shape=(op.dim, op.dim)
+            ).tocsc()
+            want.eliminate_zeros()
+            got = getattr(op, field)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+            # exact cancellations leave no stored zeros behind
+            assert np.all(got.data != 0.0)
+        direct = assemble_floer_operator(cfg)
+        for field in fields:
+            assert np.array_equal(getattr(direct, field).data, getattr(op, field).data)
+
+    def test_quadrature_runs_once_per_pencil(self, monkeypatch):
+        calls = []
+        real = floer.coefficient_matrices
+        monkeypatch.setattr(floer, "coefficient_matrices", lambda cfg: calls.append(cfg) or real(cfg))
+        cfg = FloerConfig.constant(0.3 + 0.2j, 0.0, 16)
+        pencil = FloerPencil(cfg)
+        for s in np.linspace(0.0, 2.0 * np.pi, 9):
+            pencil.at(float(s))
+        assert len(calls) == 1
+        calls.clear()
+        assert len(rho_continuity_profile(cfg, np.linspace(0.3, 1.1, 5))) == 4
+        assert len(calls) == 1
+
+    def test_every_angle_is_checked(self):
+        pencil = FloerPencil(FloerConfig.zero(0.0, 8))
+        with pytest.raises(InvalidConfig, match="outside"):
+            pencil.at(7.0)
+
+    def test_overflowing_coefficient_raises_at_every_angle(self):
+        pencil = FloerPencil(FloerConfig.constant(1e308 + 1e308j, 0.0, 16))
+        for s in (0.0, 1.0):
+            with pytest.raises(InvalidConfig, match="NaN or Inf"):
+                pencil.at(s)
+
+
+class TestValidatorRoutes:
+    # symmetry is read off the CSC arrays when the pattern is symmetric and
+    # canonical, and from the sparse difference otherwise
+    def _dense(self):
+        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 1.0, 8))
+        return op.stiffness.toarray(), op.mass.toarray(), op.square_stiffness.toarray()
+
+    def test_asymmetric_pattern(self):
+        k, m, k2 = self._dense()
+        k[0, -1] = 1e-6
+        with pytest.raises(NotSymmetric, match="^stiffness is not symmetric"):
+            DiscretizedOperator(k, m, k2)
+
+    def test_duplicate_entries_are_summed(self):
+        k, m, k2 = self._dense()
+        # every mass entry stored twice, as two halves
+        x = scipy.sparse.csc_array(m)
+        starts, nnz = x.indptr[:-1], np.diff(x.indptr)
+        indptr = np.concatenate([[0], np.cumsum(2 * nnz)])
+        order = np.concatenate([np.r_[a:a + n, a:a + n] for a, n in zip(starts, nnz)])
+        dup = scipy.sparse.csc_array((0.5 * x.data[order], x.indices[order], indptr), shape=m.shape)
+        assert not dup.has_canonical_format
+        op = DiscretizedOperator(k, dup, k2)
+        np.testing.assert_array_equal(op.mass.toarray(), m)
+        np.testing.assert_array_equal(floer._upper_band(dup), floer._upper_band(x))
+        skewed = dup.copy()
+        col = np.repeat(np.arange(m.shape[0]), np.diff(dup.indptr))
+        skewed.data[np.flatnonzero(dup.indices != col)[0]] += 1e-6
+        with pytest.raises(NotSymmetric, match="^mass is not symmetric"):
+            DiscretizedOperator(k, skewed, k2)
+
+    @pytest.mark.parametrize("width", [0, 1, 3, 5])
+    def test_band_holds_the_upper_diagonals(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((12, 12))
+        a = np.triu(np.tril(a + a.T, width), -width)
+        x = scipy.sparse.csc_array(a)
+        want = [np.pad(np.diagonal(a, d), (d, 0)) for d in range(width, -1, -1)]
+        np.testing.assert_array_equal(floer._upper_band(x), want)
 
 
 class TestSpectrum:
