@@ -132,7 +132,8 @@ def parse_a_spec(text, grid_m):
         rows = [(n, cells) for n, cells in lines if cells]
         if not rows:
             raise InvalidConfig(f"coefficient file {path!r} holds no data")
-        (first, head), values = rows[0], []
+        first, head = rows[0]
+        values = []
         for n, cells in rows:
             if len(cells) != len(head):
                 raise InvalidConfig(
