@@ -181,7 +181,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
             )
 
     sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
-    flow = floer.spectral_flow((pencil.at(float(s)) for s in sweep), WINDOW)
+    flow = floer.spectral_flow(floer.floer_spectrum(pencil.at(float(s)), WINDOW) for s in sweep)
     rows.append(
         ReportRow(
             "floer",
@@ -222,8 +222,7 @@ def run_graph(dim=20, trials=100, seed=7):
             worst_proj, linalg.operator_norm(p - lagrangian.graph_projection_formula(a))
         )
         doubling = lagrangian.SymplecticDoubling(n)
-        j = doubling.complex_structure()
-        worst_lagr = max(worst_lagr, linalg.operator_norm(j @ p @ j.T - (np.eye(2 * n) - p)))
+        worst_lagr = max(worst_lagr, lagrangian.lagrangian_residual(s, doubling))
         meet, _ = linalg.subspace_meet_dims(doubling.horizontal(), s)
         worst_kernel = max(worst_kernel, abs(meet - zeros))
         w = lagrangian.suspension(rng.standard_normal((n, n))).decomposition.eigenvalues

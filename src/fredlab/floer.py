@@ -14,6 +14,7 @@ transport one domain onto another.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -533,46 +534,47 @@ def shooting_eigenvalues(cfg, queries):
 _ZERO_TOL = 1e-9
 
 
-def spectral_flow(family, k_window):
-    """Signed count of pencil eigenvalues crossing zero along a family.
+def spectral_flow(windows):
+    """Signed count of eigenvalues crossing zero along a family (Phillips).
 
-    ``family`` is any iterable of operators; it is consumed once.  Crossings
-    are counted upward minus downward with the half-open convention: an
-    eigenvalue sitting at zero (within ``_ZERO_TOL``) counts when it arrives
-    there, not when it leaves.  Consecutive windows are aligned by value,
-    allowing the window to slide by at most one branch per step; larger
-    motion raises :class:`SamplingTooCoarse`.
+    ``windows`` is any iterable of ascending eigenvalue arrays, such as
+    :func:`floer_spectrum` of each member; it is consumed once.  A step adds
+    ``N(next) - N(prev)``, where ``N`` counts the values in ``[-_ZERO_TOL, a)``,
+    so a crossing counts when a value arrives at zero, not when it leaves.
+    The cut ``a`` is the middle of the widest gap of ``{0}`` and the ``|lam|``
+    of both windows up to the smaller window radius; half the gap is its
+    clearance.  A step raises :class:`SamplingTooCoarse` when the windows hold
+    different numbers of values with ``|lam| < a``, or when its margin reaches
+    1: the larger motion of the rank-matched ``|lam|`` just below and just
+    above ``a``, over the clearance.
     """
-    windows = [np.asarray(floer_spectrum(op, k_window), dtype=float) for op in family]
-    flow = 0
-    for prev, nxt in zip(windows, windows[1:]):
-        best = None
-        for offset in (0, -1, 1):
-            pairs = [
-                (prev[i], nxt[i + offset])
-                for i in range(len(prev))
-                if 0 <= i + offset < len(nxt)
-            ]
-            if not pairs:
-                continue
-            motion = max(abs(q - p) for p, q in pairs)
-            if best is None or motion < best[0]:
-                best = (motion, pairs)
-        motion, pairs = best
-        gaps = np.diff(prev)
-        if gaps.size and motion >= 0.5 * float(np.min(gaps)):
-            raise SamplingTooCoarse(
-                f"eigenvalue motion {motion:.3e} exceeds half the window gap "
-                f"{float(np.min(gaps)):.3e}"
-            )
-        for p, q in pairs:
-            at_or_above_prev = p >= -_ZERO_TOL
-            at_or_above_next = q >= -_ZERO_TOL
-            if not at_or_above_prev and at_or_above_next:
-                flow += 1
-            elif at_or_above_prev and not at_or_above_next:
-                flow -= 1
-    return flow
+    return sum(_phillips_step(p, q) for p, q in itertools.pairwise(map(np.asarray, windows)))
+
+
+def _phillips_step(prev, nxt):
+    """``N(nxt) - N(prev)`` at the cut of one step (see :func:`spectral_flow`)."""
+    mag0, mag1 = np.sort(np.abs(prev)), np.sort(np.abs(nxt))
+    radius = min(mag0[-1], mag1[-1])
+    # 0 and the smaller radius are both levels, so one gap at least
+    levels = np.sort(np.concatenate([[0.0], mag0[mag0 <= radius], mag1[mag1 <= radius]]))
+    i = int(np.argmax(np.diff(levels)))
+    cut = 0.5 * (levels[i] + levels[i + 1])
+    clearance = cut - levels[i]
+    below, below_next = np.searchsorted(mag0, cut), np.searchsorted(mag1, cut)
+    if below != below_next:
+        raise SamplingTooCoarse(f"{below} vs {below_next} values below the cut {cut:.3e}")
+    ranks = slice(max(below - 1, 0), below + 1)  # the |lam| just below and above the cut
+    motion = np.max(np.abs(mag1[ranks] - mag0[ranks]))
+    if motion >= clearance:
+        margin = motion / clearance if clearance else math.inf
+        raise SamplingTooCoarse(
+            f"margin {margin:.3g}: motion {motion:.3e}, clearance {clearance:.3e}"
+        )
+
+    def count(w):
+        return np.count_nonzero((w >= -_ZERO_TOL) & (w < cut))
+
+    return count(nxt) - count(prev)
 
 
 @dataclass(frozen=True, eq=False)

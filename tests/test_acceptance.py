@@ -167,12 +167,12 @@ def test_criterion_7_floer_oracle_agreement():
 def test_criterion_8_spectral_flow():
     """A full boundary-angle loop produces flow +2, and -2 when reversed."""
     sweep = np.linspace(0.0, 2.0 * np.pi, 128)
-    family = [
-        floer.assemble_floer_operator(floer.FloerConfig.zero(float(s), 128))
+    windows = [
+        floer.floer_spectrum(floer.assemble_floer_operator(floer.FloerConfig.zero(float(s), 128)), 5)
         for s in sweep
     ]
-    assert floer.spectral_flow(family, 5) == 2
-    assert floer.spectral_flow(family[::-1], 5) == -2
+    assert floer.spectral_flow(windows) == 2
+    assert floer.spectral_flow(windows[::-1]) == -2
     print("ACCEPTANCE 8 PASS: spectral flow +2 forward, -2 reversed (128 samples)")
 
 

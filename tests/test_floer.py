@@ -436,11 +436,13 @@ class TestSmoothSweep:
     @pytest.fixture(scope="class")
     def family(self):
         a = smooth_coefficient(6, self.GRID)
-        return a, [assemble_floer_operator(FloerConfig(a, float(s), self.GRID)) for s in self.SWEEP]
+        return a, [
+            floer_spectrum(assemble_floer_operator(FloerConfig(a, float(s), self.GRID)), 5)
+            for s in self.SWEEP
+        ]
 
     def test_every_window_matches_shooting(self, family):
-        a, ops = family
-        windows = [floer_spectrum(op, 5) for op in ops]
+        a, windows = family
         queries = [
             (float(s), (float(w[0] - 0.3), float(w[-1] + 0.3))) for s, w in zip(self.SWEEP, windows)
         ]
@@ -450,9 +452,9 @@ class TestSmoothSweep:
             np.testing.assert_allclose(w, r, rtol=0.0, atol=1e-5, err_msg=f"s = {s}")
 
     def test_near_degenerate_pair_keeps_the_flow(self, family):
-        _, ops = family
-        assert spectral_flow(ops[120:130], 5) == 0
-        assert spectral_flow(ops, 5) == 2
+        _, windows = family
+        assert spectral_flow(windows[120:130]) == 0
+        assert spectral_flow(windows) == 2
 
 
 class TestDiscretizedOperator:
@@ -628,44 +630,68 @@ class TestShooting:
         assert shooting_eigenvalues(FloerConfig.zero(1.5, 16), []) == []
 
 
+def free_loop_windows(grid_m, count):
+    """Windows of the zero-coefficient family at ``count`` angles over ``[0, 2 pi]``."""
+    return [
+        floer_spectrum(assemble_floer_operator(FloerConfig.zero(float(s), grid_m)), 5)
+        for s in np.linspace(0.0, 2.0 * np.pi, count)
+    ]
+
+
 class TestSpectralFlow:
+    @pytest.fixture(scope="class")
+    def loop_windows(self):
+        return free_loop_windows(48, 97)
+
     def test_constant_family(self):
-        op = assemble_floer_operator(FloerConfig.zero(1.0, 16))
-        assert spectral_flow([op, op, op], 4) == 0
+        w = floer_spectrum(assemble_floer_operator(FloerConfig.zero(1.0, 16)), 4)
+        assert spectral_flow([w, w, w]) == 0
 
-    def test_full_loop(self):
-        fam = [
-            assemble_floer_operator(FloerConfig.zero(s, 48))
-            for s in np.linspace(0.0, 2.0 * np.pi, 97)
-        ]
-        assert spectral_flow(fam, 5) == 2
-        assert spectral_flow(fam[::-1], 5) == -2
+    def test_full_loop(self, loop_windows):
+        assert spectral_flow(loop_windows) == 2
+        assert spectral_flow(loop_windows[::-1]) == -2
 
-    def test_partial_path_additivity(self):
-        ss = np.linspace(0.0, 2.0 * np.pi, 97)
-        fam = [assemble_floer_operator(FloerConfig.zero(s, 48)) for s in ss]
+    def test_partial_path_additivity(self, loop_windows):
         cut = 40
-        total = spectral_flow(fam, 5)
-        assert spectral_flow(fam[: cut + 1], 5) + spectral_flow(fam[cut:], 5) == total
+        total = spectral_flow(loop_windows)
+        assert spectral_flow(loop_windows[: cut + 1]) + spectral_flow(loop_windows[cut:]) == total
 
     def test_family_may_be_a_one_pass_iterator(self):
-        fam = [
-            assemble_floer_operator(FloerConfig.zero(float(s), 32))
-            for s in np.linspace(0.0, 2.0 * np.pi, 128)
-        ]
-        assert spectral_flow(iter(fam), 5) == spectral_flow(fam, 5) == 2
+        windows = free_loop_windows(32, 128)
+        assert spectral_flow(iter(windows)) == spectral_flow(windows) == 2
 
     def test_too_coarse(self):
         # a non-constant coefficient distorts the eigenvalue ladder; three
-        # samples over a wide angle sweep then move branches past half a gap
+        # samples over a wide angle sweep then move a value across the cut
         t = np.linspace(0.0, 1.0, 33)
         samples = 2.5 * np.sin(np.pi * t) + 1.0j * np.cos(np.pi * t)
-        fam = [
-            assemble_floer_operator(FloerConfig(samples, s, 32))
+        windows = [
+            floer_spectrum(assemble_floer_operator(FloerConfig(samples, s, 32)), 4)
             for s in np.linspace(0.2, 2.2, 3)
         ]
         with pytest.raises(SamplingTooCoarse):
-            spectral_flow(fam, 4)
+            spectral_flow(windows)
+
+    @pytest.mark.parametrize("grid_m", [48, 96, 400])
+    def test_four_angles_of_the_free_loop_raise(self, grid_m):
+        # each value climbs 2.09 per step on a ladder of spacing pi, so the
+        # next window holds its lower neighbour nearer than itself: a count
+        # that matches values by least motion reads flow -1 here
+        with pytest.raises(SamplingTooCoarse, match="1 vs 0 values"):
+            spectral_flow(free_loop_windows(grid_m, 4))
+
+    def test_window_may_slide_by_two_values(self):
+        # the cut 1.705 sits in the gap 0.61..2.8 with clearance 1.095; the
+        # values next to it move by 0.01 and 0.05, a margin of 0.046
+        prev = [-2.9, -2.8, -0.5, 0.6, 3.0]
+        nxt = [-0.52, 0.61, 2.85, 2.95, 3.1]
+        assert spectral_flow([prev, nxt]) == 0
+
+    def test_motion_reaching_the_clearance_raises(self):
+        # both windows hold two values below the cut 2.45 (clearance 0.55),
+        # but the value just below it moves by 0.9: margin 1.64
+        with pytest.raises(SamplingTooCoarse, match="margin 1.64"):
+            spectral_flow([[-1.0, 1.0, 3.0], [-1.0, 1.9, 3.0]])
 
 
 class TestBoundaryProjectors:
