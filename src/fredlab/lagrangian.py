@@ -72,18 +72,21 @@ def graph_projection_formula(a):
     return np.block([[g, g @ m], [m @ g, m @ g @ m]])
 
 
-def is_lagrangian(s, doubling):
-    """Whether ``J`` carries ``s`` onto its orthogonal complement."""
+def lagrangian_residual(s, doubling):
+    """``|J P J^T - (I - P)|`` for the projection ``P`` onto ``s``; zero exactly
+    when ``s`` is Lagrangian, and 1 when its dimension is not half the ambient."""
     if s.ambient_dim != doubling.ambient_dim:
         raise AmbientMismatch(
             f"subspace lives in R^{s.ambient_dim}, doubling in R^{doubling.ambient_dim}"
         )
-    if s.dim != doubling.half_dim:
-        return False
     p = linalg.projection_from_basis(s)
     j = doubling.complex_structure()
-    residual = linalg.operator_norm(j @ p @ j.T - (np.eye(s.ambient_dim) - p))
-    return bool(residual <= LAGRANGIAN_TOL)
+    return linalg.operator_norm(j @ p @ j.T - (np.eye(s.ambient_dim) - p))
+
+
+def is_lagrangian(s, doubling):
+    """Whether ``J`` carries ``s`` onto its orthogonal complement."""
+    return bool(lagrangian_residual(s, doubling) <= LAGRANGIAN_TOL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -187,12 +187,6 @@ class Subspace:
         return cls(v.shape[0], u[:, keep])
 
 
-def span(*vectors):
-    """Subspace spanned by the given 1-D vectors."""
-    cols = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    return Subspace.from_spanning(cols)
-
-
 def projection_from_basis(s):
     """Orthogonal projection ``B B^T`` onto the subspace ``s``."""
     return s.basis @ s.basis.T

@@ -35,6 +35,18 @@ class TestDoubling:
         d = SymplecticDoubling(4)
         assert is_lagrangian(d.horizontal(), d)
 
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_residual_off_half_dimension_is_one(self, dim):
+        s = linalg.Subspace(4, np.eye(4)[:, :dim])
+        d = SymplecticDoubling(2)
+        assert lagrangian.lagrangian_residual(s, d) == pytest.approx(1.0, abs=1e-12)
+        assert not is_lagrangian(s, d)
+
+    def test_residual_needs_the_doubling_ambient(self):
+        s = linalg.Subspace(4, np.eye(4)[:, :2])
+        with pytest.raises(AmbientMismatch):
+            lagrangian.lagrangian_residual(s, SymplecticDoubling(3))
+
 
 class TestGraphSubspace:
     def test_zero_operator(self):

@@ -17,6 +17,11 @@ RECON_TOL = 1e-10
 HOMOMORPHISM_TOL = 1e-9
 
 
+def span(*vectors):
+    """Subspace spanned by the given 1-D vectors."""
+    return linalg.Subspace.from_spanning(np.column_stack(vectors).astype(float))
+
+
 def random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return 0.5 * (a + a.T)
@@ -181,7 +186,7 @@ class TestScalarFunction:
 
 class TestSubspaces:
     def test_projection_onto_axis(self):
-        s = linalg.span([1.0, 0.0])
+        s = span([1.0, 0.0])
         np.testing.assert_allclose(
             linalg.projection_from_basis(s), [[1.0, 0.0], [0.0, 0.0]], atol=1e-14
         )
@@ -192,7 +197,7 @@ class TestSubspaces:
 
     def test_projection_diagonal_line(self):
         # outer product of (1,1)/sqrt(2) with itself
-        s = linalg.span([1.0, 1.0])
+        s = span([1.0, 1.0])
         np.testing.assert_allclose(
             linalg.projection_from_basis(s), [[0.5, 0.5], [0.5, 0.5]], atol=1e-14
         )
@@ -217,18 +222,18 @@ class TestSubspaces:
 
 class TestMeetDims:
     def test_equal_lines(self):
-        s = linalg.span([1.0, 0.0])
+        s = span([1.0, 0.0])
         assert linalg.subspace_meet_dims(s, s) == (1, 1)
 
     def test_transverse_lines(self):
-        s1 = linalg.span([1.0, 0.0])
-        s2 = linalg.span([0.0, 1.0])
+        s1 = span([1.0, 0.0])
+        s2 = span([0.0, 1.0])
         assert linalg.subspace_meet_dims(s1, s2) == (0, 0)
 
     def test_planes_in_r4(self):
         e = np.eye(4)
-        s1 = linalg.span(e[0], e[1])
-        s2 = linalg.span(e[1], e[2])
+        s1 = span(e[0], e[1])
+        s2 = span(e[1], e[2])
         # union spans e0,e1,e2: rank 3, so one codimension left over
         assert linalg.subspace_meet_dims(s1, s2) == (1, 1)
 
@@ -240,4 +245,4 @@ class TestMeetDims:
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            linalg.subspace_meet_dims(linalg.span([1.0, 0.0]), linalg.span([1.0, 0.0, 0.0]))
+            linalg.subspace_meet_dims(span([1.0, 0.0]), span([1.0, 0.0, 0.0]))

@@ -17,6 +17,11 @@ from fredlab.topology import (
 IDENTITY_TOL = 1e-10
 
 
+def span(*vectors):
+    """Subspace spanned by the given 1-D vectors."""
+    return linalg.Subspace.from_spanning(np.column_stack(vectors).astype(float))
+
+
 def sa(matrix):
     return SelfAdjointOperator(np.asarray(matrix, dtype=float))
 
@@ -253,17 +258,17 @@ class TestRieszMetric:
 
 class TestSubspaceGap:
     def test_self(self):
-        s = linalg.span([1.0, 2.0, 0.0])
+        s = span([1.0, 2.0, 0.0])
         assert topology.subspace_gap(s, s) == 0.0
 
     def test_orthogonal_lines(self):
-        d = topology.subspace_gap(linalg.span([1.0, 0.0]), linalg.span([0.0, 1.0]))
+        d = topology.subspace_gap(span([1.0, 0.0]), span([0.0, 1.0]))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_rotated_line(self):
         theta = np.pi / 6.0
         d = topology.subspace_gap(
-            linalg.span([1.0, 0.0]), linalg.span([np.cos(theta), np.sin(theta)])
+            span([1.0, 0.0]), span([np.cos(theta), np.sin(theta)])
         )
         assert d == pytest.approx(0.5, abs=1e-12)
 
