@@ -162,12 +162,13 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     samples = parse_a_spec(a_spec, grid_m)
     rows = []
 
-    # one pencil for the oracle angles and the sweep: only the data depends on s
-    pencil = floer.FloerPencil(floer.FloerConfig(samples, 0.0, grid_m))
-    windows = [floer.floer_spectrum(pencil.at(s), WINDOW) for s in ORACLE_ANGLES]
+    # one pencil for the oracle angles and the sweep: only the border depends on s
+    cfg = floer.FloerConfig(samples, 0.0, grid_m)
+    pencil = floer.FloerPencil(cfg)
+    windows = [pencil.spectrum(s, WINDOW) for s in ORACLE_ANGLES]
     # one batch: the Prufer angle does not depend on s, so one config serves all
     oracle = floer.shooting_eigenvalues(
-        pencil.cfg,
+        cfg,
         [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)) for s, w in zip(ORACLE_ANGLES, windows)],
     )
     for s, w, roots in zip(ORACLE_ANGLES, windows, oracle):
@@ -181,7 +182,9 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
             )
 
     sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
-    flow = floer.spectral_flow(floer.floer_spectrum(pencil.at(float(s)), WINDOW) for s in sweep)
+    flow = floer.spectral_flow(pencil.spectrum(float(s), WINDOW) for s in sweep)
+    # the profile needs no spectra: free the interior eigenvectors first
+    del pencil
     rows.append(
         ReportRow(
             "floer",
@@ -194,7 +197,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
         )
     )
 
-    profile = floer.rho_continuity_profile(pencil.cfg, sweep[: NEIGHBOR_PAIRS + 1])
+    profile = floer.rho_continuity_profile(cfg, sweep[: NEIGHBOR_PAIRS + 1])
     for (s_a, s_b), metrics in zip(itertools.pairwise(sweep.tolist()), profile):
         label, param = f"s={s_a:.4f}->{s_b:.4f}", f"{s_b - s_a!r}"
         for name, value in metrics._asdict().items():

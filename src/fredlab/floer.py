@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -287,8 +288,10 @@ class FloerPencil:
 
     The angle enters only through the weights of the last dof, so the
     element blocks (all the quadrature) and the CSC pattern of the node dof
-    table are built once; :meth:`at` rebuilds only the data.  The dof table
-    keeps one scalar coordinate at each endpoint, along its boundary line.
+    table are built once; :meth:`at` rebuilds only the data, and
+    :meth:`spectrum` reads each window off one eigendecomposition of the
+    interior.  The dof table keeps one scalar coordinate at each endpoint,
+    along its boundary line.
     ``cfg``'s own angle is not used.  A coefficient near the float limit
     overflows the element sums; the resulting NaN or Inf entries raise
     :class:`InvalidConfig` in :class:`DiscretizedOperator`.
@@ -313,6 +316,27 @@ class FloerPencil:
         values = (self.blocks * w[:, :, None]) * w[:, None, :]
         return DiscretizedOperator(*(self.pattern.csc(v) for v in values))
 
+    @cached_property
+    def interior(self):
+        """The interior eigenpairs (see :func:`_interior_pairs`), computed on
+        first use: the angle does not reach them."""
+        return _interior_pairs(self.at(0.0))
+
+    def spectrum(self, s, k_window):
+        """The ``k_window`` eigenvalues nearest zero at angle ``s``, ascending.
+
+        The same window as :func:`floer_spectrum` of :meth:`at`, from the
+        squared eigenpairs of the interior bordered by the last dof (see
+        :func:`_spectrum_secular`); a block that fails its inertia count, or
+        roots that do not converge, send the window to the dense route.
+        """
+        op = self.at(s)
+        k_window = _window_size(k_window, op.dim)
+        try:
+            return _spectrum_secular(op, self.interior, k_window)
+        except NoConvergence:
+            return floer_spectrum(op, k_window)
+
 
 def assemble_floer_operator(cfg):
     """The discretized operator of one member of the family (see :class:`FloerPencil`)."""
@@ -324,9 +348,6 @@ _DEGENERACY_RTOL = 1e-5
 
 #: Roundoff bound on ``|lam|`` of a ``+-lam`` pair (they agree to about 1e-14).
 _MIRROR_RTOL = 1e-10
-
-#: Above this size the smallest squared eigenvalues come from ARPACK shift-invert.
-_DENSE_CUTOFF = 200
 
 
 def _ritz_window(op, mus, vecs, k_window):
@@ -370,9 +391,27 @@ def _count_below(op, cut):
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _spectrum_dense(op, k_window):
-    # LAPACK selects the subset by index with Sturm counts, so these are
-    # certified to be the n_req smallest; a degenerate slack widens the subset
+def _window_size(k_window, dim):
+    k_window = int(k_window)
+    if k_window < 1 or k_window > dim:
+        raise InvalidConfig(f"window size {k_window} outside 1..{dim}")
+    return k_window
+
+
+def floer_spectrum(op, k_window):
+    """The ``k_window`` eigenvalues nearest zero, ascending, by a dense solve.
+
+    Solves the squared pencil ``K2 x = mu M x``; the smallest ``mu`` are the
+    squares of the wanted eigenvalues and carry no contribution from the
+    sawtooth branch of the first-order stencil.  One Rayleigh-Ritz step of
+    the first-order form on their vectors, cut at the widest gap beyond the
+    window, gives the signed values and keeps ``+-lam`` pairs together.
+    LAPACK selects the subset by index with Sturm counts, so it is certified
+    to be the smallest; a degenerate slack widens it.  This is the route for
+    a single operator, and the oracle and fallback of
+    :meth:`FloerPencil.spectrum`.
+    """
+    k_window = _window_size(k_window, op.dim)
     k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
     n_req = min(k_window + 6, op.dim)
     while True:
@@ -386,47 +425,166 @@ def _spectrum_dense(op, k_window):
         n_req = min(2 * n_req, op.dim)
 
 
-def _spectrum_shift_invert(op, k_window):
-    # the constrained matrices are banded, so factoring K2 + eps*M is cheap;
-    # a fixed start vector keeps the result deterministic
-    v0 = np.linspace(1.0, 2.0, op.dim)
-    mus, vecs = scipy.sparse.linalg.eigsh(
-        op.square_stiffness, k=k_window + 6, M=op.mass, sigma=-1e-6, which="LM", v0=v0
-    )
-    order = np.argsort(mus)
-    mus, vecs = mus[order], vecs[:, order]
-    found = _ritz_window(op, mus, vecs, k_window)
-    if found is None:
-        raise NoConvergence("shift-invert slack holds no open gap")
-    window, size = found
-    # ARPACK may skip a value; the count below the middle of the cut finds it
-    count = _count_below(op, 0.5 * (mus[size - 1] + mus[size]))
-    if count != size:
-        raise NoConvergence(f"inertia count {count} below the cut: {count - size} missed")
-    return window
+def _last_column(x):
+    """Rows above the diagonal, their entries, and the diagonal entry of the
+    last column of a CSC matrix."""
+    lo, hi = x.indptr[-2:]
+    rows, vals = x.indices[lo:hi], x.data[lo:hi]
+    border = rows < x.shape[0] - 1
+    return rows[border], vals[border], float(np.sum(vals[~border]))
 
 
-def floer_spectrum(op, k_window):
-    """The ``k_window`` eigenvalues nearest zero, ascending.
+def _interior_pairs(op):
+    """``(lam, V)``, ``V^T M V = I``: the generalized eigenpairs of ``K2`` and
+    ``M`` on all dofs but the last.
 
-    Solves the squared pencil ``K2 x = mu M x``; the smallest ``mu`` are the
-    squares of the wanted eigenvalues and carry no contribution from the
-    sawtooth branch of the first-order stencil.  One Rayleigh-Ritz step of
-    the first-order form on their vectors, cut at the widest gap beyond the
-    window, gives the signed values and keeps ``+-lam`` pairs together.
-    LAPACK's Sturm counts make the dense subset complete; an ARPACK block
-    must match the inertia count of ``K2 - c M`` at its cut, or the dense
-    route runs instead.
+    The band Cholesky factor ``U`` of the interior mass reduces the pencil to
+    ``U^-T K2 U^-1`` by band solves (LAPACK's ``sygst``), and its eigenvectors
+    ``W`` give ``V = U^-1 W``.  The dense solve is numpy's ``eigh``, the LAPACK
+    that the neighbour metrics use too: scipy's generalized driver runs on a
+    second BLAS, whose thread buffers raised the peak RSS of a default
+    ``floer`` run from 115 to 119 MB.
     """
-    k_window = int(k_window)
-    if k_window < 1 or k_window > op.dim:
-        raise InvalidConfig(f"window size {k_window} outside 1..{op.dim}")
-    if op.dim > _DENSE_CUTOFF and k_window + 6 < op.dim:
-        try:
-            return _spectrum_shift_invert(op, k_window)
-        except (NoConvergence, scipy.sparse.linalg.ArpackError):
-            pass
-    return _spectrum_dense(op, k_window)
+    upper = scipy.linalg.cholesky_banded(_upper_band(op.mass[:-1, :-1]))
+    solve = scipy.linalg.lapack.dtbtrs
+    k2 = op.square_stiffness[:-1, :-1].toarray(order="F")
+    half, _ = solve(upper, k2, trans="T", overwrite_b=1)
+    full, _ = solve(upper, np.asfortranarray(half.T), trans="T", overwrite_b=1)
+    del k2, half
+    lam, w = np.linalg.eigh(full)
+    del full
+    v, _ = solve(upper, np.asfortranarray(w), overwrite_b=1)
+    return lam, v
+
+
+def _secular_roots(poles, weights, alpha, beta, count):
+    """The ``count`` smallest roots of ``w(mu) = alpha - beta mu + sum_j
+    weights_j / (mu - poles_j)``, with ``diff[k, j] = mu_k - poles_j``.
+
+    ``poles`` ascend and ``weights`` and ``beta`` are positive, so ``w``
+    decreases strictly between poles and root ``k`` is the one between poles
+    ``k - 1`` and ``k``.  Each root is sought as an offset ``tau`` from its
+    nearer pole, so ``diff`` carries no cancellation, by fixed-weight steps
+    as in LAPACK's ``dlaed4``: the model keeps that pole with its own weight
+    and matches ``w'`` with one more pole at the bracket's far end (past an
+    end pole, with a slope).  A step that leaves the bracket bisects it, and
+    a root stops once ``|w|`` is within the rounding bound of its evaluation.
+    """
+    m = poles.size
+    if m == 0:
+        return np.array([alpha / beta]), np.zeros((1, 0))
+    if np.any(np.diff(poles) <= 0.0):
+        raise NoConvergence("two coupled interior eigenvalues coincide")
+    k = np.arange(count)
+    left, right = np.maximum(k - 1, 0), np.minimum(k, m - 1)
+    both = (k > 0) & (k < m)
+    # between two poles the sign of w at the middle picks the nearer one
+    origin = right.copy()
+    mid = 0.5 * (poles[left[both]] + poles[right[both]])
+    w_mid = alpha - beta * mid + np.sum(weights / (mid[:, None] - poles), axis=1)
+    origin[both] = np.where(w_mid < 0.0, left[both], right[both])
+    from_right = origin == k
+    delta = poles - poles[origin][:, None]
+    far = np.where(from_right, delta[k, left], delta[k, right])
+    others = np.where(np.arange(m) == origin[:, None], 0.0, weights)
+    z_o = weights[origin]
+    c0 = alpha - beta * poles[origin]
+    # past an end pole |alpha - beta p| / beta + sqrt(Z / beta) bounds the root,
+    # because each term of the sum is at most Z / |mu - p| there
+    end = np.abs(c0) / beta + np.sqrt(np.sum(weights) / beta)
+    reach = np.where(both, 0.5 * np.abs(far), end)
+    lo = np.where(from_right, -reach, 0.0)
+    hi = np.where(from_right, 0.0, reach)
+    tau = 0.5 * (lo + hi)
+    if m > 1:
+        # an end root starts at most one neighbouring gap from its pole
+        tau[0] = max(tau[0], poles[0] - poles[1])
+        if count > m:
+            tau[m] = min(tau[m], poles[-1] - poles[-2])
+    eps = np.finfo(float).eps
+    done = np.zeros(count, dtype=bool)
+    for _ in range(64):
+        d = tau[:, None] - delta
+        t, t_o = others / d, z_o / tau
+        w = c0 - beta * tau + t_o + np.sum(t, axis=1)
+        terms = np.abs(c0) + beta * np.abs(tau) + np.abs(t_o) + np.sum(np.abs(t), axis=1)
+        lo, hi = np.where(w > 0.0, tau, lo), np.where(w < 0.0, tau, hi)
+        rest = np.sum(t / d, axis=1) + beta
+        d_far = np.where(both, tau - far, 1.0)
+        z_far = np.where(both, rest * d_far * d_far, 0.0)
+        c = w - t_o - z_far / d_far
+        # the model's root: c (eta + tau) (eta + d_far) + z_o (eta + d_far) +
+        # z_far (eta + tau) = 0 between poles, (c - rest eta) (eta + tau) + z_o = 0
+        # past an end pole
+        qa = np.where(both, c, -rest)
+        qb = np.where(both, c * (tau + d_far) + z_o + z_far, c - rest * tau)
+        qc = tau * d_far * w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+            nxt = tau + np.stack([qc / q, q / qa])
+            inside = (nxt > lo) & (nxt < hi)
+        nxt = np.where(inside[0], nxt[0], np.where(inside[1], nxt[1], 0.5 * (lo + hi)))
+        done |= (np.abs(w) <= 8.0 * eps * terms) | (nxt == tau)
+        if done.all():
+            return poles[origin] + tau, tau[:, None] - delta
+        tau = np.where(done, tau, nxt)
+    raise NoConvergence(f"{np.count_nonzero(~done)} secular roots did not converge")
+
+
+def _spectrum_secular(op, interior, k_window):
+    """The window of :func:`floer_spectrum` from the interior eigenpairs.
+
+    With ``V`` the interior eigenvectors, the border of ``K2`` and ``M``
+    (their last columns ``[b; c]`` and ``[e; d]``) enters as ``g = V^T b`` and
+    ``f = V^T e``.  Eliminating ``f`` leaves an arrowhead pencil: with ``r =
+    g - lam f``, ``beta = d - f^T f`` (the Schur complement of ``M``) and
+    ``alpha = c - 2 r^T f - sum lam_i f_i^2``, the squared eigenvalues are
+    the roots of ``alpha - beta mu + sum r_i^2 / (mu - lam_i)``, one between
+    each two poles, with vectors ``[V (r / (mu - lam) - f); 1]``.  A
+    coupling ``r_i`` at rounding level deflates to the exact pair
+    ``(lam_i, [V e_i; 0])``.  The Ritz step of :func:`_ritz_window` gives the
+    signed window; the inertia count at its cut certifies that no value was
+    missed, or raises :class:`NoConvergence`.
+    """
+    lam, v = interior
+    rows_b, b, c = _last_column(op.square_stiffness)
+    rows_e, e, d = _last_column(op.mass)
+    g, f = v[rows_b].T @ b, v[rows_e].T @ e
+    r = g - lam * f
+    beta = d - f @ f
+    alpha = c - 2.0 * (r @ f) - lam @ (f * f)
+    # rounding level of the arrowhead [[lam, r / sqrt(beta)], [., alpha / beta]]
+    scale = max(np.max(np.abs(lam)), abs(alpha) / beta, np.linalg.norm(r) / np.sqrt(beta))
+    coupled = np.abs(r) > 8.0 * np.finfo(float).eps * np.sqrt(beta) * scale
+    decoupled = np.flatnonzero(~coupled)
+    n_req = min(k_window + 6, op.dim)
+    while True:
+        # root k is the (k+1)-th smallest among the coupled values, so the
+        # first n_req roots and deflated values hold the n_req smallest
+        mus, diff = _secular_roots(
+            lam[coupled], r[coupled] ** 2, alpha, beta, min(n_req, np.count_nonzero(coupled) + 1)
+        )
+        u = r[coupled] / diff
+        coef = np.zeros((op.dim, mus.size + min(n_req, decoupled.size)))
+        coef[:-1, : mus.size] = -f[:, None]
+        coef[np.flatnonzero(coupled), : mus.size] += u.T
+        coef[-1, : mus.size] = 1.0
+        coef[:, : mus.size] /= np.sqrt(np.sum(u * u, axis=1) + beta)
+        kept = decoupled[:n_req]
+        coef[kept, mus.size + np.arange(kept.size)] = 1.0
+        mus = np.concatenate([mus, lam[kept]])
+        order = np.argsort(mus, kind="stable")[:n_req]
+        mus, coef = mus[order], coef[:, order]
+        found = _ritz_window(op, mus, np.vstack([v @ coef[:-1], coef[-1:]]), k_window)
+        if found is not None:
+            break
+        n_req = min(2 * n_req, op.dim)
+    window, size = found
+    if size < op.dim:
+        count = _count_below(op, 0.5 * (mus[size - 1] + mus[size]))
+        if count != size:
+            raise NoConvergence(f"inertia count {count} below the cut: {count - size} missed")
+    return window
 
 
 def mass_normalized(op):

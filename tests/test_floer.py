@@ -313,22 +313,22 @@ class TestSpectrum:
         np.testing.assert_allclose(roots, ladder(s - q, 5), atol=1e-8)
 
     def test_large_grid_path_deterministic_and_consistent(self):
-        # above the dense cutoff the smallest squared eigenvalues come from
-        # the iterative solver; it must reproduce itself and the dense route
-        op = assemble_floer_operator(FloerConfig.zero(0.8, 128))
-        assert op.dim > floer._DENSE_CUTOFF
-        w1 = floer_spectrum(op, 5)
-        w2 = floer_spectrum(op, 5)
+        # the pencil's windows come from secular roots on the interior
+        # eigenpairs; they must reproduce themselves and the dense route
+        pencil = FloerPencil(FloerConfig.zero(0.8, 128))
+        w1 = pencil.spectrum(0.8, 5)
+        w2 = pencil.spectrum(0.8, 5)
         np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_allclose(w1, floer._spectrum_dense(op, 5), atol=1e-9)
+        np.testing.assert_allclose(w1, floer_spectrum(pencil.at(0.8), 5), atol=1e-9)
 
-    def test_full_window_above_the_cutoff(self):
-        # ARPACK needs slack beyond the window; without it the dense route runs
-        op = assemble_floer_operator(FloerConfig.zero(0.8, 101))
-        assert op.dim > floer._DENSE_CUTOFF
-        np.testing.assert_array_equal(
-            floer_spectrum(op, op.dim), floer._spectrum_dense(op, op.dim)
-        )
+    def test_full_window_from_the_secular_roots(self):
+        # the secular route needs no slack beyond the window: a full window
+        # takes every root, the one above the last interior eigenvalue too
+        pencil = FloerPencil(FloerConfig.zero(0.8, 101))
+        op = pencil.at(0.8)
+        w = pencil.spectrum(0.8, op.dim)
+        np.testing.assert_array_equal(w, pencil.spectrum(0.8, op.dim))
+        np.testing.assert_allclose(w, floer_spectrum(op, op.dim), rtol=0.0, atol=1e-9)
 
     @staticmethod
     def _count_full_solves(monkeypatch, dim):
@@ -348,7 +348,7 @@ class TestSpectrum:
     def test_dense_window_is_one_solve(self, monkeypatch):
         op = assemble_floer_operator(FloerConfig.constant(1.5 - 0.7j, 1.0, 48))
         calls = self._count_full_solves(monkeypatch, op.dim)
-        w = floer._spectrum_dense(op, 5)
+        w = floer_spectrum(op, 5)
         assert calls == [(0, 10)]
         # where the block is cut does not matter: a Ritz step on twice as
         # many squared-pencil vectors gives the same window
@@ -386,29 +386,77 @@ class TestSpectrum:
     def test_mirror_tie_takes_the_negative_value(self, s, k_window):
         # a = 0 puts s + k*pi at the window's edge as a +-lam pair: both
         # routes keep the negative one, whichever roundoff made smaller
-        op = assemble_floer_operator(FloerConfig.zero(s, 8))
-        w = floer._spectrum_shift_invert(op, k_window)
-        np.testing.assert_allclose(w, floer._spectrum_dense(op, k_window), rtol=0.0, atol=1e-12)
+        pencil = FloerPencil(FloerConfig.zero(s, 8))
+        w = pencil.spectrum(s, k_window)
+        np.testing.assert_allclose(
+            w, floer_spectrum(pencil.at(s), k_window), rtol=0.0, atol=1e-12
+        )
         assert w[0] == -np.max(np.abs(w))
 
     def test_dropped_eigenpair_is_counted(self, monkeypatch):
-        # an ARPACK run that skips a value would shift the window silently;
-        # the inertia count at the cut sees one value more than the block
-        op = assemble_floer_operator(FloerConfig.zero(0.8, 128))
-        real_eigsh = scipy.sparse.linalg.eigsh
+        # a lost secular root would shift the window silently; the inertia
+        # count at the cut sees one value more than the block
+        pencil = FloerPencil(FloerConfig.zero(0.8, 128))
+        op = pencil.at(0.8)
+        real_roots = floer._secular_roots
         calls = []
 
-        def dropping(*args, **kwargs):
-            calls.append(kwargs["k"])
-            mus, vecs = real_eigsh(*args, **kwargs)
-            keep = np.argsort(mus)[np.arange(mus.size) != 1]
-            return mus[keep], vecs[:, keep]
+        def dropping(poles, weights, alpha, beta, count):
+            calls.append(count)
+            mus, diff = real_roots(poles, weights, alpha, beta, count)
+            keep = np.arange(mus.size) != 1
+            return mus[keep], diff[keep]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", dropping)
+        monkeypatch.setattr(floer, "_secular_roots", dropping)
         with pytest.raises(NoConvergence, match="1 missed"):
-            floer._spectrum_shift_invert(op, 5)
-        np.testing.assert_array_equal(floer_spectrum(op, 5), floer._spectrum_dense(op, 5))
+            floer._spectrum_secular(op, pencil.interior, 5)
+        np.testing.assert_array_equal(pencil.spectrum(0.8, 5), floer_spectrum(op, 5))
         assert calls == [11, 11]
+
+    @pytest.mark.parametrize("grid_m", [48, 96, 400])
+    @pytest.mark.parametrize("s", [0.0, np.pi, 2.0 * np.pi])
+    def test_decoupled_interior_modes_deflate(self, monkeypatch, grid_m, s):
+        # for a = 0 with the end lines parallel, half the interior modes do
+        # not reach the last dof: their couplings are rounding noise and
+        # deflate to exact eigenpairs of the interior
+        pencil = FloerPencil(FloerConfig.zero(s, grid_m))
+        real_roots = floer._secular_roots
+        poles = []
+
+        def recording(*args):
+            poles.append(args[0].size)
+            return real_roots(*args)
+
+        monkeypatch.setattr(floer, "_secular_roots", recording)
+        w = pencil.spectrum(s, 5)
+        assert poles and max(poles) < 2 * grid_m - 1 - grid_m // 2
+        np.testing.assert_allclose(
+            w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12
+        )
+
+    @staticmethod
+    def _count_interior_solves(monkeypatch, dim):
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (dim - 1, dim - 1):
+                calls.append(1)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_one_interior_solve_per_coefficient(self, monkeypatch):
+        cfg = FloerConfig(smooth_coefficient(3, 24), 0.0, 24)
+        calls = self._count_interior_solves(monkeypatch, 2 * 24)
+        pencil = FloerPencil(cfg)
+        windows = [pencil.spectrum(float(s), 5) for s in np.linspace(0.0, 2.0 * np.pi, 64)]
+        assert len(calls) == 1
+        assert spectral_flow(windows) == 2
+        calls.clear()
+        rho_continuity_profile(cfg, np.linspace(0.0, 0.4, 5))
+        assert calls == []
 
 
 def smooth_coefficient(seed, grid_m):
@@ -435,11 +483,10 @@ class TestSmoothSweep:
 
     @pytest.fixture(scope="class")
     def family(self):
+        # the route run_floer takes: one pencil, secular windows per angle
         a = smooth_coefficient(6, self.GRID)
-        return a, [
-            floer_spectrum(assemble_floer_operator(FloerConfig(a, float(s), self.GRID)), 5)
-            for s in self.SWEEP
-        ]
+        pencil = FloerPencil(FloerConfig(a, 0.0, self.GRID))
+        return a, [pencil.spectrum(float(s), 5) for s in self.SWEEP]
 
     def test_every_window_matches_shooting(self, family):
         a, windows = family

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from fredlab import floer
 from fredlab.errors import FredlabError
-from fredlab.floer import DiscretizedOperator, FloerConfig, assemble_floer_operator, floer_spectrum
+from fredlab.floer import (
+    Coupling,
+    DiscretizedOperator,
+    FloerConfig,
+    FloerPencil,
+    assemble_floer_operator,
+    floer_spectrum,
+)
 
 DIM = 24
 
@@ -39,13 +46,13 @@ def _dense_mus(op):
 
 
 def _certified_or_typed(op, k_window):
-    """ARPACK window on ``op``, which passed the count, so it equals the dense
-    one; a typed error is the other legal end."""
+    """Secular window on ``op``, which passed the count, so it equals the
+    dense one; a typed error is the other legal end."""
     try:
-        w = floer._spectrum_shift_invert(op, k_window)
+        w = floer._spectrum_secular(op, floer._interior_pairs(op), k_window)
     except FredlabError:
         return
-    np.testing.assert_allclose(w, floer._spectrum_dense(op, k_window), rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(w, floer_spectrum(op, k_window), rtol=0.0, atol=1e-8)
 
 
 amplitude = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -111,3 +118,30 @@ def test_inertia_count_matches_the_dense_count(amps, s, slot, frac):
     except FredlabError:
         return
     assert count == np.count_nonzero(mus < cut)
+
+
+@settings(max_examples=60)
+@given(
+    amps=st.lists(amplitude, min_size=1, max_size=3),
+    coupling=st.sampled_from(list(Coupling)),
+    grid_m=st.integers(8, 16),
+    s=st.one_of(
+        st.sampled_from([0.0, np.pi / 2.0, np.pi, 2.0 * np.pi]), st.floats(0.0, 2.0 * np.pi)
+    ),
+    k_frac=st.floats(0.0, 1.0),
+)
+def test_pencil_window_equals_the_dense_window(amps, coupling, grid_m, s, k_frac):
+    # k_window runs from 1 to dim: the top windows take the root above the
+    # last interior eigenvalue, and degenerate slack widens the block
+    t = np.linspace(0.0, 1.0, grid_m + 1)
+    a = sum(amp * np.cos((k + 1) * np.pi * t) for k, amp in enumerate(amps))
+    if coupling is Coupling.LINEAR_IMAGINARY:
+        a = 1j * np.imag(a)
+    k_window = 1 + round(k_frac * (2 * grid_m - 1))
+    try:
+        pencil = FloerPencil(FloerConfig(np.asarray(a, dtype=complex), 0.0, grid_m, coupling))
+        w = pencil.spectrum(s, k_window)
+        dense = floer_spectrum(pencil.at(s), k_window)
+    except FredlabError:
+        return
+    np.testing.assert_allclose(w, dense, rtol=0.0, atol=1e-9)
