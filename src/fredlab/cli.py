@@ -165,7 +165,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     # one pencil for the oracle angles and the sweep: only the border depends on s
     cfg = floer.FloerConfig(samples, 0.0, grid_m)
     pencil = floer.FloerPencil(cfg)
-    windows = [pencil.spectrum(s, WINDOW) for s in ORACLE_ANGLES]
+    windows = list(pencil.spectra(ORACLE_ANGLES, WINDOW))
     # one batch: the Prufer angle does not depend on s, so one config serves all
     oracle = floer.shooting_eigenvalues(
         cfg,
@@ -182,7 +182,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
             )
 
     sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
-    flow = floer.spectral_flow(pencil.spectrum(float(s), WINDOW) for s in sweep)
+    flow = floer.spectral_flow(pencil.spectra(sweep, WINDOW))
     # the profile needs no spectra: free the interior eigenvectors first
     del pencil
     rows.append(

@@ -281,6 +281,12 @@ def _element_blocks(cfg):
     return np.stack([k_e, m_e, k2_e])
 
 
+#: Angles per block of :meth:`FloerPencil.spectra`.  It bounds the
+#: ``(angles, roots, poles)`` arrays of one secular solve, about 16 times
+#: ``11 x 800`` values at grid 400.
+_BLOCK_ANGLES = 16
+
+
 @dataclass(frozen=True, eq=False)
 class FloerPencil:
     """Piecewise-linear element discretization of ``J u' + C(t) u`` for one
@@ -288,8 +294,10 @@ class FloerPencil:
 
     The angle enters only through the weights of the last dof, so the
     element blocks (all the quadrature) and the CSC pattern of the node dof
-    table are built once; :meth:`at` rebuilds only the data, and
-    :meth:`spectrum` reads each window off one eigendecomposition of the
+    table are built once; :meth:`at` rebuilds only the data.  The last dof
+    borders a fixed interior, and its border is a closed form in the last
+    element's blocks and ``v1(s)``, so :meth:`spectra` builds no operator per
+    angle: it reads blocks of windows off one eigendecomposition of the
     interior.  The dof table keeps one scalar coordinate at each endpoint,
     along its boundary line.
     ``cfg``'s own angle is not used.  A coefficient near the float limit
@@ -307,35 +315,60 @@ class FloerPencil:
         object.__setattr__(self, "blocks", _element_blocks(self.cfg))
         object.__setattr__(self, "pattern", _DofPattern.of(dof, self.cfg.grid_m))
 
+    def _summed(self, blocks, s):
+        """``blocks`` weighted by the dof table at angle ``s`` and summed."""
+        _, weight = _node_dofs(self.cfg.grid_m, s)
+        w = weight[self.pattern.coords]
+        return self.pattern.csc((blocks * w[:, :, None]) * w[:, None, :])
+
     @np.errstate(over="ignore", invalid="ignore")
     def at(self, s):
         """The discretized operator at boundary angle ``s``."""
-        cfg = self.cfg.with_angle(s)
-        _, weight = _node_dofs(cfg.grid_m, cfg.s)
-        w = weight[self.pattern.coords]
-        values = (self.blocks * w[:, :, None]) * w[:, None, :]
-        return DiscretizedOperator(*(self.pattern.csc(v) for v in values))
+        s = self.cfg.with_angle(s).s
+        return DiscretizedOperator(*(self._summed(x, s) for x in self.blocks))
 
     @cached_property
     def interior(self):
-        """The interior eigenpairs (see :func:`_interior_pairs`), computed on
-        first use: the angle does not reach them."""
-        return _interior_pairs(self.at(0.0))
+        """The interior of the pencil (see :func:`_interior_pairs`), computed
+        on first use: the angle does not reach it.  The full check of
+        :meth:`at` runs here, once."""
+        dof, _ = _node_dofs(self.cfg.grid_m, 0.0)
+        return _interior_pairs(self.at(0.0), dof[self.pattern.coords[-1, :2]])
 
-    def spectrum(self, s, k_window):
-        """The ``k_window`` eigenvalues nearest zero at angle ``s``, ascending.
+    def spectra(self, angles, k_window):
+        """The ``k_window`` eigenvalues nearest zero at each of ``angles``,
+        each window ascending, yielded in input order.
 
-        The same window as :func:`floer_spectrum` of :meth:`at`, from the
-        squared eigenpairs of the interior bordered by the last dof (see
-        :func:`_spectrum_secular`); a block that fails its inertia count, or
-        roots that do not converge, send the window to the dense route.
+        The same windows as :func:`floer_spectrum` of :meth:`at`, computed
+        ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows`, so
+        ``angles`` may be any iterable and is read one block ahead.  An angle
+        whose window fails its inertia count, or whose roots do not converge,
+        alone takes the dense route.
         """
-        op = self.at(s)
-        k_window = _window_size(k_window, op.dim)
-        try:
-            return _spectrum_secular(op, self.interior, k_window)
-        except NoConvergence:
-            return floer_spectrum(op, k_window)
+        k_window = _window_size(k_window, self.interior.lam.size + 1)
+        angles = iter(angles)
+        while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
+            for si, w in zip(s, self._windows(s, k_window)):
+                yield floer_spectrum(self.at(si), k_window) if isinstance(w, NoConvergence) else w
+
+    def _windows(self, s, k_window):
+        """:func:`_bordered_windows` at the angles ``s``, each checked to lie in
+        ``[0, 2 pi]``.  The border at ``s`` is ``b = X[0:2, 2:4] v1`` and ``c =
+        v1^T X[2:4, 2:4] v1`` for each last-element block ``X`` of ``K``, ``M``
+        and ``K2``, with ``v1 = (cos s, -sin s)``: no operator is built."""
+        outside = ~((s >= 0.0) & (s <= 2.0 * np.pi))
+        if outside.any():
+            raise InvalidConfig(f"boundary angle {s[outside][0]} outside [0, 2*pi]")
+        last = self.blocks[:, -1]
+        v1 = np.stack([np.cos(s), -np.sin(s)], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = np.einsum("xij,aj->xai", last[:, :2, 2:], v1)
+            diag = np.einsum("ai,xij,aj->xa", v1, last[:, 2:, 2:], v1)
+
+        def shifted(i, cut):
+            return self._summed(self.blocks[2] - cut * self.blocks[1], s[i])
+
+        return _bordered_windows(self.interior, cols, diag, k_window, shifted)
 
 
 def assemble_floer_operator(cfg):
@@ -350,43 +383,43 @@ _DEGENERACY_RTOL = 1e-5
 _MIRROR_RTOL = 1e-10
 
 
-def _ritz_window(op, mus, vecs, k_window):
-    """One Rayleigh-Ritz step of the first-order pencil on a retrieved block.
+def _cut(mus, k_window, dim):
+    """Ritz block size for each row of ``mus``, the smallest squared eigenvalues
+    of one operator, ascending.
 
-    ``mus`` (ascending) and mass-orthonormal ``vecs`` are the smallest squared
-    eigenpairs.  The block ends in the widest gap of ``mus[k_window - 1:]``
-    (at the spectrum's end if all is at hand and no gap is open), so no ``+-lam``
-    pair is split.  Returns the ``k_window`` Ritz values nearest zero (negative
-    first where ``|lam|`` ties within ``_MIRROR_RTOL``, so roundoff never picks
-    the sign of a mirror pair) and the block size, or ``None`` if no gap is open.
+    The block ends in the widest gap of ``mus[k_window - 1:]``, so no ``+-lam``
+    pair is split, or at the spectrum's end if all of it is at hand and no gap
+    is open; 0 means that the row needs more values.
     """
-    gaps = np.diff(mus[k_window - 1 :])
-    if gaps.size and gaps.max() > _DEGENERACY_RTOL * max(1.0, float(mus[-1])):
-        size = k_window + int(np.argmax(gaps))
-    elif mus.size == op.dim:
-        size = op.dim
-    else:
-        return None
-    v = vecs[:, :size]
-    ritz = scipy.linalg.eigh(v.T @ (op.stiffness @ v), v.T @ (op.mass @ v), eigvals_only=True)
+    gaps = np.diff(mus[:, k_window - 1 :], axis=1)
+    widest = np.argmax(gaps, axis=1) if gaps.shape[1] else 0
+    gap_open = np.max(gaps, axis=1, initial=0.0) > _DEGENERACY_RTOL * np.maximum(1.0, mus[:, -1])
+    return np.where(gap_open, k_window + widest, dim if mus.shape[1] == dim else 0)
+
+
+def _nearest(ritz, k_window):
+    """The ``k_window`` values nearest zero of each row of ``ritz``, ascending.
+
+    Where ``|lam|`` ties at the window's edge within ``_MIRROR_RTOL`` the
+    negative value is kept, so roundoff never picks the sign of a mirror pair.
+    """
     mag = np.abs(ritz)
-    edge = np.sort(mag)[k_window - 1]
-    tied = np.abs(mag - edge) <= _MIRROR_RTOL * max(1.0, float(edge))
-    order = np.lexsort((ritz, np.where(tied, edge, mag)))
-    return np.sort(ritz[order[:k_window]]), size
+    edge = np.sort(mag, axis=1)[:, k_window - 1 : k_window]
+    tied = np.abs(mag - edge) <= _MIRROR_RTOL * np.maximum(1.0, edge)
+    order = np.lexsort((ritz, np.where(tied, edge, mag)), axis=1)
+    return np.sort(np.take_along_axis(ritz, order[:, :k_window], axis=1), axis=1)
 
 
-def _count_below(op, cut):
-    """Number of squared eigenvalues below ``cut``: the negative inertia of
-    ``K2 - cut M`` (Sylvester), read off the pivots of an unpivoted LDL^T."""
+def _count_below(shifted, cut):
+    """Number of squared eigenvalues below ``cut``, given ``shifted = K2 - cut M``
+    in CSC: its negative inertia (Sylvester), read off the pivots of an
+    unpivoted LDL^T."""
     options = {"SymmetricMode": True}
     try:
-        lu = scipy.sparse.linalg.splu(
-            op.square_stiffness - cut * op.mass, "NATURAL", diag_pivot_thresh=0.0, options=options
-        )
+        lu = scipy.sparse.linalg.splu(shifted, "NATURAL", diag_pivot_thresh=0.0, options=options)
     except RuntimeError as exc:  # an exactly zero pivot
         raise NoConvergence(f"inertia count at {cut:.6g} failed: {exc}") from exc
-    if np.any(lu.perm_r != np.arange(op.dim)):
+    if np.any(lu.perm_r != np.arange(shifted.shape[0])):
         raise NoConvergence(f"inertia count at {cut:.6g} needed row pivoting")
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
@@ -405,11 +438,11 @@ def floer_spectrum(op, k_window):
     squares of the wanted eigenvalues and carry no contribution from the
     sawtooth branch of the first-order stencil.  One Rayleigh-Ritz step of
     the first-order form on their vectors, cut at the widest gap beyond the
-    window, gives the signed values and keeps ``+-lam`` pairs together.
-    LAPACK selects the subset by index with Sturm counts, so it is certified
-    to be the smallest; a degenerate slack widens it.  This is the route for
-    a single operator, and the oracle and fallback of
-    :meth:`FloerPencil.spectrum`.
+    window (:func:`_cut`), gives the signed values and keeps ``+-lam`` pairs
+    together (:func:`_nearest`).  LAPACK selects the subset by index with
+    Sturm counts, so it is certified to be the smallest; a degenerate slack
+    widens it.  This is the route for a single operator, and the oracle and
+    fallback of :meth:`FloerPencil.spectra`.
     """
     k_window = _window_size(k_window, op.dim)
     k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
@@ -419,24 +452,29 @@ def floer_spectrum(op, k_window):
         mus, vecs = scipy.linalg.eigh(
             k2, mass, subset_by_index=(0, n_req - 1), check_finite=False
         )
-        found = _ritz_window(op, mus, vecs, k_window)
-        if found is not None:
-            return found[0]
+        (size,) = _cut(mus[None], k_window, op.dim)
+        if size:
+            break
         n_req = min(2 * n_req, op.dim)
+    v = vecs[:, :size]
+    ritz = scipy.linalg.eigh(v.T @ (op.stiffness @ v), v.T @ (op.mass @ v), eigvals_only=True)
+    return _nearest(ritz[None], k_window)[0]
 
 
-def _last_column(x):
-    """Rows above the diagonal, their entries, and the diagonal entry of the
-    last column of a CSC matrix."""
-    lo, hi = x.indptr[-2:]
-    rows, vals = x.indices[lo:hi], x.data[lo:hi]
-    border = rows < x.shape[0] - 1
-    return rows[border], vals[border], float(np.sum(vals[~border]))
+class _Interior(NamedTuple):
+    """An operator cut at its last dof: the generalized eigenpairs ``(lam, v)``,
+    ``v^T M v = I``, of ``K2`` and ``M`` on all other dofs, the same blocks of
+    ``K`` and ``M``, and the ``rows`` of the interior that the border reaches."""
+
+    lam: np.ndarray
+    v: np.ndarray
+    stiffness: scipy.sparse.csc_array
+    mass: scipy.sparse.csc_array
+    rows: np.ndarray
 
 
-def _interior_pairs(op):
-    """``(lam, V)``, ``V^T M V = I``: the generalized eigenpairs of ``K2`` and
-    ``M`` on all dofs but the last.
+def _interior_pairs(op, rows):
+    """The :class:`_Interior` of ``op``, whose border reaches ``rows``.
 
     The band Cholesky factor ``U`` of the interior mass reduces the pencil to
     ``U^-T K2 U^-1`` by band solves (LAPACK's ``sygst``), and its eigenvectors
@@ -445,7 +483,8 @@ def _interior_pairs(op):
     second BLAS, whose thread buffers raised the peak RSS of a default
     ``floer`` run from 115 to 119 MB.
     """
-    upper = scipy.linalg.cholesky_banded(_upper_band(op.mass[:-1, :-1]))
+    mass = op.mass[:-1, :-1]
+    upper = scipy.linalg.cholesky_banded(_upper_band(mass))
     solve = scipy.linalg.lapack.dtbtrs
     k2 = op.square_stiffness[:-1, :-1].toarray(order="F")
     half, _ = solve(upper, k2, trans="T", overwrite_b=1)
@@ -454,62 +493,67 @@ def _interior_pairs(op):
     lam, w = np.linalg.eigh(full)
     del full
     v, _ = solve(upper, np.asfortranarray(w), overwrite_b=1)
-    return lam, v
+    return _Interior(lam, v, op.stiffness[:-1, :-1], mass, np.asarray(rows))
 
 
 def _secular_roots(poles, weights, alpha, beta, count):
     """The ``count`` smallest roots of ``w(mu) = alpha - beta mu + sum_j
-    weights_j / (mu - poles_j)``, with ``diff[k, j] = mu_k - poles_j``.
+    weights_j / (mu - poles_j)`` at each angle, with ``diff[a, k, j] = mu[a, k]
+    - poles_j``.
 
-    ``poles`` ascend and ``weights`` and ``beta`` are positive, so ``w``
-    decreases strictly between poles and root ``k`` is the one between poles
-    ``k - 1`` and ``k``.  Each root is sought as an offset ``tau`` from its
-    nearer pole, so ``diff`` carries no cancellation, by fixed-weight steps
-    as in LAPACK's ``dlaed4``: the model keeps that pole with its own weight
-    and matches ``w'`` with one more pole at the bracket's far end (past an
-    end pole, with a slope).  A step that leaves the bracket bisects it, and
-    a root stops once ``|w|`` is within the rounding bound of its evaluation.
+    The angles (the leading axis of ``weights``, ``alpha`` and ``beta``) share
+    the ``poles``.  These ascend and ``weights`` and ``beta`` are positive, so
+    ``w`` decreases strictly between poles and root ``k`` is the one between
+    poles ``k - 1`` and ``k``.  Each root is sought as an offset ``tau`` from
+    its nearer pole, so ``diff`` carries no cancellation, by fixed-weight
+    steps as in LAPACK's ``dlaed4``: the model keeps that pole with its own
+    weight and matches ``w'`` with one more pole at the bracket's far end
+    (past an end pole, with a slope).  A step that leaves the bracket bisects
+    it, and a root stops once ``|w|`` is within the rounding bound of its
+    evaluation; its offset then stays while the other roots go on.
     """
-    m = poles.size
+    m, n_ang = poles.size, alpha.size
     if m == 0:
-        return np.array([alpha / beta]), np.zeros((1, 0))
+        return (alpha / beta)[:, None], np.zeros((n_ang, 1, 0))
     if np.any(np.diff(poles) <= 0.0):
         raise NoConvergence("two coupled interior eigenvalues coincide")
     k = np.arange(count)
     left, right = np.maximum(k - 1, 0), np.minimum(k, m - 1)
     both = (k > 0) & (k < m)
+    alpha, beta = alpha[:, None], beta[:, None]
     # between two poles the sign of w at the middle picks the nearer one
-    origin = right.copy()
+    origin = np.repeat(right[None], n_ang, axis=0)
     mid = 0.5 * (poles[left[both]] + poles[right[both]])
-    w_mid = alpha - beta * mid + np.sum(weights / (mid[:, None] - poles), axis=1)
-    origin[both] = np.where(w_mid < 0.0, left[both], right[both])
+    w_mid = alpha - beta * mid + np.sum(weights[:, None, :] / (mid[:, None] - poles), axis=2)
+    origin[:, both] = np.where(w_mid < 0.0, left[both], right[both])
     from_right = origin == k
-    delta = poles - poles[origin][:, None]
-    far = np.where(from_right, delta[k, left], delta[k, right])
-    others = np.where(np.arange(m) == origin[:, None], 0.0, weights)
-    z_o = weights[origin]
-    c0 = alpha - beta * poles[origin]
+    p_o = poles[origin]
+    delta = poles - p_o[:, :, None]
+    far = np.where(from_right, poles[left] - p_o, poles[right] - p_o)
+    others = np.where(np.arange(m) == origin[:, :, None], 0.0, weights[:, None, :])
+    z_o = np.take_along_axis(weights, origin, axis=1)
+    c0 = alpha - beta * p_o
     # past an end pole |alpha - beta p| / beta + sqrt(Z / beta) bounds the root,
     # because each term of the sum is at most Z / |mu - p| there
-    end = np.abs(c0) / beta + np.sqrt(np.sum(weights) / beta)
+    end = np.abs(c0) / beta + np.sqrt(np.sum(weights, axis=1, keepdims=True) / beta)
     reach = np.where(both, 0.5 * np.abs(far), end)
     lo = np.where(from_right, -reach, 0.0)
     hi = np.where(from_right, 0.0, reach)
     tau = 0.5 * (lo + hi)
     if m > 1:
         # an end root starts at most one neighbouring gap from its pole
-        tau[0] = max(tau[0], poles[0] - poles[1])
+        tau[:, 0] = np.maximum(tau[:, 0], poles[0] - poles[1])
         if count > m:
-            tau[m] = min(tau[m], poles[-1] - poles[-2])
+            tau[:, m] = np.minimum(tau[:, m], poles[-1] - poles[-2])
     eps = np.finfo(float).eps
-    done = np.zeros(count, dtype=bool)
+    done = np.zeros(tau.shape, dtype=bool)
     for _ in range(64):
-        d = tau[:, None] - delta
+        d = tau[:, :, None] - delta
         t, t_o = others / d, z_o / tau
-        w = c0 - beta * tau + t_o + np.sum(t, axis=1)
-        terms = np.abs(c0) + beta * np.abs(tau) + np.abs(t_o) + np.sum(np.abs(t), axis=1)
+        w = c0 - beta * tau + t_o + np.sum(t, axis=2)
+        terms = np.abs(c0) + beta * np.abs(tau) + np.abs(t_o) + np.sum(np.abs(t), axis=2)
         lo, hi = np.where(w > 0.0, tau, lo), np.where(w < 0.0, tau, hi)
-        rest = np.sum(t / d, axis=1) + beta
+        rest = np.sum(t / d, axis=2) + beta
         d_far = np.where(both, tau - far, 1.0)
         z_far = np.where(both, rest * d_far * d_far, 0.0)
         c = w - t_o - z_far / d_far
@@ -526,65 +570,135 @@ def _secular_roots(poles, weights, alpha, beta, count):
         nxt = np.where(inside[0], nxt[0], np.where(inside[1], nxt[1], 0.5 * (lo + hi)))
         done |= (np.abs(w) <= 8.0 * eps * terms) | (nxt == tau)
         if done.all():
-            return poles[origin] + tau, tau[:, None] - delta
+            return p_o + tau, tau[:, :, None] - delta
         tau = np.where(done, tau, nxt)
     raise NoConvergence(f"{np.count_nonzero(~done)} secular roots did not converge")
 
 
-def _spectrum_secular(op, interior, k_window):
-    """The window of :func:`floer_spectrum` from the interior eigenpairs.
+def _bordered_pairs(interior, r, f, alpha, beta, coupled, n_req):
+    """The ``n_req`` smallest squared eigenpairs at a group of angles that
+    share the mask ``coupled``: ascending ``mus``, and the interior parts ``x``
+    and last entries ``t`` of the M-orthonormal vectors, one row each.
 
-    With ``V`` the interior eigenvectors, the border of ``K2`` and ``M``
-    (their last columns ``[b; c]`` and ``[e; d]``) enters as ``g = V^T b`` and
-    ``f = V^T e``.  Eliminating ``f`` leaves an arrowhead pencil: with ``r =
-    g - lam f``, ``beta = d - f^T f`` (the Schur complement of ``M``) and
-    ``alpha = c - 2 r^T f - sum lam_i f_i^2``, the squared eigenvalues are
-    the roots of ``alpha - beta mu + sum r_i^2 / (mu - lam_i)``, one between
-    each two poles, with vectors ``[V (r / (mu - lam) - f); 1]``.  A
-    coupling ``r_i`` at rounding level deflates to the exact pair
-    ``(lam_i, [V e_i; 0])``.  The Ritz step of :func:`_ritz_window` gives the
-    signed window; the inertia count at its cut certifies that no value was
-    missed, or raises :class:`NoConvergence`.
+    The roots of the coupled modes have vectors ``[V (r / (mu - lam) - f); 1]``
+    and each decoupled mode the exact pair ``(lam_i, [V e_i; 0])``.  Root ``k``
+    is the ``(k+1)``-th smallest among the coupled values, so the first
+    ``n_req`` roots and deflated values hold the ``n_req`` smallest.  The
+    vectors of all angles come from one product with ``V``.
     """
-    lam, v = interior
-    rows_b, b, c = _last_column(op.square_stiffness)
-    rows_e, e, d = _last_column(op.mass)
-    g, f = v[rows_b].T @ b, v[rows_e].T @ e
+    lam, n = interior.lam, interior.lam.size
+    on, off = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    mus, diff = _secular_roots(lam[on], r[:, on] ** 2, alpha, beta, min(n_req, on.size + 1))
+    n_ang, n_roots = mus.shape
+    u = r[:, None, on] / diff
+    norm = np.sqrt(np.sum(u * u, axis=2) + beta[:, None])
+    kept = off[:n_req]
+    coef = np.zeros((n_ang, n_roots + kept.size, n))
+    coef[:, :n_roots] = -f[:, None, :]
+    coef[:, :n_roots, on] += u
+    coef[:, :n_roots] /= norm[:, :, None]
+    coef[:, n_roots + np.arange(kept.size), kept] = 1.0
+    t = np.concatenate([1.0 / norm, np.zeros((n_ang, kept.size))], axis=1)
+    mus = np.concatenate([mus, np.broadcast_to(lam[kept], (n_ang, kept.size))], axis=1)
+    order = np.argsort(mus, axis=1, kind="stable")[:, :n_req]
+    coef = np.take_along_axis(coef, order[:, :, None], axis=1)
+    x = (coef.reshape(-1, n) @ interior.v.T).reshape(coef.shape)
+    return np.take_along_axis(mus, order, axis=1), x, np.take_along_axis(t, order, axis=1)
+
+
+def _grams(interior, cols, diag, x, t):
+    """Gram matrices of ``K`` and ``M`` on the vectors ``[x; t]``, per angle:
+    the interior blocks act on ``x``, the border on ``x[rows]`` and ``t``."""
+    flat = x.reshape(-1, x.shape[2])
+    tt = t[:, :, None] * t[:, None, :]
+    out = []
+    for block, col, d in zip((interior.stiffness, interior.mass), cols, diag):
+        inner = x @ (block @ flat.T).T.reshape(x.shape).transpose(0, 2, 1)
+        cross = (x[:, :, interior.rows] @ col[:, :, None]) * t[:, None, :]
+        out.append(inner + cross + cross.transpose(0, 2, 1) + d[:, None, None] * tt)
+    return out
+
+
+def _bordered_windows(interior, cols, diag, k_window, shifted):
+    """The windows of :func:`floer_spectrum` at a block of angles, from the
+    interior eigenpairs.
+
+    ``cols[x, a]`` is the border of ``K``, ``M`` and ``K2`` (``x`` = 0, 1, 2)
+    at angle ``a`` on ``interior.rows`` and ``diag[x, a]`` its last diagonal
+    entry; ``shifted(a, cut)`` is ``K2 - cut M`` at angle ``a`` in CSC.  With
+    ``V`` the interior eigenvectors, the border ``[b; c]`` of ``K2`` and
+    ``[e; d]`` of ``M`` enters as ``g = V^T b`` and ``f = V^T e``.  Eliminating
+    ``f`` leaves an arrowhead pencil: with ``r = g - lam f``, ``beta = d -
+    f^T f`` (the Schur complement of ``M``, positive exactly when ``M`` is,
+    as the interior mass is) and ``alpha = c - 2 r^T f - sum lam_i f_i^2``,
+    the squared eigenvalues are the roots of ``alpha - beta mu + sum r_i^2 /
+    (mu - lam_i)``, one between each two poles (see :func:`_bordered_pairs`).
+    A coupling ``r_i`` at rounding level deflates.  Angles with one mask of
+    coupled modes share a secular solve; an angle with no open gap (see
+    :func:`_cut`) goes round again with twice ``n_req``.  One Rayleigh-Ritz
+    step per block size, batched, gives the signed window (:func:`_nearest`),
+    and the inertia count at its cut certifies that no value was missed.
+    Returns one window per angle, or the :class:`NoConvergence` of an angle
+    whose roots or count failed.
+    """
+    lam, v = interior.lam, interior.v
+    dim = lam.size + 1
+    if not (np.all(np.isfinite(cols)) and np.all(np.isfinite(diag))):
+        raise InvalidConfig("border of stiffness, mass or square holds NaN or Inf")
+    edge = v[interior.rows]
+    g, f = cols[2] @ edge, cols[1] @ edge
     r = g - lam * f
-    beta = d - f @ f
-    alpha = c - 2.0 * (r @ f) - lam @ (f * f)
-    # rounding level of the arrowhead [[lam, r / sqrt(beta)], [., alpha / beta]]
-    scale = max(np.max(np.abs(lam)), abs(alpha) / beta, np.linalg.norm(r) / np.sqrt(beta))
-    coupled = np.abs(r) > 8.0 * np.finfo(float).eps * np.sqrt(beta) * scale
-    decoupled = np.flatnonzero(~coupled)
-    n_req = min(k_window + 6, op.dim)
-    while True:
-        # root k is the (k+1)-th smallest among the coupled values, so the
-        # first n_req roots and deflated values hold the n_req smallest
-        mus, diff = _secular_roots(
-            lam[coupled], r[coupled] ** 2, alpha, beta, min(n_req, np.count_nonzero(coupled) + 1)
+    beta = diag[1] - np.sum(f * f, axis=1)
+    if np.any(beta <= 0.0):
+        raise MassNotPositiveDefinite(
+            f"mass Schur complement {float(np.min(beta)):.3e} at the last dof"
         )
-        u = r[coupled] / diff
-        coef = np.zeros((op.dim, mus.size + min(n_req, decoupled.size)))
-        coef[:-1, : mus.size] = -f[:, None]
-        coef[np.flatnonzero(coupled), : mus.size] += u.T
-        coef[-1, : mus.size] = 1.0
-        coef[:, : mus.size] /= np.sqrt(np.sum(u * u, axis=1) + beta)
-        kept = decoupled[:n_req]
-        coef[kept, mus.size + np.arange(kept.size)] = 1.0
-        mus = np.concatenate([mus, lam[kept]])
-        order = np.argsort(mus, kind="stable")[:n_req]
-        mus, coef = mus[order], coef[:, order]
-        found = _ritz_window(op, mus, np.vstack([v @ coef[:-1], coef[-1:]]), k_window)
-        if found is not None:
-            break
-        n_req = min(2 * n_req, op.dim)
-    window, size = found
-    if size < op.dim:
-        count = _count_below(op, 0.5 * (mus[size - 1] + mus[size]))
-        if count != size:
-            raise NoConvergence(f"inertia count {count} below the cut: {count - size} missed")
-    return window
+    alpha = diag[2] - 2.0 * np.sum(r * f, axis=1) - (f * f) @ lam
+    # rounding level of the arrowhead [[lam, r / sqrt(beta)], [., alpha / beta]]
+    scale = np.maximum(
+        np.max(np.abs(lam)),
+        np.maximum(np.abs(alpha) / beta, np.linalg.norm(r, axis=1) / np.sqrt(beta)),
+    )
+    coupled = np.abs(r) > 8.0 * np.finfo(float).eps * np.sqrt(beta)[:, None] * scale[:, None]
+    groups = {}
+    for i, mask in enumerate(coupled):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    pending = [(np.array(idx), min(k_window + 6, dim)) for idx in groups.values()]
+    found = [None] * alpha.size
+    while pending:
+        idx, n_req = pending.pop()
+        try:
+            mus, x, t = _bordered_pairs(
+                interior, r[idx], f[idx], alpha[idx], beta[idx], coupled[idx[0]], n_req
+            )
+        except NoConvergence as exc:
+            if idx.size == 1:
+                found[idx[0]] = exc
+            else:  # each angle alone, so only a failing one falls back
+                pending.extend((idx[j : j + 1], n_req) for j in range(idx.size))
+            continue
+        sizes = _cut(mus, k_window, dim)
+        if not sizes.all():
+            pending.append((idx[sizes == 0], min(2 * n_req, dim)))
+        gram_k, gram_m = _grams(interior, cols[:2, idx], diag[:2, idx], x, t)
+        for size in np.unique(sizes[sizes > 0]):
+            sel = np.flatnonzero(sizes == size)
+            lower_inv = np.linalg.inv(np.linalg.cholesky(gram_m[sel, :size, :size]))
+            reduced = lower_inv @ gram_k[sel, :size, :size] @ lower_inv.transpose(0, 2, 1)
+            ritz = np.linalg.eigvalsh(reduced)
+            for j, window in zip(sel, _nearest(ritz, k_window)):
+                found[idx[j]] = window
+                if size == dim:
+                    continue
+                cut = 0.5 * (mus[j, size - 1] + mus[j, size])
+                try:
+                    count = _count_below(shifted(idx[j], cut), cut)
+                    if count != size:
+                        missed = count - size
+                        raise NoConvergence(f"inertia count {count} below the cut: {missed} missed")
+                except NoConvergence as exc:
+                    found[idx[j]] = exc
+    return found
 
 
 def mass_normalized(op):

@@ -316,8 +316,8 @@ class TestSpectrum:
         # the pencil's windows come from secular roots on the interior
         # eigenpairs; they must reproduce themselves and the dense route
         pencil = FloerPencil(FloerConfig.zero(0.8, 128))
-        w1 = pencil.spectrum(0.8, 5)
-        w2 = pencil.spectrum(0.8, 5)
+        (w1,) = pencil.spectra([0.8], 5)
+        (w2,) = pencil.spectra([0.8], 5)
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_allclose(w1, floer_spectrum(pencil.at(0.8), 5), atol=1e-9)
 
@@ -326,8 +326,8 @@ class TestSpectrum:
         # takes every root, the one above the last interior eigenvalue too
         pencil = FloerPencil(FloerConfig.zero(0.8, 101))
         op = pencil.at(0.8)
-        w = pencil.spectrum(0.8, op.dim)
-        np.testing.assert_array_equal(w, pencil.spectrum(0.8, op.dim))
+        (w,) = pencil.spectra([0.8], op.dim)
+        np.testing.assert_array_equal(w, next(pencil.spectra([0.8], op.dim)))
         np.testing.assert_allclose(w, floer_spectrum(op, op.dim), rtol=0.0, atol=1e-9)
 
     @staticmethod
@@ -387,7 +387,7 @@ class TestSpectrum:
         # a = 0 puts s + k*pi at the window's edge as a +-lam pair: both
         # routes keep the negative one, whichever roundoff made smaller
         pencil = FloerPencil(FloerConfig.zero(s, 8))
-        w = pencil.spectrum(s, k_window)
+        (w,) = pencil.spectra([s], k_window)
         np.testing.assert_allclose(
             w, floer_spectrum(pencil.at(s), k_window), rtol=0.0, atol=1e-12
         )
@@ -404,13 +404,13 @@ class TestSpectrum:
         def dropping(poles, weights, alpha, beta, count):
             calls.append(count)
             mus, diff = real_roots(poles, weights, alpha, beta, count)
-            keep = np.arange(mus.size) != 1
-            return mus[keep], diff[keep]
+            keep = np.arange(mus.shape[1]) != 1
+            return mus[:, keep], diff[:, keep]
 
         monkeypatch.setattr(floer, "_secular_roots", dropping)
-        with pytest.raises(NoConvergence, match="1 missed"):
-            floer._spectrum_secular(op, pencil.interior, 5)
-        np.testing.assert_array_equal(pencil.spectrum(0.8, 5), floer_spectrum(op, 5))
+        (missed,) = pencil._windows(np.array([0.8]), 5)
+        assert isinstance(missed, NoConvergence) and "1 missed" in str(missed)
+        np.testing.assert_array_equal(next(pencil.spectra([0.8], 5)), floer_spectrum(op, 5))
         assert calls == [11, 11]
 
     @pytest.mark.parametrize("grid_m", [48, 96, 400])
@@ -428,7 +428,7 @@ class TestSpectrum:
             return real_roots(*args)
 
         monkeypatch.setattr(floer, "_secular_roots", recording)
-        w = pencil.spectrum(s, 5)
+        (w,) = pencil.spectra([s], 5)
         assert poles and max(poles) < 2 * grid_m - 1 - grid_m // 2
         np.testing.assert_allclose(
             w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12
@@ -451,7 +451,7 @@ class TestSpectrum:
         cfg = FloerConfig(smooth_coefficient(3, 24), 0.0, 24)
         calls = self._count_interior_solves(monkeypatch, 2 * 24)
         pencil = FloerPencil(cfg)
-        windows = [pencil.spectrum(float(s), 5) for s in np.linspace(0.0, 2.0 * np.pi, 64)]
+        windows = list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
         assert len(calls) == 1
         assert spectral_flow(windows) == 2
         calls.clear()
@@ -486,7 +486,7 @@ class TestSmoothSweep:
         # the route run_floer takes: one pencil, secular windows per angle
         a = smooth_coefficient(6, self.GRID)
         pencil = FloerPencil(FloerConfig(a, 0.0, self.GRID))
-        return a, [pencil.spectrum(float(s), 5) for s in self.SWEEP]
+        return a, list(pencil.spectra(self.SWEEP, 5))
 
     def test_every_window_matches_shooting(self, family):
         a, windows = family
@@ -502,6 +502,102 @@ class TestSmoothSweep:
         _, windows = family
         assert spectral_flow(windows[120:130]) == 0
         assert spectral_flow(windows) == 2
+
+
+class TestBlockRoute:
+    """``FloerPencil.spectra`` works a block of angles at a time; each window
+    is the dense window of its own operator, whatever else is in its block."""
+
+    @pytest.mark.parametrize("grid_m", [48, 96])
+    def test_mixed_block_matches_the_dense_route(self, grid_m):
+        # s = 0, pi and 2 pi deflate half the interior modes for a = 0, so the
+        # block holds two masks of coupled modes
+        pencil = FloerPencil(FloerConfig.zero(0.0, grid_m))
+        angles = [0.0, 0.3, np.pi, 1.7, 2.0 * np.pi, np.pi / 2.0, 5.0, 0.0]
+        for s, w in zip(angles, pencil.spectra(angles, 5)):
+            np.testing.assert_allclose(
+                w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
+            )
+
+    @pytest.mark.parametrize("k_window", [2, 4, 5])
+    def test_mirror_ties_inside_a_block(self, k_window):
+        pencil = FloerPencil(FloerConfig.zero(0.0, 8))
+        angles = [0.4, 0.0, np.pi / 2.0, np.pi, 2.5, 2.0 * np.pi]
+        for s, w in zip(angles, pencil.spectra(angles, k_window)):
+            np.testing.assert_allclose(
+                w, floer_spectrum(pencil.at(s), k_window), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
+            )
+
+    def test_window_does_not_depend_on_its_block(self, monkeypatch):
+        monkeypatch.setattr(floer, "_BLOCK_ANGLES", 64)
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 48), 0.0, 48))
+        sweep = np.linspace(0.0, 2.0 * np.pi, 64)
+        block = list(pencil.spectra(sweep, 5))
+        for s, w in zip(sweep, block):
+            np.testing.assert_allclose(w, next(pencil.spectra([s], 5)), rtol=0.0, atol=1e-13)
+
+    def test_no_gap_widens_only_that_angle(self, monkeypatch):
+        # at a degeneracy tolerance between the smallest and the next relative
+        # widest gap of the slack, one angle alone sees no open gap
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 12), 0.0, 12))
+        angles = np.linspace(0.1, 6.0, 8)
+        ratios = []
+        for s in angles:
+            op = pencil.at(s)
+            mus = scipy.linalg.eigh(
+                op.square_stiffness.toarray(), op.mass.toarray(), eigvals_only=True
+            )
+            ratios.append(np.max(np.diff(mus[4:11])) / max(1.0, mus[10]))
+        low, next_low = np.sort(ratios)[:2]
+        monkeypatch.setattr(floer, "_DEGENERACY_RTOL", 0.5 * (low + next_low))
+        real_roots = floer._secular_roots
+        calls = []
+
+        def recording(poles, weights, alpha, beta, count):
+            calls.append((weights.shape[0], count))
+            return real_roots(poles, weights, alpha, beta, count)
+
+        monkeypatch.setattr(floer, "_secular_roots", recording)
+        windows = list(pencil.spectra(angles, 5))
+        assert calls[0] == (8, 11)
+        assert len(calls) > 1 and all(n == 1 and count > 11 for n, count in calls[1:])
+        for s, w in zip(angles, windows):
+            np.testing.assert_allclose(w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12)
+
+    def test_at_runs_only_for_the_interior_and_fallbacks(self, monkeypatch):
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 24), 0.0, 24))
+        real_at = FloerPencil.at
+        built = []
+
+        def counting(self, s):
+            built.append(s)
+            return real_at(self, s)
+
+        monkeypatch.setattr(FloerPencil, "at", counting)
+        windows = list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
+        assert built == [0.0]
+        assert spectral_flow(windows) == 2
+        # a count that fails at every angle sends each one to the dense route
+        monkeypatch.setattr(floer, "_count_below", lambda shifted, cut: -1)
+        built.clear()
+        list(pencil.spectra([0.5, 1.0, 2.0], 5))
+        assert built == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
+    def test_angle_outside_the_loop_inside_a_block(self, bad):
+        pencil = FloerPencil(FloerConfig.zero(0.0, 16))
+        with pytest.raises(InvalidConfig, match="outside"):
+            list(pencil.spectra([0.1, 0.2, bad, 0.3], 5))
+
+    def test_border_checks(self):
+        interior = FloerPencil(FloerConfig.zero(0.0, 16)).interior
+        cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
+        with pytest.raises(InvalidConfig, match="NaN or Inf"):
+            floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5, None)
+        # the mass is positive definite exactly when d - f^T f is
+        diag[1, 1] = 0.0
+        with pytest.raises(MassNotPositiveDefinite):
+            floer._bordered_windows(interior, cols, diag, 5, None)
 
 
 class TestDiscretizedOperator:
