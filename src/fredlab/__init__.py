@@ -17,9 +17,7 @@ from .gallery import (
     random_selfadjoint,
 )
 from .lagrangian import (
-    LagrangianPair,
     SymplecticDoubling,
-    fredholm_pair_index,
     graph_subspace,
     is_lagrangian,
     kato_consistency,
@@ -57,9 +55,7 @@ __all__ = [
     "fuglede_operator",
     "perturbation_family",
     "random_selfadjoint",
-    "LagrangianPair",
     "SymplecticDoubling",
-    "fredholm_pair_index",
     "graph_subspace",
     "is_lagrangian",
     "kato_consistency",

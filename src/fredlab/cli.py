@@ -325,7 +325,6 @@ def _build_parser():
     common.add_argument(
         "--strict", action="store_true", help="exit 1 if any row violates its tolerance"
     )
-    common.add_argument("--seed", type=int, default=7)
 
     sub = parser.add_subparsers(dest="experiment", required=True)
 
@@ -341,13 +340,16 @@ def _build_parser():
     p = sub.add_parser("graph", parents=[common], help="graph-subspace oracle suite")
     p.add_argument("--dim", type=int, default=20)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("perturb", parents=[common], help="relative-bound perturbation trend")
     p.add_argument("--dim", type=int, default=20)
     p.add_argument("--trials", type=int, default=10, help="number of schedule steps")
+    p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("identities", parents=[common], help="bounded-transform identity suite")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=7)
     return parser
 
 

@@ -181,19 +181,6 @@ class _DofPattern(NamedTuple):
         )
 
 
-def _asymmetry(x):
-    """``max |x - x^T|`` of a CSC matrix; the CSR arrays of ``x`` are the CSC
-    arrays of ``x^T``, so a symmetric pattern needs no sparse arithmetic."""
-    xt = x.tocsr()
-    if (
-        x.has_canonical_format
-        and np.array_equal(x.indptr, xt.indptr)
-        and np.array_equal(x.indices, xt.indices)
-    ):
-        return float(np.max(np.abs(x.data - xt.data), initial=0.0))
-    return float(abs(x - x.T).max())
-
-
 def _upper_band(x):
     """Upper band storage of a CSC matrix, the layout ``cholesky_banded`` reads:
     entry ``(i, j)``, ``i <= j``, sits at row ``width + i - j`` of column ``j``."""
@@ -231,7 +218,7 @@ class DiscretizedOperator:
         if not all(np.all(np.isfinite(x.data)) for x in (k, m, k2)):
             raise InvalidConfig("stiffness, mass or square holds NaN or Inf")
         for name, x in (("stiffness", k), ("mass", m), ("square_stiffness", k2)):
-            if _asymmetry(x) > 1e-12 * max(1.0, float(np.max(np.abs(x.data), initial=0.0))):
+            if abs(x - x.T).max() > 1e-12 * max(1.0, float(np.max(np.abs(x.data), initial=0.0))):
                 raise NotSymmetric(f"{name} is not symmetric")
         try:
             scipy.linalg.cholesky_banded(_upper_band(m))
@@ -342,8 +329,8 @@ class FloerPencil:
         The same windows as :func:`floer_spectrum` of :meth:`at`, computed
         ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows`, so
         ``angles`` may be any iterable and is read one block ahead.  An angle
-        whose window fails its inertia count, or whose roots do not converge,
-        alone takes the dense route.
+        whose window fails its inertia count takes the dense route, and so
+        does each angle of a secular solve that fails.
         """
         k_window = _window_size(k_window, self.interior.lam.size + 1)
         angles = iter(angles)
@@ -638,8 +625,8 @@ def _bordered_windows(interior, cols, diag, k_window, shifted):
     :func:`_cut`) goes round again with twice ``n_req``.  One Rayleigh-Ritz
     step per block size, batched, gives the signed window (:func:`_nearest`),
     and the inertia count at its cut certifies that no value was missed.
-    Returns one window per angle, or the :class:`NoConvergence` of an angle
-    whose roots or count failed.
+    Returns one window per angle, or a :class:`NoConvergence` where the
+    angle's count or its group's secular solve failed.
     """
     lam, v = interior.lam, interior.v
     dim = lam.size + 1
@@ -672,10 +659,8 @@ def _bordered_windows(interior, cols, diag, k_window, shifted):
                 interior, r[idx], f[idx], alpha[idx], beta[idx], coupled[idx[0]], n_req
             )
         except NoConvergence as exc:
-            if idx.size == 1:
-                found[idx[0]] = exc
-            else:  # each angle alone, so only a failing one falls back
-                pending.extend((idx[j : j + 1], n_req) for j in range(idx.size))
+            for i in idx:
+                found[i] = exc
             continue
         sizes = _cut(mus, k_window, dim)
         if not sizes.all():

@@ -89,36 +89,6 @@ def is_lagrangian(s, doubling):
     return bool(lagrangian_residual(s, doubling) <= LAGRANGIAN_TOL)
 
 
-@dataclass(frozen=True, eq=False)
-class LagrangianPair:
-    """Two Lagrangian subspaces of one doubling, validated at construction."""
-
-    lambda0: Subspace
-    lambda1: Subspace
-
-    def __post_init__(self):
-        if self.lambda0.ambient_dim != self.lambda1.ambient_dim:
-            raise AmbientMismatch("pair must share the ambient space")
-        ambient = self.lambda0.ambient_dim
-        if ambient % 2 != 0:
-            raise ValueError("ambient dimension must be even")
-        doubling = SymplecticDoubling(ambient // 2)
-        for name, s in (("lambda0", self.lambda0), ("lambda1", self.lambda1)):
-            if not is_lagrangian(s, doubling):
-                raise ValueError(f"{name} is not Lagrangian")
-
-
-def fredholm_pair_index(pair):
-    """Index and kernel dimension of a pair of Lagrangians.
-
-    Returns ``(dim(L0 & L1) - codim(L0 + L1), dim(L0 & L1))``.  For two
-    half-dimensional subspaces of a finite doubling the index is always 0;
-    the informative integer is the kernel dimension.
-    """
-    meet, codim = linalg.subspace_meet_dims(pair.lambda0, pair.lambda1)
-    return meet - codim, meet
-
-
 def suspension(l):
     """Odd selfadjoint operator ``[[0, L^T], [L, 0]]`` encoding a square matrix.
 

@@ -239,6 +239,29 @@ class TestMain:
         assert out.startswith("experiment,label,param,metric,value,expected,abs_error")
         assert "gap_branch_plus" in out
 
+    @pytest.mark.parametrize(
+        "argv", [["fuglede", "--n-list", "1"], ["floer", "--grid", "8", "--s-count", "4"]]
+    )
+    def test_seed_is_refused_where_no_run_reads_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["graph", "--dim", "6", "--trials", "5"], ["perturb", "--dim", "8", "--trials", "6"],
+         ["identities", "--trials", "5"]],
+    )
+    def test_seed_reaches_the_seeded_runs(self, argv, capsys):
+        def report(*extra):
+            assert cli.main([*argv, *extra]) == 0
+            return capsys.readouterr().out
+
+        default = report()
+        assert report("--seed", "7") == default
+        assert report("--seed", "8") != default
+
 
 class TestGoldenReports:
     # refactors keep every report: the same rows in the same order, and each

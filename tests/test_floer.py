@@ -583,6 +583,32 @@ class TestBlockRoute:
         list(pencil.spectra([0.5, 1.0, 2.0], 5))
         assert built == [0.5, 1.0, 2.0]
 
+    def test_failed_secular_solve_sends_its_group_to_the_dense_route(self, monkeypatch):
+        # the angles of a group share their poles, so a failed solve is not
+        # retried per angle: every angle of the group takes the dense route
+        pencil = FloerPencil(FloerConfig.zero(0.0, 16))
+        pencil.interior  # its own call of at comes before the count
+        angles = [0.3, 1.1, 2.0, 4.4, 5.5]
+        calls, built = [], []
+
+        def failing(poles, weights, alpha, beta, count):
+            calls.append(weights.shape[0])
+            raise NoConvergence("secular roots did not converge")
+
+        real_at = FloerPencil.at
+
+        def counting(self, s):
+            built.append(s)
+            return real_at(self, s)
+
+        monkeypatch.setattr(floer, "_secular_roots", failing)
+        monkeypatch.setattr(FloerPencil, "at", counting)
+        windows = list(pencil.spectra(angles, 5))
+        assert calls == [len(angles)]
+        assert built == angles
+        for s, w in zip(angles, windows):
+            np.testing.assert_array_equal(w, floer_spectrum(real_at(pencil, s), 5))
+
     @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
     def test_angle_outside_the_loop_inside_a_block(self, bad):
         pencil = FloerPencil(FloerConfig.zero(0.0, 16))

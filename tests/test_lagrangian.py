@@ -7,9 +7,7 @@ from fredlab import gallery, lagrangian, linalg, topology
 from fredlab.errors import AmbientMismatch, NonSquare
 from fredlab.gallery import FugledeSpec, fuglede_operator
 from fredlab.lagrangian import (
-    LagrangianPair,
     SymplecticDoubling,
-    fredholm_pair_index,
     graph_projection_formula,
     graph_subspace,
     is_lagrangian,
@@ -85,49 +83,29 @@ class TestGraphSubspace:
 
 
 class TestFredholmPairs:
+    # the kernel of the pair (horizontal, graph(a)) is ker a: the meet
+    # dimension that the graph report reads from linalg.subspace_meet_dims
+    @staticmethod
+    def _kernel_dim(a):
+        horizontal = SymplecticDoubling(a.dim).horizontal()
+        return linalg.subspace_meet_dims(horizontal, graph_subspace(a))[0]
+
     def test_invertible_graph_meets_horizontal_trivially(self):
-        d = SymplecticDoubling(3)
-        a = sa(np.diag([1.0, -2.0, 3.0]))
-        pair = LagrangianPair(d.horizontal(), graph_subspace(a))
-        assert fredholm_pair_index(pair) == (0, 0)
+        assert self._kernel_dim(sa(np.diag([1.0, -2.0, 3.0]))) == 0
 
     def test_kernel_dimension_shows_up(self):
-        d = SymplecticDoubling(4)
         a = gallery.random_with_spectrum([0.0, 0.0, 1.0, -2.0], seed=5)
-        pair = LagrangianPair(d.horizontal(), graph_subspace(a))
-        assert fredholm_pair_index(pair) == (0, 2)
+        assert self._kernel_dim(a) == 2
 
     def test_pair_with_itself(self):
         s = graph_subspace(sa(np.diag([1.0, 2.0])))
-        assert fredholm_pair_index(LagrangianPair(s, s)) == (0, 2)
+        assert linalg.subspace_meet_dims(s, s) == (2, 2)
 
     def test_kernel_count_matches_spectrum(self):
         for seed, zeros in ((7, 0), (8, 1), (9, 3)):
             spectrum = [0.0] * zeros + [0.5 + k for k in range(6 - zeros)]
             a = gallery.random_with_spectrum(spectrum, seed=seed)
-            d = SymplecticDoubling(6)
-            pair = LagrangianPair(d.horizontal(), graph_subspace(a))
-            assert fredholm_pair_index(pair)[1] == zeros
-
-    def test_index_vanishes_for_half_dimensional_pairs(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            n = int(rng.integers(2, 12))
-            a = gallery.random_selfadjoint(n, seed=int(rng.integers(1 << 30)))
-            b = gallery.random_selfadjoint(n, seed=int(rng.integers(1 << 30)))
-            pair = LagrangianPair(graph_subspace(a), graph_subspace(b))
-            assert fredholm_pair_index(pair)[0] == 0
-
-    def test_rejects_non_lagrangian(self):
-        with pytest.raises(ValueError):
-            LagrangianPair(
-                SymplecticDoubling(1).horizontal(),
-                linalg.Subspace(2, np.eye(2)),
-            )
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(AmbientMismatch):
-            LagrangianPair(SymplecticDoubling(1).horizontal(), SymplecticDoubling(2).horizontal())
+            assert self._kernel_dim(a) == zeros
 
 
 class TestSuspension:
