@@ -25,7 +25,7 @@ from .errors import (
 #: Relative slack below which an input matrix counts as symmetric.
 SYMMETRY_TOL = 1e-12
 
-#: Max-norm slack for orthonormality of stored bases and eigenvector matrices.
+#: Max-norm slack for orthonormality of the basis of a :class:`Subspace`.
 ORTHONORMALITY_TOL = 1e-12
 
 #: Relative singular-value cutoff of the rank decisions.
@@ -71,29 +71,12 @@ def require_symmetric(a, name="matrix"):
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; the matrix it came
-    from is ``Q diag(w) Q^T``.
+    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``.  :func:`sym_eig`
+    builds it from LAPACK, which guarantees both properties.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        q = np.asarray(self.eigenvectors, dtype=float)
-        if w.ndim != 1 or q.ndim != 2 or q.shape != (w.size, w.size):
-            raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        defect = np.max(np.abs(q.T @ q - np.eye(w.size)))
-        if defect > ORTHONORMALITY_TOL:
-            raise ValueError(f"eigenvector matrix not orthonormal (defect {defect:.3e})")
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", q)
-
-    @property
-    def dim(self):
-        return self.eigenvalues.size
 
 
 def sym_eig(a):

@@ -1,7 +1,7 @@
 """Metrics and functional calculus on finite selfadjoint operators.
 
-Implements the bounded transform ``A -> A(1+A^2)^{-1/2}``, the gap distance
-from the eigenbases of a pair, the Riesz distance, distances of scalar
+Implements the bounded transform ``A -> A(1+A^2)^{-1/2}``, the gap and Riesz
+distances from the eigenbases of a pair, distances of scalar
 functions applied to a pair of operators, a certified relative-bound
 estimate.
 """
@@ -52,8 +52,10 @@ def _check_same_dim(a0, a1):
 
 
 def bounded_transform_scalar(lam):
-    """The scalar bounded transform ``x / sqrt(1 + x^2)``."""
-    return lam / np.sqrt(1.0 + lam * lam)
+    """The scalar bounded transform ``x / sqrt(1 + x^2)``; ``x`` is clipped to
+    ``+-1e150``, where it is already ``+-1``, so ``x * x`` cannot overflow."""
+    x = np.clip(lam, -1e150, 1e150)
+    return x / np.sqrt(1.0 + x * x)
 
 
 #: Half-width of the ramp probe: 0 below ``-RAMP_WIDTH``, 1 above ``+RAMP_WIDTH``.
@@ -110,17 +112,50 @@ def riesz_map(a):
 def riesz_inverse(t):
     """Inverse of the bounded transform: ``T (1 - T^2)^{-1/2}`` for ``|T| < 1``."""
     dec = linalg.sym_eig(t)
-    top = float(np.max(np.abs(dec.eigenvalues))) if dec.dim else 0.0
+    top = float(np.max(np.abs(dec.eigenvalues)))
     if top >= 1.0:
         raise ValueError(f"matrix norm {top} is not below 1")
     back = linalg.apply_scalar_function(dec, lambda m: m / np.sqrt(1.0 - m * m))
     return SelfAdjointOperator(0.5 * (back + back.T))
 
 
-def riesz_metric(a0, a1):
-    """Operator-norm distance of the bounded transforms; always below 2."""
+def _eigenbasis_norm(a0, a1, kernel):
+    """``|W o K|`` with ``W = Q0^T Q1`` in the eigenbases ``A_k = Q_k diag(l_k) Q_k^T``.
+
+    ``kernel(w, l0, l1)`` multiplies ``w`` in place by ``K_ij(l0_i, l1_j)``.
+    The pair is taken in a fixed order, so the value is bitwise symmetric
+    whenever ``|K|`` is, and equal matrices give exactly 0.
+    """
     _check_same_dim(a0, a1)
-    return linalg.symmetric_norm(riesz_map(a0) - riesz_map(a1))
+    if np.array_equal(a0.matrix, a1.matrix):
+        return 0.0
+    if a0.matrix.tobytes() > a1.matrix.tobytes():
+        a0, a1 = a1, a0
+    d0, d1 = a0.decomposition, a1.decomposition
+    f = d0.eigenvectors.T @ d1.eigenvectors
+    kernel(f, d0.eigenvalues, d1.eigenvalues)
+    scale = float(np.max(np.abs(f)))  # keeps F^T F clear of underflow
+    if scale == 0.0:  # the norm is below the smallest float
+        return 0.0
+    f /= scale
+    # F^T F is symmetric by construction, so it skips symmetric_norm's check
+    try:
+        top = np.linalg.eigvalsh(f.T @ f)[-1]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NoConvergence(str(exc)) from exc
+    return scale * float(top) ** 0.5
+
+
+def _riesz_kernel(w, l0, l1):
+    w *= bounded_transform_scalar(l0)[:, None] - bounded_transform_scalar(l1)[None, :]
+
+
+def riesz_metric(a0, a1):
+    """Operator-norm distance of the bounded transforms; always below 2.
+
+    It is ``|W o (r(l0_i) - r(l1_j))|``; the ``r`` probe is its oracle.
+    """
+    return _eigenbasis_norm(a0, a1, _riesz_kernel)
 
 
 def resolvents_at_i(a):
@@ -130,41 +165,22 @@ def resolvents_at_i(a):
     return plus, -plus.conj()
 
 
+def _resolvent_kernel(w, l0, l1):
+    w *= l1[None, :] - l0[:, None]
+    # one hypot at a time: their product overflows once |l| passes ~1e154
+    w /= np.hypot(1.0, l0)[:, None]
+    w /= np.hypot(1.0, l1)[None, :]
+
+
 def gap_metric(a0, a1):
     """Sum of the operator-norm differences of the two resolvents at ``+-i``.
 
     For real symmetric ``A`` the ``-i`` branch is minus the conjugate of the
-    ``+i`` branch, so the sum is twice ``|(i+A0)^{-1} - (i+A1)^{-1}|``.  In the
-    eigenbases ``A_k = Q_k diag(l_k) Q_k^T`` that difference has entries
-    ``W_ij (l1_j - l0_i) / ((l0_i + i)(l1_j + i))`` with ``W = Q0^T Q1``; the
-    phases are diagonal unitary factors, so its norm is that of the real
-    ``F_ij = W_ij (l1_j - l0_i) / (|l0_i + i| |l1_j + i|)``, the square root
-    of the top eigenvalue of ``F^T F``.  The pair is taken in a fixed order,
-    so the value is bitwise symmetric, and equal matrices give exactly 0.
-    The two-branch spectral calculus (:func:`resolvents_at_i`) is its oracle.
+    ``+i`` branch, and up to diagonal phases ``(i+A0)^{-1} - (i+A1)^{-1}`` is
+    ``W o (l1_j - l0_i) / (|l0_i + i| |l1_j + i|)`` in the eigenbases, so the
+    sum is twice that norm.  :func:`resolvents_at_i` is its oracle.
     """
-    _check_same_dim(a0, a1)
-    if np.array_equal(a0.matrix, a1.matrix):
-        return 0.0
-    if a0.matrix.tobytes() > a1.matrix.tobytes():
-        a0, a1 = a1, a0
-    d0, d1 = a0.decomposition, a1.decomposition
-    l0, l1 = d0.eigenvalues, d1.eigenvalues
-    f = d0.eigenvectors.T @ d1.eigenvectors
-    f *= l1[None, :] - l0[:, None]
-    # one hypot at a time: their product overflows once |l| passes ~1e154
-    f /= np.hypot(1.0, l0)[:, None]
-    f /= np.hypot(1.0, l1)[None, :]
-    scale = float(np.max(np.abs(f)))  # keeps F^T F clear of underflow
-    if scale == 0.0:  # the gap is below the smallest float
-        return 0.0
-    f /= scale
-    # F^T F is symmetric by construction, so it skips symmetric_norm's check
-    try:
-        top = np.linalg.eigvalsh(f.T @ f)[-1]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
-    return 2.0 * scale * float(top) ** 0.5
+    return 2.0 * _eigenbasis_norm(a0, a1, _resolvent_kernel)
 
 
 def subspace_gap(s1, s2):

@@ -21,7 +21,7 @@ GOLDEN_REPORTS = {
     "floer_dense.csv": [
         "floer", "--grid", "48", "--s-count", "32", "--a", "const:1.5,-0.7"
     ],
-    "floer_arpack.csv": ["floer", "--grid", "128", "--s-count", "16"],
+    "floer_grid128.csv": ["floer", "--grid", "128", "--s-count", "16"],
     # seeded smooth coefficient (perfbench's smooth_coefficient(3, 96)), %.17g
     "floer_smooth.csv": [
         "floer", "--grid", "96", "--s-count", "64",

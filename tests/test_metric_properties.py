@@ -4,7 +4,8 @@ On small seeded selfadjoint triples both distances are symmetric and obey
 the triangle inequality; the gap distance is at most 2, since each resolvent
 ``(i + A)^{-1} = (U - i)/2`` with ``U`` unitary, and the Riesz distance is
 below 2, since the bounded transform has its spectrum in ``(-1, 1)``.  The
-graph distance of a pair is half its gap distance.
+graph distance of a pair is half its gap distance.  Each distance, read from
+the eigenbases of the pair, agrees with its spectral-calculus oracle.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredlab import gallery, lagrangian, topology
+from fredlab import gallery, lagrangian, linalg, topology
 
 #: Slack for rounding in the triangle inequality and the identities.
 SLACK = 1e-12
@@ -73,3 +74,14 @@ def test_graph_distance_is_half_the_gap(ops):
     a, b, _ = ops
     delta, gamma = lagrangian.kato_consistency(a, b)
     assert abs(delta - gamma / 2.0) <= SLACK
+
+
+@settings(max_examples=60)
+@given(ops=triples)
+def test_metrics_match_their_oracles(ops):
+    a, b, _ = ops
+    psi = topology.riesz_map(a) - topology.riesz_map(b)
+    assert abs(topology.riesz_metric(a, b) - linalg.operator_norm(psi)) <= SLACK
+    branches = zip(topology.resolvents_at_i(a), topology.resolvents_at_i(b))
+    resolvent_sum = sum(linalg.operator_norm(ra - rb) for ra, rb in branches)
+    assert abs(topology.gap_metric(a, b) - resolvent_sum) <= SLACK

@@ -66,6 +66,19 @@ class TestRieszMap:
         expected = np.sort(topology.bounded_transform_scalar(a.decomposition.eigenvalues))
         np.testing.assert_allclose(psi_eigs, expected, atol=1e-12)
 
+    def test_saturates_past_overflow(self):
+        # 1e200 * 1e200 overflows; the transform of 1e200 is 1 to the last bit
+        out = topology.riesz_map(sa(np.diag([1e200, 1.0])))
+        np.testing.assert_allclose(out, np.diag([1.0, 0.7071067811865476]), atol=1e-12)
+
+    def test_scalar_transform_is_sign_past_saturation(self):
+        huge = np.array([-np.finfo(float).max, -1e200, 1e151, 1e300])
+        assert topology.bounded_transform_scalar(huge).tolist() == [-1.0, -1.0, 1.0, 1.0]
+        below = np.array([0.0, -3.0, 1e-300, 1e100, 1e150, -1e150])
+        assert np.array_equal(
+            topology.bounded_transform_scalar(below), below / np.sqrt(1.0 + below * below)
+        )
+
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
         a = random_operator(rng, 9, scale=3.0)
@@ -209,6 +222,25 @@ class TestRieszMetric:
         for n in (1, 4):
             d = topology.riesz_metric(flipped_diag(n, 4 * n), flipped_diag(0, 4 * n))
             assert d == pytest.approx(2.0 * n / np.sqrt(1.0 + n * n), abs=1e-12)
+
+    def test_huge_eigenvalues(self):
+        assert topology.riesz_metric(sa([[1e200]]), sa([[-1e200]])) == 2.0
+
+    def test_reads_no_bounded_transform(self, monkeypatch):
+        from fredlab import floer
+
+        rng = np.random.default_rng(16)
+        a, b = random_operator(rng, 6), random_operator(rng, 6)
+        cfg, samples = floer.FloerConfig.zero(0.3, 16), np.linspace(0.3, 1.1, 4)
+        before = topology.riesz_metric(a, b), floer.rho_continuity_profile(cfg, samples)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rho must be read from the eigenbases")
+
+        monkeypatch.setattr(topology, "riesz_map", refuse)
+        monkeypatch.setattr(linalg, "symmetric_norm", refuse)
+        after = topology.riesz_metric(a, b), floer.rho_continuity_profile(cfg, samples)
+        assert after == before
 
     def test_bounded_by_two(self):
         rng = np.random.default_rng(8)
