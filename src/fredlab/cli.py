@@ -163,7 +163,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     rows = []
 
     # one pencil for the oracle angles and the sweep: only the border depends on s
-    cfg = floer.FloerConfig(samples, 0.0, grid_m)
+    cfg = floer.FloerConfig(samples, grid_m)
     pencil = floer.FloerPencil(cfg)
     windows = list(pencil.spectra(ORACLE_ANGLES, WINDOW))
     # one batch: the Prufer angle does not depend on s, so one config serves all

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -60,22 +60,18 @@ class Coupling(Enum):
 
 @dataclass(frozen=True, eq=False)
 class FloerConfig:
-    """One member of the boundary-value family.
-
-    ``a_samples`` holds the complex coefficient at the ``grid_m + 1`` uniform
-    nodes of ``[0, 1]``; ``s`` is the boundary angle at ``t = 1``.
+    """The coefficient of the boundary-value family: ``a_samples`` at the
+    ``grid_m + 1`` uniform nodes of ``[0, 1]``.  The boundary angle at ``t =
+    1`` is an argument of each call that reads one member of the family.
     """
 
     a_samples: np.ndarray
-    s: float
     grid_m: int
     coupling: Coupling = Coupling.ANTILINEAR
 
     def __post_init__(self):
         if self.grid_m < 8:
             raise InvalidConfig(f"need at least 8 elements, got {self.grid_m}")
-        if not (0.0 <= self.s <= 2.0 * np.pi):
-            raise InvalidConfig(f"boundary angle {self.s} outside [0, 2*pi]")
         a = np.asarray(self.a_samples, dtype=complex)
         if a.shape != (self.grid_m + 1,):
             raise InvalidConfig(
@@ -92,15 +88,12 @@ class FloerConfig:
         object.__setattr__(self, "a_samples", a)
 
     @classmethod
-    def zero(cls, s, grid_m, coupling=Coupling.ANTILINEAR):
-        return cls(np.zeros(grid_m + 1, dtype=complex), s, grid_m, coupling)
+    def zero(cls, grid_m, coupling=Coupling.ANTILINEAR):
+        return cls(np.zeros(grid_m + 1, dtype=complex), grid_m, coupling)
 
     @classmethod
-    def constant(cls, a, s, grid_m, coupling=Coupling.ANTILINEAR):
-        return cls(np.full(grid_m + 1, complex(a)), s, grid_m, coupling)
-
-    def with_angle(self, s):
-        return replace(self, s=s)
+    def constant(cls, a, grid_m, coupling=Coupling.ANTILINEAR):
+        return cls(np.full(grid_m + 1, complex(a)), grid_m, coupling)
 
     @property
     def nodes(self):
@@ -128,6 +121,14 @@ def coefficient_matrices(cfg):
         out[:, 1, 0] = -q
         out[:, 1, 1] = 0.0
     return out
+
+
+def _check_angles(s):
+    """Raise :class:`InvalidConfig` unless each boundary angle in ``s`` is in ``[0, 2 pi]``."""
+    s = np.asarray(s, dtype=float)
+    outside = ~((s >= 0.0) & (s <= 2.0 * np.pi))
+    if outside.any():
+        raise InvalidConfig(f"boundary angle {s[outside][0]} outside [0, 2*pi]")
 
 
 def boundary_lines(s):
@@ -286,8 +287,7 @@ class FloerPencil:
     element's blocks and ``v1(s)``, so :meth:`spectra` builds no operator per
     angle: it reads blocks of windows off one eigendecomposition of the
     interior.  The dof table keeps one scalar coordinate at each endpoint,
-    along its boundary line.
-    ``cfg``'s own angle is not used.  A coefficient near the float limit
+    along its boundary line.  A coefficient near the float limit
     overflows the element sums; the resulting NaN or Inf entries raise
     :class:`InvalidConfig` in :class:`DiscretizedOperator`.
     """
@@ -298,7 +298,7 @@ class FloerPencil:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        dof, _ = _node_dofs(self.cfg.grid_m, self.cfg.s)
+        dof, _ = _node_dofs(self.cfg.grid_m, 0.0)
         object.__setattr__(self, "blocks", _element_blocks(self.cfg))
         object.__setattr__(self, "pattern", _DofPattern.of(dof, self.cfg.grid_m))
 
@@ -311,7 +311,7 @@ class FloerPencil:
     @np.errstate(over="ignore", invalid="ignore")
     def at(self, s):
         """The discretized operator at boundary angle ``s``."""
-        s = self.cfg.with_angle(s).s
+        _check_angles(s)
         return DiscretizedOperator(*(self._summed(x, s) for x in self.blocks))
 
     @cached_property
@@ -329,8 +329,9 @@ class FloerPencil:
         The same windows as :func:`floer_spectrum` of :meth:`at`, computed
         ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows`, so
         ``angles`` may be any iterable and is read one block ahead.  An angle
-        whose window fails its inertia count takes the dense route, and so
-        does each angle of a secular solve that fails.
+        with no open gap past its window, or whose window fails its inertia
+        count, takes the dense route, and so does each angle of a secular
+        solve that fails.
         """
         k_window = _window_size(k_window, self.interior.lam.size + 1)
         angles = iter(angles)
@@ -343,9 +344,7 @@ class FloerPencil:
         ``[0, 2 pi]``.  The border at ``s`` is ``b = X[0:2, 2:4] v1`` and ``c =
         v1^T X[2:4, 2:4] v1`` for each last-element block ``X`` of ``K``, ``M``
         and ``K2``, with ``v1 = (cos s, -sin s)``: no operator is built."""
-        outside = ~((s >= 0.0) & (s <= 2.0 * np.pi))
-        if outside.any():
-            raise InvalidConfig(f"boundary angle {s[outside][0]} outside [0, 2*pi]")
+        _check_angles(s)
         last = self.blocks[:, -1]
         v1 = np.stack([np.cos(s), -np.sin(s)], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -358,9 +357,9 @@ class FloerPencil:
         return _bordered_windows(self.interior, cols, diag, k_window, shifted)
 
 
-def assemble_floer_operator(cfg):
-    """The discretized operator of one member of the family (see :class:`FloerPencil`)."""
-    return FloerPencil(cfg).at(cfg.s)
+def assemble_floer_operator(cfg, s):
+    """The discretized operator at boundary angle ``s`` (see :class:`FloerPencil`)."""
+    return FloerPencil(cfg).at(s)
 
 
 #: Relative spacing below which two squared eigenvalues count as degenerate.
@@ -621,12 +620,12 @@ def _bordered_windows(interior, cols, diag, k_window, shifted):
     the squared eigenvalues are the roots of ``alpha - beta mu + sum r_i^2 /
     (mu - lam_i)``, one between each two poles (see :func:`_bordered_pairs`).
     A coupling ``r_i`` at rounding level deflates.  Angles with one mask of
-    coupled modes share a secular solve; an angle with no open gap (see
-    :func:`_cut`) goes round again with twice ``n_req``.  One Rayleigh-Ritz
-    step per block size, batched, gives the signed window (:func:`_nearest`),
-    and the inertia count at its cut certifies that no value was missed.
-    Returns one window per angle, or a :class:`NoConvergence` where the
-    angle's count or its group's secular solve failed.
+    coupled modes share a secular solve of ``k_window + 6`` roots.  One
+    Rayleigh-Ritz step per block size, batched, gives the signed window
+    (:func:`_nearest`), and the inertia count at its cut certifies that no
+    value was missed.  Returns one window per angle, or a
+    :class:`NoConvergence` where the angle has no open gap (see :func:`_cut`;
+    the dense route widens), or its count or its group's secular solve failed.
     """
     lam, v = interior.lam, interior.v
     dim = lam.size + 1
@@ -650,10 +649,9 @@ def _bordered_windows(interior, cols, diag, k_window, shifted):
     groups = {}
     for i, mask in enumerate(coupled):
         groups.setdefault(mask.tobytes(), []).append(i)
-    pending = [(np.array(idx), min(k_window + 6, dim)) for idx in groups.values()]
+    n_req = min(k_window + 6, dim)
     found = [None] * alpha.size
-    while pending:
-        idx, n_req = pending.pop()
+    for idx in map(np.array, groups.values()):
         try:
             mus, x, t = _bordered_pairs(
                 interior, r[idx], f[idx], alpha[idx], beta[idx], coupled[idx[0]], n_req
@@ -663,8 +661,8 @@ def _bordered_windows(interior, cols, diag, k_window, shifted):
                 found[i] = exc
             continue
         sizes = _cut(mus, k_window, dim)
-        if not sizes.all():
-            pending.append((idx[sizes == 0], min(2 * n_req, dim)))
+        for i in idx[sizes == 0]:
+            found[i] = NoConvergence(f"no open gap among the {n_req} smallest squared values")
         gram_k, gram_m = _grams(interior, cols[:2, idx], diag[:2, idx], x, t)
         for size in np.unique(sizes[sizes > 0]):
             sel = np.flatnonzero(sizes == size)
@@ -693,8 +691,6 @@ def mass_normalized(op):
     compared with the operator metrics directly.
     """
     dec = linalg.sym_eig(op.mass.toarray())
-    if np.min(dec.eigenvalues) <= 0.0:
-        raise MassNotPositiveDefinite("mass matrix has a nonpositive eigenvalue")
     root_inv = linalg.apply_scalar_function(dec, lambda mu: 1.0 / np.sqrt(mu))
     a = root_inv @ op.stiffness.toarray() @ root_inv
     return SelfAdjointOperator(0.5 * (a + a.T))
@@ -742,15 +738,14 @@ def _end_angles(cfg, lams, n_steps):
 def shooting_eigenvalues(cfg, queries):
     """Grid-free eigenvalue oracle by shooting from ``t = 0``.
 
-    ``cfg`` gives the coefficient; its own angle is not used.  Each query
-    ``(s, (lo, hi))`` asks for the eigenvalues in ``[lo, hi]`` at boundary
-    angle ``s``.  ``lam`` is one exactly when ``F(lam) = theta(1; lam) + s``
-    is a multiple of ``pi``, with ``theta`` the Prufer angle of ``u``, which
-    does not depend on ``s``.  ``F`` decreases strictly, so the multiples
-    between ``F(hi)`` and ``F(lo)`` count the roots in ``[lo, hi]`` exactly;
-    the roots of all queries are refined at once by Illinois steps to a
-    bracket of ``1e-12``.  Returns one ascending root array per query; an
-    empty one is legal.
+    ``cfg`` gives the coefficient.  Each query ``(s, (lo, hi))`` asks for the
+    eigenvalues in ``[lo, hi]`` at boundary angle ``s``.  ``lam`` is one
+    exactly when ``F(lam) = theta(1; lam) + s`` is a multiple of ``pi``, with
+    ``theta`` the Prufer angle of ``u``, which does not depend on ``s``.
+    ``F`` decreases strictly, so the multiples between ``F(hi)`` and ``F(lo)``
+    count the roots in ``[lo, hi]`` exactly; the roots of all queries are
+    refined at once by Illinois steps to a bracket of ``1e-12``.  Returns one
+    ascending root array per query; an empty one is legal.
     """
     queries = np.array([(s, lo, hi) for s, (lo, hi) in queries], dtype=float).reshape(-1, 3)
     for s, lo, hi in queries:
@@ -959,9 +954,10 @@ def h1_operator_norm(x, grid_m):
     return linalg.operator_norm(conj)
 
 
-def domain_subspace(cfg):
-    """Constrained grid functions of one boundary value problem, as a subspace."""
-    dof, weight = _node_dofs(cfg.grid_m, cfg.s)
+def domain_subspace(cfg, s):
+    """Constrained grid functions at boundary angle ``s``, as a subspace."""
+    _check_angles(s)
+    dof, weight = _node_dofs(cfg.grid_m, s)
     basis = np.zeros((dof.size, int(dof[-1]) + 1))
     basis[np.arange(dof.size), dof] = weight
     return linalg.Subspace(dof.size, basis)
@@ -975,7 +971,7 @@ class NeighbourMetrics(NamedTuple):
     gamma: float
 
 
-def rho_continuity_profile(cfg_base, s_samples):
+def rho_continuity_profile(cfg, s_samples):
     """Metric moduli between neighbouring members of the family.
 
     For each consecutive pair of angles: the boundary-projector distance
@@ -983,8 +979,8 @@ def rho_continuity_profile(cfg_base, s_samples):
     operators on the shared grid.  The operators are built one angle at a
     time, so at most two are alive at once.
     """
-    d0 = boundary_coefficient_operator(cfg_base)
-    pencil = FloerPencil(cfg_base)
+    d0 = boundary_coefficient_operator(cfg)
+    pencil = FloerPencil(cfg)
     profile, p0, a0 = [], None, None
     for s in map(float, s_samples):
         p1 = boundary_projector(s)

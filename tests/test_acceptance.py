@@ -147,8 +147,8 @@ def test_criterion_7_floer_oracle_agreement():
     for s in ORACLE_ANGLES:
         errs = {}
         for m in (200, 400):
-            cfg = floer.FloerConfig.zero(s, m)
-            w = floer.floer_spectrum(floer.assemble_floer_operator(cfg), 5)
+            cfg = floer.FloerConfig.zero(m)
+            w = floer.floer_spectrum(floer.assemble_floer_operator(cfg, s), 5)
             (roots,) = floer.shooting_eigenvalues(
                 cfg, [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75))]
             )
@@ -167,9 +167,9 @@ def test_criterion_7_floer_oracle_agreement():
 def test_criterion_8_spectral_flow():
     """A full boundary-angle loop produces flow +2, and -2 when reversed."""
     sweep = np.linspace(0.0, 2.0 * np.pi, 128)
+    cfg = floer.FloerConfig.zero(128)
     windows = [
-        floer.floer_spectrum(floer.assemble_floer_operator(floer.FloerConfig.zero(float(s), 128)), 5)
-        for s in sweep
+        floer.floer_spectrum(floer.assemble_floer_operator(cfg, float(s)), 5) for s in sweep
     ]
     assert floer.spectral_flow(windows) == 2
     assert floer.spectral_flow(windows[::-1]) == -2
@@ -192,16 +192,16 @@ def test_criterion_9_gauge_suite():
         assert linalg.operator_norm(hat - np.eye(4)) <= bound + 1e-12
         u = floer.cutoff_gauge_U(hat, eta, grid_m)
         moved = linalg.Subspace.from_spanning(
-            u @ floer.domain_subspace(floer.FloerConfig.zero(s, grid_m)).basis
+            u @ floer.domain_subspace(floer.FloerConfig.zero(grid_m), s).basis
         )
-        target = floer.domain_subspace(floer.FloerConfig.zero(s + ds, grid_m))
+        target = floer.domain_subspace(floer.FloerConfig.zero(grid_m), s + ds)
         assert topology.subspace_gap(moved, target) <= 1e-10
     print("ACCEPTANCE 9 PASS: gauge forms, norm bound and domain transport verified")
 
 
 def test_criterion_10_bvp_continuity():
     """Halving the angle step shrinks the Riesz modulus >= 1.5x, jointly with nu."""
-    cfg = floer.FloerConfig.zero(0.3, 24)
+    cfg = floer.FloerConfig.zero(24)
     coarse_s = np.linspace(0.3, 1.1, 9)
     fine_s = np.linspace(0.3, 1.1, 17)
     coarse = floer.rho_continuity_profile(cfg, coarse_s)

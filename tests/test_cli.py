@@ -97,7 +97,7 @@ class TestFloerExperiment:
     def test_neighbour_rows_are_the_continuity_profile(self):
         rows = [r for r in cli.run_floer(grid_m=24, s_count=16) if r.metric.endswith("_neighbor")]
         sweep = np.linspace(0.0, 2.0 * np.pi, 16)[:5].tolist()
-        cfg = floer.FloerConfig(np.zeros(25, dtype=complex), 0.0, 24)
+        cfg = floer.FloerConfig(np.zeros(25, dtype=complex), 24)
         profile = floer.rho_continuity_profile(cfg, sweep)
         assert [r.value for r in rows] == [v for m in profile for v in m]
         assert [r.metric for r in rows] == ["nu_neighbor", "rho_neighbor", "gamma_neighbor"] * 4

@@ -1,5 +1,6 @@
 """Tests for the interval boundary-value family: assembly, spectra, flow, gauges."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -52,33 +53,47 @@ def ladder(s, count):
 class TestConfig:
     def test_too_few_elements(self):
         with pytest.raises(InvalidConfig):
-            FloerConfig.zero(0.0, 4)
+            FloerConfig.zero(4)
 
-    def test_angle_out_of_range(self):
-        with pytest.raises(InvalidConfig):
-            FloerConfig.zero(7.0, 16)
+    def test_fields_are_the_coefficient_alone(self):
+        names = [f.name for f in dataclasses.fields(FloerConfig)]
+        assert names == ["a_samples", "grid_m", "coupling"]
+
+    @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
+    @pytest.mark.parametrize("reader", ["at", "spectra", "assemble", "domain"])
+    def test_every_reader_checks_the_angle(self, reader, bad):
+        # the angle is an argument of each call that reads one member
+        cfg = FloerConfig.zero(16)
+        read = {
+            "at": lambda: FloerPencil(cfg).at(bad),
+            "spectra": lambda: list(FloerPencil(cfg).spectra([0.1, 0.2, bad, 0.3], 5)),
+            "assemble": lambda: assemble_floer_operator(cfg, bad),
+            "domain": lambda: domain_subspace(cfg, bad),
+        }[reader]
+        with pytest.raises(InvalidConfig, match="outside"):
+            read()
 
     def test_sample_count_mismatch(self):
         with pytest.raises(InvalidConfig):
-            FloerConfig(np.zeros(10, dtype=complex), 0.0, 16)
+            FloerConfig(np.zeros(10, dtype=complex), 16)
 
     def test_linear_coupling_needs_imaginary(self):
         with pytest.raises(InvalidConfig):
-            FloerConfig.constant(1.0, 0.0, 16, coupling=Coupling.LINEAR_IMAGINARY)
-        FloerConfig.constant(0.7j, 0.0, 16, coupling=Coupling.LINEAR_IMAGINARY)
+            FloerConfig.constant(1.0, 16, coupling=Coupling.LINEAR_IMAGINARY)
+        FloerConfig.constant(0.7j, 16, coupling=Coupling.LINEAR_IMAGINARY)
 
     def test_coefficient_encoding(self):
-        cfg = FloerConfig.constant(1.0, 0.0, 8)
+        cfg = FloerConfig.constant(1.0, 8)
         mats = floer.coefficient_matrices(cfg)
         for m in mats:
             np.testing.assert_allclose(m, [[1.0, 0.0], [0.0, -1.0]])
-        cfg = FloerConfig.constant(2.0 + 3.0j, 0.0, 8)
+        cfg = FloerConfig.constant(2.0 + 3.0j, 8)
         np.testing.assert_allclose(
             floer.coefficient_matrices(cfg)[0], [[2.0, 3.0], [3.0, -2.0]]
         )
 
     def test_linear_coupling_encoding(self):
-        cfg = FloerConfig.constant(0.5j, 0.0, 8, coupling=Coupling.LINEAR_IMAGINARY)
+        cfg = FloerConfig.constant(0.5j, 8, coupling=Coupling.LINEAR_IMAGINARY)
         np.testing.assert_allclose(
             floer.coefficient_matrices(cfg)[0], [[0.0, 0.5], [-0.5, 0.0]]
         )
@@ -86,12 +101,12 @@ class TestConfig:
 
 class TestAssembly:
     def test_stiffness_symmetric(self):
-        for cfg in (
-            FloerConfig.zero(0.0, 8),
-            FloerConfig.constant(1.0 - 2.0j, 2.0, 16),
-            FloerConfig.constant(0.3j, 1.0, 12, coupling=Coupling.LINEAR_IMAGINARY),
+        for cfg, s in (
+            (FloerConfig.zero(8), 0.0),
+            (FloerConfig.constant(1.0 - 2.0j, 16), 2.0),
+            (FloerConfig.constant(0.3j, 12, coupling=Coupling.LINEAR_IMAGINARY), 1.0),
         ):
-            op = assemble_floer_operator(cfg)
+            op = assemble_floer_operator(cfg, s)
             assert linalg.symmetry_defect(op.stiffness.toarray()) <= 1e-12
             assert linalg.symmetry_defect(op.square_stiffness.toarray()) <= 1e-12
             # the pencil stays banded: three nodes' worth of couplings per row
@@ -111,11 +126,11 @@ class TestAssembly:
             samples = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
         else:
             samples = np.full(m + 1, complex(a))
-        cfg = FloerConfig(samples, s, m)
-        op = assemble_floer_operator(cfg)
+        cfg = FloerConfig(samples, m)
+        op = assemble_floer_operator(cfg, s)
         n = 2 * (m + 1)
         monkeypatch.setattr(floer, "_node_dofs", lambda grid_m, s: (np.arange(n), np.ones(n)))
-        full = assemble_floer_operator(cfg)
+        full = assemble_floer_operator(cfg, s)
         v0, v1 = boundary_lines(s)
         r = np.zeros((n, n - 2))
         r[0:2, 0], r[-2:, -1] = v0, v1
@@ -130,21 +145,21 @@ class TestAssembly:
             assert np.all(x.data != 0.0)
 
     def test_nnz_at_grid_400(self):
-        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 1.0, 400))
+        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 400), 1.0)
         assert (op.stiffness.nnz, op.mass.nnz, op.square_stiffness.nnz) == (4790, 2398, 2398)
 
     def test_dof_count(self):
         for m in (8, 33):
-            op = assemble_floer_operator(FloerConfig.zero(1.0, m))
+            op = assemble_floer_operator(FloerConfig.zero(m), 1.0)
             assert op.dim == 2 * (m + 1) - 2
 
     def test_mass_positive_definite(self):
-        op = assemble_floer_operator(FloerConfig.zero(0.5, 16))
+        op = assemble_floer_operator(FloerConfig.zero(16), 0.5)
         w = np.linalg.eigvalsh(op.mass.toarray())
         assert np.min(w) > 0.0
 
     def test_mass_normalized_operator(self):
-        op = assemble_floer_operator(FloerConfig.zero(0.5, 16))
+        op = assemble_floer_operator(FloerConfig.zero(16), 0.5)
         a = mass_normalized(op)
         # same pencil spectrum, computed through the unsymmetric product
         mass = op.mass.toarray()
@@ -161,17 +176,17 @@ class TestAssembly:
         np.testing.assert_allclose(mus, np.sort(squares.real), atol=1e-8)
 
 
-def _case(kind, s, m=12):
-    """One coefficient of each kind, at boundary angle ``s``."""
+def _case(kind, m=12):
+    """One coefficient of each kind."""
     if kind == "zero":
-        return FloerConfig.zero(s, m)
+        return FloerConfig.zero(m)
     if kind == "constant":
-        return FloerConfig.constant(0.3 + 0.2j, s, m)
+        return FloerConfig.constant(0.3 + 0.2j, m)
     if kind == "random":
         rng = np.random.default_rng(5)
-        return FloerConfig(rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1), s, m)
+        return FloerConfig(rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1), m)
     q = 1.5 * np.cos(np.linspace(0.0, 3.0, m + 1))
-    return FloerConfig(1j * q, s, m, coupling=Coupling.LINEAR_IMAGINARY)
+    return FloerConfig(1j * q, m, coupling=Coupling.LINEAR_IMAGINARY)
 
 
 class TestFloerPencil:
@@ -181,8 +196,8 @@ class TestFloerPencil:
         # each constrained matrix is R^T X R, X the unassembled element blocks
         # and R the weighted dof table: entry (X_e[a, b] * w_a) * w_b summed
         # element by element, here through scipy's COO -> CSC route
-        cfg = _case(kind, s)
-        op = FloerPencil(cfg.with_angle(0.3)).at(s)
+        cfg = _case(kind)
+        op = FloerPencil(cfg).at(s)
         dof, weight = floer._node_dofs(cfg.grid_m, s)
         coords = 2 * np.arange(cfg.grid_m)[:, None] + np.arange(4)
         d, w = dof[coords], weight[coords]
@@ -199,7 +214,7 @@ class TestFloerPencil:
                 np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
             # exact cancellations leave no stored zeros behind
             assert np.all(got.data != 0.0)
-        direct = assemble_floer_operator(cfg)
+        direct = assemble_floer_operator(cfg, s)
         for field in fields:
             assert np.array_equal(getattr(direct, field).data, getattr(op, field).data)
 
@@ -207,7 +222,7 @@ class TestFloerPencil:
         calls = []
         real = floer.coefficient_matrices
         monkeypatch.setattr(floer, "coefficient_matrices", lambda cfg: calls.append(cfg) or real(cfg))
-        cfg = FloerConfig.constant(0.3 + 0.2j, 0.0, 16)
+        cfg = FloerConfig.constant(0.3 + 0.2j, 16)
         pencil = FloerPencil(cfg)
         for s in np.linspace(0.0, 2.0 * np.pi, 9):
             pencil.at(float(s))
@@ -217,12 +232,12 @@ class TestFloerPencil:
         assert len(calls) == 1
 
     def test_every_angle_is_checked(self):
-        pencil = FloerPencil(FloerConfig.zero(0.0, 8))
+        pencil = FloerPencil(FloerConfig.zero(8))
         with pytest.raises(InvalidConfig, match="outside"):
             pencil.at(7.0)
 
     def test_overflowing_coefficient_raises_at_every_angle(self):
-        pencil = FloerPencil(FloerConfig.constant(1e308 + 1e308j, 0.0, 16))
+        pencil = FloerPencil(FloerConfig.constant(1e308 + 1e308j, 16))
         for s in (0.0, 1.0):
             with pytest.raises(InvalidConfig, match="NaN or Inf"):
                 pencil.at(s)
@@ -232,7 +247,7 @@ class TestValidatorRoutes:
     # symmetry is read off the CSC arrays when the pattern is symmetric and
     # canonical, and from the sparse difference otherwise
     def _dense(self):
-        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 1.0, 8))
+        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 8), 1.0)
         return op.stiffness.toarray(), op.mass.toarray(), op.square_stiffness.toarray()
 
     def test_asymmetric_pattern(self):
@@ -271,13 +286,13 @@ class TestValidatorRoutes:
 
 class TestSpectrum:
     def test_kernel_at_zero_angle(self):
-        op = assemble_floer_operator(FloerConfig.zero(0.0, 32))
+        op = assemble_floer_operator(FloerConfig.zero(32), 0.0)
         w = floer_spectrum(op, 3)
         assert np.min(np.abs(w)) <= 1e-10
 
     @pytest.mark.parametrize("s", [0.5, 1.0, np.pi, 5.0])
     def test_matches_rotation_ladder(self, s):
-        op = assemble_floer_operator(FloerConfig.zero(s, 64))
+        op = assemble_floer_operator(FloerConfig.zero(64), s)
         w = floer_spectrum(op, 5)
         np.testing.assert_allclose(w, ladder(s, 5), atol=1e-4)
 
@@ -285,29 +300,29 @@ class TestSpectrum:
         s = 1.0
         errs = []
         for m in (32, 64):
-            w = floer_spectrum(assemble_floer_operator(FloerConfig.zero(s, m)), 5)
+            w = floer_spectrum(assemble_floer_operator(FloerConfig.zero(m), s), 5)
             errs.append(np.max(np.abs(w - ladder(s, 5))))
         assert errs[1] <= errs[0] / 2.0
 
     def test_s_periodicity(self):
         s = 0.8
-        w1 = floer_spectrum(assemble_floer_operator(FloerConfig.zero(s, 64)), 4)
-        w2 = floer_spectrum(assemble_floer_operator(FloerConfig.zero(s + np.pi, 64)), 4)
+        w1 = floer_spectrum(assemble_floer_operator(FloerConfig.zero(64), s), 4)
+        w2 = floer_spectrum(assemble_floer_operator(FloerConfig.zero(64), s + np.pi), 4)
         np.testing.assert_allclose(w1, w2, atol=1e-6)
 
     def test_agrees_with_shooting_for_nonconstant_a(self):
         samples = (0.8 + 0.4j) * np.sin(np.pi * np.linspace(0.0, 1.0, 65))
-        cfg = FloerConfig(samples, 1.3, 64)
-        w = floer_spectrum(assemble_floer_operator(cfg), 3)
-        (roots,) = shooting_eigenvalues(cfg, [(cfg.s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
+        cfg, s = FloerConfig(samples, 64), 1.3
+        w = floer_spectrum(assemble_floer_operator(cfg, s), 3)
+        (roots,) = shooting_eigenvalues(cfg, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(w, roots, atol=5e-3)
 
     def test_linear_coupling_shifts_the_ladder(self):
         # for a = iq constant the system is a pure rotation at speed q + lam,
         # so the eigenvalues are {s - q + k*pi}
         s, q = 1.0, 0.7
-        cfg = FloerConfig.constant(1j * q, s, 64, coupling=Coupling.LINEAR_IMAGINARY)
-        w = floer_spectrum(assemble_floer_operator(cfg), 5)
+        cfg = FloerConfig.constant(1j * q, 64, coupling=Coupling.LINEAR_IMAGINARY)
+        w = floer_spectrum(assemble_floer_operator(cfg, s), 5)
         np.testing.assert_allclose(w, ladder(s - q, 5), atol=1e-4)
         (roots,) = shooting_eigenvalues(cfg, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(roots, ladder(s - q, 5), atol=1e-8)
@@ -315,7 +330,7 @@ class TestSpectrum:
     def test_large_grid_path_deterministic_and_consistent(self):
         # the pencil's windows come from secular roots on the interior
         # eigenpairs; they must reproduce themselves and the dense route
-        pencil = FloerPencil(FloerConfig.zero(0.8, 128))
+        pencil = FloerPencil(FloerConfig.zero(128))
         (w1,) = pencil.spectra([0.8], 5)
         (w2,) = pencil.spectra([0.8], 5)
         np.testing.assert_array_equal(w1, w2)
@@ -324,7 +339,7 @@ class TestSpectrum:
     def test_full_window_from_the_secular_roots(self):
         # the secular route needs no slack beyond the window: a full window
         # takes every root, the one above the last interior eigenvalue too
-        pencil = FloerPencil(FloerConfig.zero(0.8, 101))
+        pencil = FloerPencil(FloerConfig.zero(101))
         op = pencil.at(0.8)
         (w,) = pencil.spectra([0.8], op.dim)
         np.testing.assert_array_equal(w, next(pencil.spectra([0.8], op.dim)))
@@ -346,7 +361,8 @@ class TestSpectrum:
         return calls
 
     def test_dense_window_is_one_solve(self, monkeypatch):
-        op = assemble_floer_operator(FloerConfig.constant(1.5 - 0.7j, 1.0, 48))
+        cfg = FloerConfig.constant(1.5 - 0.7j, 48)
+        op = assemble_floer_operator(cfg, 1.0)
         calls = self._count_full_solves(monkeypatch, op.dim)
         w = floer_spectrum(op, 5)
         assert calls == [(0, 10)]
@@ -357,8 +373,7 @@ class TestSpectrum:
         )
         ritz = scipy.linalg.eigvalsh(vecs.T @ (op.stiffness @ vecs), vecs.T @ (op.mass @ vecs))
         np.testing.assert_allclose(w, np.sort(sorted(ritz, key=abs)[:5]), rtol=0.0, atol=1e-12)
-        cfg = FloerConfig.constant(1.5 - 0.7j, 1.0, 48)
-        (roots,) = shooting_eigenvalues(cfg, [(cfg.s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
+        (roots,) = shooting_eigenvalues(cfg, [(1.0, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(w, roots, atol=1e-2)
 
     def test_degenerate_slack_widens_the_subset(self, monkeypatch):
@@ -386,7 +401,7 @@ class TestSpectrum:
     def test_mirror_tie_takes_the_negative_value(self, s, k_window):
         # a = 0 puts s + k*pi at the window's edge as a +-lam pair: both
         # routes keep the negative one, whichever roundoff made smaller
-        pencil = FloerPencil(FloerConfig.zero(s, 8))
+        pencil = FloerPencil(FloerConfig.zero(8))
         (w,) = pencil.spectra([s], k_window)
         np.testing.assert_allclose(
             w, floer_spectrum(pencil.at(s), k_window), rtol=0.0, atol=1e-12
@@ -396,7 +411,7 @@ class TestSpectrum:
     def test_dropped_eigenpair_is_counted(self, monkeypatch):
         # a lost secular root would shift the window silently; the inertia
         # count at the cut sees one value more than the block
-        pencil = FloerPencil(FloerConfig.zero(0.8, 128))
+        pencil = FloerPencil(FloerConfig.zero(128))
         op = pencil.at(0.8)
         real_roots = floer._secular_roots
         calls = []
@@ -419,7 +434,7 @@ class TestSpectrum:
         # for a = 0 with the end lines parallel, half the interior modes do
         # not reach the last dof: their couplings are rounding noise and
         # deflate to exact eigenpairs of the interior
-        pencil = FloerPencil(FloerConfig.zero(s, grid_m))
+        pencil = FloerPencil(FloerConfig.zero(grid_m))
         real_roots = floer._secular_roots
         poles = []
 
@@ -448,7 +463,7 @@ class TestSpectrum:
         return calls
 
     def test_one_interior_solve_per_coefficient(self, monkeypatch):
-        cfg = FloerConfig(smooth_coefficient(3, 24), 0.0, 24)
+        cfg = FloerConfig(smooth_coefficient(3, 24), 24)
         calls = self._count_interior_solves(monkeypatch, 2 * 24)
         pencil = FloerPencil(cfg)
         windows = list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
@@ -485,7 +500,7 @@ class TestSmoothSweep:
     def family(self):
         # the route run_floer takes: one pencil, secular windows per angle
         a = smooth_coefficient(6, self.GRID)
-        pencil = FloerPencil(FloerConfig(a, 0.0, self.GRID))
+        pencil = FloerPencil(FloerConfig(a, self.GRID))
         return a, list(pencil.spectra(self.SWEEP, 5))
 
     def test_every_window_matches_shooting(self, family):
@@ -493,7 +508,7 @@ class TestSmoothSweep:
         queries = [
             (float(s), (float(w[0] - 0.3), float(w[-1] + 0.3))) for s, w in zip(self.SWEEP, windows)
         ]
-        roots = shooting_eigenvalues(FloerConfig(a, 0.0, self.GRID), queries)
+        roots = shooting_eigenvalues(FloerConfig(a, self.GRID), queries)
         for s, w, r in zip(self.SWEEP, windows, roots):
             assert r.size == 5, f"s = {s}: oracle finds {r}, window {w}"
             np.testing.assert_allclose(w, r, rtol=0.0, atol=1e-5, err_msg=f"s = {s}")
@@ -512,7 +527,7 @@ class TestBlockRoute:
     def test_mixed_block_matches_the_dense_route(self, grid_m):
         # s = 0, pi and 2 pi deflate half the interior modes for a = 0, so the
         # block holds two masks of coupled modes
-        pencil = FloerPencil(FloerConfig.zero(0.0, grid_m))
+        pencil = FloerPencil(FloerConfig.zero(grid_m))
         angles = [0.0, 0.3, np.pi, 1.7, 2.0 * np.pi, np.pi / 2.0, 5.0, 0.0]
         for s, w in zip(angles, pencil.spectra(angles, 5)):
             np.testing.assert_allclose(
@@ -521,7 +536,7 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("k_window", [2, 4, 5])
     def test_mirror_ties_inside_a_block(self, k_window):
-        pencil = FloerPencil(FloerConfig.zero(0.0, 8))
+        pencil = FloerPencil(FloerConfig.zero(8))
         angles = [0.4, 0.0, np.pi / 2.0, np.pi, 2.5, 2.0 * np.pi]
         for s, w in zip(angles, pencil.spectra(angles, k_window)):
             np.testing.assert_allclose(
@@ -530,16 +545,18 @@ class TestBlockRoute:
 
     def test_window_does_not_depend_on_its_block(self, monkeypatch):
         monkeypatch.setattr(floer, "_BLOCK_ANGLES", 64)
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 48), 0.0, 48))
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 48), 48))
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         block = list(pencil.spectra(sweep, 5))
         for s, w in zip(sweep, block):
             np.testing.assert_allclose(w, next(pencil.spectra([s], 5)), rtol=0.0, atol=1e-13)
 
-    def test_no_gap_widens_only_that_angle(self, monkeypatch):
+    def test_no_gap_sends_only_that_angle_to_the_dense_route(self, monkeypatch):
         # at a degeneracy tolerance between the smallest and the next relative
-        # widest gap of the slack, one angle alone sees no open gap
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 12), 0.0, 12))
+        # widest gap of the slack, one angle alone sees no open gap; the dense
+        # route widens its subset, the secular solve is not repeated
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 12), 12))
+        pencil.interior  # its own call of at comes before the count
         angles = np.linspace(0.1, 6.0, 8)
         ratios = []
         for s in angles:
@@ -550,22 +567,29 @@ class TestBlockRoute:
             ratios.append(np.max(np.diff(mus[4:11])) / max(1.0, mus[10]))
         low, next_low = np.sort(ratios)[:2]
         monkeypatch.setattr(floer, "_DEGENERACY_RTOL", 0.5 * (low + next_low))
-        real_roots = floer._secular_roots
-        calls = []
+        real_roots, real_at = floer._secular_roots, FloerPencil.at
+        calls, built = [], []
 
         def recording(poles, weights, alpha, beta, count):
             calls.append((weights.shape[0], count))
             return real_roots(poles, weights, alpha, beta, count)
 
+        def counting(self, s):
+            built.append(s)
+            return real_at(self, s)
+
         monkeypatch.setattr(floer, "_secular_roots", recording)
+        monkeypatch.setattr(FloerPencil, "at", counting)
         windows = list(pencil.spectra(angles, 5))
-        assert calls[0] == (8, 11)
-        assert len(calls) > 1 and all(n == 1 and count > 11 for n, count in calls[1:])
+        assert calls == [(8, 11)]
+        assert built == [angles[np.argmin(ratios)]]
         for s, w in zip(angles, windows):
-            np.testing.assert_allclose(w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                w, floer_spectrum(real_at(pencil, s), 5), rtol=0.0, atol=1e-12
+            )
 
     def test_at_runs_only_for_the_interior_and_fallbacks(self, monkeypatch):
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 24), 0.0, 24))
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 24), 24))
         real_at = FloerPencil.at
         built = []
 
@@ -586,7 +610,7 @@ class TestBlockRoute:
     def test_failed_secular_solve_sends_its_group_to_the_dense_route(self, monkeypatch):
         # the angles of a group share their poles, so a failed solve is not
         # retried per angle: every angle of the group takes the dense route
-        pencil = FloerPencil(FloerConfig.zero(0.0, 16))
+        pencil = FloerPencil(FloerConfig.zero(16))
         pencil.interior  # its own call of at comes before the count
         angles = [0.3, 1.1, 2.0, 4.4, 5.5]
         calls, built = [], []
@@ -611,12 +635,12 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
     def test_angle_outside_the_loop_inside_a_block(self, bad):
-        pencil = FloerPencil(FloerConfig.zero(0.0, 16))
+        pencil = FloerPencil(FloerConfig.zero(16))
         with pytest.raises(InvalidConfig, match="outside"):
             list(pencil.spectra([0.1, 0.2, bad, 0.3], 5))
 
     def test_border_checks(self):
-        interior = FloerPencil(FloerConfig.zero(0.0, 16)).interior
+        interior = FloerPencil(FloerConfig.zero(16)).interior
         cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidConfig, match="NaN or Inf"):
             floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5, None)
@@ -628,7 +652,7 @@ class TestBlockRoute:
 
 class TestDiscretizedOperator:
     def _pencil(self):
-        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 1.0, 8))
+        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 8), 1.0)
         return op.stiffness.toarray(), op.mass.toarray(), op.square_stiffness.toarray()
 
     def test_dense_input_is_stored_sparse(self):
@@ -667,17 +691,17 @@ class TestDiscretizedOperator:
         with pytest.raises(InvalidConfig):
             DiscretizedOperator(k, m, k2)
         # a coefficient near the float limit overflows the squared form
-        cfg = FloerConfig.constant(1e308 + 1e308j, 1.0, 16)
+        cfg = FloerConfig.constant(1e308 + 1e308j, 16)
         with pytest.raises(InvalidConfig):
-            assemble_floer_operator(cfg)
+            assemble_floer_operator(cfg, 1.0)
 
 
 class TestShooting:
     # for a = 0 the Prufer angle is theta(1; lam) = -lam exactly, so the
     # roots are the closed-form ladder {s + k*pi}
     def test_rotation_roots(self):
-        cfg = FloerConfig.zero(np.pi / 2.0, 16)
-        (roots,) = shooting_eigenvalues(cfg, [(cfg.s, (-2.0, 2.0))])
+        cfg = FloerConfig.zero(16)
+        (roots,) = shooting_eigenvalues(cfg, [(np.pi / 2.0, (-2.0, 2.0))])
         np.testing.assert_allclose(
             roots, [-1.5707963267948966, 1.5707963267948966], rtol=0.0, atol=1e-11
         )
@@ -687,18 +711,18 @@ class TestShooting:
             (1.0, (-8.0, 8.0), (-2, -1, 0, 1, 2)),
             (np.pi, (-4.0, 4.0), (-2, -1, 0)),
         ):
-            (roots,) = shooting_eigenvalues(FloerConfig.zero(s, 16), [(s, interval)])
+            (roots,) = shooting_eigenvalues(FloerConfig.zero(16), [(s, interval)])
             np.testing.assert_allclose(
                 roots, sorted(s + k * np.pi for k in ks), rtol=0.0, atol=1e-11
             )
 
     def test_grid_free(self):
-        (r1,) = shooting_eigenvalues(FloerConfig.zero(2.0, 8), [(2.0, (-2.0, 4.0))])
-        (r2,) = shooting_eigenvalues(FloerConfig.zero(2.0, 64), [(2.0, (-2.0, 4.0))])
+        (r1,) = shooting_eigenvalues(FloerConfig.zero(8), [(2.0, (-2.0, 4.0))])
+        (r2,) = shooting_eigenvalues(FloerConfig.zero(64), [(2.0, (-2.0, 4.0))])
         np.testing.assert_allclose(r1, r2, atol=1e-9)
 
     def test_empty_result_is_legal(self):
-        cfg = FloerConfig.zero(1.5, 16)
+        cfg = FloerConfig.zero(16)
         assert shooting_eigenvalues(cfg, [(1.5, (1.6, 2.0))])[0].size == 0
 
     @pytest.mark.parametrize("coupling", list(Coupling))
@@ -710,7 +734,7 @@ class TestShooting:
             samples = (0.8 + 0.4j) * np.sin(np.pi * t) + 0.5 * t
         else:
             samples = 1j * (0.7 + np.cos(3.0 * t))
-        cfg = FloerConfig(samples, 1.3, 16, coupling=coupling)
+        cfg = FloerConfig(samples, 16, coupling=coupling)
         b = floer.coefficient_matrices(cfg)
         lams = np.array([-3.0, -0.4, 0.0, 1.7, 5.0])
         expected = []
@@ -733,33 +757,33 @@ class TestShooting:
         # must find both, however close they are
         t = np.linspace(0.0, 1.0, 65)
         samples = 14.0 * np.tanh(40.0 * (t - 0.25)) * np.tanh(40.0 * (t - 0.75))
-        cfg = FloerConfig(samples, 1.3, 64)
+        cfg = FloerConfig(samples, 64)
         (roots,) = shooting_eigenvalues(cfg, [(1.3, (-0.52, 0.48))])
         assert roots.size == 2
-        w = floer_spectrum(assemble_floer_operator(cfg), 2)
+        w = floer_spectrum(assemble_floer_operator(cfg, 1.3), 2)
         np.testing.assert_allclose(roots, w, atol=2e-3)
 
     def test_stiff_coefficient_is_rejected(self):
         # |a| dt beyond RK4's stability bound would give a garbage count
         for a in (1500.0, 1e150):
             with pytest.raises(SamplingTooCoarse):
-                shooting_eigenvalues(FloerConfig.constant(a, 1.0, 16), [(1.0, (-1.0, 1.0))])
-        cfg = FloerConfig.constant(1000.0, 1.0, 16)
+                shooting_eigenvalues(FloerConfig.constant(a, 16), [(1.0, (-1.0, 1.0))])
+        cfg = FloerConfig.constant(1000.0, 16)
         assert shooting_eigenvalues(cfg, [(1.0, (-1.0, 1.0))])[0].size == 0
 
     def test_malformed_interval(self):
         for interval in ((2.0, 2.0), (-np.inf, 0.0), (0.0, np.nan)):
             with pytest.raises(NoRootBracketed):
-                shooting_eigenvalues(FloerConfig.zero(1.5, 16), [(1.5, interval)])
+                shooting_eigenvalues(FloerConfig.zero(16), [(1.5, interval)])
         # one bad query spoils the batch, and the angle must be finite too
         queries = [(1.5, (0.0, 1.0)), (np.nan, (0.0, 1.0))]
         with pytest.raises(NoRootBracketed):
-            shooting_eigenvalues(FloerConfig.zero(1.5, 16), queries)
+            shooting_eigenvalues(FloerConfig.zero(16), queries)
 
     def test_overflowing_coefficient_is_rejected(self):
         # c0 = -inf outright, or finite but overflowing the RK4 stages
         for q in (1e308, 5e307):
-            cfg = FloerConfig.constant(q * 1j, 1.0, 16, coupling=Coupling.LINEAR_IMAGINARY)
+            cfg = FloerConfig.constant(q * 1j, 16, coupling=Coupling.LINEAR_IMAGINARY)
             for queries in ([(1.0, (-1.0, 1.0))], [(1.0, (-1.0, 1.0)), (2.0, (0.0, 3.0))]):
                 with pytest.raises(InvalidConfig):
                     shooting_eigenvalues(cfg, queries)
@@ -768,12 +792,11 @@ class TestShooting:
         # the four queries run_floer makes on const:1.5,-0.7; the batch must
         # give each query's roots and integrate no more often than the
         # slowest query does alone
-        samples = np.full(49, 1.5 - 0.7j)
+        cfg = FloerConfig.constant(1.5 - 0.7j, 48)
         queries = []
         for s in (0.5, 1.0, np.pi, 5.0):
-            w = floer_spectrum(assemble_floer_operator(FloerConfig(samples, s, 48)), 5)
+            w = floer_spectrum(assemble_floer_operator(cfg, s), 5)
             queries.append((s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)))
-        cfg = FloerConfig(samples, 0.0, 48)
         calls = []
         real_end_angles = floer._end_angles
 
@@ -796,13 +819,13 @@ class TestShooting:
             np.testing.assert_allclose(roots, single, rtol=0.0, atol=1e-12)
 
     def test_empty_batch(self):
-        assert shooting_eigenvalues(FloerConfig.zero(1.5, 16), []) == []
+        assert shooting_eigenvalues(FloerConfig.zero(16), []) == []
 
 
 def free_loop_windows(grid_m, count):
     """Windows of the zero-coefficient family at ``count`` angles over ``[0, 2 pi]``."""
     return [
-        floer_spectrum(assemble_floer_operator(FloerConfig.zero(float(s), grid_m)), 5)
+        floer_spectrum(assemble_floer_operator(FloerConfig.zero(grid_m), float(s)), 5)
         for s in np.linspace(0.0, 2.0 * np.pi, count)
     ]
 
@@ -813,7 +836,7 @@ class TestSpectralFlow:
         return free_loop_windows(48, 97)
 
     def test_constant_family(self):
-        w = floer_spectrum(assemble_floer_operator(FloerConfig.zero(1.0, 16)), 4)
+        w = floer_spectrum(assemble_floer_operator(FloerConfig.zero(16), 1.0), 4)
         assert spectral_flow([w, w, w]) == 0
 
     def test_full_loop(self, loop_windows):
@@ -835,7 +858,7 @@ class TestSpectralFlow:
         t = np.linspace(0.0, 1.0, 33)
         samples = 2.5 * np.sin(np.pi * t) + 1.0j * np.cos(np.pi * t)
         windows = [
-            floer_spectrum(assemble_floer_operator(FloerConfig(samples, s, 32)), 4)
+            floer_spectrum(assemble_floer_operator(FloerConfig(samples, 32), s), 4)
             for s in np.linspace(0.2, 2.2, 3)
         ]
         with pytest.raises(SamplingTooCoarse):
@@ -891,7 +914,7 @@ class TestBoundaryProjectors:
         assert d == pytest.approx(abs(np.sin(0.5)), abs=1e-12)
 
     def test_nu_lipschitz(self):
-        cfg = FloerConfig.constant(0.8 + 0.3j, 0.0, 16)
+        cfg = FloerConfig.constant(0.8 + 0.3j, 16)
         d0 = boundary_coefficient_operator(cfg)
         c = 1.0 + 2.0 * linalg.operator_norm(d0)
         for s, ds in ((0.2, 0.01), (1.0, 0.05), (2.5, 0.15)):
@@ -967,9 +990,9 @@ class TestCutoffGauge:
         s, t = 0.6, 0.75
         hat = gauge_hat_U(boundary_projector(s), boundary_projector(t))
         u = cutoff_gauge_U(hat, CutoffProfile.smoothstep(m), m)
-        moved = linalg.Subspace.from_spanning(u @ domain_subspace(FloerConfig.zero(s, m)).basis)
+        moved = linalg.Subspace.from_spanning(u @ domain_subspace(FloerConfig.zero(m), s).basis)
         assert (
-            topology.subspace_gap(moved, domain_subspace(FloerConfig.zero(t, m)))
+            topology.subspace_gap(moved, domain_subspace(FloerConfig.zero(m), t))
             <= 1e-10
         )
 
@@ -989,26 +1012,26 @@ class TestCutoffGauge:
 
 class TestRhoContinuity:
     def test_zero_step(self):
-        cfg = FloerConfig.zero(0.4, 16)
+        cfg = FloerConfig.zero(16)
         reports = rho_continuity_profile(cfg, [0.4, 0.4])
         assert reports[0].rho == 0.0
         assert reports[0].gamma == 0.0
 
     def test_modulus_shrinks_with_step(self):
-        cfg = FloerConfig.zero(0.3, 16)
+        cfg = FloerConfig.zero(16)
         coarse = rho_continuity_profile(cfg, np.linspace(0.3, 1.1, 9))
         fine = rho_continuity_profile(cfg, np.linspace(0.3, 1.1, 17))
         assert max(r.rho for r in coarse) >= 1.5 * max(r.rho for r in fine)
 
     def test_joint_with_nu(self):
-        cfg = FloerConfig.zero(0.3, 16)
+        cfg = FloerConfig.zero(16)
         samples = np.linspace(0.3, 0.7, 5)
         reports = rho_continuity_profile(cfg, samples)
         assert max(r.nu for r in reports) < 0.11
         assert max(r.rho for r in reports) < 0.2
 
     def test_nu_is_the_boundary_projector_distance(self):
-        cfg = FloerConfig.constant(0.8 - 0.3j, 0.0, 16)
+        cfg = FloerConfig.constant(0.8 - 0.3j, 16)
         samples = [0.3, 0.5, 1.2]
         d0 = boundary_coefficient_operator(cfg)
         expected = [
@@ -1028,7 +1051,7 @@ class TestRhoContinuity:
             return a
 
         monkeypatch.setattr(floer, "mass_normalized", tracked)
-        reports = rho_continuity_profile(FloerConfig.zero(0.3, 16), np.linspace(0.3, 1.1, 9))
+        reports = rho_continuity_profile(FloerConfig.zero(16), np.linspace(0.3, 1.1, 9))
         assert len(reports) == 8 and len(peak) == 9
         assert max(peak) == 2
 
@@ -1037,7 +1060,7 @@ class TestRhoContinuity:
         step = samples[1] - samples[0]
         constants = []
         for m in (16, 32, 64):
-            reports = rho_continuity_profile(FloerConfig.zero(0.3, m), samples)
+            reports = rho_continuity_profile(FloerConfig.zero(m), samples)
             constants.append(max(r.rho for r in reports) / step)
         for a, b in zip(constants, constants[1:]):
             assert 0.75 * a <= b <= 1.25 * a

@@ -38,7 +38,7 @@ def _pair_operator(lam, eps, seed):
 def _smooth_operator(amps, s, grid_m=8):
     t = np.linspace(0.0, 1.0, grid_m + 1)
     a = sum(amp * np.cos((k + 1) * np.pi * t) for k, amp in enumerate(amps))
-    return assemble_floer_operator(FloerConfig(np.asarray(a, dtype=complex), s, grid_m))
+    return assemble_floer_operator(FloerConfig(np.asarray(a, dtype=complex), grid_m), s)
 
 
 def _dense_mus(op):
@@ -143,14 +143,15 @@ def test_inertia_count_matches_the_dense_count(amps, s, slot, frac):
 )
 def test_pencil_window_equals_the_dense_window(amps, coupling, grid_m, s, k_frac):
     # k_window runs from 1 to dim: the top windows take the root above the
-    # last interior eigenvalue, and degenerate slack widens the block
+    # last interior eigenvalue, and degenerate slack sends the angle to the
+    # dense route, which widens its subset
     t = np.linspace(0.0, 1.0, grid_m + 1)
     a = sum(amp * np.cos((k + 1) * np.pi * t) for k, amp in enumerate(amps))
     if coupling is Coupling.LINEAR_IMAGINARY:
         a = 1j * np.imag(a)
     k_window = 1 + round(k_frac * (2 * grid_m - 1))
     try:
-        pencil = FloerPencil(FloerConfig(np.asarray(a, dtype=complex), 0.0, grid_m, coupling))
+        pencil = FloerPencil(FloerConfig(np.asarray(a, dtype=complex), grid_m, coupling))
         (w,) = pencil.spectra([s], k_window)
         dense = floer_spectrum(pencil.at(s), k_window)
     except FredlabError:

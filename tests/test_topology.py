@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fredlab import lagrangian, linalg, topology
-from fredlab.errors import DimensionMismatch
+from fredlab.errors import DimensionMismatch, FredlabError
 from fredlab.topology import (
     ALPHA_RAMP,
     P_MINUS,
@@ -86,6 +86,12 @@ class TestRieszMap:
         assert linalg.operator_norm(back.matrix - a.matrix) <= 1e-8 * (
             1.0 + linalg.operator_norm(a.matrix)
         )
+
+    @pytest.mark.parametrize("t", [[1.0, 0.5], [1.5, 0.2], [-1.0, 0.0]])
+    def test_inverse_outside_the_unit_ball_is_a_typed_error(self, t):
+        # the functional calculus names the eigenvalue where the inverse is undefined
+        with pytest.raises(FredlabError, match="eigenvalue"):
+            topology.riesz_inverse(np.diag(t))
 
 
 class TestResolvents:
@@ -191,9 +197,9 @@ class TestGapEigenbasisRoute:
     def test_floer_neighbours(self):
         from fredlab import floer
 
-        cfg = floer.FloerConfig.constant(1.5 - 0.7j, 0.5, 48)
+        cfg = floer.FloerConfig.constant(1.5 - 0.7j, 48)
         a0, a1 = (
-            floer.mass_normalized(floer.assemble_floer_operator(cfg.with_angle(s)))
+            floer.mass_normalized(floer.assemble_floer_operator(cfg, s))
             for s in (0.5, 0.55)
         )
         assert a0.dim == 96
@@ -231,7 +237,7 @@ class TestRieszMetric:
 
         rng = np.random.default_rng(16)
         a, b = random_operator(rng, 6), random_operator(rng, 6)
-        cfg, samples = floer.FloerConfig.zero(0.3, 16), np.linspace(0.3, 1.1, 4)
+        cfg, samples = floer.FloerConfig.zero(16), np.linspace(0.3, 1.1, 4)
         before = topology.riesz_metric(a, b), floer.rho_continuity_profile(cfg, samples)
 
         def refuse(*args, **kwargs):
