@@ -696,43 +696,140 @@ def mass_normalized(op):
     return SelfAdjointOperator(0.5 * (a + a.T))
 
 
+#: Gauss points of the two-point Magnus step, as fractions of the step.
+_MAGNUS_XI = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+
+#: Entries of each array in one block of the transfer-matrix scan (64 KiB of
+#: float64).  Smaller blocks ran slower; larger ones no faster, and their
+#: temporaries raised the peak resident set.
+_SCAN_ENTRIES = 1 << 13
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _end_angles(cfg, lams, n_steps):
     """Prufer angle ``theta(1)`` of ``u' = (B(t) - lam J) u``, ``u(0) = (1, 0)``.
 
     With ``u = r (cos theta, sin theta)`` the angle alone obeys ``theta' =
-    c0 - lam + c1 cos(2 theta) + c2 sin(2 theta)``.  Fourth-order Runge-Kutta
-    on a fixed grid aligned with the coefficient samples, vectorized over
-    the batch of spectral parameters ``lams``.  A coefficient near the float
-    limit overflows ``c0``, ``c1``, ``c2`` or the angle; that raises
-    :class:`InvalidConfig` once the angle is found not finite.
+    c0 - lam + c1 cos(2 theta) + c2 sin(2 theta)``.  Each of ``n_steps``
+    equal steps has the two-point Gauss Magnus exponent ``Omega0 + lam
+    Omega1`` (fourth order), from ``B1``, ``B2`` at its Gauss points:
+    ``Omega0 = h/2 (B1 + B2) + k [B2, B1]`` and ``Omega1 = -h J - k [B2 - B1,
+    J]`` with ``k = sqrt(3)/12 h^2``.  For each block of the spectral
+    parameters ``lams``, one scan of the step propagators gives ``u(1)`` and
+    every ``u_k`` on the way, and ``theta(1)`` sums the wrapped angle
+    increments of the ``u_k``.
+
+    Two bounds guard the count, and each raises :class:`SamplingTooCoarse`.
+    The coefficient bound keeps ``h |(c1, c2)|`` at most 1.39.  The turn
+    bound keeps ``h max(|c0 - lam| + |(c1, c2)|)``, over the nodes and the
+    range of ``lams``, below ``pi``: it bounds how far one step turns ``u``,
+    and a turn past ``pi`` would slip through the wrapped increments
+    unnoticed.  A coefficient near the float limit overflows the exponents;
+    that raises :class:`InvalidConfig` once the angle is found not finite,
+    before the turn bound is checked.
     """
     b = coefficient_matrices(cfg)
-    t = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     c0, c1, c2 = (
-        np.interp(t, cfg.nodes, 0.5 * x)
+        0.5 * x
         for x in (b[:, 1, 0] - b[:, 0, 1], b[:, 1, 0] + b[:, 0, 1], b[:, 1, 1] - b[:, 0, 0])
     )
-    dt = 1.0 / n_steps
-    # linearized about its equilibria theta' has rate 2 |(c1, c2)|; past RK4's
-    # real stability bound 2.785 the angle is garbage and so is the root count
-    if 2.0 * dt * float(np.max(np.hypot(c1, c2))) > 2.785:
+    h = 1.0 / n_steps
+    # theta relaxes to its equilibria at rate 2 |(c1, c2)|; a coefficient that
+    # relaxes it within 1/2.785 of a step is refused, not trusted
+    if 2.0 * h * float(np.max(np.hypot(c1, c2))) > 2.785:
         raise SamplingTooCoarse(f"{n_steps} steps cannot resolve a coefficient this large")
     lams = np.asarray(lams, dtype=float)
-    theta = np.zeros(lams.size)
-
-    def rhs(j, th):
-        return c0[j] - lams + c1[j] * np.cos(2.0 * th) + c2[j] * np.sin(2.0 * th)
-
-    for i in range(0, 2 * n_steps, 2):
-        k1 = rhs(i, theta)
-        k2 = rhs(i + 1, theta + 0.5 * dt * k1)
-        k3 = rhs(i + 1, theta + 0.5 * dt * k2)
-        k4 = rhs(i + 2, theta + dt * k3)
-        theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    t = (np.arange(n_steps)[:, None] + _MAGNUS_XI) * h
+    (x1, x2), (y1, y2), (z1, z2) = (
+        np.interp(t, cfg.nodes, b[:, i, j]).T for i, j in ((0, 0), (0, 1), (1, 0))
+    )
+    # B is trace-free, [[x, y], [z, -x]], and so is every term of Omega; the
+    # commutator of two such is [[yZ - Yz, 2(xY - yX)], [2(zX - xZ), Yz - yZ]]
+    k = np.sqrt(3.0) / 12.0 * h * h
+    omega0 = (
+        0.5 * h * (x1 + x2) + k * (y2 * z1 - y1 * z2),
+        0.5 * h * (y1 + y2) + 2.0 * k * (x2 * y1 - y2 * x1),
+        0.5 * h * (z1 + z2) + 2.0 * k * (z2 * x1 - x2 * z1),
+    )
+    dx = x2 - x1
+    omega1 = (-k * (y2 - y1 + z2 - z1), h + 2.0 * k * dx, -h + 2.0 * k * dx)
+    rows = max(1, _SCAN_ENTRIES // n_steps)
+    theta = np.empty(lams.size)
+    for i in range(0, lams.size, rows):
+        ux, uy = _prefix_columns(_propagators(omega0, omega1, lams[i : i + rows, None]))
+        # phi jumps by 2 pi where u = P_k (1, 0) crosses the branch cut; while
+        # no step turns u by pi, each jump is the rounded step of phi
+        phi = np.arctan2(uy, ux)
+        wraps = np.rint(np.diff(phi, prepend=0.0) / (2.0 * np.pi)).sum(axis=1)
+        theta[i : i + rows] = phi[:, -1] - 2.0 * np.pi * wraps
     if not np.all(np.isfinite(theta)):
         raise InvalidConfig("coefficient too large: the Prufer angle is not finite")
+    if lams.size:
+        lo, hi = lams.min(), lams.max()
+        rate = np.maximum(np.abs(c0 - lo), np.abs(c0 - hi)) + np.hypot(c1, c2)
+        turn = h * float(np.max(rate))
+        if turn >= np.pi:
+            raise SamplingTooCoarse(
+                f"{n_steps} steps may turn u by {turn:.3f} >= pi in one step "
+                f"for lam in [{lo:.6g}, {hi:.6g}]"
+            )
     return theta
+
+
+def _propagators(omega0, omega1, lam):
+    """Entries ``(m00, m01, m10, m11)`` of ``E = exp(Omega0 + lam Omega1)``.
+
+    ``Omega`` is trace-free, so ``Omega^2 = d I`` and ``exp Omega = C(d) I +
+    S(d) Omega`` with ``C = cosh(sqrt d)`` and ``S = sinh(sqrt d) / sqrt d``
+    (cos and sin for ``d < 0``).  Both are entire in ``d``; their Taylor
+    series, cut where the largest ``|d|`` has converged to ``1e-17``, need no
+    branch and no transcendental call.
+    """
+    x, y, z = (w0 + lam * w1 for w0, w1 in zip(omega0, omega1))
+    d = x * x + y * z
+    reach = np.max(np.abs(d))
+    terms = next((k for k in range(1, 20) if reach**k <= 1e-17 * math.factorial(2 * k)), 20)
+    c = s = 1.0
+    for k in range(terms, 0, -1):
+        c = 1.0 + d * (c / ((2 * k - 1) * 2 * k))
+        s = 1.0 + d * (s / (2 * k * (2 * k + 1)))
+    return c + s * x, s * y, s * z, c - s * x
+
+
+def _prefix_columns(e):
+    """First columns of the prefix products ``P_k = E_k ... E_0``, rescaled.
+
+    ``e`` holds the entries ``(m00, m01, m10, m11)`` of the factors, one
+    array each with the steps along its last axis.  The pair products
+    ``E_{2j+1} E_{2j}`` recurse to the odd ``k``, and one matrix-vector
+    product per pair gives the even ones: ``n`` products of each kind in
+    ``log2 n`` levels.  Every product is divided by its largest entry; the
+    angle ignores positive scaling, and ``exp(int |B|)`` stays in range.
+    """
+    n = e[0].shape[-1]
+    if n == 1:
+        return e[0], e[2]
+    a0, a1, a2, a3 = (m[:, 1::2] for m in e)
+    b0, b1, b2, b3 = (m[:, : n - n % 2 : 2] for m in e)
+    odd = _prefix_columns(_rescaled(
+        a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3
+    ))
+    m0, m1, m2, m3 = (m[:, 2::2] for m in e)
+    vx, vy = (v[:, : (n - 1) // 2] for v in odd)
+    even = _rescaled(m0 * vx + m1 * vy, m2 * vx + m3 * vy)
+    u = np.empty((2, *e[0].shape))
+    u[:, :, 0] = e[0][:, 0], e[2][:, 0]
+    u[:, :, 1::2] = odd
+    u[:, :, 2::2] = even
+    return u
+
+
+def _rescaled(*entries):
+    """``entries`` divided by their largest magnitude, elementwise."""
+    scale = np.abs(entries[0])
+    for q in entries[1:]:
+        np.maximum(scale, np.abs(q), out=scale)
+    return [q / scale for q in entries]
 
 
 def shooting_eigenvalues(cfg, queries):

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,6 +235,17 @@ class TestMain:
 
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["floer", "--grid", "4"]) == 2
+
+    def test_package_runs_as_a_module(self):
+        # python -m fredlab from a checkout, with only src on the path
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fredlab", "identities", "--trials", "3"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("experiment,label,param,metric,value,expected,abs_error")
 
     def test_stdout_default(self, capsys):
         assert cli.main(["fuglede", "--n-list", "1", "--dim-factor", "4"]) == 0

@@ -736,7 +736,7 @@ class TestShooting:
             samples = 1j * (0.7 + np.cos(3.0 * t))
         cfg = FloerConfig(samples, 16, coupling=coupling)
         b = floer.coefficient_matrices(cfg)
-        lams = np.array([-3.0, -0.4, 0.0, 1.7, 5.0])
+        lams = np.array([-25.0, -3.0, -0.4, 0.0, 1.7, 5.0, 25.0])
         expected = []
         for lam in lams:
             def rhs(x, u):
@@ -764,12 +764,30 @@ class TestShooting:
         np.testing.assert_allclose(roots, w, atol=2e-3)
 
     def test_stiff_coefficient_is_rejected(self):
-        # |a| dt beyond RK4's stability bound would give a garbage count
+        # 2 |a| dt past the coefficient bound 2.785 is refused, not trusted
         for a in (1500.0, 1e150):
             with pytest.raises(SamplingTooCoarse):
                 shooting_eigenvalues(FloerConfig.constant(a, 16), [(1.0, (-1.0, 1.0))])
         cfg = FloerConfig.constant(1000.0, 16)
         assert shooting_eigenvalues(cfg, [(1.0, (-1.0, 1.0))])[0].size == 0
+
+    def test_turn_past_pi_in_one_step_is_rejected(self):
+        # at 1024 steps and a = 0 one step turns u by |lam| / 1024, past pi
+        # near |lam| = 3217, where the wrapped increments would miscount
+        with pytest.raises(SamplingTooCoarse):
+            shooting_eigenvalues(FloerConfig.zero(16), [(1.0, (-5000.0, 5000.0))])
+        (roots,) = shooting_eigenvalues(FloerConfig.zero(16), [(1.0, (-8.0, 8.0))])
+        np.testing.assert_allclose(
+            roots, [1.0 + k * np.pi for k in (-2, -1, 0, 1, 2)], rtol=0.0, atol=1e-11
+        )
+
+    @pytest.mark.parametrize("seed", [0, 2, 6, 8])
+    def test_end_angle_decreases_strictly(self, seed):
+        # the count of multiples of pi is exact only while F(lam) = theta(1;
+        # lam) + s decreases strictly
+        cfg = FloerConfig(smooth_coefficient(seed, 96), 96)
+        theta = floer._end_angles(cfg, np.linspace(-20.0, 20.0, 1601), 1056)
+        assert np.all(np.diff(theta) < 0.0)
 
     def test_malformed_interval(self):
         for interval in ((2.0, 2.0), (-np.inf, 0.0), (0.0, np.nan)):
@@ -781,7 +799,7 @@ class TestShooting:
             shooting_eigenvalues(FloerConfig.zero(16), queries)
 
     def test_overflowing_coefficient_is_rejected(self):
-        # c0 = -inf outright, or finite but overflowing the RK4 stages
+        # c0 = -inf outright, or finite but overflowing the step exponents
         for q in (1e308, 5e307):
             cfg = FloerConfig.constant(q * 1j, 16, coupling=Coupling.LINEAR_IMAGINARY)
             for queries in ([(1.0, (-1.0, 1.0))], [(1.0, (-1.0, 1.0)), (2.0, (0.0, 3.0))]):
