@@ -30,7 +30,6 @@ from .linalg import (
     operator_norm,
     projection_from_basis,
     subspace_meet_dims,
-    sym_eig,
     symmetric_norm,
 )
 from .topology import (
@@ -66,7 +65,6 @@ __all__ = [
     "operator_norm",
     "projection_from_basis",
     "subspace_meet_dims",
-    "sym_eig",
     "symmetric_norm",
     "MetricReport",
     "ScalarFunction",

@@ -301,7 +301,7 @@ def run_identities(trials=100, seed=7):
         worst_inv = max(
             worst_inv, linalg.operator_norm(f2 - (np.eye(n) - psi @ psi))
         )
-        psi_eigs = np.sort(linalg.sym_eig(psi).eigenvalues)
+        psi_eigs = np.sort(topology.SelfAdjointOperator(psi).decomposition.eigenvalues)
         mapped = np.sort(topology.bounded_transform_scalar(a.decomposition.eigenvalues))
         worst_eigs = max(worst_eigs, float(np.max(np.abs(psi_eigs - mapped))))
     label = "suite"
@@ -368,16 +368,15 @@ def main(argv=None):
             rows = run_perturb(dim=args.dim, steps=args.trials, seed=args.seed)
         else:
             rows = run_identities(trials=args.trials, seed=args.seed)
+        text = report_to_csv(rows) if args.format == "csv" else report_to_json(rows)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (FredlabError, ValueError, OSError) as exc:
         print(f"fredlab: {exc}", file=sys.stderr)
         return 2
-
-    text = report_to_csv(rows) if args.format == "csv" else report_to_json(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
     bad = violations(rows)
     if bad and args.strict:

@@ -17,6 +17,10 @@ class NoConvergence(FredlabError):
     """An iterative eigensolver or factorization failed to converge."""
 
 
+class MalformedMatrix(FredlabError, ValueError):
+    """A matrix was not two-dimensional or held NaN or Inf entries."""
+
+
 class EmptyMatrix(FredlabError):
     """A matrix with at least one entry was required."""
 

@@ -219,7 +219,8 @@ class DiscretizedOperator:
         if not all(np.all(np.isfinite(x.data)) for x in (k, m, k2)):
             raise InvalidConfig("stiffness, mass or square holds NaN or Inf")
         for name, x in (("stiffness", k), ("mass", m), ("square_stiffness", k2)):
-            if abs(x - x.T).max() > 1e-12 * max(1.0, float(np.max(np.abs(x.data), initial=0.0))):
+            scale = max(1.0, float(np.max(np.abs(x.data), initial=0.0)))
+            if abs(x - x.T).max() > linalg.SYMMETRY_TOL * scale:
                 raise NotSymmetric(f"{name} is not symmetric")
         try:
             scipy.linalg.cholesky_banded(_upper_band(m))
@@ -690,10 +691,8 @@ def mass_normalized(op):
     All boundary angles share one coordinate space, so these matrices can be
     compared with the operator metrics directly.
     """
-    dec = linalg.sym_eig(op.mass.toarray())
-    root_inv = linalg.apply_scalar_function(dec, lambda mu: 1.0 / np.sqrt(mu))
-    a = root_inv @ op.stiffness.toarray() @ root_inv
-    return SelfAdjointOperator(0.5 * (a + a.T))
+    root_inv = SelfAdjointOperator(op.mass.toarray()).apply(lambda mu: 1.0 / np.sqrt(mu))
+    return SelfAdjointOperator(root_inv @ op.stiffness.toarray() @ root_inv)
 
 
 #: Gauss points of the two-point Magnus step, as fractions of the step.
@@ -936,7 +935,7 @@ class BoundaryProjector:
         p = np.asarray(self.matrix, dtype=float)
         if p.shape != (4, 4):
             raise InvalidConfig(f"boundary projector must be 4x4, got {p.shape}")
-        if linalg.symmetry_defect(p) > 1e-12:
+        if linalg.symmetry_defect(p) > linalg.SYMMETRY_TOL:
             raise NotSymmetric("boundary projector is not symmetric")
         if linalg.operator_norm(p @ p - p) > 1e-12:
             raise InvalidConfig("boundary projector is not idempotent")

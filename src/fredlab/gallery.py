@@ -124,8 +124,7 @@ def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
     rng = np.random.default_rng(seed)
     w = rng.uniform(lo, hi, size=dim)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    a = (q * w) @ q.T
-    return SelfAdjointOperator(0.5 * (a + a.T))
+    return SelfAdjointOperator((q * w) @ q.T)
 
 
 def random_with_spectrum(eigenvalues, seed):
@@ -133,5 +132,4 @@ def random_with_spectrum(eigenvalues, seed):
     w = np.asarray(eigenvalues, dtype=float)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((w.size, w.size)))
-    a = (q * w) @ q.T
-    return SelfAdjointOperator(0.5 * (a + a.T))
+    return SelfAdjointOperator((q * w) @ q.T)

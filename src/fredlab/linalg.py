@@ -1,5 +1,6 @@
-"""Dense linear-algebra core: symmetric eigendecompositions, operator norms,
-spectral functional calculus and orthonormal subspace algebra.
+"""Dense linear-algebra core: the symmetry check, operator norms, spectral
+functional calculus and orthonormal subspace algebra.  Eigendecompositions
+come only from :class:`topology.SelfAdjointOperator`.
 
 Matrices are plain ``numpy.ndarray`` objects (real ``float64`` or
 ``complex128``); the structured values defined here
@@ -17,6 +18,7 @@ from .errors import (
     AmbientMismatch,
     EmptyMatrix,
     FunctionUndefinedAtEigenvalue,
+    MalformedMatrix,
     NoConvergence,
     NonSquare,
     NotSymmetric,
@@ -35,11 +37,11 @@ RANK_TOL = 1e-8
 def _as_matrix(m, name="matrix"):
     a = np.asarray(m)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got ndim={a.ndim}")
+        raise MalformedMatrix(f"{name} must be two-dimensional, got ndim={a.ndim}")
     if a.size == 0:
         raise EmptyMatrix(f"{name} has no entries")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise MalformedMatrix(f"{name} contains NaN or Inf entries")
     if np.iscomplexobj(a):
         return a.astype(np.complex128, copy=False)
     return a.astype(np.float64, copy=False)
@@ -71,26 +73,12 @@ def require_symmetric(a, name="matrix"):
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``.  :func:`sym_eig`
-    builds it from LAPACK, which guarantees both properties.
+    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; LAPACK guarantees
+    both, and ``SelfAdjointOperator.decomposition`` is the only builder.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def sym_eig(a):
-    """Eigendecomposition of an (n, n) matrix symmetric to ``SYMMETRY_TOL`` relative.
-
-    Returns a :class:`SpectralDecomposition` with ascending eigenvalues and
-    reconstruction residual below ``1e-10 * (1 + |a|)``.
-    """
-    a = require_symmetric(a, "sym_eig input")
-    try:
-        w, q = np.linalg.eigh(0.5 * (a + a.T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise NoConvergence(str(exc)) from exc
-    return SpectralDecomposition(w, q)
 
 
 def operator_norm(m):

@@ -20,18 +20,20 @@ from .errors import DimensionMismatch, NoConvergence
 
 @dataclass(frozen=True, eq=False)
 class SelfAdjointOperator:
-    """A symmetric matrix.
+    """A symmetric matrix, and the only route to a symmetric eigendecomposition.
 
-    The spectral decomposition is computed once on first use and cached on the
-    instance; the value is immutable afterwards, so sharing across threads is
-    safe.
+    The constructor checks the input once with :func:`linalg.require_symmetric`
+    and stores its symmetric part ``(m + m^T) / 2``, which is the input bit for
+    bit when that is exactly symmetric.  The spectral decomposition of the
+    stored matrix is computed once on first use and cached on the instance;
+    the value is immutable afterwards, so sharing across threads is safe.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.require_symmetric(self.matrix, "operator matrix")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 
     @property
     def dim(self):
@@ -39,7 +41,12 @@ class SelfAdjointOperator:
 
     @cached_property
     def decomposition(self):
-        return linalg.sym_eig(self.matrix)
+        """Ascending eigenvalues and orthonormal eigenvectors of :attr:`matrix`."""
+        try:
+            w, q = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+            raise NoConvergence(str(exc)) from exc
+        return linalg.SpectralDecomposition(w, q)
 
     def apply(self, f):
         """``f`` evaluated on this operator through its eigendecomposition."""
@@ -111,8 +118,8 @@ def riesz_map(a):
 
 def riesz_inverse(t):
     """Inverse of the bounded transform: ``T (1 - T^2)^{-1/2}`` for ``|T| < 1``."""
-    back = linalg.apply_scalar_function(linalg.sym_eig(t), lambda m: m / np.sqrt(1.0 - m * m))
-    return SelfAdjointOperator(0.5 * (back + back.T))
+    back = SelfAdjointOperator(t).apply(lambda m: m / np.sqrt(1.0 - m * m))
+    return SelfAdjointOperator(back)
 
 
 def _eigenbasis_norm(a0, a1, kernel):

@@ -236,6 +236,14 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["floer", "--grid", "4"]) == 2
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert cli.main(["identities", "--trials", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("fredlab: ") and "Traceback" not in captured.err
+
     def test_package_runs_as_a_module(self):
         # python -m fredlab from a checkout, with only src on the path
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])

@@ -12,6 +12,7 @@ from fredlab.errors import (
     NotSymmetric,
 )
 from fredlab.gallery import FugledeSpec, fuglede_operator
+from fredlab.topology import SelfAdjointOperator
 
 RECON_TOL = 1e-10
 HOMOMORPHISM_TOL = 1e-9
@@ -28,17 +29,19 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 class TestSymEig:
+    """Symmetric eigendecompositions, whose one route is ``SelfAdjointOperator``."""
+
     def test_identity(self):
-        dec = linalg.sym_eig(np.eye(3))
+        dec = SelfAdjointOperator(np.eye(3)).decomposition
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_diagonal_is_sorted(self):
-        dec = linalg.sym_eig(np.diag([3.0, -1.0, 2.0]))
+        dec = SelfAdjointOperator(np.diag([3.0, -1.0, 2.0])).decomposition
         np.testing.assert_allclose(dec.eigenvalues, [-1.0, 2.0, 3.0], atol=1e-14)
 
     def test_off_diagonal_pair(self):
         # characteristic polynomial of [[0,1],[1,0]] is x^2 - 1
-        dec = linalg.sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        dec = SelfAdjointOperator(np.array([[0.0, 1.0], [1.0, 0.0]])).decomposition
         np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         minus, plus = dec.eigenvectors[:, 0], dec.eigenvectors[:, 1]
@@ -49,18 +52,18 @@ class TestSymEig:
     def test_reconstruction_residual(self, n):
         rng = np.random.default_rng(100 + n)
         a = random_symmetric(rng, n, scale=3.0)
-        dec = linalg.sym_eig(a)
+        dec = SelfAdjointOperator(a).decomposition
         recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
         bound = RECON_TOL * (1.0 + linalg.operator_norm(a))
         assert linalg.operator_norm(recon - a) <= bound
 
     def test_rejects_non_square(self):
         with pytest.raises(NonSquare):
-            linalg.sym_eig(np.ones((2, 3)))
+            SelfAdjointOperator(np.ones((2, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            SelfAdjointOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestOperatorNorm:
@@ -138,13 +141,13 @@ class TestScalarFunction:
     def test_identity_reconstructs(self):
         rng = np.random.default_rng(17)
         a = random_symmetric(rng, 8)
-        dec = linalg.sym_eig(a)
+        dec = SelfAdjointOperator(a).decomposition
         np.testing.assert_allclose(
             linalg.apply_scalar_function(dec, lambda x: x), a, atol=1e-12
         )
 
     def test_square_on_diagonal(self):
-        dec = linalg.sym_eig(np.diag([1.0, 2.0]))
+        dec = SelfAdjointOperator(np.diag([1.0, 2.0])).decomposition
         np.testing.assert_allclose(
             linalg.apply_scalar_function(dec, lambda x: x**2),
             np.diag([1.0, 4.0]),
@@ -152,20 +155,20 @@ class TestScalarFunction:
         )
 
     def test_bounded_transform_on_diagonal(self):
-        dec = linalg.sym_eig(np.diag([0.0, 1.0]))
+        dec = SelfAdjointOperator(np.diag([0.0, 1.0])).decomposition
         out = linalg.apply_scalar_function(dec, lambda x: x / np.sqrt(1.0 + x * x))
         np.testing.assert_allclose(out, np.diag([0.0, 0.7071067811865476]), atol=1e-12)
 
     def test_real_output_symmetric(self):
         rng = np.random.default_rng(23)
-        dec = linalg.sym_eig(random_symmetric(rng, 12))
+        dec = SelfAdjointOperator(random_symmetric(rng, 12)).decomposition
         out = linalg.apply_scalar_function(dec, np.tanh)
         assert linalg.symmetry_defect(out) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_polynomial_homomorphism(self, seed):
         rng = np.random.default_rng(400 + seed)
-        dec = linalg.sym_eig(random_symmetric(rng, 10))
+        dec = SelfAdjointOperator(random_symmetric(rng, 10)).decomposition
         c = rng.uniform(-1, 1, size=6)
         f = lambda x: c[0] + c[1] * x + c[2] * x * x
         g = lambda x: c[3] + c[4] * x + c[5] * x * x
@@ -174,7 +177,7 @@ class TestScalarFunction:
         assert linalg.operator_norm(fg - sep) <= HOMOMORPHISM_TOL
 
     def test_undefined_value(self):
-        dec = linalg.sym_eig(np.diag([0.0, 1.0]))
+        dec = SelfAdjointOperator(np.diag([0.0, 1.0])).decomposition
         for f in (lambda x: 1.0 / x, lambda x: np.sqrt(x - 1.0)):
             with pytest.raises(FunctionUndefinedAtEigenvalue):
                 linalg.apply_scalar_function(dec, f)

@@ -39,6 +39,66 @@ def flipped_diag(n, dim):
     return sa(np.diag(d))
 
 
+class TestSelfAdjointOperator:
+    """The one door to a symmetric eigendecomposition: check and symmetrize once."""
+
+    def test_exactly_symmetric_input_is_kept_bitwise(self):
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((9, 9))
+        a = a + a.T
+        m = SelfAdjointOperator(a).matrix
+        assert m.tobytes() == a.tobytes()
+
+    def test_near_symmetric_input_is_symmetrized_and_decomposed(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((12, 12))
+        skew = rng.standard_normal((12, 12))
+        a = a + a.T + 1e-14 * (skew - skew.T)
+        op = SelfAdjointOperator(a)
+        assert not np.array_equal(a, a.T)
+        assert np.array_equal(op.matrix, op.matrix.T)
+        q, lam = op.decomposition.eigenvectors, op.decomposition.eigenvalues
+        recon = (q * lam) @ q.T
+        assert linalg.operator_norm(recon - op.matrix) <= IDENTITY_TOL * (
+            1.0 + linalg.operator_norm(op.matrix)
+        )
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        calls = []
+        check = linalg.require_symmetric
+        monkeypatch.setattr(
+            linalg, "require_symmetric", lambda *a, **k: calls.append(1) or check(*a, **k)
+        )
+        return calls
+
+    @pytest.mark.parametrize("metric", [topology.gap_metric, topology.riesz_metric])
+    def test_metrics_of_built_operators_check_nothing(self, metric, monkeypatch):
+        rng = np.random.default_rng(32)
+        a0, a1 = (random_operator(rng, 16, scale=3.0) for _ in range(2))
+        calls = self._count_checks(monkeypatch)
+        assert metric(a0, a1) > 0.0
+        assert calls == []
+
+    def test_mass_normalized_checks_twice(self, monkeypatch):
+        from fredlab import floer
+
+        ops = [floer.assemble_floer_operator(floer.FloerConfig.zero(16), s) for s in (0.5, 1.0)]
+        calls = self._count_checks(monkeypatch)
+        for op in ops:
+            floer.mass_normalized(op).decomposition
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([[np.nan]]), np.array([[1.0, np.inf], [np.inf, 1.0]]), np.zeros(3)]
+    )
+    @pytest.mark.parametrize("door", [SelfAdjointOperator, linalg.operator_norm])
+    def test_malformed_input_is_a_typed_error(self, door, bad):
+        with pytest.raises(FredlabError) as exc:
+            door(bad)
+        assert isinstance(exc.value, ValueError)
+
+
 class TestRieszMap:
     def test_zero(self):
         np.testing.assert_allclose(topology.riesz_map(sa(np.zeros((3, 3)))), 0.0, atol=1e-14)
@@ -62,7 +122,7 @@ class TestRieszMap:
     def test_eigenvalues_transform_pointwise(self):
         rng = np.random.default_rng(2)
         a = random_operator(rng, 12, scale=5.0)
-        psi_eigs = np.sort(linalg.sym_eig(topology.riesz_map(a)).eigenvalues)
+        psi_eigs = np.sort(SelfAdjointOperator(topology.riesz_map(a)).decomposition.eigenvalues)
         expected = np.sort(topology.bounded_transform_scalar(a.decomposition.eigenvalues))
         np.testing.assert_allclose(psi_eigs, expected, atol=1e-12)
 
