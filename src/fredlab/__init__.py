@@ -30,7 +30,6 @@ from .linalg import (
     operator_norm,
     projection_from_basis,
     subspace_meet_dims,
-    symmetric_norm,
 )
 from .topology import (
     MetricReport,
@@ -65,7 +64,6 @@ __all__ = [
     "operator_norm",
     "projection_from_basis",
     "subspace_meet_dims",
-    "symmetric_norm",
     "MetricReport",
     "ScalarFunction",
     "SelfAdjointOperator",

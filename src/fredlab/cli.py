@@ -207,8 +207,8 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
 
 def run_graph(dim=20, trials=100, seed=7):
     """Graph-subspace oracles plus joint gap convergence of graphs and operators."""
-    if dim < 1 or trials < 1:
-        raise InvalidConfig("need positive dim and trials")
+    if dim < 2 or trials < 1:
+        raise InvalidConfig("need dim >= 2 and positive trials")
     rng = np.random.default_rng(seed)
     worst_proj = worst_lagr = worst_susp = 0.0
     worst_kernel = 0

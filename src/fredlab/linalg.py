@@ -1,6 +1,6 @@
-"""Dense linear-algebra core: the symmetry check, operator norms, spectral
-functional calculus and orthonormal subspace algebra.  Eigendecompositions
-come only from :class:`topology.SelfAdjointOperator`.
+"""Dense linear-algebra core: the symmetry check, one operator norm for every
+matrix, spectral functional calculus and orthonormal subspace algebra.
+Eigendecompositions come only from :class:`topology.SelfAdjointOperator`.
 
 Matrices are plain ``numpy.ndarray`` objects (real ``float64`` or
 ``complex128``); the structured values defined here
@@ -82,21 +82,25 @@ class SpectralDecomposition:
 
 
 def operator_norm(m):
-    """Largest singular value of a real or complex matrix."""
+    """Largest singular value of a real or complex matrix, ``c sqrt(l)``: ``c`` is
+    the largest ``|entry|`` and ``l``, between 1 and the entry count, the top
+    eigenvalue of the Gram matrix of ``m / c`` on its smaller side."""
     m = _as_matrix(m, "operator_norm input")
+    scale = float(np.max(np.abs(m)))
+    if scale == 0.0:
+        return 0.0
+    m = m.T if m.shape[0] < m.shape[1] else m
+    # gram precedes the scaled copy f, so eigvalsh's copy of gram can reuse f's
+    # memory once f is freed; a real f^T f is one syrk call
+    gram = np.empty((m.shape[1], m.shape[1]), dtype=m.dtype)
+    f = m / scale
+    np.matmul(f.conj().T if np.iscomplexobj(f) else f.T, f, out=gram)
+    del f
     try:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+        top = np.linalg.eigvalsh(gram)[-1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
-
-
-def symmetric_norm(m):
-    """Operator norm of a real symmetric matrix: its largest ``|eigenvalue|``."""
-    m = require_symmetric(m, "symmetric_norm input")
-    try:
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
+    return scale * float(top) ** 0.5
 
 
 def apply_scalar_function(dec, f):

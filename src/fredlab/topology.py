@@ -23,8 +23,9 @@ class SelfAdjointOperator:
     """A symmetric matrix, and the only route to a symmetric eigendecomposition.
 
     The constructor checks the input once with :func:`linalg.require_symmetric`
-    and stores its symmetric part ``(m + m^T) / 2``, which is the input bit for
-    bit when that is exactly symmetric.  The spectral decomposition of the
+    and stores its symmetric part ``(m + m^T) / 2``, halved before the sum
+    where the sum would overflow, so no entry overflows and an exactly
+    symmetric input is kept bit for bit.  The spectral decomposition of the
     stored matrix is computed once on first use and cached on the instance;
     the value is immutable afterwards, so sharing across threads is safe.
     """
@@ -33,7 +34,11 @@ class SelfAdjointOperator:
 
     def __post_init__(self):
         m = linalg.require_symmetric(self.matrix, "operator matrix")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+        with np.errstate(over="ignore"):
+            sym = 0.5 * (m + m.T)
+        big = np.isinf(sym)  # the sum overflowed: halve before adding
+        sym[big] = 0.5 * m[big] + 0.5 * m.T[big]
+        object.__setattr__(self, "matrix", sym)
 
     @property
     def dim(self):
@@ -137,16 +142,7 @@ def _eigenbasis_norm(a0, a1, kernel):
     d0, d1 = a0.decomposition, a1.decomposition
     f = d0.eigenvectors.T @ d1.eigenvectors
     kernel(f, d0.eigenvalues, d1.eigenvalues)
-    scale = float(np.max(np.abs(f)))  # keeps F^T F clear of underflow
-    if scale == 0.0:  # the norm is below the smallest float
-        return 0.0
-    f /= scale
-    # F^T F is symmetric by construction, so it skips symmetric_norm's check
-    try:
-        top = np.linalg.eigvalsh(f.T @ f)[-1]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
-    return scale * float(top) ** 0.5
+    return linalg.operator_norm(f)
 
 
 def _riesz_kernel(w, l0, l1):
@@ -190,7 +186,7 @@ def subspace_gap(s1, s2):
     """Operator norm of the difference of the orthogonal projections."""
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(f"ambient dims {s1.ambient_dim} != {s2.ambient_dim}")
-    return linalg.symmetric_norm(
+    return linalg.operator_norm(
         linalg.projection_from_basis(s1) - linalg.projection_from_basis(s2)
     )
 

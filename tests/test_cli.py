@@ -236,6 +236,11 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["floer", "--grid", "4"]) == 2
 
+    def test_graph_dim_below_two_exit_code(self, capsys):
+        # each trial draws its dimension from [2, dim]
+        assert cli.main(["graph", "--dim", "1"]) == 2
+        assert "need dim >= 2" in capsys.readouterr().err
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.csv"
         assert cli.main(["identities", "--trials", "2", "--out", str(out)]) == 2

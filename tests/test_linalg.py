@@ -122,19 +122,52 @@ SYMMETRIC_CASES = {
 }
 
 
+def complex_matrix(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+NORM_CASES = {
+    **SYMMETRIC_CASES,
+    "tall": lambda: np.random.default_rng(1).standard_normal((30, 7)),
+    "wide": lambda: np.random.default_rng(2).standard_normal((7, 30)),
+    "complex": lambda: complex_matrix(np.random.default_rng(3), 9, 9),
+    "complex-tall": lambda: complex_matrix(np.random.default_rng(4), 11, 4),
+    "complex-wide": lambda: complex_matrix(np.random.default_rng(5), 4, 11),
+    "rank-one": lambda: np.outer(np.arange(1.0, 6.0), np.arange(-3.0, 4.0)),
+    "zero-wide": lambda: np.zeros((2, 5)),
+    "one-by-one": lambda: np.array([[-2.5]]),
+    "complex-one-by-one": lambda: np.array([[3.0 - 4.0j]]),
+    **{
+        f"random-40-times-{scale:g}": lambda scale=scale: scale
+        * random_symmetric(np.random.default_rng(40), 40, 3.0)
+        for scale in (1e300, 1e-300)
+    },
+    **{
+        f"complex-wide-times-{scale:g}": lambda scale=scale: scale
+        * complex_matrix(np.random.default_rng(6), 5, 12)
+        for scale in (1e300, 1e-300)
+    },
+}
+
+
+class TestOperatorNormAgainstSvd:
+    @pytest.mark.parametrize("case", NORM_CASES)
+    def test_matches_largest_singular_value(self, case):
+        m = NORM_CASES[case]()
+        assert linalg.operator_norm(m) == pytest.approx(
+            np.linalg.norm(m, 2), rel=1e-14, abs=0.0
+        )
+
+
 class TestSymmetricNorm:
     @pytest.mark.parametrize("case", SYMMETRIC_CASES)
     def test_matches_operator_norm(self, case):
+        # the norm of a symmetric matrix is its largest |eigenvalue|
         m = SYMMETRIC_CASES[case]()
-        assert linalg.symmetric_norm(m) == pytest.approx(
-            linalg.operator_norm(m), rel=1e-12, abs=0.0
+        eigenvalues = SelfAdjointOperator(m).decomposition.eigenvalues
+        assert linalg.operator_norm(m) == pytest.approx(
+            np.max(np.abs(eigenvalues)), rel=1e-12, abs=0.0
         )
-
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            linalg.symmetric_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NotSymmetric):
-            linalg.symmetric_norm(np.array([[1j, 0.0], [0.0, 1.0]]))
 
 
 class TestScalarFunction:

@@ -5,7 +5,8 @@ the triangle inequality; the gap distance is at most 2, since each resolvent
 ``(i + A)^{-1} = (U - i)/2`` with ``U`` unitary, and the Riesz distance is
 below 2, since the bounded transform has its spectrum in ``(-1, 1)``.  The
 graph distance of a pair is half its gap distance.  Each distance, read from
-the eigenbases of the pair, agrees with its spectral-calculus oracle.
+the eigenbases of the pair, agrees with its spectral-calculus oracle, and the
+operator norm under both agrees with the largest singular value.
 """
 
 import itertools
@@ -85,3 +86,31 @@ def test_metrics_match_their_oracles(ops):
     branches = zip(topology.resolvents_at_i(a), topology.resolvents_at_i(b))
     resolvent_sum = sum(linalg.operator_norm(ra - rb) for ra, rb in branches)
     assert abs(topology.gap_metric(a, b) - resolvent_sum) <= SLACK
+
+
+def _matrix(rows, cols, rank, seed, is_complex, exponent):
+    """A seeded ``rows x cols`` matrix of rank at most ``rank``, scaled by ``10**exponent``."""
+    rng = np.random.default_rng(seed)
+    r = min(rank, rows, cols)
+    left, right = rng.standard_normal((rows, r)), rng.standard_normal((r, cols))
+    if is_complex:
+        left = left + 1j * rng.standard_normal((rows, r))
+    return (left @ right) * 10.0**exponent
+
+
+matrices = st.builds(
+    _matrix,
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    is_complex=st.booleans(),
+    exponent=st.sampled_from([-300, -150, 0, 150, 300]),
+)
+
+
+@settings(max_examples=100)
+@given(m=matrices)
+def test_operator_norm_is_the_largest_singular_value(m):
+    reference = np.linalg.norm(m, 2)
+    assert abs(linalg.operator_norm(m) - reference) <= 1e-14 * reference

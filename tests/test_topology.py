@@ -16,6 +16,9 @@ from fredlab.topology import (
 
 IDENTITY_TOL = 1e-10
 
+#: The smallest subnormal, 2^-1074; halving an odd multiple of it rounds.
+TINY = np.nextafter(0.0, 1.0)
+
 
 def span(*vectors):
     """Subspace spanned by the given 1-D vectors."""
@@ -62,6 +65,27 @@ class TestSelfAdjointOperator:
         assert linalg.operator_norm(recon - op.matrix) <= IDENTITY_TOL * (
             1.0 + linalg.operator_norm(op.matrix)
         )
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([1e308, 1.0]),
+            np.array([[1.0, 3 * TINY], [3 * TINY, 2.0]]),
+            np.array([[1.0, 1.7e308], [1.7e308 * (1.0 - 1e-14), 2.0]]),
+        ],
+        ids=["huge-diagonal", "odd-subnormal", "asymmetric-near-overflow"],
+    )
+    def test_symmetrization_cannot_overflow(self, a):
+        with np.errstate(over="raise", invalid="raise"):
+            m = SelfAdjointOperator(a).matrix
+        assert np.array_equal(m, m.T) and np.all(np.isfinite(m))
+        equal = a == a.T
+        assert m[equal].tobytes() == a[equal].tobytes()
+        assert np.array_equal(m[~equal], (0.5 * a + 0.5 * a.T)[~equal])
+
+    def test_huge_diagonal_is_decomposed(self):
+        dec = SelfAdjointOperator(np.diag([1e308, 1.0])).decomposition
+        assert np.array_equal(dec.eigenvalues, [1.0, 1e308])
 
     @staticmethod
     def _count_checks(monkeypatch):
@@ -273,6 +297,33 @@ class TestGapEigenbasisRoute:
         assert topology.gap_metric(a0, SelfAdjointOperator(a0.matrix.copy())) == 0.0
 
 
+def test_metrics_call_no_svd(monkeypatch):
+    from fredlab import floer
+
+    rng = np.random.default_rng(12)
+    a0, a1 = (random_operator(rng, 12, scale=3.0) for _ in range(2))
+    p, q = floer.boundary_projector(0.5), floer.boundary_projector(0.6)
+    d0 = floer.boundary_coefficient_operator(floer.FloerConfig.constant(1.5 - 0.7j, 16))
+
+    def run():
+        profile = topology.generator_distance_profile(a0, a1)
+        return (
+            topology.gap_metric(a0, a1),
+            topology.riesz_metric(a0, a1),
+            profile.gamma,
+            profile.rho,
+            dict(profile.generator_distances),
+            floer.nu_metric(p, q, d0),
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("norms must not call svd")
+
+    before = run()
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert run() == before
+
+
 class TestRieszMetric:
     def test_self_distance_and_symmetry(self):
         rng = np.random.default_rng(7)
@@ -304,7 +355,6 @@ class TestRieszMetric:
             raise AssertionError("rho must be read from the eigenbases")
 
         monkeypatch.setattr(topology, "riesz_map", refuse)
-        monkeypatch.setattr(linalg, "symmetric_norm", refuse)
         after = topology.riesz_metric(a, b), floer.rho_continuity_profile(cfg, samples)
         assert after == before
 
