@@ -303,17 +303,16 @@ class FloerPencil:
         object.__setattr__(self, "blocks", _element_blocks(self.cfg))
         object.__setattr__(self, "pattern", _DofPattern.of(dof, self.cfg.grid_m))
 
-    def _summed(self, blocks, s):
-        """``blocks`` weighted by the dof table at angle ``s`` and summed."""
-        _, weight = _node_dofs(self.cfg.grid_m, s)
-        w = weight[self.pattern.coords]
-        return self.pattern.csc((blocks * w[:, :, None]) * w[:, None, :])
-
     @np.errstate(over="ignore", invalid="ignore")
     def at(self, s):
-        """The discretized operator at boundary angle ``s``."""
+        """The discretized operator at boundary angle ``s``: the element blocks
+        weighted by the dof table at ``s`` and summed."""
         _check_angles(s)
-        return DiscretizedOperator(*(self._summed(x, s) for x in self.blocks))
+        _, weight = _node_dofs(self.cfg.grid_m, s)
+        w = weight[self.pattern.coords]
+        return DiscretizedOperator(
+            *(self.pattern.csc((x * w[:, :, None]) * w[:, None, :]) for x in self.blocks)
+        )
 
     @cached_property
     def interior(self):
@@ -351,11 +350,7 @@ class FloerPencil:
         with np.errstate(over="ignore", invalid="ignore"):
             cols = np.einsum("xij,aj->xai", last[:, :2, 2:], v1)
             diag = np.einsum("ai,xij,aj->xa", v1, last[:, 2:, 2:], v1)
-
-        def shifted(i, cut):
-            return self._summed(self.blocks[2] - cut * self.blocks[1], s[i])
-
-        return _bordered_windows(self.interior, cols, diag, k_window, shifted)
+        return _bordered_windows(self.interior, cols, diag, k_window)
 
 
 def assemble_floer_operator(cfg, s):
@@ -395,20 +390,6 @@ def _nearest(ritz, k_window):
     tied = np.abs(mag - edge) <= _MIRROR_RTOL * np.maximum(1.0, edge)
     order = np.lexsort((ritz, np.where(tied, edge, mag)), axis=1)
     return np.sort(np.take_along_axis(ritz, order[:, :k_window], axis=1), axis=1)
-
-
-def _count_below(shifted, cut):
-    """Number of squared eigenvalues below ``cut``, given ``shifted = K2 - cut M``
-    in CSC: its negative inertia (Sylvester), read off the pivots of an
-    unpivoted LDL^T."""
-    options = {"SymmetricMode": True}
-    try:
-        lu = scipy.sparse.linalg.splu(shifted, "NATURAL", diag_pivot_thresh=0.0, options=options)
-    except RuntimeError as exc:  # an exactly zero pivot
-        raise NoConvergence(f"inertia count at {cut:.6g} failed: {exc}") from exc
-    if np.any(lu.perm_r != np.arange(shifted.shape[0])):
-        raise NoConvergence(f"inertia count at {cut:.6g} needed row pivoting")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def _window_size(k_window, dim):
@@ -451,13 +432,38 @@ def floer_spectrum(op, k_window):
 class _Interior(NamedTuple):
     """An operator cut at its last dof: the generalized eigenpairs ``(lam, v)``,
     ``v^T M v = I``, of ``K2`` and ``M`` on all other dofs, the same blocks of
-    ``K`` and ``M``, and the ``rows`` of the interior that the border reaches."""
+    ``K``, ``M`` and ``K2``, and the ``rows`` of the interior that the border
+    reaches."""
 
     lam: np.ndarray
     v: np.ndarray
     stiffness: scipy.sparse.csc_array
     mass: scipy.sparse.csc_array
+    square_stiffness: scipy.sparse.csc_array
     rows: np.ndarray
+
+
+def _interior_inertia(interior, cut):
+    """Negative inertia of ``T = K2 - cut M`` on the interior and ``G =
+    (T^-1)[rows][:, rows]``, from one unpivoted ``LDL^T`` of ``T``.
+
+    Bordered by ``[b; d]`` at the last dof, ``K2 - cut M`` then has ``neg(T) +
+    [sigma < 0]`` squared eigenvalues below ``cut`` (Sylvester; Haynsworth,
+    Linear Algebra Appl. 1, 1968), with the Schur form ``sigma = d - b^T G b``
+    its last pivot.  Only the sparse blocks are read, not the eigenpairs, so
+    the count does not depend on the secular model it certifies.
+    """
+    shifted = interior.square_stiffness - cut * interior.mass
+    options = {"SymmetricMode": True}
+    try:
+        lu = scipy.sparse.linalg.splu(shifted, "NATURAL", diag_pivot_thresh=0.0, options=options)
+    except RuntimeError as exc:  # an exactly zero pivot
+        raise NoConvergence(f"inertia count at {cut:.6g} failed: {exc}") from exc
+    if np.any(lu.perm_r != np.arange(shifted.shape[0])):
+        raise NoConvergence(f"inertia count at {cut:.6g} needed row pivoting")
+    unit = np.zeros((shifted.shape[0], interior.rows.size))
+    unit[interior.rows, np.arange(interior.rows.size)] = 1.0
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0)), lu.solve(unit)[interior.rows]
 
 
 def _interior_pairs(op, rows):
@@ -470,17 +476,16 @@ def _interior_pairs(op, rows):
     second BLAS, whose thread buffers raised the peak RSS of a default
     ``floer`` run from 115 to 119 MB.
     """
-    mass = op.mass[:-1, :-1]
+    mass, k2 = op.mass[:-1, :-1], op.square_stiffness[:-1, :-1]
     upper = scipy.linalg.cholesky_banded(_upper_band(mass))
     solve = scipy.linalg.lapack.dtbtrs
-    k2 = op.square_stiffness[:-1, :-1].toarray(order="F")
-    half, _ = solve(upper, k2, trans="T", overwrite_b=1)
+    half, _ = solve(upper, k2.toarray(order="F"), trans="T", overwrite_b=1)
     full, _ = solve(upper, np.asfortranarray(half.T), trans="T", overwrite_b=1)
-    del k2, half
+    del half
     lam, w = np.linalg.eigh(full)
     del full
     v, _ = solve(upper, np.asfortranarray(w), overwrite_b=1)
-    return _Interior(lam, v, op.stiffness[:-1, :-1], mass, np.asarray(rows))
+    return _Interior(lam, v, op.stiffness[:-1, :-1], mass, k2, np.asarray(rows))
 
 
 def _secular_roots(poles, weights, alpha, beta, count):
@@ -606,25 +611,27 @@ def _grams(interior, cols, diag, x, t):
     return out
 
 
-def _bordered_windows(interior, cols, diag, k_window, shifted):
+def _bordered_windows(interior, cols, diag, k_window):
     """The windows of :func:`floer_spectrum` at a block of angles, from the
     interior eigenpairs.
 
     ``cols[x, a]`` is the border of ``K``, ``M`` and ``K2`` (``x`` = 0, 1, 2)
     at angle ``a`` on ``interior.rows`` and ``diag[x, a]`` its last diagonal
-    entry; ``shifted(a, cut)`` is ``K2 - cut M`` at angle ``a`` in CSC.  With
-    ``V`` the interior eigenvectors, the border ``[b; c]`` of ``K2`` and
-    ``[e; d]`` of ``M`` enters as ``g = V^T b`` and ``f = V^T e``.  Eliminating
-    ``f`` leaves an arrowhead pencil: with ``r = g - lam f``, ``beta = d -
-    f^T f`` (the Schur complement of ``M``, positive exactly when ``M`` is,
-    as the interior mass is) and ``alpha = c - 2 r^T f - sum lam_i f_i^2``,
-    the squared eigenvalues are the roots of ``alpha - beta mu + sum r_i^2 /
-    (mu - lam_i)``, one between each two poles (see :func:`_bordered_pairs`).
+    entry.  With ``V`` the interior eigenvectors, the border ``[b; c]`` of
+    ``K2`` and ``[e; d]`` of ``M`` enters as ``g = V^T b`` and ``f = V^T e``.
+    Eliminating ``f`` leaves an arrowhead pencil: with ``r = g - lam f``,
+    ``beta = d - f^T f`` (the Schur complement of ``M``, positive exactly
+    when ``M`` is, as the interior mass is) and ``alpha = c - 2 r^T f - sum
+    lam_i f_i^2``, the squared eigenvalues are the roots of ``alpha - beta mu
+    + sum r_i^2 / (mu - lam_i)``, one between each two poles (see
+    :func:`_bordered_pairs`).
     A coupling ``r_i`` at rounding level deflates.  Angles with one mask of
     coupled modes share a secular solve of ``k_window + 6`` roots.  One
     Rayleigh-Ritz step per block size, batched, gives the signed window
-    (:func:`_nearest`), and the inertia count at its cut certifies that no
-    value was missed.  Returns one window per angle, or a
+    (:func:`_nearest`), and an inertia count at a cut past its block
+    certifies that no value was missed (see :func:`_certify`: one interior
+    ``LDL^T`` per cut that the block's angles share, and the sign of each
+    border's Schur form).  Returns one window per angle, or a
     :class:`NoConvergence` where the angle has no open gap (see :func:`_cut`;
     the dense route widens), or its count or its group's secular solve failed.
     """
@@ -652,6 +659,8 @@ def _bordered_windows(interior, cols, diag, k_window, shifted):
         groups.setdefault(mask.tobytes(), []).append(i)
     n_req = min(k_window + 6, dim)
     found = [None] * alpha.size
+    # the squared values and block size of each angle whose window needs a count
+    block_mus, block_sizes = np.zeros((alpha.size, n_req)), np.zeros(alpha.size, dtype=int)
     for idx in map(np.array, groups.values()):
         try:
             mus, x, t = _bordered_pairs(
@@ -672,17 +681,64 @@ def _bordered_windows(interior, cols, diag, k_window, shifted):
             ritz = np.linalg.eigvalsh(reduced)
             for j, window in zip(sel, _nearest(ritz, k_window)):
                 found[idx[j]] = window
-                if size == dim:
-                    continue
-                cut = 0.5 * (mus[j, size - 1] + mus[j, size])
-                try:
-                    count = _count_below(shifted(idx[j], cut), cut)
-                    if count != size:
-                        missed = count - size
-                        raise NoConvergence(f"inertia count {count} below the cut: {missed} missed")
-                except NoConvergence as exc:
-                    found[idx[j]] = exc
+        # a short row repeats its last value: gaps of width 0 are never open;
+        # a block of the whole spectrum needs no count
+        block_mus[idx] = mus[:, np.minimum(np.arange(n_req), mus.shape[1] - 1)]
+        block_sizes[idx] = np.where(sizes == dim, 0, sizes)
+    _certify(interior, cols, diag, block_mus, block_sizes, found)
     return found
+
+
+def _certify(interior, cols, diag, mus, sizes, found):
+    """Check the windows in ``found`` by inertia counts, sharing each interior
+    factorization (:func:`_interior_inertia`) among the angles it serves.
+
+    ``mus[a]`` holds the squared values of angle ``a``, ascending, and
+    ``sizes[a]`` its block size (0: nothing to check).  A cut counts for an
+    angle if it lies in the middle half of an open gap ``(mus[t - 1],
+    mus[t])`` with ``t`` at least the block size; the angle then has ``t``
+    values below it.  The candidate cuts are the middles of the angles' own
+    cut gaps, so each angle's own cut counts for it, and the cut that counts
+    for the most unchecked angles is factored first.  A count that differs,
+    a failed factorization of the angle's own cut, or a border whose Schur
+    form is zero or not finite replaces the window by a
+    :class:`NoConvergence`.
+    """
+    (need,) = np.nonzero(sizes)
+    mus, sizes, own = mus[need], sizes[need], np.arange(need.size)
+    cuts = 0.5 * (mus[own, sizes - 1] + mus[own, sizes])
+    lo, hi = mus[:, :-1], mus[:, 1:]
+    width, t = hi - lo, np.arange(1, mus.shape[1])
+    gap_open = (t >= sizes[:, None]) & (width > _DEGENERACY_RTOL * np.maximum(1.0, mus[:, -1:]))
+    # inside[c, a, t - 1]: cut c lies in the middle half of gap t of angle a
+    c = cuts[:, None, None]
+    inside = gap_open & (lo + 0.25 * width <= c) & (c <= hi - 0.25 * width)
+    serves, expected = inside.any(axis=2), 1 + np.argmax(inside, axis=2)
+    serves[own, own], expected[own, own] = True, sizes
+    unchecked = np.ones(need.size, dtype=bool)
+    while unchecked.any():
+        best = int(np.argmax(np.sum(serves & unchecked, axis=1)))
+        served = np.flatnonzero(serves[best] & unchecked)
+        serves[best] = False  # each cut is factored once
+        cut = cuts[best]
+        try:
+            neg, g = _interior_inertia(interior, cut)
+        except NoConvergence as exc:
+            unchecked[best] = False
+            found[need[best]] = exc
+            continue
+        unchecked[served] = False
+        for a in served:
+            i = need[a]
+            b = cols[2, i] - cut * cols[1, i]
+            sigma = diag[2, i] - cut * diag[1, i] - b @ g @ b
+            if not (np.isfinite(sigma) and sigma != 0.0):
+                found[i] = NoConvergence(f"inertia count at {cut:.6g}: Schur form {sigma}")
+                continue
+            count = neg + int(sigma < 0.0)
+            if count != expected[best, a]:
+                missed = count - expected[best, a]
+                found[i] = NoConvergence(f"inertia count {count} below the cut: {missed} missed")
 
 
 def mass_normalized(op):

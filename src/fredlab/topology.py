@@ -165,7 +165,8 @@ def resolvents_at_i(a):
 
 
 def _resolvent_kernel(w, l0, l1):
-    w *= l1[None, :] - l0[:, None]
+    # half the difference: halving is exact, and l1 - l0 overflows past ~9e307
+    w *= 0.5 * l1[None, :] - 0.5 * l0[:, None]
     # one hypot at a time: their product overflows once |l| passes ~1e154
     w /= np.hypot(1.0, l0)[:, None]
     w /= np.hypot(1.0, l1)[None, :]
@@ -177,9 +178,10 @@ def gap_metric(a0, a1):
     For real symmetric ``A`` the ``-i`` branch is minus the conjugate of the
     ``+i`` branch, and up to diagonal phases ``(i+A0)^{-1} - (i+A1)^{-1}`` is
     ``W o (l1_j - l0_i) / (|l0_i + i| |l1_j + i|)`` in the eigenbases, so the
-    sum is twice that norm.  :func:`resolvents_at_i` is its oracle.
+    sum is twice that norm; the kernel halves ``l1_j - l0_i``, so it is four
+    times the norm taken.  :func:`resolvents_at_i` is its oracle.
     """
-    return 2.0 * _eigenbasis_norm(a0, a1, _resolvent_kernel)
+    return 4.0 * _eigenbasis_norm(a0, a1, _resolvent_kernel)
 
 
 def subspace_gap(s1, s2):

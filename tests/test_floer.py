@@ -602,7 +602,10 @@ class TestBlockRoute:
         assert built == [0.0]
         assert spectral_flow(windows) == 2
         # a count that fails at every angle sends each one to the dense route
-        monkeypatch.setattr(floer, "_count_below", lambda shifted, cut: -1)
+        rows = pencil.interior.rows.size
+        monkeypatch.setattr(
+            floer, "_interior_inertia", lambda interior, cut: (-1, np.zeros((rows, rows)))
+        )
         built.clear()
         list(pencil.spectra([0.5, 1.0, 2.0], 5))
         assert built == [0.5, 1.0, 2.0]
@@ -643,11 +646,115 @@ class TestBlockRoute:
         interior = FloerPencil(FloerConfig.zero(16)).interior
         cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidConfig, match="NaN or Inf"):
-            floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5, None)
+            floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5)
         # the mass is positive definite exactly when d - f^T f is
         diag[1, 1] = 0.0
         with pytest.raises(MassNotPositiveDefinite):
-            floer._bordered_windows(interior, cols, diag, 5, None)
+            floer._bordered_windows(interior, cols, diag, 5)
+
+
+class TestInteriorInertia:
+    """One factorization of the interior of ``K2 - c M`` counts the squared
+    values below ``c`` at every angle: ``neg(T) + [sigma < 0]`` with the
+    border's Schur form ``sigma`` (Haynsworth)."""
+
+    @pytest.mark.parametrize("cut", [0.49, 3.61, 10.89])
+    @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
+    def test_count_matches_the_dense_count(self, a, cut):
+        pencil = FloerPencil(FloerConfig.constant(a, 48))
+        interior = pencil.interior
+        neg, g = floer._interior_inertia(interior, cut)
+        for s in np.linspace(0.0, 2.0 * np.pi, 41):
+            op = pencil.at(s)
+            k2, m = op.square_stiffness.toarray(), op.mass.toarray()
+            shifted = k2 - cut * m
+            b = shifted[:-1, -1][interior.rows]
+            sigma = shifted[-1, -1] - b @ g @ b
+            mus = scipy.linalg.eigh(k2, m, eigvals_only=True)
+            assert neg + int(sigma < 0.0) == np.count_nonzero(mus < cut), f"s = {s}"
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        cuts = []
+        real = floer._interior_inertia
+
+        def counting(interior, cut):
+            cuts.append(cut)
+            return real(interior, cut)
+
+        monkeypatch.setattr(floer, "_interior_inertia", counting)
+        return cuts
+
+    def test_a_sweep_shares_its_factorizations(self, monkeypatch):
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 24), 24))
+        pencil.interior
+        cuts = self._count_factorizations(monkeypatch)
+        sweep = np.linspace(0.0, 2.0 * np.pi, 64)
+        windows = list(pencil.spectra(sweep, 5))
+        # four blocks of 16 angles, one factorization per block and a second
+        # in the first and third: there the block size grows from 9 to 10
+        # mid-block, and no cut serves both halves (the size-9 cuts lie below
+        # the size-10 blocks, the size-10 cuts above the size-9 angles' values)
+        assert len(cuts) == 6
+        assert spectral_flow(windows) == 2
+        for s, w in zip(sweep[::7], windows[::7]):
+            np.testing.assert_allclose(
+                w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
+            )
+
+    def test_negative_schur_forms_are_counted(self, monkeypatch):
+        # for const:1.5,-0.7 at grid 48 the interior eigenvalue of the cut's
+        # gap lies above the cut at about half the angles: there sigma < 0
+        # counts the last value below the cut, and no window falls back
+        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, 48))
+        pencil.interior
+        real_at = FloerPencil.at
+        built = []
+        monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
+        sweep = np.linspace(0.0, 2.0 * np.pi, 32)
+        windows = list(pencil.spectra(sweep, 5))
+        assert built == []
+        for s, w in zip(sweep[::5], windows[::5]):
+            np.testing.assert_allclose(
+                w, floer_spectrum(real_at(pencil, s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
+            )
+
+    def test_a_cut_below_the_block_serves_no_angle(self, monkeypatch):
+        # angle 1 lost the value 1.6 from its block [1, 2, 9]; angle 0's own
+        # cut 1.3 lies in the middle half of angle 1's first gap (1, 2) and
+        # counts right there, but it is below angle 1's block, so angle 1
+        # takes the cut 14.5, which sees the loss
+        true = np.array([1.0, 1.6, 2.0, 9.0, 20.0, 30.0])
+        monkeypatch.setattr(
+            floer,
+            "_interior_inertia",
+            lambda interior, cut: (int(np.count_nonzero(true < cut)), np.zeros((1, 1))),
+        )
+        mus = np.array([true, [1.0, 2.0, 9.0, 20.0, 30.0, 40.0]])
+        cols, diag = np.zeros((3, 2, 1)), np.zeros((3, 2))
+        diag[2] = 1.0  # sigma = 1: the interior count is the whole count
+        found = ["window 0", "window 1"]
+        floer._certify(None, cols, diag, mus, np.array([1, 3]), found)
+        assert found[0] == "window 0"
+        assert isinstance(found[1], NoConvergence) and "1 missed" in str(found[1])
+
+    @pytest.mark.parametrize("angles, factorizations", [((0.1, 1.5), 2), ((0.1, 0.2), 1)])
+    def test_angles_share_a_cut_only_where_it_lies_in_both_gaps(
+        self, monkeypatch, angles, factorizations
+    ):
+        # for a = 0 at 0.1 and 1.5 no middle of a cut gap of one angle lies in
+        # the middle half of an open gap of the other
+        pencil = FloerPencil(FloerConfig.zero(16))
+        ops = [pencil.at(s) for s in angles]
+        fields = [(op.stiffness, op.mass, op.square_stiffness) for op in ops]
+        cols = np.stack([[x[:-1, [-1]].toarray()[:, 0] for x in f] for f in fields], axis=1)
+        diag = np.array([[x[-1, -1] for x in f] for f in fields]).T
+        interior = floer._interior_pairs(ops[0], np.arange(ops[0].dim - 1))
+        cuts = self._count_factorizations(monkeypatch)
+        windows = floer._bordered_windows(interior, cols, diag, 5)
+        assert len(cuts) == factorizations
+        for op, w in zip(ops, windows):
+            np.testing.assert_allclose(w, floer_spectrum(op, 5), rtol=0.0, atol=1e-12)
 
 
 class TestDiscretizedOperator:

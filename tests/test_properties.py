@@ -2,7 +2,8 @@
 
 Every case ends either in a typed :class:`FredlabError` or in a window that
 passes the inertia count: the squared-pencil values below a cut, counted by
-an unpivoted LDL^T of ``K2 - c M``, are exactly the ones in the block.
+an unpivoted LDL^T of the interior of ``K2 - c M`` and the sign of its
+border's Schur form, are exactly the ones in the block.
 """
 
 import numpy as np
@@ -52,13 +53,9 @@ def _certified_or_typed(op, k_window):
     fields = (op.stiffness, op.mass, op.square_stiffness)
     cols = np.stack([x[:-1, [-1]].toarray()[:, 0] for x in fields])[:, None, :]
     diag = np.array([x[-1, -1] for x in fields])[:, None]
-
-    def shifted(_, cut):
-        return op.square_stiffness - cut * op.mass
-
     try:
         interior = floer._interior_pairs(op, np.arange(op.dim - 1))
-        (w,) = floer._bordered_windows(interior, cols, diag, k_window, shifted)
+        (w,) = floer._bordered_windows(interior, cols, diag, k_window)
     except FredlabError:
         return
     if isinstance(w, FredlabError):
@@ -124,11 +121,16 @@ def test_inertia_count_matches_the_dense_count(amps, s, slot, frac):
     op = _smooth_operator(amps, s)
     mus = _dense_mus(op)
     cut = mus[slot] + frac * (mus[slot + 1] - mus[slot])
+    # the interior count and the sign of the border's Schur form (Haynsworth)
+    shifted = (op.square_stiffness - cut * op.mass).toarray()
+    interior = floer._interior_pairs(op, np.arange(op.dim - 1))
     try:
-        count = floer._count_below(op.square_stiffness - cut * op.mass, cut)
+        neg, g = floer._interior_inertia(interior, cut)
     except FredlabError:
         return
-    assert count == np.count_nonzero(mus < cut)
+    b = shifted[:-1, -1]
+    sigma = shifted[-1, -1] - b @ g @ b
+    assert neg + int(sigma < 0.0) == np.count_nonzero(mus < cut)
 
 
 @settings(max_examples=60)

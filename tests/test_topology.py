@@ -273,6 +273,12 @@ class TestGapEigenbasisRoute:
         g = topology.gap_metric(sa(np.diag([b, 1.0])), sa(np.diag([-b, 1.0])))
         assert g == pytest.approx(4.0 / b, rel=1e-12)
 
+    def test_opposite_eigenvalues_at_the_float_limit(self):
+        # l1 - l0 = -2e308 overflows; the halved difference does not, and no
+        # RuntimeWarning escapes (the suite raises them)
+        g = topology.gap_metric(sa(np.diag([1e308])), sa(np.diag([-1e308])))
+        assert g == pytest.approx(4e-308, rel=1e-12)
+
     def test_gap_below_smallest_float(self):
         # one ulp at 8e307 moves the resolvent by about 2e-324, which rounds to 0
         x = 8e307
