@@ -314,13 +314,19 @@ class FloerPencil:
             *(self.pattern.csc((x * w[:, :, None]) * w[:, None, :]) for x in self.blocks)
         )
 
+    @property
+    def border_rows(self):
+        """The interior dofs that the last dof's border reaches: the two of
+        the last element's left node."""
+        dof, _ = _node_dofs(self.cfg.grid_m, 0.0)
+        return dof[self.pattern.coords[-1, :2]]
+
     @cached_property
     def interior(self):
         """The interior of the pencil (see :func:`_interior_pairs`), computed
         on first use: the angle does not reach it.  The full check of
         :meth:`at` runs here, once."""
-        dof, _ = _node_dofs(self.cfg.grid_m, 0.0)
-        return _interior_pairs(self.at(0.0), dof[self.pattern.coords[-1, :2]])
+        return _interior_pairs(self.at(0.0), self.border_rows)
 
     def spectra(self, angles, k_window):
         """The ``k_window`` eigenvalues nearest zero at each of ``angles``,
@@ -745,10 +751,164 @@ def mass_normalized(op):
     """The pencil as a single symmetric matrix ``M^{-1/2} K M^{-1/2}``.
 
     All boundary angles share one coordinate space, so these matrices can be
-    compared with the operator metrics directly.
+    compared with the operator metrics directly.  This is the dense route,
+    one eigendecomposition of ``M`` per operator; it is the oracle of
+    :func:`_mass_normalized_operators`, which :func:`rho_continuity_profile`
+    uses.
     """
     root_inv = SelfAdjointOperator(op.mass.toarray()).apply(lambda mu: 1.0 / np.sqrt(mu))
     return SelfAdjointOperator(root_inv @ op.stiffness.toarray() @ root_inv)
+
+
+#: Gershgorin interval ``[lo, hi]`` of every mass ``M(s)``, in units of the
+#: element size: the last dof's row gives ``lo = 1/3 - sqrt(2)/6`` (``|v1|_1 <=
+#: sqrt(2)``), an interior row ``hi = 2/3 + 2/6``.
+_MASS_GERSHGORIN = (1.0 / 3.0 - math.sqrt(2.0) / 6.0, 1.0)
+
+
+def _root_node_count():
+    """The least ``q`` with ``4 r^(2q) <= eps``, ``r = (k - 1) / (k + 1)`` and ``k
+    = (hi / lo)^(1/4)`` on :data:`_MASS_GERSHGORIN` (see :class:`_MassRoot`)."""
+    lo, hi = _MASS_GERSHGORIN
+    k = (hi / lo) ** 0.25
+    rate = (k - 1.0) / (k + 1.0)
+    return math.ceil(math.log(4.0 / np.finfo(float).eps) / (-2.0 * math.log(rate)))
+
+
+_ROOT_NODES = _root_node_count()
+
+#: Decay of ``(M_int + tau)^-1``, ``tau >= 0``, per node off the diagonal: each
+#: component of the P1 mass is a chain with ``h/6`` beside a diagonal of
+#: ``2h/3`` (``h/3`` at ``t = 0``), so eliminating along it from either end
+#: gives ratios of at most ``1/2``, then ``(1/6) / (2/3 - 1/12) = 2/7``.
+_RESOLVENT_DECAY = 2.0 / 7.0
+
+
+def _border_node_count():
+    """The least ``d`` with ``(d + 2) (2/7)^d <= eps / 4`` (see
+    :func:`_mass_normalized_operators`)."""
+    d = 1
+    while (d + 2) * _RESOLVENT_DECAY**d > np.finfo(float).eps / 4.0:
+        d += 1
+    return d
+
+
+_BORDER_NODES = _border_node_count()
+
+
+class _MassRoot:
+    """``M(s)^{-1/2} = diag(M_int^{-1/2}, 0) + W diag(D) W^T`` at every angle of
+    a pencil, from the eigendecomposition ``M_int = P diag(mu) P^T`` of its
+    fixed interior mass; :func:`mass_normalized` takes the dense root.
+
+    Only the last dof moves with the angle: ``M(s) = [[M_int, b], [b^T, c]]``
+    with ``b`` nonzero on the :attr:`FloerPencil.border_rows`.  For ``tau >=
+    0``, ``y = (M_int + tau)^-1 b = P (P^T b / (mu + tau))``, ``sigma = c + tau
+    - b^T y`` and ``w = (y; -1)``, the Schur complement gives ``(M + tau)^-1 =
+    diag((M_int + tau)^-1, 0) + w w^T / sigma`` exactly.  Put into ``M^{-1/2} =
+    (2/pi) int_0^inf (M + t^2)^-1 dt`` (Hale, Higham and Trefethen, SIAM J.
+    Numer. Anal. 46, 2008), this leaves one column of ``W`` per node.
+
+    Nodes: ``t = beta^(1/2) tan(theta)`` with ``beta = h sqrt(lo hi)`` on
+    :data:`_MASS_GERSHGORIN`, and the ``q``-point midpoint rule on ``[0,
+    pi/2]``.  At an eigenvalue ``m`` of ``M(s)`` or of ``M_int`` (both in ``[lo
+    h, hi h]``, by interlacing) the integrand is ``beta^(1/2) / (m cos^2 +
+    beta sin^2)``, analytic and ``pi``-periodic, and the rule's relative
+    error is at most ``2 r^(2q) / (1 - r^(2q))`` with ``r = (k - 1) / (k +
+    1)``, ``k = (hi / lo)^(1/4)`` (Trefethen and Weideman, SIAM Review 56,
+    2014); here ``r = 0.283``.  ``W diag(D) W^T`` is the difference of the rules
+    for ``M(s)`` and ``M_int``, so ``q`` = :data:`_ROOT_NODES` = 15, the least
+    with ``4 r^(2q)`` below the float epsilon, bounds its error by roundoff.
+
+    ``y`` falls by :data:`_RESOLVENT_DECAY` per node away from the border, so
+    ``W`` is kept on :attr:`block` alone: the last dof and the dofs of the
+    :data:`_BORDER_NODES` nodes before it, past which ``y`` is below
+    ``(2/7)^d`` of its largest entry.
+    """
+
+    def __init__(self, pencil, mass):
+        self.rows = pencil.border_rows
+        n = 2 * pencil.cfg.grid_m
+        self.block = slice(max(n - 2 * _BORDER_NODES - 1, 0), n)
+        lo, hi = _MASS_GERSHGORIN
+        beta = math.sqrt(lo * hi) / pencil.cfg.grid_m
+        theta = (np.arange(_ROOT_NODES) + 0.5) * (0.5 * np.pi / _ROOT_NODES)
+        self.tau = beta * np.tan(theta) ** 2
+        self.weight = math.sqrt(beta) / (_ROOT_NODES * np.cos(theta) ** 2)
+        mu, p = mass.eigenvalues, mass.eigenvectors
+        scaled = p[self.rows].T[:, None, :] / (mu[:, None, None] + self.tau[:, None])
+        # [:, j, k]: column rows[k] of (M_int + tau_j)^-1 on the interior rows of the block
+        flat = p[self.block] @ scaled.reshape(mu.size, -1)
+        self.resolvent = flat.reshape(-1, *scaled.shape[1:])
+
+    def terms(self, b, c):
+        """``(W, D)`` for the border ``b`` (on :attr:`FloerPencil.border_rows`)
+        and corner ``c`` of one mass; ``W`` is on the block."""
+        y = self.resolvent @ b
+        d = self.weight / (c + self.tau - b @ y[self.rows - self.block.start])
+        return np.vstack([y, np.full((1, _ROOT_NODES), -1.0)]), d
+
+
+def _mass_normalized_operators(pencil, angles):
+    """Yield ``A(s) = M(s)^{-1/2} K(s) M(s)^{-1/2}`` at each of ``angles``, from
+    one eigendecomposition of the interior mass and a rank-``2q`` term per
+    angle; :func:`mass_normalized` is the dense oracle.
+
+    With ``M(s)^{-1/2} = R + W D W^T`` from :class:`_MassRoot`, ``R =
+    diag(M_int^{-1/2}, 0)``: ``K(s)`` too differs from the fixed interior only
+    in its last row and column, which ``R`` zeroes, so ``R K R`` is the same at
+    every angle and ``A(s) = R K R + U S U^T`` with ``U = [R K W, W]`` and ``S
+    = [[0, D], [D, D W^T K W D]]``; ``K(s)`` is applied as the CSC matrix.
+
+    The entries of ``M_int^{-1/2}``, an integral of resolvents, fall by
+    :data:`_RESOLVENT_DECAY` per node too, so ``R K W`` is below ``(d + 2)
+    (2/7)^d`` of its largest entry ``d`` nodes from the border, and ``U S U^T``
+    is formed on :attr:`_MassRoot.block` alone, ``d`` = :data:`_BORDER_NODES`
+    = 33 nodes, where that bound falls below ``eps / 4``.  Outside the block
+    every operator is the symmetric part of ``R K R``, so each starts from a
+    copy of the one before: no third ``n x n`` matrix is held, and the
+    operator at an angle depends on that angle alone, bit for bit.  ``P``
+    and ``M_int^{-1/2}`` are dropped before the first operator is built.
+    """
+    op = pencil.at(0.0)
+    n = op.dim
+    mass = SelfAdjointOperator(op.mass[:-1, :-1].toarray())
+    root = _MassRoot(pencil, mass.decomposition)
+    rows, block = root.rows, root.block
+    root_int = mass.apply(lambda m: 1.0 / np.sqrt(m))
+    del mass
+    k_int = op.stiffness[:-1, :-1]
+    a = np.zeros((n, n))
+    np.matmul(root_int, k_int @ root_int, out=a[:-1, :-1])
+    # M_int^{-1/2} K_int Y_j and M_int^{-1/2} on the border rows, on the block
+    ys = root.resolvent
+    k_ys = k_int[:, block] @ ys.reshape(ys.shape[0], -1)
+    root_k_ys = (root_int[block] @ k_ys).reshape(ys.shape)
+    root_rows = root_int[block][:, rows]
+    del root_int
+    fixed = a[block, block].copy()
+
+    def correction(s):
+        """``U S U^T`` at angle ``s``, on the block.  Its temporaries end with
+        the call: small arrays kept across a pair land in the freed ``n x n``
+        blocks that the next eigensolve would reuse, and raise the peak RSS."""
+        op = pencil.at(s)
+        m_col, k_col = (x[block, -1:].toarray()[:, 0] for x in (op.mass, op.stiffness))
+        b = m_col[rows - block.start]
+        w, d = root.terms(b, m_col[-1])
+        rkw = root_k_ys @ b - (root_rows @ k_col[rows - block.start])[:, None]
+        u = np.hstack([np.vstack([rkw, np.zeros((1, _ROOT_NODES))]), w])
+        dd = np.diag(d)
+        wkw = w.T @ (op.stiffness[block, block] @ w)
+        s_mat = np.block([[np.zeros_like(dd), dd], [dd, d[:, None] * wkw * d]])
+        return (u @ s_mat) @ u.T
+
+    for s in angles:
+        a[block, block] = fixed + correction(s)
+        out = SelfAdjointOperator(a)
+        del a  # the caller holds two operators across a pair, and no third n x n
+        yield out
+        a = out.matrix.copy()
 
 
 #: Gauss points of the two-point Magnus step, as fractions of the step.
@@ -1128,16 +1288,20 @@ def rho_continuity_profile(cfg, s_samples):
 
     For each consecutive pair of angles: the boundary-projector distance
     ``nu`` and the Riesz and gap distances of the two mass-normalized
-    operators on the shared grid.  The operators are built one angle at a
-    time, so at most two are alive at once.
+    operators on the shared grid.  The operators come from
+    :func:`_mass_normalized_operators`, one eigendecomposition of the
+    interior mass and a rank-``2q`` term per angle, with no dense solve of
+    ``M(s)``; :func:`mass_normalized` is their oracle.  They are built one
+    angle at a time, so at most two are alive at once, and fewer than two
+    angles give no rows.
     """
     d0 = boundary_coefficient_operator(cfg)
-    pencil = FloerPencil(cfg)
+    samples = [float(s) for s in s_samples]
+    operators = _mass_normalized_operators(FloerPencil(cfg), samples)
     profile, p0, a0 = [], None, None
-    for s in map(float, s_samples):
+    # next(operators) builds a1 while a0 is alive: two operators at most
+    for s, a1 in zip(samples, operators):
         p1 = boundary_projector(s)
-        # until this call returns a0 and a1 name one operator: two alive at most
-        a1 = mass_normalized(pencil.at(s))
         if a0 is not None:
             profile.append(
                 NeighbourMetrics(

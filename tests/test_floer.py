@@ -1,6 +1,7 @@
 """Tests for the interval boundary-value family: assembly, spectra, flow, gauges."""
 
 import dataclasses
+import pathlib
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from fredlab import floer, linalg, topology
+from fredlab import cli, floer, linalg, topology
 from fredlab.errors import (
     GaugeSingular,
     InvalidConfig,
@@ -456,7 +457,7 @@ class TestSpectrum:
 
         def counting(a, *args, **kwargs):
             if np.shape(a) == (dim - 1, dim - 1):
-                calls.append(1)
+                calls.append(np.array(a))
             return real_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -471,7 +472,9 @@ class TestSpectrum:
         assert spectral_flow(windows) == 2
         calls.clear()
         rho_continuity_profile(cfg, np.linspace(0.0, 0.4, 5))
-        assert calls == []
+        # the profile's one interior solve is the mass, not a repeat of the K2 one
+        (mass,) = calls
+        np.testing.assert_array_equal(mass, pencil.at(0.0).mass[:-1, :-1].toarray())
 
 
 def smooth_coefficient(seed, grid_m):
@@ -1135,6 +1138,108 @@ class TestCutoffGauge:
         assert all(v <= 4.0 * hat_gap for v in norms)
 
 
+#: The angles of the mass-root checks: the ends and quarter turns, and the
+#: first five angles of the default sweep.
+ROOT_ANGLES = [0.0, np.pi / 2, np.pi, 2.0 * np.pi, *np.linspace(0.0, 2.0 * np.pi, 128)[:5]]
+
+
+def dense_profile(cfg, samples):
+    """The neighbour profile by the dense route: :func:`mass_normalized` at each
+    angle and the two metrics of each pair."""
+    pencil = FloerPencil(cfg)
+    d0 = boundary_coefficient_operator(cfg)
+    ops = [mass_normalized(pencil.at(s)) for s in samples]
+    return [
+        floer.NeighbourMetrics(
+            nu_metric(boundary_projector(s0), boundary_projector(s1), d0),
+            topology.riesz_metric(a0, a1),
+            topology.gap_metric(a0, a1),
+        )
+        for s0, s1, a0, a1 in zip(samples, samples[1:], ops, ops[1:])
+    ]
+
+
+class TestMassNormalizedOperators:
+    """The neighbour profile's operators against :func:`mass_normalized`."""
+
+    def test_node_counts_are_the_least_the_bounds_allow(self):
+        eps = np.finfo(float).eps
+        lo, hi = floer._MASS_GERSHGORIN
+        k = (hi / lo) ** 0.25
+        r = (k - 1.0) / (k + 1.0)
+        q = floer._ROOT_NODES
+        assert q == 15 and 4.0 * r ** (2 * q) <= eps < 4.0 * r ** (2 * q - 2)
+        d, decay = floer._BORDER_NODES, floer._RESOLVENT_DECAY
+        assert d == 33 and (d + 2) * decay**d <= eps / 4.0 < (d + 1) * decay ** (d - 1)
+
+    @pytest.mark.parametrize("s", ROOT_ANGLES)
+    def test_every_mass_lies_in_the_gershgorin_interval(self, s):
+        grid_m = 16
+        m = FloerPencil(FloerConfig.zero(grid_m)).at(s).mass.toarray() * grid_m
+        off = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
+        lo, hi = floer._MASS_GERSHGORIN
+        assert np.min(np.diag(m) - off) >= lo - 1e-15
+        assert np.max(np.diag(m) + off) <= hi + 1e-15
+
+    @pytest.mark.parametrize("grid_m", [16, 48, 400])
+    def test_root_and_operators_match_the_dense_route(self, grid_m):
+        """The mass does not see the coefficient, so one dense root per angle
+        serves the three coefficients; with it, ``R K R`` is the matrix of
+        :func:`mass_normalized`, bit for bit."""
+        pencils = [
+            FloerPencil(FloerConfig.zero(grid_m)),
+            FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m)),
+            FloerPencil(FloerConfig(smooth_coefficient(3, grid_m), grid_m)),
+        ]
+        mass = topology.SelfAdjointOperator(pencils[0].at(0.0).mass[:-1, :-1].toarray())
+        root = floer._MassRoot(pencils[0], mass.decomposition)
+        interior = np.zeros((2 * grid_m, 2 * grid_m))
+        interior[:-1, :-1] = mass.apply(lambda mu: 1.0 / np.sqrt(mu))
+        built = [list(floer._mass_normalized_operators(p, ROOT_ANGLES)) for p in pencils]
+        for i, s in enumerate(ROOT_ANGLES):
+            op = pencils[0].at(s)
+            dense = topology.SelfAdjointOperator(op.mass.toarray())
+            dense = dense.apply(lambda mu: 1.0 / np.sqrt(mu))
+            col = op.mass[:, -1:].toarray()[:, 0]
+            w, d = root.terms(col[root.rows], col[-1])
+            quad = interior.copy()
+            quad[root.block, root.block] += (w * d) @ w.T
+            assert np.max(np.abs(quad - dense)) <= 1e-13 * np.max(np.abs(dense))
+            for pencil, ops in zip(pencils, built):
+                k = pencil.at(s).stiffness.toarray()
+                want = topology.SelfAdjointOperator(dense @ k @ dense)
+                if i == 0:
+                    assert np.array_equal(want.matrix, mass_normalized(pencil.at(s)).matrix)
+                err = np.max(np.abs(ops[i].matrix - want.matrix))
+                assert err <= 1e-13 * np.max(np.abs(want.matrix)), (s, err)
+
+    def test_an_operator_depends_on_its_angle_alone(self):
+        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, 48))
+        first, _, again = floer._mass_normalized_operators(pencil, [0.3, 1.2, 0.3])
+        (alone,) = floer._mass_normalized_operators(pencil, [0.3])
+        assert np.array_equal(first.matrix, again.matrix)
+        assert np.array_equal(first.matrix, alone.matrix)
+
+    @pytest.mark.parametrize(
+        "grid_m, s_count, a_spec",
+        [
+            (400, 128, "0"),  # default flags
+            (48, 32, "const:1.5,-0.7"),  # floer_dense.csv
+            (128, 16, "0"),  # floer_grid128.csv
+            (96, 64, f"samples:{pathlib.Path(__file__).parent / 'data' / 'smooth3_grid96.txt'}"),
+        ],
+        ids=["default", "floer_dense", "floer_grid128", "floer_smooth"],
+    )
+    def test_profile_matches_the_dense_oracle(self, grid_m, s_count, a_spec):
+        cfg = FloerConfig(cli.parse_a_spec(a_spec, grid_m), grid_m)
+        samples = np.linspace(0.0, 2.0 * np.pi, s_count)[: cli.NEIGHBOR_PAIRS + 1].tolist()
+        got, want = rho_continuity_profile(cfg, samples), dense_profile(cfg, samples)
+        assert [g.nu for g in got] == [w.nu for w in want]
+        np.testing.assert_allclose(
+            [(g.rho, g.gamma) for g in got], [(w.rho, w.gamma) for w in want], rtol=0.0, atol=1e-12
+        )
+
+
 class TestRhoContinuity:
     def test_zero_step(self):
         cfg = FloerConfig.zero(16)
@@ -1168,17 +1273,39 @@ class TestRhoContinuity:
     def test_at_most_two_operators_alive(self, monkeypatch):
         live, peak = set(), []
 
-        def tracked(op):
-            a = mass_normalized(op)
-            live.add(id(a))
-            weakref.finalize(a, live.discard, id(a))
-            peak.append(len(live))
+        def tracked(m):
+            a = topology.SelfAdjointOperator(m)
+            if a.dim == 2 * 16:  # the interior mass has one dof less
+                live.add(id(a))
+                weakref.finalize(a, live.discard, id(a))
+                peak.append(len(live))
             return a
 
-        monkeypatch.setattr(floer, "mass_normalized", tracked)
+        monkeypatch.setattr(floer, "SelfAdjointOperator", tracked)
         reports = rho_continuity_profile(FloerConfig.zero(16), np.linspace(0.3, 1.1, 9))
         assert len(reports) == 8 and len(peak) == 9
         assert max(peak) == 2
+
+    def test_eigensolve_budget(self, monkeypatch):
+        """One eigendecomposition per angle and one of the interior mass: a
+        fallback to a dense mass root per angle shows up as more calls."""
+        grid_m, k = 48, 6
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cfg = FloerConfig.constant(1.5 - 0.7j, grid_m)
+        assert len(rho_continuity_profile(cfg, np.linspace(0.2, 1.4, k))) == k - 1
+        n = 2 * grid_m
+        assert sorted(shapes) == [(n - 1, n - 1)] + [(n, n)] * k
+
+    @pytest.mark.parametrize("samples", [[], [0.4]])
+    def test_fewer_than_two_angles_give_no_rows(self, samples):
+        assert rho_continuity_profile(FloerConfig.zero(16), samples) == []
 
     def test_lipschitz_constant_grid_stable(self):
         samples = np.linspace(0.3, 0.7, 5)
