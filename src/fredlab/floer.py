@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -70,22 +71,26 @@ class FloerConfig:
     coupling: Coupling = Coupling.ANTILINEAR
 
     def __post_init__(self):
-        if self.grid_m < 8:
-            raise InvalidConfig(f"need at least 8 elements, got {self.grid_m}")
+        try:
+            grid_m, coupling = operator.index(self.grid_m), Coupling(self.coupling)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"need an integer grid and a Coupling: {exc}") from None
+        if grid_m < 8:
+            raise InvalidConfig(f"need at least 8 elements, got {grid_m}")
         a = np.asarray(self.a_samples, dtype=complex)
-        if a.shape != (self.grid_m + 1,):
-            raise InvalidConfig(
-                f"need {self.grid_m + 1} coefficient samples, got shape {a.shape}"
-            )
+        if a.shape != (grid_m + 1,):
+            raise InvalidConfig(f"need {grid_m + 1} coefficient samples, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidConfig("coefficient samples contain NaN or Inf")
-        if self.coupling is Coupling.LINEAR_IMAGINARY:
+        if coupling is Coupling.LINEAR_IMAGINARY:
             scale = max(1.0, float(np.max(np.abs(a))))
             if float(np.max(np.abs(a.real))) > 1e-12 * scale:
                 raise InvalidConfig(
                     "linear coupling is symmetric only for purely imaginary a"
                 )
         object.__setattr__(self, "a_samples", a)
+        object.__setattr__(self, "grid_m", grid_m)
+        object.__setattr__(self, "coupling", coupling)
 
     @classmethod
     def zero(cls, grid_m, coupling=Coupling.ANTILINEAR):
@@ -149,37 +154,18 @@ def _node_dofs(grid_m, s):
     return dof, np.concatenate([v0, np.ones(n_free - 2), v1])
 
 
-class _DofPattern(NamedTuple):
-    """CSC pattern of per-element 4x4 blocks on nodes ``(e, e + 1)`` summed
-    through a node dof table, and the data slot of each block entry.  The
-    dof indices fix it; the weights only scale the entries."""
-
-    coords: np.ndarray  # (n_el, 4) nodal coordinates of each block
-    indices: np.ndarray
-    indptr: np.ndarray
-    slot: np.ndarray  # (n_el * 16,) data position of each block entry
-
-    @classmethod
-    def of(cls, dof, n_el):
-        coords = 2 * np.arange(n_el)[:, None] + np.arange(4)
-        d = dof[coords]
-        size = int(dof[-1]) + 1
-        # column-major key of block entry (e, i, j): row d[e, i], column d[e, j]
-        keys = (d[:, None, :] * size + d[:, :, None]).ravel()
-        pattern, slot = np.unique(keys, return_inverse=True)
-        indptr = np.searchsorted(pattern, size * np.arange(size + 1))
-        return cls(coords, pattern % size, indptr, slot)
-
-    def csc(self, values):
-        """Sum the block entries ``values`` into their slots in input order;
-        entries that cancel exactly are dropped."""
-        data = np.bincount(self.slot, weights=values.ravel(), minlength=self.indices.size)
-        keep = data != 0.0
-        kept = np.concatenate([[0], np.cumsum(keep)])
-        size = self.indptr.size - 1
-        return scipy.sparse.csc_array(
-            (data[keep], self.indices[keep], kept[self.indptr]), shape=(size, size)
-        )
+def _element_sum(blocks, dof, weight):
+    """Sum per-element 4x4 blocks on nodes ``(e, e + 1)`` through a dof table
+    into one CSC matrix; entries that cancel exactly are dropped."""
+    coords = 2 * np.arange(blocks.shape[0])[:, None] + np.arange(4)
+    d, w = dof[coords], weight[coords]
+    rows, cols = np.broadcast_arrays(d[:, :, None], d[:, None, :])
+    values = (blocks * w[:, :, None]) * w[:, None, :]
+    size = int(dof[-1]) + 1
+    x = scipy.sparse.coo_array((values.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
+    x = x.tocsc()
+    x.eliminate_zeros()
+    return x.copy()  # frees the COO-sized buffers the pruned arrays still view
 
 
 def _upper_band(x):
@@ -281,45 +267,53 @@ class FloerPencil:
     """Piecewise-linear element discretization of ``J u' + C(t) u`` for one
     coefficient, at every boundary angle.
 
-    The angle enters only through the weights of the last dof, so the
-    element blocks (all the quadrature) and the CSC pattern of the node dof
-    table are built once; :meth:`at` rebuilds only the data.  The last dof
-    borders a fixed interior, and its border is a closed form in the last
-    element's blocks and ``v1(s)``, so :meth:`spectra` builds no operator per
-    angle: it reads blocks of windows off one eigendecomposition of the
-    interior.  The dof table keeps one scalar coordinate at each endpoint,
-    along its boundary line.  A coefficient near the float limit
-    overflows the element sums; the resulting NaN or Inf entries raise
+    The element blocks (all the quadrature) are built once.  The angle
+    enters only through the weights of the last dof, so every per-angle
+    computation reads it from :meth:`border`, that dof's column in closed
+    form: :meth:`spectra` and the neighbour profile build no operator per
+    angle.  :meth:`at` sums the blocks into a full operator, for the fixed
+    interior and the dense routes.  The dof table keeps one scalar coordinate
+    at each endpoint, along its boundary line.  A coefficient near the float
+    limit overflows the element sums; the resulting NaN or Inf entries raise
     :class:`InvalidConfig` in :class:`DiscretizedOperator`.
     """
 
     cfg: FloerConfig
     blocks: np.ndarray = field(init=False, repr=False)
-    pattern: _DofPattern = field(init=False, repr=False)
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        dof, _ = _node_dofs(self.cfg.grid_m, 0.0)
         object.__setattr__(self, "blocks", _element_blocks(self.cfg))
-        object.__setattr__(self, "pattern", _DofPattern.of(dof, self.cfg.grid_m))
 
     @np.errstate(over="ignore", invalid="ignore")
     def at(self, s):
         """The discretized operator at boundary angle ``s``: the element blocks
         weighted by the dof table at ``s`` and summed."""
         _check_angles(s)
-        _, weight = _node_dofs(self.cfg.grid_m, s)
-        w = weight[self.pattern.coords]
-        return DiscretizedOperator(
-            *(self.pattern.csc((x * w[:, :, None]) * w[:, None, :]) for x in self.blocks)
-        )
+        dof, weight = _node_dofs(self.cfg.grid_m, s)
+        return DiscretizedOperator(*(_element_sum(x, dof, weight) for x in self.blocks))
 
     @property
     def border_rows(self):
         """The interior dofs that the last dof's border reaches: the two of
         the last element's left node."""
         dof, _ = _node_dofs(self.cfg.grid_m, 0.0)
-        return dof[self.pattern.coords[-1, :2]]
+        return dof[2 * self.cfg.grid_m - 2 : 2 * self.cfg.grid_m]
+
+    def border(self, s):
+        """The last column of ``K``, ``M`` and ``K2`` (``x`` = 0, 1, 2) at the
+        angles ``s``, each checked to lie in ``[0, 2 pi]``: ``cols[x]`` on
+        :attr:`border_rows` and the corner ``diag[x]``, the angles' axes after
+        ``x``.  With ``X`` the last element's block and ``v1 = (cos s, -sin
+        s)`` they are ``X[0:2, 2:4] v1`` and ``v1^T X[2:4, 2:4] v1``, bitwise
+        the entries that :meth:`at` sums."""
+        _check_angles(s)
+        last = self.blocks[:, -1]
+        v1 = np.stack([np.cos(s), -np.sin(s)], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = np.einsum("xij,...j->x...i", last[:, :2, 2:], v1)
+            diag = np.einsum("...i,xij,...j->x...", v1, last[:, 2:, 2:], v1)
+        return cols, diag
 
     @cached_property
     def interior(self):
@@ -342,21 +336,8 @@ class FloerPencil:
         k_window = _window_size(k_window, self.interior.lam.size + 1)
         angles = iter(angles)
         while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
-            for si, w in zip(s, self._windows(s, k_window)):
+            for si, w in zip(s, _bordered_windows(self.interior, *self.border(s), k_window)):
                 yield floer_spectrum(self.at(si), k_window) if isinstance(w, NoConvergence) else w
-
-    def _windows(self, s, k_window):
-        """:func:`_bordered_windows` at the angles ``s``, each checked to lie in
-        ``[0, 2 pi]``.  The border at ``s`` is ``b = X[0:2, 2:4] v1`` and ``c =
-        v1^T X[2:4, 2:4] v1`` for each last-element block ``X`` of ``K``, ``M``
-        and ``K2``, with ``v1 = (cos s, -sin s)``: no operator is built."""
-        _check_angles(s)
-        last = self.blocks[:, -1]
-        v1 = np.stack([np.cos(s), -np.sin(s)], axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cols = np.einsum("xij,aj->xai", last[:, :2, 2:], v1)
-            diag = np.einsum("ai,xij,aj->xa", v1, last[:, 2:, 2:], v1)
-        return _bordered_windows(self.interior, cols, diag, k_window)
 
 
 def assemble_floer_operator(cfg, s):
@@ -621,9 +602,8 @@ def _bordered_windows(interior, cols, diag, k_window):
     """The windows of :func:`floer_spectrum` at a block of angles, from the
     interior eigenpairs.
 
-    ``cols[x, a]`` is the border of ``K``, ``M`` and ``K2`` (``x`` = 0, 1, 2)
-    at angle ``a`` on ``interior.rows`` and ``diag[x, a]`` its last diagonal
-    entry.  With ``V`` the interior eigenvectors, the border ``[b; c]`` of
+    ``cols`` and ``diag`` are :meth:`FloerPencil.border` at a block of
+    angles.  With ``V`` the interior eigenvectors, the border ``[b; c]`` of
     ``K2`` and ``[e; d]`` of ``M`` enters as ``g = V^T b`` and ``f = V^T e``.
     Eliminating ``f`` leaves an arrowhead pencil: with ``r = g - lam f``,
     ``beta = d - f^T f`` (the Schur complement of ``M``, positive exactly
@@ -858,7 +838,8 @@ def _mass_normalized_operators(pencil, angles):
     diag(M_int^{-1/2}, 0)``: ``K(s)`` too differs from the fixed interior only
     in its last row and column, which ``R`` zeroes, so ``R K R`` is the same at
     every angle and ``A(s) = R K R + U S U^T`` with ``U = [R K W, W]`` and ``S
-    = [[0, D], [D, D W^T K W D]]``; ``K(s)`` is applied as the CSC matrix.
+    = [[0, D], [D, D W^T K W D]]``; the angle enters through
+    :meth:`FloerPencil.border` alone, so the pencil is assembled once.
 
     The entries of ``M_int^{-1/2}``, an integral of resolvents, fall by
     :data:`_RESOLVENT_DECAY` per node too, so ``R K W`` is below ``(d + 2)
@@ -887,19 +868,23 @@ def _mass_normalized_operators(pencil, angles):
     root_rows = root_int[block][:, rows]
     del root_int
     fixed = a[block, block].copy()
+    # K on the block; correction writes the border of each angle into it
+    edge = rows - block.start
+    k_block = np.zeros(fixed.shape)
+    k_block[:-1, :-1] = k_int[block, block].toarray()
 
     def correction(s):
         """``U S U^T`` at angle ``s``, on the block.  Its temporaries end with
         the call: small arrays kept across a pair land in the freed ``n x n``
         blocks that the next eigensolve would reuse, and raise the peak RSS."""
-        op = pencil.at(s)
-        m_col, k_col = (x[block, -1:].toarray()[:, 0] for x in (op.mass, op.stiffness))
-        b = m_col[rows - block.start]
-        w, d = root.terms(b, m_col[-1])
-        rkw = root_k_ys @ b - (root_rows @ k_col[rows - block.start])[:, None]
+        (k_col, b, _), (k_corner, c, _) = pencil.border(s)
+        w, d = root.terms(b, c)
+        rkw = root_k_ys @ b - (root_rows @ k_col)[:, None]
         u = np.hstack([np.vstack([rkw, np.zeros((1, _ROOT_NODES))]), w])
         dd = np.diag(d)
-        wkw = w.T @ (op.stiffness[block, block] @ w)
+        k_block[edge, -1] = k_block[-1, edge] = k_col
+        k_block[-1, -1] = k_corner
+        wkw = w.T @ (k_block @ w)
         s_mat = np.block([[np.zeros_like(dd), dd], [dd, d[:, None] * wkw * d]])
         return (u @ s_mat) @ u.T
 
@@ -1255,7 +1240,7 @@ def _h1_gram(grid_m):
     stiff = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     n = 2 * (grid_m + 1)
     blocks = np.broadcast_to(np.kron(mass + stiff, np.eye(2)), (grid_m, 4, 4))
-    return _DofPattern.of(np.arange(n), grid_m).csc(blocks).toarray()
+    return _element_sum(blocks, np.arange(n), np.ones(n)).toarray()
 
 
 def h1_operator_norm(x, grid_m):

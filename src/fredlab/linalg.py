@@ -50,9 +50,11 @@ def _as_matrix(m, name="matrix"):
 def symmetry_defect(a):
     """Relative size of the skew part of ``a``: max|a - a^T| / max(1, max|a|)."""
     a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    transposed = np.ascontiguousarray(a.T)  # strided access dominates otherwise
-    return float(np.max(np.abs(a - transposed))) / scale
+    scale = max(1.0, float(a.max()), -float(a.min())) if a.size else 1.0
+    skew = a.T.copy()  # a C-ordered copy: strided access dominates otherwise
+    np.subtract(a, skew, out=skew)
+    np.abs(skew, out=skew)
+    return float(skew.max()) / scale
 
 
 def require_symmetric(a, name="matrix"):

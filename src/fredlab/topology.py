@@ -35,7 +35,8 @@ class SelfAdjointOperator:
     def __post_init__(self):
         m = linalg.require_symmetric(self.matrix, "operator matrix")
         with np.errstate(over="ignore"):
-            sym = 0.5 * (m + m.T)
+            sym = m + m.T
+        sym *= 0.5
         big = np.isinf(sym)  # the sum overflowed: halve before adding
         sym[big] = 0.5 * m[big] + 0.5 * m.T[big]
         object.__setattr__(self, "matrix", sym)
@@ -127,6 +128,14 @@ def riesz_inverse(t):
     return SelfAdjointOperator(back)
 
 
+def _sorts_after(x0, x1):
+    """``x0.tobytes() > x1.tobytes()`` for float arrays of one shape, without
+    the copies: the first entry whose bits differ decides."""
+    differ = x0.view(np.int64) != x1.view(np.int64)
+    i = np.unravel_index(np.argmax(differ), differ.shape)
+    return x0[i].tobytes() > x1[i].tobytes()
+
+
 def _eigenbasis_norm(a0, a1, kernel):
     """``|W o K|`` with ``W = Q0^T Q1`` in the eigenbases ``A_k = Q_k diag(l_k) Q_k^T``.
 
@@ -137,7 +146,7 @@ def _eigenbasis_norm(a0, a1, kernel):
     _check_same_dim(a0, a1)
     if np.array_equal(a0.matrix, a1.matrix):
         return 0.0
-    if a0.matrix.tobytes() > a1.matrix.tobytes():
+    if _sorts_after(a0.matrix, a1.matrix):
         a0, a1 = a1, a0
     d0, d1 = a0.decomposition, a1.decomposition
     f = d0.eigenvectors.T @ d1.eigenvectors

@@ -74,6 +74,31 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="outside"):
             read()
 
+    def test_coupling_is_coerced_to_the_enum(self):
+        # the string used to fall through to the linear branch unnoticed
+        samples = np.full(17, 1.5 - 0.7j)
+        cfg = FloerConfig(samples, 16, coupling="antilinear")
+        assert cfg.coupling is Coupling.ANTILINEAR
+        want = assemble_floer_operator(FloerConfig(samples, 16), 1.0).stiffness
+        got = assemble_floer_operator(cfg, 1.0).stiffness
+        assert np.array_equal(got.toarray(), want.toarray())
+        # and the string reaches the symmetry check of the linear coupling
+        with pytest.raises(InvalidConfig, match="purely imaginary"):
+            FloerConfig(samples, 16, coupling="linear_imaginary")
+
+    def test_unknown_coupling(self):
+        with pytest.raises(InvalidConfig, match="not a valid Coupling"):
+            FloerConfig.constant(0.5, 16, coupling="nonsense")
+
+    @pytest.mark.parametrize("grid_m", [8.0, "8", None])
+    def test_grid_must_be_an_integer(self, grid_m):
+        with pytest.raises(InvalidConfig, match="integer"):
+            FloerConfig(np.zeros(9, dtype=complex), grid_m)
+
+    def test_numpy_integer_grid(self):
+        cfg = FloerConfig(np.zeros(9, dtype=complex), np.int64(8))
+        assert type(cfg.grid_m) is int and cfg.grid_m == 8
+
     def test_sample_count_mismatch(self):
         with pytest.raises(InvalidConfig):
             FloerConfig(np.zeros(10, dtype=complex), 16)
@@ -218,6 +243,25 @@ class TestFloerPencil:
         direct = assemble_floer_operator(cfg, s)
         for field in fields:
             assert np.array_equal(getattr(direct, field).data, getattr(op, field).data)
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "random", "linear"])
+    def test_border_is_the_assembled_last_column(self, kind):
+        # the closed form of each angle's border against the element sum of at
+        pencil = FloerPencil(_case(kind))
+        angles = np.array([0.0, 0.4, np.pi / 2.0, np.pi, 4.4, 2.0 * np.pi])
+        cols, diag = pencil.border(angles)
+        assert cols.shape == (3, angles.size, 2) and diag.shape == (3, angles.size)
+        fields = ("stiffness", "mass", "square_stiffness")
+        for a, s in enumerate(angles):
+            op = pencil.at(s)
+            one_cols, one_diag = pencil.border(s)
+            for x, field in enumerate(fields):
+                col = getattr(op, field)[:, -1:].toarray()[:, 0]
+                want = np.zeros_like(col)
+                want[pencil.border_rows], want[-1] = cols[x, a], diag[x, a]
+                np.testing.assert_array_equal(col, want, err_msg=f"{field} at s = {s}")
+                np.testing.assert_array_equal(one_cols[x], cols[x, a])
+                assert one_diag[x] == diag[x, a]
 
     def test_quadrature_runs_once_per_pencil(self, monkeypatch):
         calls = []
@@ -424,7 +468,7 @@ class TestSpectrum:
             return mus[:, keep], diff[:, keep]
 
         monkeypatch.setattr(floer, "_secular_roots", dropping)
-        (missed,) = pencil._windows(np.array([0.8]), 5)
+        (missed,) = floer._bordered_windows(pencil.interior, *pencil.border(np.array([0.8])), 5)
         assert isinstance(missed, NoConvergence) and "1 missed" in str(missed)
         np.testing.assert_array_equal(next(pencil.spectra([0.8], 5)), floer_spectrum(op, 5))
         assert calls == [11, 11]
@@ -1302,6 +1346,17 @@ class TestRhoContinuity:
         assert len(rho_continuity_profile(cfg, np.linspace(0.2, 1.4, k))) == k - 1
         n = 2 * grid_m
         assert sorted(shapes) == [(n - 1, n - 1)] + [(n, n)] * k
+
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_profile_assembles_once(self, monkeypatch, k):
+        """The angle reaches the profile through ``FloerPencil.border``: one
+        assembly, for the interior, however many angles it has."""
+        built = []
+        real_at = FloerPencil.at
+        monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
+        cfg = FloerConfig.constant(1.5 - 0.7j, 48)
+        assert len(rho_continuity_profile(cfg, np.linspace(0.2, 1.4, k))) == k - 1
+        assert built == [0.0]
 
     @pytest.mark.parametrize("samples", [[], [0.4]])
     def test_fewer_than_two_angles_give_no_rows(self, samples):

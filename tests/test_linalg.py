@@ -66,6 +66,25 @@ class TestSymEig:
             SelfAdjointOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestSymmetryDefect:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_value_and_input_kept(self, order):
+        rng = np.random.default_rng(7)
+        a = np.array(rng.standard_normal((6, 6)) * 3.0, order=order)
+        before = a.copy()
+        want = np.max(np.abs(a - a.T)) / max(1.0, np.max(np.abs(a)))
+        assert linalg.symmetry_defect(a) == want
+        # the skew part is formed in a copy, never in the caller's array
+        assert np.array_equal(a, before)
+
+    def test_scale_is_the_largest_magnitude(self):
+        a = np.array([[-4.0, 1.0], [0.0, 2.0]])
+        assert linalg.symmetry_defect(a) == 0.25
+        assert linalg.symmetry_defect(-a) == 0.25
+        # below 1 the scale is 1
+        assert linalg.symmetry_defect(0.25 * a) == 0.25
+
+
 class TestOperatorNorm:
     def test_zero(self):
         assert linalg.operator_norm(np.zeros((3, 3))) == 0.0

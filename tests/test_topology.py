@@ -60,6 +60,7 @@ class TestSelfAdjointOperator:
         op = SelfAdjointOperator(a)
         assert not np.array_equal(a, a.T)
         assert np.array_equal(op.matrix, op.matrix.T)
+        assert op.matrix.tobytes() == (0.5 * (a + a.T)).tobytes()
         q, lam = op.decomposition.eigenvectors, op.decomposition.eigenvalues
         recon = (q * lam) @ q.T
         assert linalg.operator_norm(recon - op.matrix) <= IDENTITY_TOL * (
@@ -250,6 +251,44 @@ class TestGapMetric:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             topology.gap_metric(sa([[0.0]]), sa(np.zeros((2, 2))))
+
+
+class TestPairOrder:
+    """The pair is ordered by its bytes, read from the first entry whose bits
+    differ, so a metric is bitwise symmetric in its arguments."""
+
+    @staticmethod
+    def _pairs(rng, count):
+        for k in range(count):
+            n = int(rng.integers(1, 7))
+            x = rng.standard_normal((n, n))
+            x = x + x.T
+            y = x.copy()
+            i, j = rng.integers(0, n, 2)
+            edit = k % 4
+            if edit == 0:  # the signs of a zero
+                x[i, j] = x[j, i] = 0.0
+                y[i, j] = y[j, i] = -0.0
+            elif edit == 1:  # an edit below every other entry's ulp
+                y[i, j] += 1e-300
+                y[j, i] = y[i, j]
+            elif edit == 2:
+                y[i, j] = y[j, i] = -y[i, j]
+            else:
+                y = rng.standard_normal((n, n))
+                y = y + y.T
+            yield (x, y) if rng.random() < 0.5 else (y, x)
+
+    def test_order_is_the_byte_order(self):
+        for x, y in self._pairs(np.random.default_rng(41), 300):
+            assert topology._sorts_after(x, y) == (x.tobytes() > y.tobytes())
+            assert topology._sorts_after(y, x) == (y.tobytes() > x.tobytes())
+
+    @pytest.mark.parametrize("metric", [topology.gap_metric, topology.riesz_metric])
+    def test_metrics_are_bitwise_symmetric(self, metric):
+        for x, y in self._pairs(np.random.default_rng(42), 60):
+            a, b = sa(x), sa(y)
+            assert metric(a, b) == metric(b, a)
 
 
 class TestGapEigenbasisRoute:
