@@ -23,9 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy  # submodules load on first use, so the dense experiments never pay for them
 
 from . import linalg, topology
 from .errors import (
@@ -59,6 +57,17 @@ class Coupling(Enum):
     LINEAR_IMAGINARY = "linear_imaginary"
 
 
+def _element_count(grid_m):
+    """``grid_m`` as an ``int``; :class:`InvalidConfig` unless it is an integer of at least 8."""
+    try:
+        grid_m = operator.index(grid_m)
+    except TypeError as exc:
+        raise InvalidConfig(f"need an integer grid: {exc}") from None
+    if grid_m < 8:
+        raise InvalidConfig(f"need at least 8 elements, got {grid_m}")
+    return grid_m
+
+
 @dataclass(frozen=True, eq=False)
 class FloerConfig:
     """The coefficient of the boundary-value family: ``a_samples`` at the
@@ -71,12 +80,11 @@ class FloerConfig:
     coupling: Coupling = Coupling.ANTILINEAR
 
     def __post_init__(self):
+        grid_m = _element_count(self.grid_m)
         try:
-            grid_m, coupling = operator.index(self.grid_m), Coupling(self.coupling)
+            coupling = Coupling(self.coupling)
         except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"need an integer grid and a Coupling: {exc}") from None
-        if grid_m < 8:
-            raise InvalidConfig(f"need at least 8 elements, got {grid_m}")
+            raise InvalidConfig(f"need a Coupling: {exc}") from None
         a = np.asarray(self.a_samples, dtype=complex)
         if a.shape != (grid_m + 1,):
             raise InvalidConfig(f"need {grid_m + 1} coefficient samples, got shape {a.shape}")
@@ -94,11 +102,11 @@ class FloerConfig:
 
     @classmethod
     def zero(cls, grid_m, coupling=Coupling.ANTILINEAR):
-        return cls(np.zeros(grid_m + 1, dtype=complex), grid_m, coupling)
+        return cls(np.zeros(_element_count(grid_m) + 1, dtype=complex), grid_m, coupling)
 
     @classmethod
     def constant(cls, a, grid_m, coupling=Coupling.ANTILINEAR):
-        return cls(np.full(grid_m + 1, complex(a)), grid_m, coupling)
+        return cls(np.full(_element_count(grid_m) + 1, complex(a)), grid_m, coupling)
 
     @property
     def nodes(self):

@@ -33,6 +33,16 @@ GOLDEN_REPORTS = {
 }
 
 
+def _python(*args):
+    """Run a fresh ``python *args`` from this checkout, with only its src on the path."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestRows:
     def test_abs_error_and_violation(self):
         ok = cli.ReportRow("x", "l", "p", "m", 1.0, expected=1.0 + 5e-9, tol=1e-8)
@@ -250,13 +260,7 @@ class TestMain:
         assert line.startswith("fredlab: ") and "Traceback" not in captured.err
 
     def test_package_runs_as_a_module(self):
-        # python -m fredlab from a checkout, with only src on the path
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fredlab", "identities", "--trials", "3"],
-            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _python("-m", "fredlab", "identities", "--trials", "3")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("experiment,label,param,metric,value,expected,abs_error")
 
@@ -288,6 +292,44 @@ class TestMain:
         default = report()
         assert report("--seed", "7") == default
         assert report("--seed", "8") != default
+
+
+class TestColdStart:
+    # only floer needs scipy; its submodules load on first use, so the dense
+    # experiments never import them.  A fresh process is needed because
+    # pytest's warning filters import scipy.sparse into this one.
+    PROBE = """
+import json, os, sys
+loaded = {}
+def note(step):
+    loaded[step] = [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+import fredlab
+note("import fredlab")
+from fredlab import cli
+note("import fredlab.cli")
+for argv in json.loads(sys.argv[1]):
+    assert cli.main([*argv, "--out", os.devnull]) == 0, argv
+    note(argv[0])
+print(json.dumps(loaded))
+"""
+    DENSE_RUNS = [
+        ["fuglede", "--n-list", "1,2"],
+        ["graph", "--dim", "6", "--trials", "5"],
+        ["perturb", "--dim", "8", "--trials", "4"],
+        ["identities", "--trials", "3"],
+    ]
+
+    def test_dense_experiments_do_not_load_scipy_submodules(self):
+        proc = _python("-c", self.PROBE, json.dumps(self.DENSE_RUNS))
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        steps = ["import fredlab", "import fredlab.cli", *(argv[0] for argv in self.DENSE_RUNS)]
+        assert loaded == {step: [] for step in steps}
+
+    def test_floer_runs_in_a_fresh_process(self):
+        proc = _python("-m", "fredlab", "floer", "--grid", "24", "--s-count", "16")
+        assert proc.returncode == 0, proc.stderr
+        assert ",spectral_flow,2.0,2.0,0.0" in proc.stdout
 
 
 class TestGoldenReports:

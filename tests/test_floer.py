@@ -95,6 +95,17 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="integer"):
             FloerConfig(np.zeros(9, dtype=complex), grid_m)
 
+    @pytest.mark.parametrize("grid_m", [8.0, "8", None])
+    @pytest.mark.parametrize("factory", ["zero", "constant"])
+    def test_factories_check_the_grid_before_sizing(self, factory, grid_m):
+        # the factories size the samples from grid_m, so they check it first
+        make = {
+            "zero": lambda: FloerConfig.zero(grid_m),
+            "constant": lambda: FloerConfig.constant(0.5, grid_m),
+        }[factory]
+        with pytest.raises(InvalidConfig, match="integer"):
+            make()
+
     def test_numpy_integer_grid(self):
         cfg = FloerConfig(np.zeros(9, dtype=complex), np.int64(8))
         assert type(cfg.grid_m) is int and cfg.grid_m == 8
