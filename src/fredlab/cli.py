@@ -158,8 +158,10 @@ def parse_a_spec(text, grid_m):
 
 def run_floer(grid_m=400, s_count=128, a_spec="0"):
     """Oracle agreement, spectral flow and neighbour metric moduli for the family."""
-    if grid_m < 8 or s_count < 8:
-        raise InvalidConfig("need grid >= 8 and s-count >= 8")
+    grid_m = floer._element_count(grid_m)
+    s_count = floer._integer(s_count, "s-count")
+    if s_count < 8:
+        raise InvalidConfig(f"need s-count >= 8, got {s_count}")
     # load the lazy scipy submodules before the first large array: loaded in
     # mid-run, their import's allocations land among the run's buffers and
     # raise the peak RSS by about 4 MB
@@ -167,9 +169,11 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     samples = parse_a_spec(a_spec, grid_m)
     rows = []
 
-    # one pencil for the oracle angles and the sweep: only the border depends on s
+    # one pencil per run; its profile goes first, freeing n x n operators before the spectra's
     cfg = floer.FloerConfig(samples, grid_m)
     pencil = floer.FloerPencil(cfg)
+    sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
+    profile = floer.rho_continuity_profile(pencil, sweep[: NEIGHBOR_PAIRS + 1])
     windows = list(pencil.spectra(ORACLE_ANGLES, WINDOW))
     # one batch: the Prufer angle does not depend on s, so one config serves all
     oracle = floer.shooting_eigenvalues(
@@ -186,10 +190,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
                 )
             )
 
-    sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
     flow = floer.spectral_flow(pencil.spectra(sweep, WINDOW))
-    # the profile needs no spectra: free the interior eigenvectors first
-    del pencil
     rows.append(
         ReportRow(
             "floer",
@@ -202,7 +203,6 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
         )
     )
 
-    profile = floer.rho_continuity_profile(cfg, sweep[: NEIGHBOR_PAIRS + 1])
     for (s_a, s_b), metrics in zip(itertools.pairwise(sweep.tolist()), profile):
         label, param = f"s={s_a:.4f}->{s_b:.4f}", f"{s_b - s_a!r}"
         for name, value in metrics._asdict().items():

@@ -57,12 +57,17 @@ class Coupling(Enum):
     LINEAR_IMAGINARY = "linear_imaginary"
 
 
+def _integer(value, what):
+    """``value`` as an ``int``; :class:`InvalidConfig` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvalidConfig(f"need an integer {what}: {exc}") from None
+
+
 def _element_count(grid_m):
     """``grid_m`` as an ``int``; :class:`InvalidConfig` unless it is an integer of at least 8."""
-    try:
-        grid_m = operator.index(grid_m)
-    except TypeError as exc:
-        raise InvalidConfig(f"need an integer grid: {exc}") from None
+    grid_m = _integer(grid_m, "grid")
     if grid_m < 8:
         raise InvalidConfig(f"need at least 8 elements, got {grid_m}")
     return grid_m
@@ -279,11 +284,11 @@ class FloerPencil:
     enters only through the weights of the last dof, so every per-angle
     computation reads it from :meth:`border`, that dof's column in closed
     form: :meth:`spectra` and the neighbour profile build no operator per
-    angle.  :meth:`at` sums the blocks into a full operator, for the fixed
-    interior and the dense routes.  The dof table keeps one scalar coordinate
-    at each endpoint, along its boundary line.  A coefficient near the float
-    limit overflows the element sums; the resulting NaN or Inf entries raise
-    :class:`InvalidConfig` in :class:`DiscretizedOperator`.
+    angle.  :meth:`at` sums the blocks into a full operator: at angle 0 once,
+    as :attr:`base`, for the fixed interior, and for the dense routes.  The dof
+    table keeps one scalar coordinate at each endpoint, along its boundary line.
+    A coefficient near the float limit overflows the element sums; the NaN or
+    Inf entries raise :class:`InvalidConfig` in :class:`DiscretizedOperator`.
     """
 
     cfg: FloerConfig
@@ -324,11 +329,14 @@ class FloerPencil:
         return cols, diag
 
     @cached_property
+    def base(self):
+        """The operator at angle 0, assembled and checked once, on first use."""
+        return self.at(0.0)
+
+    @cached_property
     def interior(self):
-        """The interior of the pencil (see :func:`_interior_pairs`), computed
-        on first use: the angle does not reach it.  The full check of
-        :meth:`at` runs here, once."""
-        return _interior_pairs(self.at(0.0), self.border_rows)
+        """The interior eigenpairs (see :func:`_interior_pairs`) of :attr:`base`, on first use."""
+        return _interior_pairs(self.base, self.border_rows)
 
     def spectra(self, angles, k_window):
         """The ``k_window`` eigenvalues nearest zero at each of ``angles``,
@@ -388,7 +396,7 @@ def _nearest(ritz, k_window):
 
 
 def _window_size(k_window, dim):
-    k_window = int(k_window)
+    k_window = _integer(k_window, "window size")
     if k_window < 1 or k_window > dim:
         raise InvalidConfig(f"window size {k_window} outside 1..{dim}")
     return k_window
@@ -859,7 +867,7 @@ def _mass_normalized_operators(pencil, angles):
     operator at an angle depends on that angle alone, bit for bit.  ``P``
     and ``M_int^{-1/2}`` are dropped before the first operator is built.
     """
-    op = pencil.at(0.0)
+    op = pencil.base
     n = op.dim
     mass = SelfAdjointOperator(op.mass[:-1, :-1].toarray())
     root = _MassRoot(pencil, mass.decomposition)
@@ -1276,21 +1284,20 @@ class NeighbourMetrics(NamedTuple):
     gamma: float
 
 
-def rho_continuity_profile(cfg, s_samples):
-    """Metric moduli between neighbouring members of the family.
+def rho_continuity_profile(pencil, s_samples):
+    """Metric moduli between neighbouring members of the family of ``pencil``.
 
     For each consecutive pair of angles: the boundary-projector distance
     ``nu`` and the Riesz and gap distances of the two mass-normalized
     operators on the shared grid.  The operators come from
-    :func:`_mass_normalized_operators`, one eigendecomposition of the
-    interior mass and a rank-``2q`` term per angle, with no dense solve of
-    ``M(s)``; :func:`mass_normalized` is their oracle.  They are built one
-    angle at a time, so at most two are alive at once, and fewer than two
-    angles give no rows.
+    :func:`_mass_normalized_operators`: one eigendecomposition of the interior
+    mass of :attr:`FloerPencil.base`, no assembly or dense solve of ``M(s)``,
+    and a rank-``2q`` term per angle; :func:`mass_normalized` is their oracle.
+    Built one angle at a time, at most two are alive; fewer than two angles give no rows.
     """
-    d0 = boundary_coefficient_operator(cfg)
+    d0 = boundary_coefficient_operator(pencil.cfg)
     samples = [float(s) for s in s_samples]
-    operators = _mass_normalized_operators(FloerPencil(cfg), samples)
+    operators = _mass_normalized_operators(pencil, samples)
     profile, p0, a0 = [], None, None
     # next(operators) builds a1 while a0 is alive: two operators at most
     for s, a1 in zip(samples, operators):

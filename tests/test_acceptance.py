@@ -201,11 +201,11 @@ def test_criterion_9_gauge_suite():
 
 def test_criterion_10_bvp_continuity():
     """Halving the angle step shrinks the Riesz modulus >= 1.5x, jointly with nu."""
-    cfg = floer.FloerConfig.zero(24)
+    pencil = floer.FloerPencil(floer.FloerConfig.zero(24))
     coarse_s = np.linspace(0.3, 1.1, 9)
     fine_s = np.linspace(0.3, 1.1, 17)
-    coarse = floer.rho_continuity_profile(cfg, coarse_s)
-    fine = floer.rho_continuity_profile(cfg, fine_s)
+    coarse = floer.rho_continuity_profile(pencil, coarse_s)
+    fine = floer.rho_continuity_profile(pencil, fine_s)
     rho_coarse = max(r.rho for r in coarse)
     rho_fine = max(r.rho for r in fine)
     assert rho_coarse >= 1.5 * rho_fine, f"ratio {rho_coarse / rho_fine}"

@@ -107,11 +107,57 @@ class TestFloerExperiment:
         with pytest.raises(InvalidConfig):
             cli.run_floer(grid_m=4, s_count=16)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [{"grid_m": 8.0}, {"grid_m": "24"}, {"grid_m": None}, {"s_count": 16.0}, {"s_count": "16"}],
+    )
+    def test_flags_must_be_integers(self, flags):
+        # the flags size arrays, so a float, a string or None is a typed error
+        with pytest.raises(InvalidConfig, match="need an integer"):
+            cli.run_floer(**flags)
+
+    def test_one_pencil_per_run(self, monkeypatch):
+        """One quadrature and one assembly serve the profile, the oracle angles
+        and the sweep."""
+        pencils, quadratures, assembled = [], [], []
+        real_init, real_blocks, real_at = (
+            floer.FloerPencil.__post_init__, floer._element_blocks, floer.FloerPencil.at
+        )
+        monkeypatch.setattr(
+            floer.FloerPencil, "__post_init__", lambda self: pencils.append(self) or real_init(self)
+        )
+        monkeypatch.setattr(
+            floer, "_element_blocks", lambda cfg: quadratures.append(cfg) or real_blocks(cfg)
+        )
+        monkeypatch.setattr(
+            floer.FloerPencil, "at", lambda self, s: assembled.append(s) or real_at(self, s)
+        )
+        cli.run_floer(grid_m=24, s_count=16)
+        assert len(pencils) == 1 and len(quadratures) == 1 and assembled == [0.0]
+
+    def test_profile_runs_before_the_interior_eigenpairs(self, monkeypatch):
+        """The profile's n x n operators are freed before the interior's n x n
+        eigenvectors are computed, so the two never share the peak RSS."""
+        events = []
+        real_ops, real_pairs = floer._mass_normalized_operators, floer._interior_pairs
+
+        def operators(pencil, angles):
+            for a in real_ops(pencil, angles):
+                events.append("operator")
+                yield a
+
+        monkeypatch.setattr(floer, "_mass_normalized_operators", operators)
+        monkeypatch.setattr(
+            floer, "_interior_pairs", lambda *args: events.append("interior") or real_pairs(*args)
+        )
+        cli.run_floer(grid_m=24, s_count=16)
+        assert events == ["operator"] * (cli.NEIGHBOR_PAIRS + 1) + ["interior"]
+
     def test_neighbour_rows_are_the_continuity_profile(self):
         rows = [r for r in cli.run_floer(grid_m=24, s_count=16) if r.metric.endswith("_neighbor")]
         sweep = np.linspace(0.0, 2.0 * np.pi, 16)[:5].tolist()
         cfg = floer.FloerConfig(np.zeros(25, dtype=complex), 24)
-        profile = floer.rho_continuity_profile(cfg, sweep)
+        profile = floer.rho_continuity_profile(floer.FloerPencil(cfg), sweep)
         assert [r.value for r in rows] == [v for m in profile for v in m]
         assert [r.metric for r in rows] == ["nu_neighbor", "rho_neighbor", "gamma_neighbor"] * 4
         for k, r in enumerate(rows):

@@ -284,8 +284,9 @@ class TestFloerPencil:
             pencil.at(float(s))
         assert len(calls) == 1
         calls.clear()
-        assert len(rho_continuity_profile(cfg, np.linspace(0.3, 1.1, 5))) == 4
-        assert len(calls) == 1
+        # the profile of an existing pencil reuses its blocks
+        assert len(rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 5))) == 4
+        assert calls == []
 
     def test_every_angle_is_checked(self):
         pencil = FloerPencil(FloerConfig.zero(8))
@@ -382,6 +383,18 @@ class TestSpectrum:
         np.testing.assert_allclose(w, ladder(s - q, 5), atol=1e-4)
         (roots,) = shooting_eigenvalues(cfg, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(roots, ladder(s - q, 5), atol=1e-8)
+
+    @pytest.mark.parametrize("window", [2.5, 5.0, "5", None])
+    @pytest.mark.parametrize("route", ["spectra", "dense"])
+    def test_window_size_must_be_an_integer(self, route, window):
+        # a window is counted, so 2.5 is an error, not a window of 2
+        pencil = FloerPencil(FloerConfig.zero(16))
+        read = {
+            "spectra": lambda: list(pencil.spectra([0.1], window)),
+            "dense": lambda: floer_spectrum(pencil.at(0.1), window),
+        }[route]
+        with pytest.raises(InvalidConfig, match="integer window size"):
+            read()
 
     def test_large_grid_path_deterministic_and_consistent(self):
         # the pencil's windows come from secular roots on the interior
@@ -526,10 +539,10 @@ class TestSpectrum:
         assert len(calls) == 1
         assert spectral_flow(windows) == 2
         calls.clear()
-        rho_continuity_profile(cfg, np.linspace(0.0, 0.4, 5))
+        rho_continuity_profile(pencil, np.linspace(0.0, 0.4, 5))
         # the profile's one interior solve is the mass, not a repeat of the K2 one
         (mass,) = calls
-        np.testing.assert_array_equal(mass, pencil.at(0.0).mass[:-1, :-1].toarray())
+        np.testing.assert_array_equal(mass, pencil.base.mass[:-1, :-1].toarray())
 
 
 def smooth_coefficient(seed, grid_m):
@@ -1198,11 +1211,10 @@ class TestCutoffGauge:
 ROOT_ANGLES = [0.0, np.pi / 2, np.pi, 2.0 * np.pi, *np.linspace(0.0, 2.0 * np.pi, 128)[:5]]
 
 
-def dense_profile(cfg, samples):
+def dense_profile(pencil, samples):
     """The neighbour profile by the dense route: :func:`mass_normalized` at each
     angle and the two metrics of each pair."""
-    pencil = FloerPencil(cfg)
-    d0 = boundary_coefficient_operator(cfg)
+    d0 = boundary_coefficient_operator(pencil.cfg)
     ops = [mass_normalized(pencil.at(s)) for s in samples]
     return [
         floer.NeighbourMetrics(
@@ -1286,9 +1298,9 @@ class TestMassNormalizedOperators:
         ids=["default", "floer_dense", "floer_grid128", "floer_smooth"],
     )
     def test_profile_matches_the_dense_oracle(self, grid_m, s_count, a_spec):
-        cfg = FloerConfig(cli.parse_a_spec(a_spec, grid_m), grid_m)
+        pencil = FloerPencil(FloerConfig(cli.parse_a_spec(a_spec, grid_m), grid_m))
         samples = np.linspace(0.0, 2.0 * np.pi, s_count)[: cli.NEIGHBOR_PAIRS + 1].tolist()
-        got, want = rho_continuity_profile(cfg, samples), dense_profile(cfg, samples)
+        got, want = rho_continuity_profile(pencil, samples), dense_profile(pencil, samples)
         assert [g.nu for g in got] == [w.nu for w in want]
         np.testing.assert_allclose(
             [(g.rho, g.gamma) for g in got], [(w.rho, w.gamma) for w in want], rtol=0.0, atol=1e-12
@@ -1297,21 +1309,21 @@ class TestMassNormalizedOperators:
 
 class TestRhoContinuity:
     def test_zero_step(self):
-        cfg = FloerConfig.zero(16)
-        reports = rho_continuity_profile(cfg, [0.4, 0.4])
+        pencil = FloerPencil(FloerConfig.zero(16))
+        reports = rho_continuity_profile(pencil, [0.4, 0.4])
         assert reports[0].rho == 0.0
         assert reports[0].gamma == 0.0
 
     def test_modulus_shrinks_with_step(self):
-        cfg = FloerConfig.zero(16)
-        coarse = rho_continuity_profile(cfg, np.linspace(0.3, 1.1, 9))
-        fine = rho_continuity_profile(cfg, np.linspace(0.3, 1.1, 17))
+        pencil = FloerPencil(FloerConfig.zero(16))
+        coarse = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 9))
+        fine = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 17))
         assert max(r.rho for r in coarse) >= 1.5 * max(r.rho for r in fine)
 
     def test_joint_with_nu(self):
-        cfg = FloerConfig.zero(16)
+        pencil = FloerPencil(FloerConfig.zero(16))
         samples = np.linspace(0.3, 0.7, 5)
-        reports = rho_continuity_profile(cfg, samples)
+        reports = rho_continuity_profile(pencil, samples)
         assert max(r.nu for r in reports) < 0.11
         assert max(r.rho for r in reports) < 0.2
 
@@ -1323,7 +1335,7 @@ class TestRhoContinuity:
             nu_metric(boundary_projector(a), boundary_projector(b), d0)
             for a, b in zip(samples, samples[1:])
         ]
-        assert [r.nu for r in rho_continuity_profile(cfg, samples)] == expected
+        assert [r.nu for r in rho_continuity_profile(FloerPencil(cfg), samples)] == expected
 
     def test_at_most_two_operators_alive(self, monkeypatch):
         live, peak = set(), []
@@ -1337,7 +1349,8 @@ class TestRhoContinuity:
             return a
 
         monkeypatch.setattr(floer, "SelfAdjointOperator", tracked)
-        reports = rho_continuity_profile(FloerConfig.zero(16), np.linspace(0.3, 1.1, 9))
+        pencil = FloerPencil(FloerConfig.zero(16))
+        reports = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 9))
         assert len(reports) == 8 and len(peak) == 9
         assert max(peak) == 2
 
@@ -1353,32 +1366,35 @@ class TestRhoContinuity:
             return real_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        cfg = FloerConfig.constant(1.5 - 0.7j, grid_m)
-        assert len(rho_continuity_profile(cfg, np.linspace(0.2, 1.4, k))) == k - 1
+        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m))
+        assert len(rho_continuity_profile(pencil, np.linspace(0.2, 1.4, k))) == k - 1
         n = 2 * grid_m
         assert sorted(shapes) == [(n - 1, n - 1)] + [(n, n)] * k
 
     @pytest.mark.parametrize("k", [2, 9])
     def test_profile_assembles_once(self, monkeypatch, k):
         """The angle reaches the profile through ``FloerPencil.border``: one
-        assembly, for the interior, however many angles it has."""
+        assembly per pencil, for the interior, however many angles it has."""
         built = []
         real_at = FloerPencil.at
         monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
-        cfg = FloerConfig.constant(1.5 - 0.7j, 48)
-        assert len(rho_continuity_profile(cfg, np.linspace(0.2, 1.4, k))) == k - 1
+        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, 48))
+        assert len(rho_continuity_profile(pencil, np.linspace(0.2, 1.4, k))) == k - 1
         assert built == [0.0]
+        built.clear()
+        assert len(rho_continuity_profile(pencil, np.linspace(0.3, 1.5, k))) == k - 1
+        assert built == []
 
     @pytest.mark.parametrize("samples", [[], [0.4]])
     def test_fewer_than_two_angles_give_no_rows(self, samples):
-        assert rho_continuity_profile(FloerConfig.zero(16), samples) == []
+        assert rho_continuity_profile(FloerPencil(FloerConfig.zero(16)), samples) == []
 
     def test_lipschitz_constant_grid_stable(self):
         samples = np.linspace(0.3, 0.7, 5)
         step = samples[1] - samples[0]
         constants = []
         for m in (16, 32, 64):
-            reports = rho_continuity_profile(FloerConfig.zero(m), samples)
+            reports = rho_continuity_profile(FloerPencil(FloerConfig.zero(m)), samples)
             constants.append(max(r.rho for r in reports) / step)
         for a, b in zip(constants, constants[1:]):
             assert 0.75 * a <= b <= 1.25 * a

@@ -393,14 +393,14 @@ class TestRieszMetric:
 
         rng = np.random.default_rng(16)
         a, b = random_operator(rng, 6), random_operator(rng, 6)
-        cfg, samples = floer.FloerConfig.zero(16), np.linspace(0.3, 1.1, 4)
-        before = topology.riesz_metric(a, b), floer.rho_continuity_profile(cfg, samples)
+        pencil, samples = floer.FloerPencil(floer.FloerConfig.zero(16)), np.linspace(0.3, 1.1, 4)
+        before = topology.riesz_metric(a, b), floer.rho_continuity_profile(pencil, samples)
 
         def refuse(*args, **kwargs):
             raise AssertionError("rho must be read from the eigenbases")
 
         monkeypatch.setattr(topology, "riesz_map", refuse)
-        after = topology.riesz_metric(a, b), floer.rho_continuity_profile(cfg, samples)
+        after = topology.riesz_metric(a, b), floer.rho_continuity_profile(pencil, samples)
         assert after == before
 
     def test_bounded_by_two(self):
