@@ -15,10 +15,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
-from . import floer, gallery, lagrangian, linalg, topology
-from .errors import FredlabError, InvalidConfig
+from . import gallery, lagrangian, linalg, topology
+from .errors import FredlabError, InvalidConfig, require_integer
 from .gallery import FugledeSpec, fuglede_expected, fuglede_operator
 from .topology import ALPHA_RAMP, P_MINUS, P_PLUS
 
@@ -95,8 +94,10 @@ def violations(rows):
 
 def run_fuglede(n_list=(1, 2, 4, 8, 16), dim_factor=4):
     """Gap convergence against Riesz divergence for the flipped-diagonal family."""
+    dim_factor = require_integer(dim_factor, "dim factor")
     rows = []
     for n in n_list:
+        n = require_integer(n, "flip index")
         if n < 1:
             raise InvalidConfig(f"flip index must be >= 1, got {n}")
         dim = dim_factor * n
@@ -158,14 +159,20 @@ def parse_a_spec(text, grid_m):
 
 def run_floer(grid_m=400, s_count=128, a_spec="0"):
     """Oracle agreement, spectral flow and neighbour metric moduli for the family."""
+    # floer is the one module that loads scipy, so the dense experiments never
+    # import it.  scipy's submodules load here, after floer and before the
+    # first large array: loaded in mid-run, their import's allocations land
+    # among the run's buffers and raise the peak RSS by about 4 MB, and
+    # loaded before floer, by about 1.3 MB
+    from . import floer
+
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     grid_m = floer._element_count(grid_m)
-    s_count = floer._integer(s_count, "s-count")
+    s_count = require_integer(s_count, "s-count")
     if s_count < 8:
         raise InvalidConfig(f"need s-count >= 8, got {s_count}")
-    # load the lazy scipy submodules before the first large array: loaded in
-    # mid-run, their import's allocations land among the run's buffers and
-    # raise the peak RSS by about 4 MB
-    scipy.linalg, scipy.sparse.linalg
     samples = parse_a_spec(a_spec, grid_m)
     rows = []
 
@@ -212,6 +219,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
 
 def run_graph(dim=20, trials=100, seed=7):
     """Graph-subspace oracles plus joint gap convergence of graphs and operators."""
+    dim, trials = require_integer(dim, "dim"), require_integer(trials, "trials")
     if dim < 2 or trials < 1:
         raise InvalidConfig("need dim >= 2 and positive trials")
     rng = np.random.default_rng(seed)
@@ -266,6 +274,7 @@ def run_graph(dim=20, trials=100, seed=7):
 
 def run_perturb(dim=20, steps=10, seed=7):
     """Riesz distance along a schedule of shrinking relatively bounded perturbations."""
+    dim, steps = require_integer(dim, "dim"), require_integer(steps, "steps")
     if dim < 1 or steps < 1:
         raise InvalidConfig("need positive dim and steps")
     base = gallery.random_selfadjoint(dim, seed=seed, spectrum_range=(-5.0, 5.0))
@@ -288,6 +297,7 @@ def run_perturb(dim=20, steps=10, seed=7):
 
 def run_identities(trials=100, seed=7):
     """Resolvent identities of the bounded transform over random operators."""
+    trials = require_integer(trials, "trials")
     if trials < 1:
         raise InvalidConfig("need positive trials")
     rng = np.random.default_rng(seed)

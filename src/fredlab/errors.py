@@ -1,4 +1,7 @@
-"""Exception vocabulary shared by all fredlab modules."""
+"""Exception vocabulary shared by all fredlab modules, and the integer check
+that every experiment's sizes and counts pass."""
+
+import operator
 
 
 class FredlabError(Exception):
@@ -59,3 +62,11 @@ class SamplingTooCoarse(FredlabError):
 
 class GaugeSingular(FredlabError):
     """Two projectors are too far apart for the gauge operator to be invertible."""
+
+
+def require_integer(value, what):
+    """``value`` as an ``int``; :class:`InvalidConfig` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvalidConfig(f"need an integer {what}: {exc}") from None

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy  # submodules load on first use, so the dense experiments never pay for them
+import scipy  # submodules load on first use
 
 from . import linalg, topology
 from .errors import (
@@ -34,6 +33,7 @@ from .errors import (
     NoRootBracketed,
     NotSymmetric,
     SamplingTooCoarse,
+    require_integer,
 )
 from .topology import SelfAdjointOperator
 
@@ -57,17 +57,9 @@ class Coupling(Enum):
     LINEAR_IMAGINARY = "linear_imaginary"
 
 
-def _integer(value, what):
-    """``value`` as an ``int``; :class:`InvalidConfig` unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise InvalidConfig(f"need an integer {what}: {exc}") from None
-
-
 def _element_count(grid_m):
     """``grid_m`` as an ``int``; :class:`InvalidConfig` unless it is an integer of at least 8."""
-    grid_m = _integer(grid_m, "grid")
+    grid_m = require_integer(grid_m, "grid")
     if grid_m < 8:
         raise InvalidConfig(f"need at least 8 elements, got {grid_m}")
     return grid_m
@@ -396,7 +388,7 @@ def _nearest(ritz, k_window):
 
 
 def _window_size(k_window, dim):
-    k_window = _integer(k_window, "window size")
+    k_window = require_integer(k_window, "window size")
     if k_window < 1 or k_window > dim:
         raise InvalidConfig(f"window size {k_window} outside 1..{dim}")
     return k_window
@@ -752,26 +744,14 @@ def mass_normalized(op):
     :func:`_mass_normalized_operators`, which :func:`rho_continuity_profile`
     uses.
     """
-    root_inv = SelfAdjointOperator(op.mass.toarray()).apply(lambda mu: 1.0 / np.sqrt(mu))
+    root_inv = _inverse_root(op.mass.toarray())
     return SelfAdjointOperator(root_inv @ op.stiffness.toarray() @ root_inv)
 
 
-#: Gershgorin interval ``[lo, hi]`` of every mass ``M(s)``, in units of the
-#: element size: the last dof's row gives ``lo = 1/3 - sqrt(2)/6`` (``|v1|_1 <=
-#: sqrt(2)``), an interior row ``hi = 2/3 + 2/6``.
-_MASS_GERSHGORIN = (1.0 / 3.0 - math.sqrt(2.0) / 6.0, 1.0)
+def _inverse_root(m):
+    """``m^{-1/2}`` of a positive definite matrix, by one eigendecomposition."""
+    return SelfAdjointOperator(m).apply(lambda mu: 1.0 / np.sqrt(mu))
 
-
-def _root_node_count():
-    """The least ``q`` with ``4 r^(2q) <= eps``, ``r = (k - 1) / (k + 1)`` and ``k
-    = (hi / lo)^(1/4)`` on :data:`_MASS_GERSHGORIN` (see :class:`_MassRoot`)."""
-    lo, hi = _MASS_GERSHGORIN
-    k = (hi / lo) ** 0.25
-    rate = (k - 1.0) / (k + 1.0)
-    return math.ceil(math.log(4.0 / np.finfo(float).eps) / (-2.0 * math.log(rate)))
-
-
-_ROOT_NODES = _root_node_count()
 
 #: Decay of ``(M_int + tau)^-1``, ``tau >= 0``, per node off the diagonal: each
 #: component of the P1 mass is a chain with ``h/6`` beside a diagonal of
@@ -792,117 +772,92 @@ def _border_node_count():
 _BORDER_NODES = _border_node_count()
 
 
-class _MassRoot:
-    """``M(s)^{-1/2} = diag(M_int^{-1/2}, 0) + W diag(D) W^T`` at every angle of
-    a pencil, from the eigendecomposition ``M_int = P diag(mu) P^T`` of its
-    fixed interior mass; :func:`mass_normalized` takes the dense root.
+def _border_block(n):
+    """The last of ``n`` dofs and those of the :data:`_BORDER_NODES` nodes
+    before it: where the operators of :func:`_mass_normalized_operators`
+    differ from one angle to the next."""
+    return slice(max(n - 2 * _BORDER_NODES - 1, 0), n)
 
-    Only the last dof moves with the angle: ``M(s) = [[M_int, b], [b^T, c]]``
-    with ``b`` nonzero on the :attr:`FloerPencil.border_rows`.  For ``tau >=
-    0``, ``y = (M_int + tau)^-1 b = P (P^T b / (mu + tau))``, ``sigma = c + tau
-    - b^T y`` and ``w = (y; -1)``, the Schur complement gives ``(M + tau)^-1 =
-    diag((M_int + tau)^-1, 0) + w w^T / sigma`` exactly.  Put into ``M^{-1/2} =
-    (2/pi) int_0^inf (M + t^2)^-1 dt`` (Hale, Higham and Trefethen, SIAM J.
-    Numer. Anal. 46, 2008), this leaves one column of ``W`` per node.
 
-    Nodes: ``t = beta^(1/2) tan(theta)`` with ``beta = h sqrt(lo hi)`` on
-    :data:`_MASS_GERSHGORIN`, and the ``q``-point midpoint rule on ``[0,
-    pi/2]``.  At an eigenvalue ``m`` of ``M(s)`` or of ``M_int`` (both in ``[lo
-    h, hi h]``, by interlacing) the integrand is ``beta^(1/2) / (m cos^2 +
-    beta sin^2)``, analytic and ``pi``-periodic, and the rule's relative
-    error is at most ``2 r^(2q) / (1 - r^(2q))`` with ``r = (k - 1) / (k +
-    1)``, ``k = (hi / lo)^(1/4)`` (Trefethen and Weideman, SIAM Review 56,
-    2014); here ``r = 0.283``.  ``W diag(D) W^T`` is the difference of the rules
-    for ``M(s)`` and ``M_int``, so ``q`` = :data:`_ROOT_NODES` = 15, the least
-    with ``4 r^(2q)`` below the float epsilon, bounds its error by roundoff.
+def _mass_root_change(pencil):
+    """``D(s) = M(s)^{-1/2} - diag(M_int^{-1/2}, 0)`` on :func:`_border_block`,
+    as a function of the border ``b`` (on :attr:`FloerPencil.border_rows`) and
+    corner ``c`` of the mass at angle ``s``.
 
-    ``y`` falls by :data:`_RESOLVENT_DECAY` per node away from the border, so
-    ``W`` is kept on :attr:`block` alone: the last dof and the dofs of the
-    :data:`_BORDER_NODES` nodes before it, past which ``y`` is below
-    ``(2/7)^d`` of its largest entry.
+    For ``tau >= 0`` the Schur complement on the last dof gives ``(M +
+    tau)^-1 = diag((M_int + tau)^-1, 0) + w w^T / sigma`` with ``w = ((M_int +
+    tau)^-1 b; -1)``, and ``D`` is an integral of such terms.  It is read from
+    the block alone: one eigendecomposition of the block of ``M(s)`` per
+    angle, minus the root of the block's interior, taken once.  That changes
+    ``w`` only through the coupling across the block's first node, ``d`` =
+    :data:`_BORDER_NODES` nodes from the border, where ``w`` is below
+    ``(2/7)^d`` of its largest entry (:data:`_RESOLVENT_DECAY`), so ``D``
+    moves by that fraction at most: the bound of the block's truncation in
+    :func:`_mass_normalized_operators`.
     """
+    n = pencil.base.dim
+    block = _border_block(n)
+    mass = pencil.base.mass[block, block].toarray()
+    interior = np.zeros(mass.shape)
+    interior[:-1, :-1] = _inverse_root(mass[:-1, :-1])
+    edge = pencil.border_rows - block.start
 
-    def __init__(self, pencil, mass):
-        self.rows = pencil.border_rows
-        n = 2 * pencil.cfg.grid_m
-        self.block = slice(max(n - 2 * _BORDER_NODES - 1, 0), n)
-        lo, hi = _MASS_GERSHGORIN
-        beta = math.sqrt(lo * hi) / pencil.cfg.grid_m
-        theta = (np.arange(_ROOT_NODES) + 0.5) * (0.5 * np.pi / _ROOT_NODES)
-        self.tau = beta * np.tan(theta) ** 2
-        self.weight = math.sqrt(beta) / (_ROOT_NODES * np.cos(theta) ** 2)
-        mu, p = mass.eigenvalues, mass.eigenvectors
-        scaled = p[self.rows].T[:, None, :] / (mu[:, None, None] + self.tau[:, None])
-        # [:, j, k]: column rows[k] of (M_int + tau_j)^-1 on the interior rows of the block
-        flat = p[self.block] @ scaled.reshape(mu.size, -1)
-        self.resolvent = flat.reshape(-1, *scaled.shape[1:])
+    def change(b, c):
+        mass[edge, -1] = mass[-1, edge] = b
+        mass[-1, -1] = c
+        return _inverse_root(mass) - interior
 
-    def terms(self, b, c):
-        """``(W, D)`` for the border ``b`` (on :attr:`FloerPencil.border_rows`)
-        and corner ``c`` of one mass; ``W`` is on the block."""
-        y = self.resolvent @ b
-        d = self.weight / (c + self.tau - b @ y[self.rows - self.block.start])
-        return np.vstack([y, np.full((1, _ROOT_NODES), -1.0)]), d
+    return change
 
 
 def _mass_normalized_operators(pencil, angles):
     """Yield ``A(s) = M(s)^{-1/2} K(s) M(s)^{-1/2}`` at each of ``angles``, from
-    one eigendecomposition of the interior mass and a rank-``2q`` term per
-    angle; :func:`mass_normalized` is the dense oracle.
+    one eigendecomposition of the interior mass and one of the block's mass
+    per angle; :func:`mass_normalized` is the dense oracle.
 
-    With ``M(s)^{-1/2} = R + W D W^T`` from :class:`_MassRoot`, ``R =
-    diag(M_int^{-1/2}, 0)``: ``K(s)`` too differs from the fixed interior only
-    in its last row and column, which ``R`` zeroes, so ``R K R`` is the same at
-    every angle and ``A(s) = R K R + U S U^T`` with ``U = [R K W, W]`` and ``S
-    = [[0, D], [D, D W^T K W D]]``; the angle enters through
+    With ``M(s)^{-1/2} = R + D(s)``, ``R = diag(M_int^{-1/2}, 0)`` and ``D``
+    from :func:`_mass_root_change`: ``K(s)`` too moves only in its last row
+    and column, which ``R`` zeroes, so ``R K R`` is the same at every angle
+    and ``A(s) = R K R + X D + (X D)^T + D K D`` with ``X = R K(s)``.  The
+    entries of ``M_int^{-1/2}`` fall by :data:`_RESOLVENT_DECAY` per node too,
+    so ``X D`` is below ``(d + 2) (2/7)^d`` of its largest entry ``d`` nodes
+    from the border, and the correction is formed on :func:`_border_block`
+    alone, ``d`` = :data:`_BORDER_NODES` = 33 nodes, where that bound falls
+    below ``eps / 4``.  Outside the block every operator is the symmetric
+    part of ``R K R``, so each starts from a copy of the one before: no third
+    ``n x n`` matrix is held, and the operator at an angle depends on that
+    angle alone, bit for bit.  The angle enters through
     :meth:`FloerPencil.border` alone, so the pencil is assembled once.
-
-    The entries of ``M_int^{-1/2}``, an integral of resolvents, fall by
-    :data:`_RESOLVENT_DECAY` per node too, so ``R K W`` is below ``(d + 2)
-    (2/7)^d`` of its largest entry ``d`` nodes from the border, and ``U S U^T``
-    is formed on :attr:`_MassRoot.block` alone, ``d`` = :data:`_BORDER_NODES`
-    = 33 nodes, where that bound falls below ``eps / 4``.  Outside the block
-    every operator is the symmetric part of ``R K R``, so each starts from a
-    copy of the one before: no third ``n x n`` matrix is held, and the
-    operator at an angle depends on that angle alone, bit for bit.  ``P``
-    and ``M_int^{-1/2}`` are dropped before the first operator is built.
     """
     op = pencil.base
     n = op.dim
-    mass = SelfAdjointOperator(op.mass[:-1, :-1].toarray())
-    root = _MassRoot(pencil, mass.decomposition)
-    rows, block = root.rows, root.block
-    root_int = mass.apply(lambda m: 1.0 / np.sqrt(m))
-    del mass
+    block, rows = _border_block(n), pencil.border_rows
+    change = _mass_root_change(pencil)
+    root_int = _inverse_root(op.mass[:-1, :-1].toarray())
     k_int = op.stiffness[:-1, :-1]
     a = np.zeros((n, n))
     np.matmul(root_int, k_int @ root_int, out=a[:-1, :-1])
-    # M_int^{-1/2} K_int Y_j and M_int^{-1/2} on the border rows, on the block
-    ys = root.resolvent
-    k_ys = k_int[:, block] @ ys.reshape(ys.shape[0], -1)
-    root_k_ys = (root_int[block] @ k_ys).reshape(ys.shape)
-    root_rows = root_int[block][:, rows]
-    del root_int
     fixed = a[block, block].copy()
-    # K on the block; correction writes the border of each angle into it
+    # X and K on the block; correction writes the border of each angle into them
+    x, k_block = np.zeros(fixed.shape), np.zeros(fixed.shape)
+    x[:-1, :-1] = root_int[block.start :] @ k_int[:, block.start :]
+    k_block[:-1, :-1] = k_int[block.start :, block.start :].toarray()
+    root_rows = root_int[block.start :, rows]
+    del root_int
     edge = rows - block.start
-    k_block = np.zeros(fixed.shape)
-    k_block[:-1, :-1] = k_int[block, block].toarray()
 
     def correction(s):
-        """``U S U^T`` at angle ``s``, on the block.  Its temporaries end with
-        the call: small arrays kept across a pair land in the freed ``n x n``
-        blocks that the next eigensolve would reuse, and raise the peak RSS."""
+        """``X D + (X D)^T + D K D`` at angle ``s``, on the block.  Its
+        temporaries end with the call: small arrays kept across a pair land
+        in the freed ``n x n`` blocks that the next eigensolve would reuse,
+        and raise the peak RSS."""
         (k_col, b, _), (k_corner, c, _) = pencil.border(s)
-        w, d = root.terms(b, c)
-        rkw = root_k_ys @ b - (root_rows @ k_col)[:, None]
-        u = np.hstack([np.vstack([rkw, np.zeros((1, _ROOT_NODES))]), w])
-        dd = np.diag(d)
+        d = change(b, c)
+        x[:-1, -1] = root_rows @ k_col
         k_block[edge, -1] = k_block[-1, edge] = k_col
         k_block[-1, -1] = k_corner
-        wkw = w.T @ (k_block @ w)
-        s_mat = np.block([[np.zeros_like(dd), dd], [dd, d[:, None] * wkw * d]])
-        return (u @ s_mat) @ u.T
+        xd = x @ d
+        return xd + xd.T + d @ k_block @ d
 
     for s in angles:
         a[block, block] = fixed + correction(s)
@@ -1284,31 +1239,48 @@ class NeighbourMetrics(NamedTuple):
     gamma: float
 
 
+def _resolvent_factor(a, block):
+    """``R`` of the thin QR of ``(i + A)^{-1}[:, block]``, up to a unitary factor
+    on the left, from the eigendecomposition ``A = Q diag(l) Q^T`` that
+    :func:`topology.riesz_metric` reads too.  That block of columns is ``Q
+    diag((l + i)^-1) Q[block]^T``: the unitary ``Q diag((l + i) / |l + i|)``
+    times the real ``diag(|l + i|^-1) Q[block]^T``, whose ``R`` it has."""
+    lam, q = a.decomposition.eigenvalues, a.decomposition.eigenvectors
+    return np.linalg.qr(q[block].T / np.hypot(1.0, lam)[:, None], mode="r")
+
+
 def rho_continuity_profile(pencil, s_samples):
     """Metric moduli between neighbouring members of the family of ``pencil``.
 
     For each consecutive pair of angles: the boundary-projector distance
     ``nu`` and the Riesz and gap distances of the two mass-normalized
-    operators on the shared grid.  The operators come from
-    :func:`_mass_normalized_operators`: one eigendecomposition of the interior
-    mass of :attr:`FloerPencil.base`, no assembly or dense solve of ``M(s)``,
-    and a rank-``2q`` term per angle; :func:`mass_normalized` is their oracle.
-    Built one angle at a time, at most two are alive; fewer than two angles give no rows.
+    operators on the shared grid, which come from
+    :func:`_mass_normalized_operators` (no assembly or dense solve of
+    ``M(s)``; :func:`mass_normalized` is their oracle).  Neighbours differ
+    only on :func:`_border_block`, by ``delta``, so ``(i + A0)^-1 - (i +
+    A1)^-1 = G0 delta G1^T`` with ``G_k = (i + A_k)^{-1}[:, block] = Q_k R_k``
+    (:func:`_resolvent_factor`), and the gap distance, the sum of the ``+-i``
+    branches, is ``2 |R0 delta R1^T|``; :func:`topology.gap_metric` is its
+    oracle.  Built one angle at a time, at most two operators are alive;
+    fewer than two angles give no rows.
     """
     d0 = boundary_coefficient_operator(pencil.cfg)
     samples = [float(s) for s in s_samples]
+    block = _border_block(2 * pencil.cfg.grid_m)
     operators = _mass_normalized_operators(pencil, samples)
-    profile, p0, a0 = [], None, None
+    profile, p0, a0, r0 = [], None, None, None
     # next(operators) builds a1 while a0 is alive: two operators at most
     for s, a1 in zip(samples, operators):
-        p1 = boundary_projector(s)
+        # the n x block temporaries of r1 end before the Riesz metric's W
+        p1, r1 = boundary_projector(s), _resolvent_factor(a1, block)
         if a0 is not None:
+            delta = a1.matrix[block, block] - a0.matrix[block, block]
             profile.append(
                 NeighbourMetrics(
                     nu_metric(p0, p1, d0),
                     topology.riesz_metric(a0, a1),
-                    topology.gap_metric(a0, a1),
+                    2.0 * linalg.operator_norm(r0 @ delta @ r1.T),
                 )
             )
-        p0, a0 = p1, a1
+        p0, a0, r0 = p1, a1, r1
     return profile

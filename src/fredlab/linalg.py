@@ -64,10 +64,9 @@ def require_symmetric(a, name="matrix"):
         raise NonSquare(f"{name} has shape {a.shape}")
     if np.iscomplexobj(a):
         raise NotSymmetric(f"{name} must be real")
-    if symmetry_defect(a) > SYMMETRY_TOL:
-        raise NotSymmetric(
-            f"{name} deviates from symmetry by {symmetry_defect(a):.3e} (relative)"
-        )
+    defect = symmetry_defect(a)
+    if defect > SYMMETRY_TOL:
+        raise NotSymmetric(f"{name} deviates from symmetry by {defect:.3e} (relative)")
     return a
 
 

@@ -189,6 +189,21 @@ class TestSuites:
         assert not cli.violations(rows)
 
 
+    @pytest.mark.parametrize(
+        "run, kwargs",
+        [
+            (cli.run_fuglede, {"n_list": (1.5,)}),
+            (cli.run_graph, {"dim": 20.5}),
+            (cli.run_perturb, {"dim": 20.5}),
+            (cli.run_identities, {"trials": 2.5}),
+        ],
+        ids=["fuglede", "graph", "perturb", "identities"],
+    )
+    def test_sizes_must_be_integers(self, run, kwargs):
+        with pytest.raises(InvalidConfig, match="need an integer"):
+            run(**kwargs)
+
+
 class TestASpec:
     def test_zero(self):
         np.testing.assert_array_equal(cli.parse_a_spec("0", 8), np.zeros(9, dtype=complex))
@@ -341,14 +356,14 @@ class TestMain:
 
 
 class TestColdStart:
-    # only floer needs scipy; its submodules load on first use, so the dense
-    # experiments never import them.  A fresh process is needed because
+    # only floer needs scipy, and cli imports floer inside run_floer, so the
+    # dense experiments never import scipy.  A fresh process is needed because
     # pytest's warning filters import scipy.sparse into this one.
     PROBE = """
 import json, os, sys
 loaded = {}
 def note(step):
-    loaded[step] = [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+    loaded[step] = [m for m in ("scipy", "scipy.linalg", "scipy.sparse") if m in sys.modules]
 import fredlab
 note("import fredlab")
 from fredlab import cli

@@ -540,9 +540,12 @@ class TestSpectrum:
         assert spectral_flow(windows) == 2
         calls.clear()
         rho_continuity_profile(pencil, np.linspace(0.0, 0.4, 5))
-        # the profile's one interior solve is the mass, not a repeat of the K2 one
-        (mass,) = calls
-        np.testing.assert_array_equal(mass, pencil.base.mass[:-1, :-1].toarray())
+        # the profile's interior solves are the mass, not a repeat of the K2 one:
+        # the interior's and, at grid 24 where the border block holds every
+        # dof, the block interior's
+        assert len(calls) == 2
+        for mass in calls:
+            np.testing.assert_array_equal(mass, pencil.base.mass[:-1, :-1].toarray())
 
 
 def smooth_coefficient(seed, grid_m):
@@ -1226,52 +1229,64 @@ def dense_profile(pencil, samples):
     ]
 
 
+#: The grids of the mass-root checks: the block of the last 67 dofs holds
+#: every dof at grids 8 and 16 and leaves dofs out at grids 48, 96 and 400.
+ROOT_GRIDS = [8, 16, 48, 96, 400]
+
+
+def root_pencils(grid_m):
+    """One pencil per coefficient of the root checks: zero, constant, smooth."""
+    return [
+        FloerPencil(FloerConfig.zero(grid_m)),
+        FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m)),
+        FloerPencil(FloerConfig(smooth_coefficient(3, grid_m), grid_m)),
+    ]
+
+
+def dense_root(pencil, s):
+    """``M(s)^{-1/2}`` by one dense eigendecomposition."""
+    mass = topology.SelfAdjointOperator(pencil.at(s).mass.toarray())
+    return mass.apply(lambda mu: 1.0 / np.sqrt(mu))
+
+
 class TestMassNormalizedOperators:
     """The neighbour profile's operators against :func:`mass_normalized`."""
 
     def test_node_counts_are_the_least_the_bounds_allow(self):
         eps = np.finfo(float).eps
-        lo, hi = floer._MASS_GERSHGORIN
-        k = (hi / lo) ** 0.25
-        r = (k - 1.0) / (k + 1.0)
-        q = floer._ROOT_NODES
-        assert q == 15 and 4.0 * r ** (2 * q) <= eps < 4.0 * r ** (2 * q - 2)
         d, decay = floer._BORDER_NODES, floer._RESOLVENT_DECAY
         assert d == 33 and (d + 2) * decay**d <= eps / 4.0 < (d + 1) * decay ** (d - 1)
+        assert floer._border_block(800) == slice(733, 800)
+        assert floer._border_block(48) == slice(0, 48)
 
     @pytest.mark.parametrize("s", ROOT_ANGLES)
-    def test_every_mass_lies_in_the_gershgorin_interval(self, s):
-        grid_m = 16
-        m = FloerPencil(FloerConfig.zero(grid_m)).at(s).mass.toarray() * grid_m
-        off = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
-        lo, hi = floer._MASS_GERSHGORIN
-        assert np.min(np.diag(m) - off) >= lo - 1e-15
-        assert np.max(np.diag(m) + off) <= hi + 1e-15
+    def test_block_root_matches_the_dense_root(self, s):
+        """``diag(M_int^{-1/2}, 0)`` plus the block's ``D(s)`` is
+        the dense ``M(s)^{-1/2}``, everywhere; the mass does not see the
+        coefficient, so one dense root serves the three pencils."""
+        for grid_m in ROOT_GRIDS:
+            pencils = root_pencils(grid_m)
+            n = 2 * grid_m
+            block = floer._border_block(n)
+            interior = np.zeros((n, n))
+            interior[:-1, :-1] = floer._inverse_root(pencils[0].base.mass[:-1, :-1].toarray())
+            dense = dense_root(pencils[0], s)
+            for pencil in pencils:
+                cols, diag = pencil.border(s)
+                root = interior.copy()
+                root[block, block] += floer._mass_root_change(pencil)(cols[1], diag[1])
+                err = np.max(np.abs(root - dense))
+                assert err <= 1e-13 * np.max(np.abs(dense)), (grid_m, err)
 
-    @pytest.mark.parametrize("grid_m", [16, 48, 400])
+    @pytest.mark.parametrize("grid_m", ROOT_GRIDS)
     def test_root_and_operators_match_the_dense_route(self, grid_m):
-        """The mass does not see the coefficient, so one dense root per angle
-        serves the three coefficients; with it, ``R K R`` is the matrix of
-        :func:`mass_normalized`, bit for bit."""
-        pencils = [
-            FloerPencil(FloerConfig.zero(grid_m)),
-            FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m)),
-            FloerPencil(FloerConfig(smooth_coefficient(3, grid_m), grid_m)),
-        ]
-        mass = topology.SelfAdjointOperator(pencils[0].at(0.0).mass[:-1, :-1].toarray())
-        root = floer._MassRoot(pencils[0], mass.decomposition)
-        interior = np.zeros((2 * grid_m, 2 * grid_m))
-        interior[:-1, :-1] = mass.apply(lambda mu: 1.0 / np.sqrt(mu))
+        """With the dense root at each angle, ``M^{-1/2} K M^{-1/2}`` is the
+        matrix of :func:`mass_normalized`, bit for bit, and the operators of
+        the profile agree with it."""
+        pencils = root_pencils(grid_m)
         built = [list(floer._mass_normalized_operators(p, ROOT_ANGLES)) for p in pencils]
         for i, s in enumerate(ROOT_ANGLES):
-            op = pencils[0].at(s)
-            dense = topology.SelfAdjointOperator(op.mass.toarray())
-            dense = dense.apply(lambda mu: 1.0 / np.sqrt(mu))
-            col = op.mass[:, -1:].toarray()[:, 0]
-            w, d = root.terms(col[root.rows], col[-1])
-            quad = interior.copy()
-            quad[root.block, root.block] += (w * d) @ w.T
-            assert np.max(np.abs(quad - dense)) <= 1e-13 * np.max(np.abs(dense))
+            dense = dense_root(pencils[0], s)
             for pencil, ops in zip(pencils, built):
                 k = pencil.at(s).stiffness.toarray()
                 want = topology.SelfAdjointOperator(dense @ k @ dense)
@@ -1279,6 +1294,26 @@ class TestMassNormalizedOperators:
                     assert np.array_equal(want.matrix, mass_normalized(pencil.at(s)).matrix)
                 err = np.max(np.abs(ops[i].matrix - want.matrix))
                 assert err <= 1e-13 * np.max(np.abs(want.matrix)), (s, err)
+
+    @pytest.mark.parametrize("grid_m", [16, 96])
+    def test_neighbours_differ_only_on_the_border_block(self, grid_m):
+        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m))
+        ops = [a.matrix for a in floer._mass_normalized_operators(pencil, ROOT_ANGLES)]
+        outside = np.ones(ops[0].shape, dtype=bool)
+        outside[floer._border_block(2 * grid_m), floer._border_block(2 * grid_m)] = False
+        for a0, a1 in zip(ops, ops[1:]):
+            assert np.array_equal(a0[outside], a1[outside])
+        assert not np.array_equal(ops[0], ops[1])
+
+    def test_gamma_is_the_gap_metric_of_the_operators(self):
+        """Read from the block, gamma agrees with the general route on the
+        profile's own operators, to the roundoff of eigenvalues up to about 170."""
+        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 96), 96))
+        samples = ROOT_ANGLES[4:]
+        ops = list(floer._mass_normalized_operators(pencil, samples))
+        want = [topology.gap_metric(a0, a1) for a0, a1 in zip(ops, ops[1:])]
+        got = [m.gamma for m in rho_continuity_profile(pencil, samples)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-13)
 
     def test_an_operator_depends_on_its_angle_alone(self):
         pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, 48))
@@ -1351,12 +1386,15 @@ class TestRhoContinuity:
         monkeypatch.setattr(floer, "SelfAdjointOperator", tracked)
         pencil = FloerPencil(FloerConfig.zero(16))
         reports = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 9))
-        assert len(reports) == 8 and len(peak) == 9
+        # 9 operators, and the masses of 9 blocks, which at grid 16 hold every dof
+        assert len(reports) == 8 and len(peak) == 18
         assert max(peak) == 2
 
     def test_eigensolve_budget(self, monkeypatch):
-        """One eigendecomposition per angle and one of the interior mass: a
-        fallback to a dense mass root per angle shows up as more calls."""
+        """Per angle one eigendecomposition of the operator and one of the
+        block's mass, plus one of the interior mass and one of the block's
+        interior: a fallback to a dense mass root per angle shows up as
+        more calls."""
         grid_m, k = 48, 6
         shapes = []
         real_eigh = np.linalg.eigh
@@ -1368,8 +1406,9 @@ class TestRhoContinuity:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m))
         assert len(rho_continuity_profile(pencil, np.linspace(0.2, 1.4, k))) == k - 1
-        n = 2 * grid_m
-        assert sorted(shapes) == [(n - 1, n - 1)] + [(n, n)] * k
+        n, w = 2 * grid_m, 2 * floer._BORDER_NODES + 1
+        assert w < n
+        assert sorted(shapes) == [(w - 1, w - 1)] + [(w, w)] * k + [(n - 1, n - 1)] + [(n, n)] * k
 
     @pytest.mark.parametrize("k", [2, 9])
     def test_profile_assembles_once(self, monkeypatch, k):
