@@ -61,31 +61,20 @@ class ReportRow:
         return self.tol is not None and self.abs_error is not None and self.abs_error > self.tol
 
 
+def _cells(row):
+    return {c: getattr(row, c) for c in CSV_COLUMNS}
+
+
 def report_to_csv(rows):
+    # str of a float is its repr; an empty cell stands for None
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        expected = "" if r.expected is None else repr(r.expected)
-        abs_error = "" if r.abs_error is None else repr(r.abs_error)
-        lines.append(
-            f"{r.experiment},{r.label},{r.param},{r.metric},{repr(r.value)},{expected},{abs_error}"
-        )
+        lines.append(",".join("" if v is None else str(v) for v in _cells(r).values()))
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(rows):
-    payload = [
-        {
-            "experiment": r.experiment,
-            "label": r.label,
-            "param": r.param,
-            "metric": r.metric,
-            "value": r.value,
-            "expected": r.expected,
-            "abs_error": r.abs_error,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([_cells(r) for r in rows], indent=2) + "\n"
 
 
 def violations(rows):
@@ -94,12 +83,10 @@ def violations(rows):
 
 def run_fuglede(n_list=(1, 2, 4, 8, 16), dim_factor=4):
     """Gap convergence against Riesz divergence for the flipped-diagonal family."""
-    dim_factor = require_integer(dim_factor, "dim factor")
+    dim_factor = require_integer(dim_factor, "dim factor", 1)
     rows = []
     for n in n_list:
-        n = require_integer(n, "flip index")
-        if n < 1:
-            raise InvalidConfig(f"flip index must be >= 1, got {n}")
+        n = require_integer(n, "flip index", 1)
         dim = dim_factor * n
         a_n = fuglede_operator(FugledeSpec(n, dim))
         a_0 = fuglede_operator(FugledeSpec(0, dim))
@@ -170,9 +157,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     import scipy.sparse.linalg
 
     grid_m = floer._element_count(grid_m)
-    s_count = require_integer(s_count, "s-count")
-    if s_count < 8:
-        raise InvalidConfig(f"need s-count >= 8, got {s_count}")
+    s_count = require_integer(s_count, "s-count", 8)
     samples = parse_a_spec(a_spec, grid_m)
     rows = []
 
@@ -219,9 +204,8 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
 
 def run_graph(dim=20, trials=100, seed=7):
     """Graph-subspace oracles plus joint gap convergence of graphs and operators."""
-    dim, trials = require_integer(dim, "dim"), require_integer(trials, "trials")
-    if dim < 2 or trials < 1:
-        raise InvalidConfig("need dim >= 2 and positive trials")
+    dim, trials = require_integer(dim, "dim", 2), require_integer(trials, "trials", 1)
+    seed = require_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     worst_proj = worst_lagr = worst_susp = 0.0
     worst_kernel = 0
@@ -274,9 +258,8 @@ def run_graph(dim=20, trials=100, seed=7):
 
 def run_perturb(dim=20, steps=10, seed=7):
     """Riesz distance along a schedule of shrinking relatively bounded perturbations."""
-    dim, steps = require_integer(dim, "dim"), require_integer(steps, "steps")
-    if dim < 1 or steps < 1:
-        raise InvalidConfig("need positive dim and steps")
+    dim, steps = require_integer(dim, "dim", 1), require_integer(steps, "steps", 1)
+    seed = require_integer(seed, "seed", 0)
     base = gallery.random_selfadjoint(dim, seed=seed, spectrum_range=(-5.0, 5.0))
     schedule = [0.5**n for n in range(1, steps + 1)]
     family = gallery.perturbation_family(base, seed=seed + 1, schedule=schedule)
@@ -297,9 +280,7 @@ def run_perturb(dim=20, steps=10, seed=7):
 
 def run_identities(trials=100, seed=7):
     """Resolvent identities of the bounded transform over random operators."""
-    trials = require_integer(trials, "trials")
-    if trials < 1:
-        raise InvalidConfig("need positive trials")
+    trials, seed = require_integer(trials, "trials", 1), require_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     worst_plus = worst_minus = worst_inv = worst_eigs = 0.0
     for _ in range(trials):
@@ -328,7 +309,17 @@ def run_identities(trials=100, seed=7):
     ]
 
 
+def _int_tuple(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers, got {text!r}") from None
+
+
 def _build_parser():
+    """The ``fredlab`` parser.  Each experiment's flags are named after the
+    keywords of its ``run_*`` function and have no default, so an omitted
+    flag takes the run's own default."""
     parser = argparse.ArgumentParser(
         prog="fredlab",
         description="Operator-topology experiments: metric comparisons, graph "
@@ -341,51 +332,50 @@ def _build_parser():
         "--strict", action="store_true", help="exit 1 if any row violates its tolerance"
     )
 
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("fuglede", parents=[common], help="gap vs Riesz on the flipped family")
-    p.add_argument("--n-list", default="1,2,4,8,16")
-    p.add_argument("--dim-factor", type=int, default=4)
+    def experiment(name, run, summary):
+        p = sub.add_parser(name, parents=[common], help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("floer", parents=[common], help="boundary value family experiments")
-    p.add_argument("--grid", type=int, default=400)
-    p.add_argument("--s-count", type=int, default=128)
-    p.add_argument("--a", default="0", help="coefficient: 0, const:p,q or samples:PATH")
+    p = experiment("fuglede", run_fuglede, "gap vs Riesz on the flipped family")
+    p.add_argument("--n-list", type=_int_tuple)
+    p.add_argument("--dim-factor", type=int)
 
-    p = sub.add_parser("graph", parents=[common], help="graph-subspace oracle suite")
-    p.add_argument("--dim", type=int, default=20)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p = experiment("floer", run_floer, "boundary value family experiments")
+    p.add_argument("--grid", dest="grid_m", metavar="GRID", type=int)
+    p.add_argument("--s-count", type=int)
+    p.add_argument(
+        "--a", dest="a_spec", metavar="A", help="coefficient: 0, const:p,q or samples:PATH"
+    )
 
-    p = sub.add_parser("perturb", parents=[common], help="relative-bound perturbation trend")
-    p.add_argument("--dim", type=int, default=20)
-    p.add_argument("--trials", type=int, default=10, help="number of schedule steps")
-    p.add_argument("--seed", type=int, default=7)
+    p = experiment("graph", run_graph, "graph-subspace oracle suite")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("identities", parents=[common], help="bounded-transform identity suite")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p = experiment("perturb", run_perturb, "relative-bound perturbation trend")
+    p.add_argument("--dim", type=int)
+    p.add_argument(
+        "--trials", dest="steps", metavar="TRIALS", type=int, help="number of schedule steps"
+    )
+    p.add_argument("--seed", type=int)
+
+    p = experiment("identities", run_identities, "bounded-transform identity suite")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    run, fmt, out, strict = (flags.pop(k) for k in ("run", "format", "out", "strict"))
     try:
-        if args.experiment == "fuglede":
-            n_list = tuple(int(x) for x in args.n_list.split(","))
-            rows = run_fuglede(n_list=n_list, dim_factor=args.dim_factor)
-        elif args.experiment == "floer":
-            rows = run_floer(grid_m=args.grid, s_count=args.s_count, a_spec=args.a)
-        elif args.experiment == "graph":
-            rows = run_graph(dim=args.dim, trials=args.trials, seed=args.seed)
-        elif args.experiment == "perturb":
-            rows = run_perturb(dim=args.dim, steps=args.trials, seed=args.seed)
-        else:
-            rows = run_identities(trials=args.trials, seed=args.seed)
-        text = report_to_csv(rows) if args.format == "csv" else report_to_json(rows)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+        rows = run(**flags)
+        text = report_to_csv(rows) if fmt == "csv" else report_to_json(rows)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
@@ -394,7 +384,7 @@ def main(argv=None):
         return 2
 
     bad = violations(rows)
-    if bad and args.strict:
+    if bad and strict:
         for r in bad:
             print(
                 f"fredlab: tolerance violation {r.metric} ({r.label}): "

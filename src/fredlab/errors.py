@@ -1,5 +1,5 @@
 """Exception vocabulary shared by all fredlab modules, and the integer check
-that every experiment's sizes and counts pass."""
+that every experiment's sizes, counts and seeds pass."""
 
 import operator
 
@@ -64,9 +64,13 @@ class GaugeSingular(FredlabError):
     """Two projectors are too far apart for the gauge operator to be invertible."""
 
 
-def require_integer(value, what):
-    """``value`` as an ``int``; :class:`InvalidConfig` unless it is an integer."""
+def require_integer(value, what, low):
+    """``value`` as an ``int``; :class:`InvalidConfig` unless it is an integer
+    of at least ``low``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError as exc:
         raise InvalidConfig(f"need an integer {what}: {exc}") from None
+    if value < low:
+        raise InvalidConfig(f"need {what} >= {low}, got {value}")
+    return value

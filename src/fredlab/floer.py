@@ -58,11 +58,7 @@ class Coupling(Enum):
 
 
 def _element_count(grid_m):
-    """``grid_m`` as an ``int``; :class:`InvalidConfig` unless it is an integer of at least 8."""
-    grid_m = require_integer(grid_m, "grid")
-    if grid_m < 8:
-        raise InvalidConfig(f"need at least 8 elements, got {grid_m}")
-    return grid_m
+    return require_integer(grid_m, "grid", 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,9 +384,9 @@ def _nearest(ritz, k_window):
 
 
 def _window_size(k_window, dim):
-    k_window = require_integer(k_window, "window size")
-    if k_window < 1 or k_window > dim:
-        raise InvalidConfig(f"window size {k_window} outside 1..{dim}")
+    k_window = require_integer(k_window, "window size", 1)
+    if k_window > dim:
+        raise InvalidConfig(f"need window size <= {dim}, got {k_window}")
     return k_window
 
 

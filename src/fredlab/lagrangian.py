@@ -107,5 +107,6 @@ def suspension(l):
 
 def kato_consistency(a0, a1):
     """Graph distance and gap distance of a pair, for joint-convergence checks."""
-    delta = topology.subspace_gap(graph_subspace(a0), graph_subspace(a1))
-    return delta, topology.gap_metric(a0, a1)
+    # first, so that operators of unequal dims raise DimensionMismatch
+    gamma = topology.gap_metric(a0, a1)
+    return topology.subspace_gap(graph_subspace(a0), graph_subspace(a1)), gamma

@@ -1,6 +1,8 @@
 """Dense linear-algebra core: the symmetry check, one operator norm for every
 matrix, spectral functional calculus and orthonormal subspace algebra.
-Eigendecompositions come only from :class:`topology.SelfAdjointOperator`.
+The :class:`SpectralDecomposition` values of the dense metric layer come only
+from :class:`topology.SelfAdjointOperator`; :func:`operator_norm` takes its own
+``eigvalsh`` of a Gram matrix, and ``floer`` its own eigensolves of the pencil.
 
 Matrices are plain ``numpy.ndarray`` objects (real ``float64`` or
 ``complex128``); the structured values defined here

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NoConvergence
+from .errors import AmbientMismatch, DimensionMismatch, NoConvergence
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +196,7 @@ def gap_metric(a0, a1):
 def subspace_gap(s1, s2):
     """Operator norm of the difference of the orthogonal projections."""
     if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch(f"ambient dims {s1.ambient_dim} != {s2.ambient_dim}")
+        raise AmbientMismatch(f"ambient dims {s1.ambient_dim} != {s2.ambient_dim}")
     return linalg.operator_norm(
         linalg.projection_from_basis(s1) - linalg.projection_from_basis(s2)
     )

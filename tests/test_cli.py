@@ -1,9 +1,12 @@
 """Tests for the experiment runner: determinism, formats, exit codes."""
 
+import argparse
 import csv
+import inspect
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -31,6 +34,24 @@ GOLDEN_REPORTS = {
         "--a", f"samples:{pathlib.Path(__file__).parent / 'data' / 'smooth3_grid96.txt'}",
     ],
 }
+
+
+#: The runs that take a ``seed``.
+SEEDED_RUNS = (cli.run_graph, cli.run_perturb, cli.run_identities)
+
+#: Options that every experiment takes and that do not reach its run.
+COMMON_DESTS = {"help", "format", "out", "strict"}
+
+
+def _experiment_parsers():
+    """``name -> subparser`` of every ``fredlab`` experiment."""
+    (sub,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _run_flags(parser):
+    """The actions of an experiment's own flags, the ones that reach its run."""
+    return [a for a in parser._actions if a.dest not in COMMON_DESTS]
 
 
 def _python(*args):
@@ -196,8 +217,12 @@ class TestSuites:
             (cli.run_graph, {"dim": 20.5}),
             (cli.run_perturb, {"dim": 20.5}),
             (cli.run_identities, {"trials": 2.5}),
+            *((run, {"seed": seed}) for run in SEEDED_RUNS for seed in (7.5, "7")),
         ],
-        ids=["fuglede", "graph", "perturb", "identities"],
+        ids=[
+            "fuglede", "graph", "perturb", "identities",
+            *(f"{run.__name__}-seed-{seed!r}" for run in SEEDED_RUNS for seed in (7.5, "7")),
+        ],
     )
     def test_sizes_must_be_integers(self, run, kwargs):
         with pytest.raises(InvalidConfig, match="need an integer"):
@@ -353,6 +378,88 @@ class TestMain:
         default = report()
         assert report("--seed", "7") == default
         assert report("--seed", "8") != default
+
+
+class TestDispatch:
+    """``fredlab <experiment>`` calls its run with the flags given and no others,
+    so a run's signature holds the only copy of its defaults."""
+
+    @pytest.mark.parametrize(
+        "argv, run, kwargs",
+        [
+            (["graph"], "run_graph", {}),
+            (["perturb", "--trials", "6", "--seed", "3"], "run_perturb", {"steps": 6, "seed": 3}),
+            (
+                ["floer", "--grid", "24", "--a", "const:1,2"],
+                "run_floer",
+                {"grid_m": 24, "a_spec": "const:1,2"},
+            ),
+            (["fuglede", "--n-list", "1,3"], "run_fuglede", {"n_list": (1, 3)}),
+            (["identities", "--seed", "0"], "run_identities", {"seed": 0}),
+        ],
+        ids=["graph", "perturb", "floer", "fuglede", "identities"],
+    )
+    def test_main_passes_only_the_flags_given(self, argv, run, kwargs, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, run, lambda **flags: calls.append(flags) or [])
+        assert cli.main([*argv, "--out", os.devnull]) == 0
+        assert calls == [kwargs]
+
+    def test_every_flag_is_a_keyword_of_its_run_without_a_default(self):
+        parsers = _experiment_parsers()
+        assert sorted(parsers) == ["floer", "fuglede", "graph", "identities", "perturb"]
+        for name, parser in parsers.items():
+            params = inspect.signature(parser.get_default("run")).parameters
+            flags = _run_flags(parser)
+            assert flags, name
+            for action in flags:
+                assert action.dest in params, (name, action.option_strings)
+                assert action.default is argparse.SUPPRESS, (name, action.option_strings)
+
+    def test_readme_table_lists_the_run_defaults(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = re.findall(r"^\| `(\w+)` +\|.*\| `(--[^`]*)` \|$", readme, re.MULTILINE)
+        parsers = _experiment_parsers()
+        assert sorted(name for name, _ in table) == sorted(parsers)
+        for name, listed in table:
+            parser = parsers[name]
+            params = inspect.signature(parser.get_default("run")).parameters
+            actions = {s: a for a in parser._actions for s in a.option_strings}
+            tokens = listed.split()
+            flags = dict(zip(tokens[::2], tokens[1::2]))
+            assert len(flags) * 2 == len(tokens), listed
+            assert {actions[f].dest for f in flags} == {a.dest for a in _run_flags(parser)}, name
+            for flag, text in flags.items():
+                action = actions[flag]
+                value = (action.type or str)(text)
+                assert value == params[action.dest].default, (name, flag, text)
+
+    @pytest.mark.parametrize(
+        "run, kwargs",
+        [
+            (cli.run_fuglede, {"n_list": (0,)}),
+            (cli.run_fuglede, {"dim_factor": 0}),
+            (cli.run_floer, {"grid_m": 7}),
+            (cli.run_floer, {"s_count": 7}),
+            (cli.run_graph, {"dim": 1}),
+            (cli.run_graph, {"trials": 0}),
+            (cli.run_perturb, {"dim": 0}),
+            (cli.run_perturb, {"steps": 0}),
+            (cli.run_identities, {"trials": 0}),
+            *((run, {"seed": -1}) for run in SEEDED_RUNS),
+        ],
+        ids=lambda x: x.__name__ if callable(x) else "-".join(map(str, x)),
+    )
+    def test_one_below_each_bound_is_refused(self, run, kwargs):
+        with pytest.raises(InvalidConfig, match="need .* >= "):
+            run(**kwargs)
+
+    @pytest.mark.parametrize("argv", [["fuglede", "--n-list", "1,x"], ["floer", "--grid", "x"]])
+    def test_malformed_number_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: " in capsys.readouterr().err
 
 
 class TestColdStart:

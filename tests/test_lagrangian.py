@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fredlab import gallery, lagrangian, linalg, topology
-from fredlab.errors import AmbientMismatch, NonSquare
+from fredlab.errors import AmbientMismatch, DimensionMismatch, NonSquare
 from fredlab.gallery import FugledeSpec, fuglede_operator
 from fredlab.lagrangian import (
     SymplecticDoubling,
@@ -168,6 +168,11 @@ class TestKatoConsistency:
             atol=1e-10,
         )
         np.testing.assert_allclose(deltas, [g / 2.0 for g in gammas], rtol=0.0, atol=1e-12)
+
+    def test_operators_of_unequal_dims_are_a_dimension_mismatch(self):
+        # the graphs' ambient dims differ too, but the pair is one of operators
+        with pytest.raises(DimensionMismatch):
+            kato_consistency(sa(np.eye(2)), sa(np.eye(3)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_delta_matches_block_formula(self, seed):

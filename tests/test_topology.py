@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fredlab import lagrangian, linalg, topology
-from fredlab.errors import DimensionMismatch, FredlabError
+from fredlab.errors import AmbientMismatch, DimensionMismatch, FredlabError
 from fredlab.topology import (
     ALPHA_RAMP,
     P_MINUS,
@@ -464,6 +464,10 @@ class TestSubspaceGap:
             span([1.0, 0.0]), span([np.cos(theta), np.sin(theta)])
         )
         assert d == pytest.approx(0.5, abs=1e-12)
+
+    def test_unequal_ambients_are_the_subspace_error(self):
+        with pytest.raises(AmbientMismatch, match="ambient dims 2 != 3"):
+            topology.subspace_gap(span([1.0, 0.0]), span([1.0, 0.0, 0.0]))
 
 
 class TestGeneratorProfile:
