@@ -84,9 +84,14 @@ def violations(rows):
 def run_fuglede(n_list=(1, 2, 4, 8, 16), dim_factor=4):
     """Gap convergence against Riesz divergence for the flipped-diagonal family."""
     dim_factor = require_integer(dim_factor, "dim factor", 1)
+    try:
+        n_list = [require_integer(n, "flip index", 1) for n in n_list]
+    except TypeError:
+        raise InvalidConfig(f"need a sequence of flip indices, got {n_list!r}") from None
+    if not n_list:
+        raise InvalidConfig("need at least one flip index")
     rows = []
     for n in n_list:
-        n = require_integer(n, "flip index", 1)
         dim = dim_factor * n
         a_n = fuglede_operator(FugledeSpec(n, dim))
         a_0 = fuglede_operator(FugledeSpec(0, dim))
@@ -106,6 +111,8 @@ def run_fuglede(n_list=(1, 2, 4, 8, 16), dim_factor=4):
 
 def parse_a_spec(text, grid_m):
     """Coefficient samples from a command-line spec: 0, const:p,q or samples:PATH."""
+    if not isinstance(text, str):
+        raise InvalidConfig(f"need a coefficient spec string, got {text!r}")
     if text.strip() == "0":
         return np.zeros(grid_m + 1, dtype=complex)
     if text.startswith("const:"):

@@ -45,7 +45,9 @@ class InvalidSpec(FredlabError):
 
 
 class InvalidConfig(FredlabError):
-    """A boundary-value-problem configuration violates its constraints."""
+    """A setting violates its constraints: a size, count or seed that is not
+    an integer in range (see :func:`require_integer`), or a coefficient,
+    boundary angle or other setting of a run or a boundary-value problem."""
 
 
 class MassNotPositiveDefinite(FredlabError):

@@ -337,7 +337,7 @@ class FloerPencil:
         count, takes the dense route, and so does each angle of a secular
         solve that fails.
         """
-        k_window = _window_size(k_window, self.interior.lam.size + 1)
+        k_window = _window_size(k_window, self.base.dim)
         angles = iter(angles)
         while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
             for si, w in zip(s, _bordered_windows(self.interior, *self.border(s), k_window)):
@@ -768,95 +768,60 @@ def _border_node_count():
 _BORDER_NODES = _border_node_count()
 
 
-def _border_block(n):
-    """The last of ``n`` dofs and those of the :data:`_BORDER_NODES` nodes
-    before it: where the operators of :func:`_mass_normalized_operators`
-    differ from one angle to the next."""
-    return slice(max(n - 2 * _BORDER_NODES - 1, 0), n)
-
-
-def _mass_root_change(pencil):
-    """``D(s) = M(s)^{-1/2} - diag(M_int^{-1/2}, 0)`` on :func:`_border_block`,
-    as a function of the border ``b`` (on :attr:`FloerPencil.border_rows`) and
-    corner ``c`` of the mass at angle ``s``.
-
-    For ``tau >= 0`` the Schur complement on the last dof gives ``(M +
-    tau)^-1 = diag((M_int + tau)^-1, 0) + w w^T / sigma`` with ``w = ((M_int +
-    tau)^-1 b; -1)``, and ``D`` is an integral of such terms.  It is read from
-    the block alone: one eigendecomposition of the block of ``M(s)`` per
-    angle, minus the root of the block's interior, taken once.  That changes
-    ``w`` only through the coupling across the block's first node, ``d`` =
-    :data:`_BORDER_NODES` nodes from the border, where ``w`` is below
-    ``(2/7)^d`` of its largest entry (:data:`_RESOLVENT_DECAY`), so ``D``
-    moves by that fraction at most: the bound of the block's truncation in
-    :func:`_mass_normalized_operators`.
-    """
-    n = pencil.base.dim
-    block = _border_block(n)
-    mass = pencil.base.mass[block, block].toarray()
-    interior = np.zeros(mass.shape)
-    interior[:-1, :-1] = _inverse_root(mass[:-1, :-1])
-    edge = pencil.border_rows - block.start
-
-    def change(b, c):
-        mass[edge, -1] = mass[-1, edge] = b
-        mass[-1, -1] = c
-        return _inverse_root(mass) - interior
-
-    return change
+def _border_block(n, nodes=_BORDER_NODES):
+    """The last of ``n`` dofs and those of the ``nodes`` nodes before it: by
+    default the block where the operators of :func:`_mass_normalized_operators`
+    differ from one angle to the next, and at twice as many nodes the window
+    whose product gives that block."""
+    return slice(max(n - 2 * nodes - 1, 0), n)
 
 
 def _mass_normalized_operators(pencil, angles):
     """Yield ``A(s) = M(s)^{-1/2} K(s) M(s)^{-1/2}`` at each of ``angles``, from
-    one eigendecomposition of the interior mass and one of the block's mass
+    one eigendecomposition of the interior mass and one of a window's mass
     per angle; :func:`mass_normalized` is the dense oracle.
 
-    With ``M(s)^{-1/2} = R + D(s)``, ``R = diag(M_int^{-1/2}, 0)`` and ``D``
-    from :func:`_mass_root_change`: ``K(s)`` too moves only in its last row
-    and column, which ``R`` zeroes, so ``R K R`` is the same at every angle
-    and ``A(s) = R K R + X D + (X D)^T + D K D`` with ``X = R K(s)``.  The
-    entries of ``M_int^{-1/2}`` fall by :data:`_RESOLVENT_DECAY` per node too,
-    so ``X D`` is below ``(d + 2) (2/7)^d`` of its largest entry ``d`` nodes
-    from the border, and the correction is formed on :func:`_border_block`
-    alone, ``d`` = :data:`_BORDER_NODES` = 33 nodes, where that bound falls
-    below ``eps / 4``.  Outside the block every operator is the symmetric
-    part of ``R K R``, so each starts from a copy of the one before: no third
-    ``n x n`` matrix is held, and the operator at an angle depends on that
-    angle alone, bit for bit.  The angle enters through
-    :meth:`FloerPencil.border` alone, so the pencil is assembled once.
+    ``K(s)`` and ``M(s)`` move only in their last row and column, so ``R K R``
+    with ``R = diag(M_int^{-1/2}, 0)`` is the same at every angle.  The Schur
+    complement on the last dof writes ``(M + tau)^-1``, ``tau >= 0``, as
+    ``diag((M_int + tau)^-1, 0)`` plus a term that falls by
+    :data:`_RESOLVENT_DECAY` per node from the border.  So ``M^{-1/2} - R``, an
+    integral of such terms, and ``A(s) - R K R`` are below ``(d + 2) (2/7)^d``
+    of their largest entries ``d`` nodes from the border, under ``eps / 4`` at
+    ``d`` = :data:`_BORDER_NODES` = 33.  Outside :func:`_border_block` every
+    operator is the symmetric part of ``R K R``; on it, the block of the
+    window's own ``R_W K_W R_W``, the window being the block and
+    :data:`_BORDER_NODES` nodes more, whose cut changes ``R_W = M_W^{-1/2}``
+    by a term that falls by the same ratio from the cut.  Each operator
+    starts from a copy of the one before: no third ``n x n`` matrix is held,
+    and the operator at an angle depends on that angle alone, bit for bit.
+    The angle enters through :meth:`FloerPencil.border` alone, so the pencil
+    is assembled once.
     """
     op = pencil.base
     n = op.dim
-    block, rows = _border_block(n), pencil.border_rows
-    change = _mass_root_change(pencil)
+    block, window = _border_block(n), _border_block(n, 2 * _BORDER_NODES)
+    # K and M on the window; window_product writes the border of each angle into them
+    k_w, m_w = (x[window, window].toarray() for x in (op.stiffness, op.mass))
+    edge, inner = pencil.border_rows - window.start, slice(block.start - window.start, None)
     root_int = _inverse_root(op.mass[:-1, :-1].toarray())
-    k_int = op.stiffness[:-1, :-1]
     a = np.zeros((n, n))
-    np.matmul(root_int, k_int @ root_int, out=a[:-1, :-1])
-    fixed = a[block, block].copy()
-    # X and K on the block; correction writes the border of each angle into them
-    x, k_block = np.zeros(fixed.shape), np.zeros(fixed.shape)
-    x[:-1, :-1] = root_int[block.start :] @ k_int[:, block.start :]
-    k_block[:-1, :-1] = k_int[block.start :, block.start :].toarray()
-    root_rows = root_int[block.start :, rows]
+    np.matmul(root_int, op.stiffness[:-1, :-1] @ root_int, out=a[:-1, :-1])
     del root_int
-    edge = rows - block.start
 
-    def correction(s):
-        """``X D + (X D)^T + D K D`` at angle ``s``, on the block.  Its
-        temporaries end with the call: small arrays kept across a pair land
-        in the freed ``n x n`` blocks that the next eigensolve would reuse,
-        and raise the peak RSS."""
-        (k_col, b, _), (k_corner, c, _) = pencil.border(s)
-        d = change(b, c)
-        x[:-1, -1] = root_rows @ k_col
-        k_block[edge, -1] = k_block[-1, edge] = k_col
-        k_block[-1, -1] = k_corner
-        xd = x @ d
-        return xd + xd.T + d @ k_block @ d
+    def window_product(s):
+        """The block of ``R_W K_W R_W`` at angle ``s``.  Its temporaries end
+        with the call: small arrays kept across a pair land in the freed ``n
+        x n`` blocks that the next eigensolve would reuse, and raise the peak
+        RSS."""
+        for x, col, corner in zip((k_w, m_w), *pencil.border(s)):
+            x[edge, -1] = x[-1, edge] = col
+            x[-1, -1] = corner
+        root = _inverse_root(m_w)[inner]
+        return root @ k_w @ root.T
 
     for s in angles:
-        a[block, block] = fixed + correction(s)
+        a[block, block] = window_product(s)
         out = SelfAdjointOperator(a)
         del a  # the caller holds two operators across a pair, and no third n x n
         yield out

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require_integer
 from .topology import SelfAdjointOperator, relative_bound_surrogate
 
 
@@ -29,10 +29,8 @@ class FugledeSpec:
     dim: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidSpec(f"flip index must be nonnegative, got {self.n}")
-        if self.dim < 1:
-            raise InvalidSpec(f"truncation dimension must be positive, got {self.dim}")
+        object.__setattr__(self, "n", require_integer(self.n, "flip index", 0))
+        object.__setattr__(self, "dim", require_integer(self.dim, "truncation dimension", 1))
         if self.n >= 1 and self.dim < 2 * self.n:
             raise InvalidSpec(f"need dim >= 2n, got dim={self.dim}, n={self.n}")
 
@@ -116,8 +114,7 @@ def perturbation_family(base, seed, schedule):
 
 def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
     """Seeded random operator ``Q diag(w) Q^T`` with ``w`` uniform in the range."""
-    if dim < 1:
-        raise InvalidSpec(f"dimension must be positive, got {dim}")
+    dim = require_integer(dim, "dimension", 1)
     lo, hi = float(spectrum_range[0]), float(spectrum_range[1])
     if hi < lo:
         raise InvalidSpec("empty spectrum range")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, topology
-from .errors import AmbientMismatch, NonSquare
+from .errors import AmbientMismatch, NonSquare, require_integer
 from .linalg import Subspace
 from .topology import SelfAdjointOperator
 
@@ -28,8 +28,7 @@ class SymplecticDoubling:
     half_dim: int
 
     def __post_init__(self):
-        if self.half_dim < 1:
-            raise ValueError("half dimension must be positive")
+        object.__setattr__(self, "half_dim", require_integer(self.half_dim, "half dimension", 1))
 
     @property
     def ambient_dim(self):

@@ -228,6 +228,19 @@ class TestSuites:
         with pytest.raises(InvalidConfig, match="need an integer"):
             run(**kwargs)
 
+    @pytest.mark.parametrize(
+        "run, kwargs, match",
+        [
+            (cli.run_fuglede, {"n_list": 4}, "sequence of flip indices"),
+            (cli.run_fuglede, {"n_list": ()}, "at least one flip index"),
+            (cli.run_floer, {"grid_m": 8, "s_count": 8, "a_spec": 0}, "spec string"),
+        ],
+        ids=["fuglede-scalar-list", "fuglede-empty-list", "floer-numeric-spec"],
+    )
+    def test_other_settings_are_checked(self, run, kwargs, match):
+        with pytest.raises(InvalidConfig, match=match):
+            run(**kwargs)
+
 
 class TestASpec:
     def test_zero(self):

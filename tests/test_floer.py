@@ -396,6 +396,15 @@ class TestSpectrum:
         with pytest.raises(InvalidConfig, match="integer window size"):
             read()
 
+    @pytest.mark.parametrize("window", [0, 33])
+    def test_window_is_checked_before_the_interior_solve(self, monkeypatch, window):
+        def refused(*args):
+            raise AssertionError("interior eigenpairs computed for a bad window")
+
+        monkeypatch.setattr(floer, "_interior_pairs", refused)
+        with pytest.raises(InvalidConfig, match="window size"):
+            next(FloerPencil(FloerConfig.zero(16)).spectra([0.5], window))
+
     def test_large_grid_path_deterministic_and_consistent(self):
         # the pencil's windows come from secular roots on the interior
         # eigenpairs; they must reproduce themselves and the dense route
@@ -540,10 +549,8 @@ class TestSpectrum:
         assert spectral_flow(windows) == 2
         calls.clear()
         rho_continuity_profile(pencil, np.linspace(0.0, 0.4, 5))
-        # the profile's interior solves are the mass, not a repeat of the K2 one:
-        # the interior's and, at grid 24 where the border block holds every
-        # dof, the block interior's
-        assert len(calls) == 2
+        # the profile's one interior solve is the mass, not a repeat of the K2 one
+        assert len(calls) == 1
         for mass in calls:
             np.testing.assert_array_equal(mass, pencil.base.mass[:-1, :-1].toarray())
 
@@ -1230,7 +1237,8 @@ def dense_profile(pencil, samples):
 
 
 #: The grids of the mass-root checks: the block of the last 67 dofs holds
-#: every dof at grids 8 and 16 and leaves dofs out at grids 48, 96 and 400.
+#: every dof at grids 8 and 16 and leaves dofs out at grids 48, 96 and 400;
+#: its window of 133 holds every dof up to grid 48.
 ROOT_GRIDS = [8, 16, 48, 96, 400]
 
 
@@ -1258,25 +1266,25 @@ class TestMassNormalizedOperators:
         assert d == 33 and (d + 2) * decay**d <= eps / 4.0 < (d + 1) * decay ** (d - 1)
         assert floer._border_block(800) == slice(733, 800)
         assert floer._border_block(48) == slice(0, 48)
+        for grid_m, start in [(8, 0), (16, 0), (48, 0), (96, 59), (400, 667)]:
+            n = 2 * grid_m
+            assert floer._border_block(n, 2 * d) == slice(start, n)
 
     @pytest.mark.parametrize("s", ROOT_ANGLES)
     def test_block_root_matches_the_dense_root(self, s):
-        """``diag(M_int^{-1/2}, 0)`` plus the block's ``D(s)`` is
-        the dense ``M(s)^{-1/2}``, everywhere; the mass does not see the
-        coefficient, so one dense root serves the three pencils."""
+        """On the block's rows the inverse root of the window's mass, and zero
+        outside the window, is the dense ``M(s)^{-1/2}``; the mass does not
+        see the coefficient, so one pencil serves."""
         for grid_m in ROOT_GRIDS:
-            pencils = root_pencils(grid_m)
+            pencil = FloerPencil(FloerConfig.zero(grid_m))
             n = 2 * grid_m
-            block = floer._border_block(n)
-            interior = np.zeros((n, n))
-            interior[:-1, :-1] = floer._inverse_root(pencils[0].base.mass[:-1, :-1].toarray())
-            dense = dense_root(pencils[0], s)
-            for pencil in pencils:
-                cols, diag = pencil.border(s)
-                root = interior.copy()
-                root[block, block] += floer._mass_root_change(pencil)(cols[1], diag[1])
-                err = np.max(np.abs(root - dense))
-                assert err <= 1e-13 * np.max(np.abs(dense)), (grid_m, err)
+            block, window = floer._border_block(n), floer._border_block(n, 2 * floer._BORDER_NODES)
+            mass = pencil.at(s).mass[window, window].toarray()
+            root = np.zeros((n, n))
+            root[window, window] = floer._inverse_root(mass)
+            dense = dense_root(pencil, s)
+            err = np.max(np.abs(root[block] - dense[block]))
+            assert err <= 1e-13 * np.max(np.abs(dense)), (grid_m, err)
 
     @pytest.mark.parametrize("grid_m", ROOT_GRIDS)
     def test_root_and_operators_match_the_dense_route(self, grid_m):
@@ -1386,16 +1394,15 @@ class TestRhoContinuity:
         monkeypatch.setattr(floer, "SelfAdjointOperator", tracked)
         pencil = FloerPencil(FloerConfig.zero(16))
         reports = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 9))
-        # 9 operators, and the masses of 9 blocks, which at grid 16 hold every dof
+        # 9 operators, and the masses of 9 windows, which at grid 16 hold every dof
         assert len(reports) == 8 and len(peak) == 18
         assert max(peak) == 2
 
     def test_eigensolve_budget(self, monkeypatch):
         """Per angle one eigendecomposition of the operator and one of the
-        block's mass, plus one of the interior mass and one of the block's
-        interior: a fallback to a dense mass root per angle shows up as
-        more calls."""
-        grid_m, k = 48, 6
+        window's mass, plus one of the interior mass: a fallback to a dense
+        mass root per angle shows up as more calls."""
+        grid_m, k = 96, 6
         shapes = []
         real_eigh = np.linalg.eigh
 
@@ -1406,9 +1413,9 @@ class TestRhoContinuity:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m))
         assert len(rho_continuity_profile(pencil, np.linspace(0.2, 1.4, k))) == k - 1
-        n, w = 2 * grid_m, 2 * floer._BORDER_NODES + 1
-        assert w < n
-        assert sorted(shapes) == [(w - 1, w - 1)] + [(w, w)] * k + [(n - 1, n - 1)] + [(n, n)] * k
+        n, w = 2 * grid_m, 4 * floer._BORDER_NODES + 1
+        assert w == 133 < n - 1
+        assert sorted(shapes) == [(w, w)] * k + [(n - 1, n - 1)] + [(n, n)] * k
 
     @pytest.mark.parametrize("k", [2, 9])
     def test_profile_assembles_once(self, monkeypatch, k):

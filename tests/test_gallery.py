@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fredlab import gallery, linalg, topology
-from fredlab.errors import InvalidSpec
+from fredlab.errors import InvalidConfig, InvalidSpec
 from fredlab.gallery import FugledeSpec, fuglede_expected, fuglede_operator
 
 
@@ -26,6 +26,16 @@ class TestFlippedDiagonalFamily:
     def test_window_too_small(self):
         with pytest.raises(InvalidSpec):
             FugledeSpec(3, 5)
+
+    @pytest.mark.parametrize("n, dim", [(1.5, 4), (-1, 4), (1, 0), (1, 4.0)])
+    def test_sizes_must_be_integers_in_range(self, n, dim):
+        with pytest.raises(InvalidConfig):
+            FugledeSpec(n, dim)
+
+    def test_numpy_integer_sizes(self):
+        spec = FugledeSpec(np.int64(2), np.int32(8))
+        assert (type(spec.n), type(spec.dim)) == (int, int)
+        assert fuglede_operator(spec).dim == 8
 
     def test_expected_closed_forms(self):
         branch, rho, alpha = fuglede_expected(1)
@@ -135,6 +145,11 @@ class TestRandomOperators:
     def test_scalar(self):
         a = gallery.random_selfadjoint(1, seed=12, spectrum_range=(2.0, 3.0))
         assert 2.0 <= a.matrix[0, 0] <= 3.0
+
+    @pytest.mark.parametrize("dim", [2.5, 0, "3"])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(InvalidConfig):
+            gallery.random_selfadjoint(dim, seed=1)
 
     def test_degenerate_range(self):
         a = gallery.random_selfadjoint(6, seed=13, spectrum_range=(0.0, 0.0))

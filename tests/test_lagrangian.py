@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fredlab import gallery, lagrangian, linalg, topology
-from fredlab.errors import AmbientMismatch, DimensionMismatch, NonSquare
+from fredlab.errors import AmbientMismatch, DimensionMismatch, InvalidConfig, NonSquare
 from fredlab.gallery import FugledeSpec, fuglede_operator
 from fredlab.lagrangian import (
     SymplecticDoubling,
@@ -32,6 +32,11 @@ class TestDoubling:
     def test_horizontal_is_lagrangian(self):
         d = SymplecticDoubling(4)
         assert is_lagrangian(d.horizontal(), d)
+
+    @pytest.mark.parametrize("half_dim", [2.5, 0, -1])
+    def test_half_dimension_must_be_a_positive_integer(self, half_dim):
+        with pytest.raises(InvalidConfig):
+            SymplecticDoubling(half_dim)
 
     @pytest.mark.parametrize("dim", [0, 1, 3])
     def test_residual_off_half_dimension_is_one(self, dim):
