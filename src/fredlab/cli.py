@@ -212,8 +212,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
 def run_graph(dim=20, trials=100, seed=7):
     """Graph-subspace oracles plus joint gap convergence of graphs and operators."""
     dim, trials = require_integer(dim, "dim", 2), require_integer(trials, "trials", 1)
-    seed = require_integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    rng = gallery.generator(seed)
     worst_proj = worst_lagr = worst_susp = 0.0
     worst_kernel = 0
     for _ in range(trials):
@@ -266,7 +265,6 @@ def run_graph(dim=20, trials=100, seed=7):
 def run_perturb(dim=20, steps=10, seed=7):
     """Riesz distance along a schedule of shrinking relatively bounded perturbations."""
     dim, steps = require_integer(dim, "dim", 1), require_integer(steps, "steps", 1)
-    seed = require_integer(seed, "seed", 0)
     base = gallery.random_selfadjoint(dim, seed=seed, spectrum_range=(-5.0, 5.0))
     schedule = [0.5**n for n in range(1, steps + 1)]
     family = gallery.perturbation_family(base, seed=seed + 1, schedule=schedule)
@@ -287,8 +285,8 @@ def run_perturb(dim=20, steps=10, seed=7):
 
 def run_identities(trials=100, seed=7):
     """Resolvent identities of the bounded transform over random operators."""
-    trials, seed = require_integer(trials, "trials", 1), require_integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    trials = require_integer(trials, "trials", 1)
+    rng = gallery.generator(seed)
     worst_plus = worst_minus = worst_inv = worst_eigs = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 51))

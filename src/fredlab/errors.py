@@ -1,5 +1,6 @@
 """Exception vocabulary shared by all fredlab modules, and the integer check
-that every experiment's sizes, counts and seeds pass."""
+that every experiment's sizes and counts pass, and every seed on its way to
+``gallery.generator``."""
 
 import operator
 
@@ -45,9 +46,10 @@ class InvalidSpec(FredlabError):
 
 
 class InvalidConfig(FredlabError):
-    """A setting violates its constraints: a size, count or seed that is not
-    an integer in range (see :func:`require_integer`), or a coefficient,
-    boundary angle or other setting of a run or a boundary-value problem."""
+    """A setting violates its constraints: a size, count, flip index or seed
+    that is not an integer in range (see :func:`require_integer`; seeds are
+    checked in ``gallery.generator``), or a coefficient, boundary angle or
+    other setting of a run or a boundary-value problem."""
 
 
 class MassNotPositiveDefinite(FredlabError):

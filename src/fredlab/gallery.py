@@ -7,7 +7,7 @@ with prescribed spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -56,60 +56,64 @@ def fuglede_expected(n):
     bounded transforms by ``2n / sqrt(1 + n^2)``, and any ramp that separates
     the signs sees a distance of exactly 1.
     """
-    if n < 1:
-        raise InvalidSpec("closed forms hold for flip index n >= 1")
+    n = require_integer(n, "flip index", 1)
     return FugledeExpected(
         resolvent_branch=2.0 * n / (1.0 + n * n),
-        rho=2.0 * n / np.sqrt(1.0 + n * n),
+        rho=float(2.0 * n / np.sqrt(1.0 + n * n)),
         alpha_dist=1.0,
     )
 
 
+def generator(seed):
+    """The random generator of ``seed``, an integer of at least 0; every seeded
+    function of the library draws from one of these."""
+    return np.random.default_rng(require_integer(seed, "seed", 0))
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbationSchedule:
-    """A base operator with symmetric perturbations of certified relative size."""
+    """Perturbations ``S_k = (c_k / size) * direction`` of a base operator, with
+    ``size`` the certified relative bound of the symmetric ``direction`` against
+    ``base``, taken once; so ``S_k`` has relative bound exactly ``c_k``.  The
+    targets ``c_k`` must be finite, nonnegative and non-increasing (``InvalidSpec``)."""
 
     base: SelfAdjointOperator
-    deltas: tuple
+    direction: np.ndarray
     bound_targets: tuple
+    size: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.deltas) != len(self.bound_targets):
-            raise InvalidSpec("one perturbation per bound target required")
-        for s, c in zip(self.deltas, self.bound_targets):
-            got = relative_bound_surrogate(self.base, s)
-            if got > c + 1e-10:
-                raise InvalidSpec(f"perturbation exceeds its bound: {got} > {c}")
+        targets = tuple(float(c) for c in self.bound_targets)
+        if not all(0.0 <= c < np.inf for c in targets):
+            raise InvalidSpec(f"bound targets must be finite and nonnegative, got {targets}")
+        if any(b < a for a, b in zip(targets[1:], targets[:-1])):
+            raise InvalidSpec("bound targets must be non-increasing")
+        object.__setattr__(self, "bound_targets", targets)
+        object.__setattr__(self, "size", relative_bound_surrogate(self.base, self.direction))
+
+    def delta(self, k):
+        """The k-th perturbation ``S_k``; zero for a zero target or direction."""
+        c = self.bound_targets[k]
+        return (c / self.size if c and self.size else 0.0) * self.direction
 
     def perturbed(self, k):
         """The k-th perturbed operator ``base + S_k``."""
-        return SelfAdjointOperator(self.base.matrix + self.deltas[k])
+        return SelfAdjointOperator(self.base.matrix + self.delta(k))
 
 
 def perturbation_family(base, seed, schedule):
-    """Random symmetric perturbations scaled to prescribed relative bounds.
-
-    A single symmetric direction is drawn from ``seed`` and rescaled so the
-    certified relative bound of the k-th perturbation equals ``schedule[k]``
+    """Schedule of one random symmetric direction, drawn from ``seed``, scaled
+    so the certified relative bound of the k-th perturbation is ``schedule[k]``
     exactly; this makes the induced metric distances decrease along the
-    schedule rather than merely trend down.
-    """
-    targets = tuple(float(c) for c in schedule)
-    if any(c < 0 for c in targets):
-        raise InvalidSpec("bound targets must be nonnegative")
-    if any(b < a for a, b in zip(targets[1:], targets[:-1])):
-        raise InvalidSpec("bound targets must be non-increasing")
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal((base.dim, base.dim))
-    direction = 0.5 * (direction + direction.T)
-    size = relative_bound_surrogate(base, direction)
-    deltas = []
-    for c in targets:
-        if c == 0.0 or size == 0.0:
-            deltas.append(np.zeros((base.dim, base.dim)))
-        else:
-            deltas.append((c / size) * direction)
-    return PerturbationSchedule(base=base, deltas=tuple(deltas), bound_targets=targets)
+    schedule rather than merely trend down."""
+    direction = generator(seed).standard_normal((base.dim, base.dim))
+    return PerturbationSchedule(base, 0.5 * (direction + direction.T), schedule)
+
+
+def _haar_conjugate(w, rng):
+    # Q diag(w) Q^T with Q the orthogonal factor of a Gaussian matrix
+    q, _ = np.linalg.qr(rng.standard_normal((w.size, w.size)))
+    return SelfAdjointOperator((q * w) @ q.T)
 
 
 def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
@@ -118,15 +122,10 @@ def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
     lo, hi = float(spectrum_range[0]), float(spectrum_range[1])
     if hi < lo:
         raise InvalidSpec("empty spectrum range")
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(lo, hi, size=dim)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return SelfAdjointOperator((q * w) @ q.T)
+    rng = generator(seed)
+    return _haar_conjugate(rng.uniform(lo, hi, size=dim), rng)
 
 
 def random_with_spectrum(eigenvalues, seed):
     """Seeded random operator with exactly the given eigenvalues."""
-    w = np.asarray(eigenvalues, dtype=float)
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((w.size, w.size)))
-    return SelfAdjointOperator((q * w) @ q.T)
+    return _haar_conjugate(np.asarray(eigenvalues, dtype=float), generator(seed))

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from fredlab import cli, floer, topology
+from fredlab import cli, floer, gallery, topology
 from fredlab.errors import InvalidConfig
 
 #: Recorded reports under ``tests/data`` and the ``fredlab`` flags that made
@@ -38,6 +38,26 @@ GOLDEN_REPORTS = {
 
 #: The runs that take a ``seed``.
 SEEDED_RUNS = (cli.run_graph, cli.run_perturb, cli.run_identities)
+
+#: Every public function or class of ``cli`` and ``gallery`` that takes a ``seed``.
+SEEDED_CALLABLES = tuple(
+    obj
+    for module in (cli, gallery)
+    for name, obj in vars(module).items()
+    if not name.startswith("_")
+    and (inspect.isfunction(obj) or inspect.isclass(obj))
+    and obj.__module__ == module.__name__
+    and "seed" in inspect.signature(obj).parameters
+)
+
+#: Arguments besides ``seed`` that a seeded callable needs.
+SEED_ARGS = {
+    "random_selfadjoint": {"dim": 3},
+    "random_with_spectrum": {"eigenvalues": [1.0, 2.0]},
+    "perturbation_family": {
+        "base": topology.SelfAdjointOperator(np.eye(3)), "schedule": [0.1]
+    },
+}
 
 #: Options that every experiment takes and that do not reach its run.
 COMMON_DESTS = {"help", "format", "out", "strict"}
@@ -473,6 +493,21 @@ class TestDispatch:
             cli.main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[1]}: " in capsys.readouterr().err
+
+
+class TestSeeds:
+    """Every seed passes ``require_integer`` on its way to a generator, so a
+    seeded function added to ``cli`` or ``gallery`` cannot skip the check."""
+
+    def test_the_seeded_callables_are_found(self):
+        names = {f.__name__ for f in SEEDED_CALLABLES}
+        assert names >= {"generator", *SEED_ARGS, *(run.__name__ for run in SEEDED_RUNS)}
+
+    @pytest.mark.parametrize("seed", [7.5, "7", -1])
+    @pytest.mark.parametrize("fn", SEEDED_CALLABLES, ids=lambda f: f.__name__)
+    def test_every_seed_is_checked(self, fn, seed):
+        with pytest.raises(InvalidConfig, match=r"^need (an integer seed: |seed >= 0, got -1$)"):
+            fn(**SEED_ARGS.get(fn.__name__, {}), seed=seed)
 
 
 class TestColdStart:

@@ -46,6 +46,16 @@ class TestFlippedDiagonalFamily:
         assert branch == pytest.approx(8.0 / 17.0)
         assert rho == pytest.approx(1.9402850002906638)
 
+    @pytest.mark.parametrize(
+        "n, match", [(1.5, "need an integer flip index"), (0, "need flip index >= 1, got 0")]
+    )
+    def test_expected_needs_a_flip_index(self, n, match):
+        with pytest.raises(InvalidConfig, match=match):
+            fuglede_expected(n)
+
+    def test_expected_fields_are_floats(self):
+        assert [type(x) for x in fuglede_expected(np.int64(3))] == [float] * 3
+
     def test_expected_limits(self):
         big = fuglede_expected(10_000)
         assert big.resolvent_branch < 1e-3
@@ -95,21 +105,23 @@ class TestPerturbationFamily:
     def test_zero_schedule(self):
         base = gallery.random_selfadjoint(5, seed=3)
         fam = gallery.perturbation_family(base, seed=4, schedule=[0.0])
-        np.testing.assert_allclose(fam.deltas[0], 0.0)
+        np.testing.assert_allclose(fam.delta(0), 0.0)
 
     def test_identity_base_norm(self):
         # against the identity the damping factor is 1/2, so the bound 0.1
         # forces a perturbation of norm exactly 0.2
         base = topology.SelfAdjointOperator(np.eye(6))
         fam = gallery.perturbation_family(base, seed=5, schedule=[0.1])
-        assert linalg.operator_norm(fam.deltas[0]) == pytest.approx(0.2, abs=1e-12)
+        assert linalg.operator_norm(fam.delta(0)) == pytest.approx(0.2, abs=1e-12)
 
     def test_bounds_hit_exactly(self):
         base = gallery.random_selfadjoint(8, seed=6, spectrum_range=(-4.0, 4.0))
         schedule = [0.5**k for k in range(1, 8)]
         fam = gallery.perturbation_family(base, seed=7, schedule=schedule)
-        for s, c in zip(fam.deltas, fam.bound_targets):
-            assert topology.relative_bound_surrogate(base, s) == pytest.approx(c, abs=1e-10)
+        for k, c in enumerate(fam.bound_targets):
+            assert topology.relative_bound_surrogate(base, fam.delta(k)) == pytest.approx(
+                c, abs=1e-10
+            )
 
     def test_rho_decreases_along_schedule(self):
         base = gallery.random_selfadjoint(10, seed=8, spectrum_range=(-3.0, 3.0))
@@ -139,6 +151,32 @@ class TestPerturbationFamily:
         base = gallery.random_selfadjoint(4, seed=10)
         with pytest.raises(InvalidSpec):
             gallery.perturbation_family(base, seed=11, schedule=[0.1, 0.2])
+
+    @pytest.mark.parametrize("targets", [[0.1, -0.1], [np.nan], [np.inf]])
+    def test_targets_checked_by_the_schedule(self, targets):
+        base = gallery.random_selfadjoint(4, seed=10)
+        with pytest.raises(InvalidSpec, match="finite and nonnegative"):
+            gallery.PerturbationSchedule(base, np.eye(4), targets)
+
+    def test_perturbed_is_base_plus_scaled_direction(self):
+        base = gallery.random_selfadjoint(8, seed=6, spectrum_range=(-4.0, 4.0))
+        fam = gallery.perturbation_family(base, seed=7, schedule=[0.5, 0.125, 0.0])
+        for k, c in enumerate((0.5, 0.125)):
+            expected = base.matrix + (c / fam.size) * fam.direction
+            assert fam.perturbed(k).matrix.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(fam.perturbed(2).matrix, base.matrix)
+
+    def test_direction_is_sized_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, s):
+            calls.append(s)
+            return topology.relative_bound_surrogate(a, s)
+
+        monkeypatch.setattr(gallery, "relative_bound_surrogate", counted)
+        base = gallery.random_selfadjoint(6, seed=3)
+        gallery.perturbation_family(base, seed=4, schedule=[0.5**k for k in range(1, 11)])
+        assert len(calls) == 1
 
 
 class TestRandomOperators:
