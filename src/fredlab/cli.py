@@ -231,7 +231,7 @@ def run_graph(dim=20, trials=100, seed=7):
         worst_lagr = max(worst_lagr, lagrangian.lagrangian_residual(s, doubling))
         meet, _ = linalg.subspace_meet_dims(doubling.horizontal(), s)
         worst_kernel = max(worst_kernel, abs(meet - zeros))
-        w = lagrangian.suspension(rng.standard_normal((n, n))).decomposition.eigenvalues
+        w = lagrangian.suspension(rng.standard_normal((n, n))).spectrum
         worst_susp = max(worst_susp, float(np.max(np.abs(w + w[::-1]))))
 
     rows = [
@@ -302,7 +302,7 @@ def run_identities(trials=100, seed=7):
         worst_inv = max(
             worst_inv, linalg.operator_norm(f2 - (np.eye(n) - psi @ psi))
         )
-        psi_eigs = np.sort(topology.SelfAdjointOperator(psi).decomposition.eigenvalues)
+        psi_eigs = np.sort(topology.SelfAdjointOperator(psi).spectrum)
         mapped = np.sort(topology.bounded_transform_scalar(a.decomposition.eigenvalues))
         worst_eigs = max(worst_eigs, float(np.max(np.abs(psi_eigs - mapped))))
     label = "suite"

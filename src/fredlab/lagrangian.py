@@ -73,14 +73,16 @@ def graph_projection_formula(a):
 
 def lagrangian_residual(s, doubling):
     """``|J P J^T - (I - P)|`` for the projection ``P`` onto ``s``; zero exactly
-    when ``s`` is Lagrangian, and 1 when its dimension is not half the ambient."""
+    when ``s`` is Lagrangian, and 1 when its dimension is not half the ambient.
+    ``J P J^T`` is the block rotation ``[[P22, -P21], [-P12, P11]]``."""
     if s.ambient_dim != doubling.ambient_dim:
         raise AmbientMismatch(
             f"subspace lives in R^{s.ambient_dim}, doubling in R^{doubling.ambient_dim}"
         )
     p = linalg.projection_from_basis(s)
-    j = doubling.complex_structure()
-    return linalg.operator_norm(j @ p @ j.T - (np.eye(s.ambient_dim) - p))
+    n = doubling.half_dim
+    jpj = np.block([[p[n:, n:], -p[n:, :n]], [-p[:n, n:], p[:n, :n]]])
+    return linalg.operator_norm(jpj - (np.eye(s.ambient_dim) - p))
 
 
 def is_lagrangian(s, doubling):

@@ -107,10 +107,11 @@ def operator_norm(m):
 
 
 def apply_scalar_function(dec, f):
-    """Evaluate ``f`` on a spectral decomposition: ``Q f(w) Q^T``.
+    """Evaluate ``f`` on a spectral decomposition: ``Q f(w) Q^T``, as the two real
+    products ``(Q Re f) Q^T`` and ``(Q Im f) Q^T`` when ``f`` is complex.
 
-    ``f`` is called once on the eigenvalue array; a scalar return is broadcast.
-    Values may be complex; a non-finite one raises :class:`FunctionUndefinedAtEigenvalue`.
+    ``f`` is called once on the eigenvalue array; a scalar return ``c`` gives exactly
+    ``c I``.  A non-finite value raises :class:`FunctionUndefinedAtEigenvalue`.
     """
     try:
         with np.errstate(all="ignore"):
@@ -121,6 +122,13 @@ def apply_scalar_function(dec, f):
         bad = dec.eigenvalues[~np.isfinite(vals)]
         raise FunctionUndefinedAtEigenvalue(f"non-finite value at eigenvalue(s) {bad}")
     q = dec.eigenvectors
+    if np.ndim(vals) == 0:
+        return vals * np.eye(q.shape[0])
+    if np.iscomplexobj(vals):  # a complex product would upcast the real Q^T
+        out = np.empty(q.shape, dtype=np.complex128)
+        out.real = (q * vals.real) @ q.T
+        out.imag = (q * vals.imag) @ q.T
+        return out
     return (q * vals) @ q.T
 
 
@@ -174,20 +182,11 @@ def subspace_meet_dims(s1, s2):
     """Intersection dimension and codimension of the sum of two subspaces.
 
     Returns ``(dim(s1 & s2), ambient - dim(s1 + s2))``.  The intersection
-    dimension counts principal-angle cosines within ``RANK_TOL`` of 1;
-    the sum's dimension is the numerical rank of the stacked bases.
+    dimension counts principal-angle cosines within ``RANK_TOL`` of 1 (one SVD),
+    and ``dim(s1 + s2)`` is ``dim s1 + dim s2 - dim(s1 & s2)``.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise AmbientMismatch(f"ambient dims {s1.ambient_dim} != {s2.ambient_dim}")
-    if s1.dim == 0 or s2.dim == 0:
-        dim_meet = 0
-    else:
-        cosines = np.linalg.svd(s1.basis.T @ s2.basis, compute_uv=False)
-        dim_meet = int(np.count_nonzero(cosines >= 1.0 - RANK_TOL))
-    stacked = np.hstack([s1.basis, s2.basis])
-    if stacked.shape[1] == 0:
-        rank = 0
-    else:
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.count_nonzero(sv > RANK_TOL * sv[0])) if sv[0] > 0 else 0
-    return dim_meet, s1.ambient_dim - rank
+    cosines = np.linalg.svd(s1.basis.T @ s2.basis, compute_uv=False)
+    dim_meet = int(np.count_nonzero(cosines >= 1.0 - RANK_TOL))
+    return dim_meet, s1.ambient_dim - s1.dim - s2.dim + dim_meet

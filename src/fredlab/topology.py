@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import linalg
-from .errors import AmbientMismatch, DimensionMismatch, NoConvergence
+from .errors import AmbientMismatch, DimensionMismatch, InvalidSpec, NoConvergence
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +25,9 @@ class SelfAdjointOperator:
     The constructor checks the input once with :func:`linalg.require_symmetric`
     and stores its symmetric part ``(m + m^T) / 2``, halved before the sum
     where the sum would overflow, so no entry overflows and an exactly
-    symmetric input is kept bit for bit.  The spectral decomposition of the
-    stored matrix is computed once on first use and cached on the instance;
-    the value is immutable afterwards, so sharing across threads is safe.
+    symmetric input is kept bit for bit.  The spectral decomposition and the
+    spectrum are each computed once on first use and cached on the instance;
+    the values are immutable afterwards, so sharing across threads is safe.
     """
 
     matrix: np.ndarray
@@ -53,6 +53,11 @@ class SelfAdjointOperator:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
             raise NoConvergence(str(exc)) from exc
         return linalg.SpectralDecomposition(w, q)
+
+    @cached_property
+    def spectrum(self):
+        """Ascending eigenvalues, values only: the last bits may differ from ``decomposition``'s."""
+        return np.linalg.eigvalsh(self.matrix)
 
     def apply(self, f):
         """``f`` evaluated on this operator through its eigendecomposition."""
@@ -204,10 +209,12 @@ def subspace_gap(s1, s2):
 
 def generator_distance_profile(a0, a1, fns=DEFAULT_PROBES):
     """Distances ``|f(A0) - f(A1)|`` for each probe, bundled with the gap and
-    Riesz distances of the pair."""
+    Riesz distances of the pair; two probes of one name are an :class:`InvalidSpec`."""
     _check_same_dim(a0, a1)
     dists = {}
     for f in fns:
+        if f.name in dists:
+            raise InvalidSpec(f"two probes are named {f.name!r}")
         dists[f.name] = linalg.operator_norm(a0.apply(f) - a1.apply(f))
     return MetricReport(
         gamma=gap_metric(a0, a1),

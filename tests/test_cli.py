@@ -1,6 +1,7 @@
 """Tests for the experiment runner: determinism, formats, exit codes."""
 
 import argparse
+import collections
 import csv
 import inspect
 import json
@@ -260,6 +261,35 @@ class TestSuites:
     def test_other_settings_are_checked(self, run, kwargs, match):
         with pytest.raises(InvalidConfig, match=match):
             run(**kwargs)
+
+
+class TestSolverCalls:
+    """The LAPACK calls of the dense suites, counted: their timing swings from
+    run to run, their number does not."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("eigh", "eigvalsh", "svd"):
+
+            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_graph(self, calls):
+        cli.run_graph(dim=8, trials=5, seed=0)
+        # per trial: one SVD for the kernel dimension, and values only for the
+        # suspension and two norms; the eigenpairs are the gap metrics of the
+        # five Fuglede pairs, each of which also takes two norms
+        assert dict(calls) == {"eigh": 5 * 2, "eigvalsh": 5 * 3 + 5 * 2, "svd": 5}
+
+    def test_identities(self, calls):
+        cli.run_identities(trials=5, seed=0)
+        # per trial: the eigenpairs of A, and values only for psi and three norms
+        assert dict(calls) == {"eigh": 5, "eigvalsh": 5 * 4}
 
 
 class TestASpec:

@@ -50,6 +50,21 @@ class TestDoubling:
         with pytest.raises(AmbientMismatch):
             lagrangian.lagrangian_residual(s, SymplecticDoubling(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 21, 39])
+    def test_residual_is_bitwise_the_dense_product(self, n):
+        # the block rotation [[P22, -P21], [-P12, P11]] against J P J^T formed
+        # from complex_structure(), on a graph and on non-Lagrangian subspaces
+        rng = np.random.default_rng(700 + n)
+        d = SymplecticDoubling(n)
+        j = d.complex_structure()
+        a = rng.standard_normal((n, n))
+        spans = (rng.standard_normal((2 * n, k)) for k in (1, n, 2 * n - 1))
+        subspaces = [graph_subspace(sa(a + a.T)), *map(linalg.Subspace.from_spanning, spans)]
+        for s in subspaces:
+            p = linalg.projection_from_basis(s)
+            dense = linalg.operator_norm(j @ p @ j.T - (np.eye(2 * n) - p))
+            assert lagrangian.lagrangian_residual(s, d) == dense
+
 
 class TestGraphSubspace:
     def test_zero_operator(self):

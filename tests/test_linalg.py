@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredlab import linalg, topology
 from fredlab.errors import (
@@ -233,10 +235,32 @@ class TestScalarFunction:
         for f in (lambda x: 1.0 / x, lambda x: np.sqrt(x - 1.0)):
             with pytest.raises(FunctionUndefinedAtEigenvalue):
                 linalg.apply_scalar_function(dec, f)
-        # a scalar return is broadcast over the spectrum
+        # a scalar return c gives c I
         np.testing.assert_allclose(
             linalg.apply_scalar_function(dec, lambda lam: 1.0), np.eye(2), atol=1e-15
         )
+
+    @pytest.mark.parametrize("c", [1.0, -2.5, 0.0, 0.5 - 3j])
+    def test_scalar_return_is_exactly_c_times_identity(self, c):
+        # Q is not exact here, so Q (c I) Q^T would carry rounding off the diagonal
+        rng = np.random.default_rng(26)
+        dec = SelfAdjointOperator(random_symmetric(rng, 30)).decomposition
+        out = linalg.apply_scalar_function(dec, lambda lam: c)
+        assert out.tobytes() == (c * np.eye(30)).tobytes()
+
+    @pytest.mark.parametrize(
+        "f",
+        [topology.P_PLUS, topology.P_MINUS, lambda x: np.exp(1j * x), lambda x: x + 0j],
+        ids=["Pplus", "Pminus", "exp-ix", "x+0j"],
+    )
+    def test_complex_values_match_the_complex_product(self, f):
+        rng = np.random.default_rng(27)
+        dec = SelfAdjointOperator(random_symmetric(rng, 60, scale=3.0)).decomposition
+        vals, q = f(dec.eigenvalues), dec.eigenvectors
+        want = (q * vals) @ q.T.astype(np.complex128)
+        got = linalg.apply_scalar_function(dec, f)
+        assert got.dtype == np.complex128
+        assert linalg.operator_norm(got - want) <= 1e-14 * np.max(np.abs(vals))
 
 
 class TestSubspaces:
@@ -292,6 +316,11 @@ class TestMeetDims:
         # union spans e0,e1,e2: rank 3, so one codimension left over
         assert linalg.subspace_meet_dims(s1, s2) == (1, 1)
 
+    def test_zero_dimensional_subspace(self):
+        zero = linalg.Subspace(3, np.zeros((3, 0)))
+        assert linalg.subspace_meet_dims(zero, span([1.0, 0.0, 0.0])) == (0, 2)
+        assert linalg.subspace_meet_dims(zero, zero) == (0, 3)
+
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(2)
         s1 = linalg.Subspace.from_spanning(rng.standard_normal((6, 2)))
@@ -301,3 +330,33 @@ class TestMeetDims:
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             linalg.subspace_meet_dims(span([1.0, 0.0]), span([1.0, 0.0, 0.0]))
+
+
+def _meeting_pair(ambient, shared, extra1, extra2, seed):
+    """Two random subspaces of R^ambient that share ``shared`` directions."""
+    rng = np.random.default_rng(seed)
+    common = rng.standard_normal((ambient, shared))
+    return tuple(
+        linalg.Subspace.from_spanning(np.hstack([common, rng.standard_normal((ambient, k))]))
+        for k in (extra1, extra2)
+    )
+
+
+@st.composite
+def meeting_pairs(draw):
+    ambient = draw(st.integers(1, 8))
+    shared = draw(st.integers(0, ambient))
+    extra1, extra2 = (draw(st.integers(0, ambient - shared)) for _ in range(2))
+    seed = draw(st.integers(0, 2**16))
+    return _meeting_pair(ambient, shared, extra1, extra2, seed), shared
+
+
+@settings(max_examples=80)
+@given(case=meeting_pairs())
+def test_meet_and_codimension_satisfy_the_dimension_identity(case):
+    (s1, s2), shared = case
+    meet, codim = linalg.subspace_meet_dims(s1, s2)
+    assert meet - codim == s1.dim + s2.dim - s1.ambient_dim
+    # the shared directions are found, and the sum fits in the ambient space
+    assert shared <= meet <= min(s1.dim, s2.dim)
+    assert codim >= 0

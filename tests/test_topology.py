@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fredlab import lagrangian, linalg, topology
-from fredlab.errors import AmbientMismatch, DimensionMismatch, FredlabError
+from fredlab import gallery, lagrangian, linalg, topology
+from fredlab.errors import AmbientMismatch, DimensionMismatch, FredlabError, InvalidSpec
 from fredlab.topology import (
     ALPHA_RAMP,
     P_MINUS,
@@ -66,6 +66,20 @@ class TestSelfAdjointOperator:
         assert linalg.operator_norm(recon - op.matrix) <= IDENTITY_TOL * (
             1.0 + linalg.operator_norm(op.matrix)
         )
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_spectrum_matches_the_decomposition_without_eigenvectors(self, scale, monkeypatch):
+        op = random_operator(np.random.default_rng(32), 40, scale)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectrum must not solve for eigenvectors")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", refuse)
+            w = op.spectrum
+        assert op.spectrum is w
+        lam = op.decomposition.eigenvalues
+        assert np.max(np.abs(w - lam)) <= 1e-12 * max(1.0, float(np.max(np.abs(lam))))
 
     @pytest.mark.parametrize(
         "a",
@@ -515,6 +529,20 @@ class TestGeneratorProfile:
         a, b = sa([[0.0]]), sa([[np.pi / 2.0]])
         report = topology.generator_distance_profile(a, b, fns=(probe,))
         assert report.generator_distances["sine"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_constant_probe_is_exactly_zero_on_a_non_diagonal_pair(self):
+        a0, a1 = (
+            gallery.random_selfadjoint(200, seed=seed, spectrum_range=(-5.0, 5.0))
+            for seed in (1, 2)
+        )
+        report = topology.generator_distance_profile(a0, a1, fns=(topology.P0,))
+        assert report.generator_distances["P0"] == 0.0
+
+    def test_duplicate_probe_names_are_refused(self):
+        a, b = sa([[0.0]]), sa([[np.pi / 2.0]])
+        fns = (ScalarFunction("x", np.sin), ScalarFunction("x", np.cos))
+        with pytest.raises(InvalidSpec, match="'x'"):
+            topology.generator_distance_profile(a, b, fns=fns)
 
 
 class TestRampFunction:
