@@ -169,14 +169,13 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     rows = []
 
     # one pencil per run; its profile goes first, freeing n x n operators before the spectra's
-    cfg = floer.FloerConfig(samples, grid_m)
-    pencil = floer.FloerPencil(cfg)
+    pencil = floer.FloerPencil(samples, grid_m)
     sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
     profile = floer.rho_continuity_profile(pencil, sweep[: NEIGHBOR_PAIRS + 1])
     windows = list(pencil.spectra(ORACLE_ANGLES, WINDOW))
-    # one batch: the Prufer angle does not depend on s, so one config serves all
+    # one batch: the Prufer angle does not depend on s, so one pencil serves all
     oracle = floer.shooting_eigenvalues(
-        cfg,
+        pencil,
         [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)) for s, w in zip(ORACLE_ANGLES, windows)],
     )
     for s, w, roots in zip(ORACLE_ANGLES, windows, oracle):

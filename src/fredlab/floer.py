@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -61,62 +61,17 @@ def _element_count(grid_m):
     return require_integer(grid_m, "grid", 8)
 
 
-@dataclass(frozen=True, eq=False)
-class FloerConfig:
-    """The coefficient of the boundary-value family: ``a_samples`` at the
-    ``grid_m + 1`` uniform nodes of ``[0, 1]``.  The boundary angle at ``t =
-    1`` is an argument of each call that reads one member of the family.
-    """
-
-    a_samples: np.ndarray
-    grid_m: int
-    coupling: Coupling = Coupling.ANTILINEAR
-
-    def __post_init__(self):
-        grid_m = _element_count(self.grid_m)
-        try:
-            coupling = Coupling(self.coupling)
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"need a Coupling: {exc}") from None
-        a = np.asarray(self.a_samples, dtype=complex)
-        if a.shape != (grid_m + 1,):
-            raise InvalidConfig(f"need {grid_m + 1} coefficient samples, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidConfig("coefficient samples contain NaN or Inf")
-        if coupling is Coupling.LINEAR_IMAGINARY:
-            scale = max(1.0, float(np.max(np.abs(a))))
-            if float(np.max(np.abs(a.real))) > 1e-12 * scale:
-                raise InvalidConfig(
-                    "linear coupling is symmetric only for purely imaginary a"
-                )
-        object.__setattr__(self, "a_samples", a)
-        object.__setattr__(self, "grid_m", grid_m)
-        object.__setattr__(self, "coupling", coupling)
-
-    @classmethod
-    def zero(cls, grid_m, coupling=Coupling.ANTILINEAR):
-        return cls(np.zeros(_element_count(grid_m) + 1, dtype=complex), grid_m, coupling)
-
-    @classmethod
-    def constant(cls, a, grid_m, coupling=Coupling.ANTILINEAR):
-        return cls(np.full(_element_count(grid_m) + 1, complex(a)), grid_m, coupling)
-
-    @property
-    def nodes(self):
-        return np.linspace(0.0, 1.0, self.grid_m + 1)
-
-
-def coefficient_matrices(cfg):
+def coefficient_matrices(pencil):
     """Per-node 2x2 matrices ``B`` of the zeroth-order ODE term ``u' = B u``.
 
     Antilinear coupling encodes ``a = p + iq`` as the symmetric trace-free
     ``[[p, q], [q, -p]]``; the linear coupling with ``a = iq`` gives the skew
     matrix ``q*J^T``.
     """
-    p = cfg.a_samples.real
-    q = cfg.a_samples.imag
-    out = np.empty((cfg.grid_m + 1, 2, 2))
-    if cfg.coupling is Coupling.ANTILINEAR:
+    p = pencil.a_samples.real
+    q = pencil.a_samples.imag
+    out = np.empty((pencil.grid_m + 1, 2, 2))
+    if pencil.coupling is Coupling.ANTILINEAR:
         out[:, 0, 0] = p
         out[:, 0, 1] = q
         out[:, 1, 0] = q
@@ -129,19 +84,14 @@ def coefficient_matrices(cfg):
     return out
 
 
-def _check_angles(s):
-    """Raise :class:`InvalidConfig` unless each boundary angle in ``s`` is in ``[0, 2 pi]``."""
+def boundary_lines(s):
+    """Unit vectors of the boundary lines at ``t = 0`` and ``t = 1``, ``v1`` along
+    the last axis for an array of angles ``s``; each must lie in ``[0, 2 pi]``."""
     s = np.asarray(s, dtype=float)
     outside = ~((s >= 0.0) & (s <= 2.0 * np.pi))
     if outside.any():
         raise InvalidConfig(f"boundary angle {s[outside][0]} outside [0, 2*pi]")
-
-
-def boundary_lines(s):
-    """Unit vectors of the admissible boundary lines at ``t = 0`` and ``t = 1``."""
-    v0 = np.array([1.0, 0.0])
-    v1 = np.array([np.cos(s), -np.sin(s)])
-    return v0, v1
+    return np.array([1.0, 0.0]), np.stack([np.cos(s), -np.sin(s)], axis=-1)
 
 
 def _node_dofs(grid_m, s):
@@ -222,16 +172,16 @@ class DiscretizedOperator:
         return self.stiffness.shape[0]
 
 
-def _element_blocks(cfg):
+def _element_blocks(pencil):
     """Per-element 4x4 blocks of ``K``, ``M`` and ``K2``, stacked.
 
     The first-order part uses the symmetrized weak form, whose boundary
     correction vanishes on the admissible boundary lines, so the assembled
     stiffness is symmetric to machine precision.
     """
-    m_el = cfg.grid_m
+    m_el = pencil.grid_m
     h = 1.0 / m_el
-    c_nodes = -np.einsum("ij,njk->nik", J2, coefficient_matrices(cfg))
+    c_nodes = -np.einsum("ij,njk->nik", J2, coefficient_matrices(pencil))
     cl, cr = c_nodes[:-1], c_nodes[1:]
 
     # symmetrized first-order term (+J/2 above the node diagonal, -J/2 below)
@@ -266,10 +216,10 @@ _BLOCK_ANGLES = 16
 @dataclass(frozen=True, eq=False)
 class FloerPencil:
     """Piecewise-linear element discretization of ``J u' + C(t) u`` for one
-    coefficient, at every boundary angle.
+    coefficient, ``a_samples`` at the :attr:`nodes`, at every boundary angle.
 
-    The element blocks (all the quadrature) are built once.  The angle
-    enters only through the weights of the last dof, so every per-angle
+    The element blocks (all the quadrature) are built once, on first use.  The
+    angle enters only through the weights of the last dof, so every per-angle
     computation reads it from :meth:`border`, that dof's column in closed
     form: :meth:`spectra` and the neighbour profile build no operator per
     angle.  :meth:`at` sums the blocks into a full operator: at angle 0 once,
@@ -279,27 +229,62 @@ class FloerPencil:
     Inf entries raise :class:`InvalidConfig` in :class:`DiscretizedOperator`.
     """
 
-    cfg: FloerConfig
-    blocks: np.ndarray = field(init=False, repr=False)
+    a_samples: np.ndarray
+    grid_m: int
+    coupling: Coupling = Coupling.ANTILINEAR
 
-    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _element_blocks(self.cfg))
+        grid_m = _element_count(self.grid_m)
+        try:
+            coupling = Coupling(self.coupling)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"need a Coupling: {exc}") from None
+        a = np.asarray(self.a_samples, dtype=complex)
+        if a.shape != (grid_m + 1,):
+            raise InvalidConfig(f"need {grid_m + 1} coefficient samples, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidConfig("coefficient samples contain NaN or Inf")
+        if coupling is Coupling.LINEAR_IMAGINARY:
+            scale = max(1.0, float(np.max(np.abs(a))))
+            if float(np.max(np.abs(a.real))) > 1e-12 * scale:
+                raise InvalidConfig(
+                    "linear coupling is symmetric only for purely imaginary a"
+                )
+        object.__setattr__(self, "a_samples", a)
+        object.__setattr__(self, "grid_m", grid_m)
+        object.__setattr__(self, "coupling", coupling)
+
+    @classmethod
+    def zero(cls, grid_m, coupling=Coupling.ANTILINEAR):
+        return cls(np.zeros(_element_count(grid_m) + 1, dtype=complex), grid_m, coupling)
+
+    @classmethod
+    def constant(cls, a, grid_m, coupling=Coupling.ANTILINEAR):
+        return cls(np.full(_element_count(grid_m) + 1, complex(a)), grid_m, coupling)
+
+    @property
+    def nodes(self):
+        return np.linspace(0.0, 1.0, self.grid_m + 1)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def blocks(self):
+        """The element blocks (see :func:`_element_blocks`), on first use."""
+        return _element_blocks(self)
 
     @np.errstate(over="ignore", invalid="ignore")
     def at(self, s):
         """The discretized operator at boundary angle ``s``: the element blocks
         weighted by the dof table at ``s`` and summed."""
-        _check_angles(s)
-        dof, weight = _node_dofs(self.cfg.grid_m, s)
+        dof, weight = _node_dofs(self.grid_m, s)
         return DiscretizedOperator(*(_element_sum(x, dof, weight) for x in self.blocks))
 
     @property
     def border_rows(self):
         """The interior dofs that the last dof's border reaches: the two of
         the last element's left node."""
-        dof, _ = _node_dofs(self.cfg.grid_m, 0.0)
-        return dof[2 * self.cfg.grid_m - 2 : 2 * self.cfg.grid_m]
+        dof, _ = _node_dofs(self.grid_m, 0.0)
+        return dof[2 * self.grid_m - 2 : 2 * self.grid_m]
 
     def border(self, s):
         """The last column of ``K``, ``M`` and ``K2`` (``x`` = 0, 1, 2) at the
@@ -308,9 +293,8 @@ class FloerPencil:
         ``x``.  With ``X`` the last element's block and ``v1 = (cos s, -sin
         s)`` they are ``X[0:2, 2:4] v1`` and ``v1^T X[2:4, 2:4] v1``, bitwise
         the entries that :meth:`at` sums."""
-        _check_angles(s)
+        _, v1 = boundary_lines(s)
         last = self.blocks[:, -1]
-        v1 = np.stack([np.cos(s), -np.sin(s)], axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):
             cols = np.einsum("xij,...j->x...i", last[:, :2, 2:], v1)
             diag = np.einsum("...i,xij,...j->x...", v1, last[:, 2:, 2:], v1)
@@ -342,11 +326,6 @@ class FloerPencil:
         while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
             for si, w in zip(s, _bordered_windows(self.interior, *self.border(s), k_window)):
                 yield floer_spectrum(self.at(si), k_window) if isinstance(w, NoConvergence) else w
-
-
-def assemble_floer_operator(cfg, s):
-    """The discretized operator at boundary angle ``s`` (see :class:`FloerPencil`)."""
-    return FloerPencil(cfg).at(s)
 
 
 #: Relative spacing below which two squared eigenvalues count as degenerate.
@@ -838,7 +817,7 @@ _SCAN_ENTRIES = 1 << 13
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _end_angles(cfg, lams, n_steps):
+def _end_angles(pencil, lams, n_steps):
     """Prufer angle ``theta(1)`` of ``u' = (B(t) - lam J) u``, ``u(0) = (1, 0)``.
 
     With ``u = r (cos theta, sin theta)`` the angle alone obeys ``theta' =
@@ -860,7 +839,7 @@ def _end_angles(cfg, lams, n_steps):
     that raises :class:`InvalidConfig` once the angle is found not finite,
     before the turn bound is checked.
     """
-    b = coefficient_matrices(cfg)
+    b = coefficient_matrices(pencil)
     c0, c1, c2 = (
         0.5 * x
         for x in (b[:, 1, 0] - b[:, 0, 1], b[:, 1, 0] + b[:, 0, 1], b[:, 1, 1] - b[:, 0, 0])
@@ -873,7 +852,7 @@ def _end_angles(cfg, lams, n_steps):
     lams = np.asarray(lams, dtype=float)
     t = (np.arange(n_steps)[:, None] + _MAGNUS_XI) * h
     (x1, x2), (y1, y2), (z1, z2) = (
-        np.interp(t, cfg.nodes, b[:, i, j]).T for i, j in ((0, 0), (0, 1), (1, 0))
+        np.interp(t, pencil.nodes, b[:, i, j]).T for i, j in ((0, 0), (0, 1), (1, 0))
     )
     # B is trace-free, [[x, y], [z, -x]], and so is every term of Omega; the
     # commutator of two such is [[yZ - Yz, 2(xY - yX)], [2(zX - xZ), Yz - yZ]]
@@ -964,10 +943,10 @@ def _rescaled(*entries):
     return [q / scale for q in entries]
 
 
-def shooting_eigenvalues(cfg, queries):
+def shooting_eigenvalues(pencil, queries):
     """Grid-free eigenvalue oracle by shooting from ``t = 0``.
 
-    ``cfg`` gives the coefficient.  Each query ``(s, (lo, hi))`` asks for the
+    ``pencil`` gives the coefficient.  Each query ``(s, (lo, hi))`` asks for the
     eigenvalues in ``[lo, hi]`` at boundary angle ``s``.  ``lam`` is one
     exactly when ``F(lam) = theta(1; lam) + s`` is a multiple of ``pi``, with
     ``theta`` the Prufer angle of ``u``, which does not depend on ``s``.
@@ -981,8 +960,8 @@ def shooting_eigenvalues(cfg, queries):
         if not (np.all(np.isfinite((s, lo, hi))) and lo < hi):
             raise NoRootBracketed(f"malformed query: angle {s}, interval ({lo}, {hi})")
     s, lo, hi = queries.T
-    n_steps = max(1, math.ceil(1024 / cfg.grid_m)) * cfg.grid_m
-    f_lo, f_hi = _end_angles(cfg, np.concatenate([lo, hi]), n_steps).reshape(2, -1) + s
+    n_steps = max(1, math.ceil(1024 / pencil.grid_m)) * pencil.grid_m
+    f_lo, f_hi = _end_angles(pencil, np.concatenate([lo, hi]), n_steps).reshape(2, -1) + s
     multiples = [
         np.arange(math.ceil(fh / np.pi), math.floor(fl / np.pi) + 1) for fl, fh in zip(f_lo, f_hi)
     ]
@@ -1000,7 +979,7 @@ def shooting_eigenvalues(cfg, queries):
             roots = 0.5 * (a + b)
             return [np.sort(roots[owner == q]) for q in range(s.size)]
         x = np.clip(b[act] - gb[act] * (b[act] - a[act]) / (gb[act] - ga[act]), a[act], b[act])
-        gx = _end_angles(cfg, x, n_steps) + s[owner[act]] - targets[act]
+        gx = _end_angles(pencil, x, n_steps) + s[owner[act]] - targets[act]
         to_a, to_b = gx >= 0.0, gx <= 0.0
         # Illinois: halve the value at an end kept twice in a row
         ga[act[~to_a & (side[act] > 0)]] *= 0.5
@@ -1034,6 +1013,8 @@ def spectral_flow(windows):
 
 def _phillips_step(prev, nxt):
     """``N(nxt) - N(prev)`` at the cut of one step (see :func:`spectral_flow`)."""
+    if not (prev.size and nxt.size):
+        raise InvalidConfig("spectral flow needs nonempty eigenvalue windows")
     mag0, mag1 = np.sort(np.abs(prev)), np.sort(np.abs(nxt))
     radius = min(mag0[-1], mag1[-1])
     # 0 and the smaller radius are both levels, so one gap at least
@@ -1092,9 +1073,11 @@ def boundary_projector(s):
     return BoundaryProjector(p)
 
 
-def boundary_coefficient_operator(cfg):
-    """The symmetric zeroth-order coefficient frozen at the two endpoints."""
-    a0, a1 = cfg.a_samples[0], cfg.a_samples[-1]
+def boundary_coefficient_operator(pencil):
+    """``diag(B0, B1)`` on ``(u(0), u(1))``: each end sample ``a = p + iq`` as
+    ``[[p, q], [q, -p]]`` whatever the coupling; under antilinear coupling, the
+    end nodes of :func:`coefficient_matrices` (``B`` of ``u' = B u``, not ``C = -J B``)."""
+    a0, a1 = pencil.a_samples[0], pencil.a_samples[-1]
     out = np.zeros((4, 4))
     for k, a in enumerate((a0, a1)):
         out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [
@@ -1143,12 +1126,12 @@ class CutoffProfile:
 
     @classmethod
     def smoothstep(cls, grid_m):
-        t = np.linspace(0.0, 1.0, grid_m + 1)
+        t = np.linspace(0.0, 1.0, _element_count(grid_m) + 1)
         x = np.clip((t - 0.25) / 0.5, 0.0, 1.0)
         return cls(x * x * (3.0 - 2.0 * x))
 
 
-def cutoff_gauge_U(hat_u, eta, grid_m):
+def cutoff_gauge_U(hat_u, eta):
     """Gauge on grid functions: identity away from ``t = 1``, endpoint block near it.
 
     Acts node by node as ``(1 - eta) I + eta G`` where ``G`` is the
@@ -1157,10 +1140,8 @@ def cutoff_gauge_U(hat_u, eta, grid_m):
     hat_u = np.asarray(hat_u, dtype=float)
     if hat_u.shape != (4, 4):
         raise InvalidConfig("gauge must be a 4x4 boundary operator")
-    if eta.eta.size != grid_m + 1:
-        raise InvalidConfig("cutoff sampling does not match the grid")
     g = hat_u[2:4, 2:4]
-    out = np.zeros((2 * (grid_m + 1), 2 * (grid_m + 1)))
+    out = np.zeros((2 * eta.eta.size, 2 * eta.eta.size))
     for j, e in enumerate(eta.eta):
         out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (1.0 - e) * np.eye(2) + e * g
     return out
@@ -1175,18 +1156,20 @@ def _h1_gram(grid_m):
     return _element_sum(blocks, np.arange(n), np.ones(n)).toarray()
 
 
-def h1_operator_norm(x, grid_m):
-    """Operator norm of a nodal map in the discrete H^1 inner product."""
-    gram = _h1_gram(grid_m)
+def h1_operator_norm(x):
+    """Operator norm of a nodal map (two components per node) in the discrete H^1 inner product."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2 or x.shape[0] < 4:
+        raise InvalidConfig(f"need a square nodal map of even size >= 4, got shape {x.shape}")
+    gram = _h1_gram(x.shape[0] // 2 - 1)
     chol = np.linalg.cholesky(gram)
     conj = chol.T @ x @ np.linalg.solve(chol.T, np.eye(chol.shape[0]))
     return linalg.operator_norm(conj)
 
 
-def domain_subspace(cfg, s):
+def domain_subspace(pencil, s):
     """Constrained grid functions at boundary angle ``s``, as a subspace."""
-    _check_angles(s)
-    dof, weight = _node_dofs(cfg.grid_m, s)
+    dof, weight = _node_dofs(pencil.grid_m, s)
     basis = np.zeros((dof.size, int(dof[-1]) + 1))
     basis[np.arange(dof.size), dof] = weight
     return linalg.Subspace(dof.size, basis)
@@ -1225,9 +1208,9 @@ def rho_continuity_profile(pencil, s_samples):
     oracle.  Built one angle at a time, at most two operators are alive;
     fewer than two angles give no rows.
     """
-    d0 = boundary_coefficient_operator(pencil.cfg)
+    d0 = boundary_coefficient_operator(pencil)
     samples = [float(s) for s in s_samples]
-    block = _border_block(2 * pencil.cfg.grid_m)
+    block = _border_block(2 * pencil.grid_m)
     operators = _mass_normalized_operators(pencil, samples)
     profile, p0, a0, r0 = [], None, None, None
     # next(operators) builds a1 while a0 is alive: two operators at most

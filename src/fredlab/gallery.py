@@ -127,5 +127,8 @@ def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
 
 
 def random_with_spectrum(eigenvalues, seed):
-    """Seeded random operator with exactly the given eigenvalues."""
-    return _haar_conjugate(np.asarray(eigenvalues, dtype=float), generator(seed))
+    """Seeded random operator with exactly the given eigenvalues, a 1-D array."""
+    w = np.asarray(eigenvalues, dtype=float)
+    if w.ndim != 1:
+        raise InvalidSpec(f"need a 1-D spectrum, got shape {w.shape}")
+    return _haar_conjugate(w, generator(seed))

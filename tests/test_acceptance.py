@@ -147,10 +147,10 @@ def test_criterion_7_floer_oracle_agreement():
     for s in ORACLE_ANGLES:
         errs = {}
         for m in (200, 400):
-            cfg = floer.FloerConfig.zero(m)
-            w = floer.floer_spectrum(floer.assemble_floer_operator(cfg, s), 5)
+            pencil = floer.FloerPencil.zero(m)
+            w = floer.floer_spectrum(pencil.at(s), 5)
             (roots,) = floer.shooting_eigenvalues(
-                cfg, [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75))]
+                pencil, [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75))]
             )
             closed_form = np.array(
                 sorted((s + k * np.pi for k in range(-6, 7)), key=abs)[:5]
@@ -167,9 +167,9 @@ def test_criterion_7_floer_oracle_agreement():
 def test_criterion_8_spectral_flow():
     """A full boundary-angle loop produces flow +2, and -2 when reversed."""
     sweep = np.linspace(0.0, 2.0 * np.pi, 128)
-    cfg = floer.FloerConfig.zero(128)
+    pencil = floer.FloerPencil.zero(128)
     windows = [
-        floer.floer_spectrum(floer.assemble_floer_operator(cfg, float(s)), 5) for s in sweep
+        floer.floer_spectrum(pencil.at(float(s)), 5) for s in sweep
     ]
     assert floer.spectral_flow(windows) == 2
     assert floer.spectral_flow(windows[::-1]) == -2
@@ -190,18 +190,18 @@ def test_criterion_9_gauge_suite():
             2.0 * p.matrix - np.eye(4)
         )
         assert linalg.operator_norm(hat - np.eye(4)) <= bound + 1e-12
-        u = floer.cutoff_gauge_U(hat, eta, grid_m)
+        u = floer.cutoff_gauge_U(hat, eta)
         moved = linalg.Subspace.from_spanning(
-            u @ floer.domain_subspace(floer.FloerConfig.zero(grid_m), s).basis
+            u @ floer.domain_subspace(floer.FloerPencil.zero(grid_m), s).basis
         )
-        target = floer.domain_subspace(floer.FloerConfig.zero(grid_m), s + ds)
+        target = floer.domain_subspace(floer.FloerPencil.zero(grid_m), s + ds)
         assert topology.subspace_gap(moved, target) <= 1e-10
     print("ACCEPTANCE 9 PASS: gauge forms, norm bound and domain transport verified")
 
 
 def test_criterion_10_bvp_continuity():
     """Halving the angle step shrinks the Riesz modulus >= 1.5x, jointly with nu."""
-    pencil = floer.FloerPencil(floer.FloerConfig.zero(24))
+    pencil = floer.FloerPencil.zero(24)
     coarse_s = np.linspace(0.3, 1.1, 9)
     fine_s = np.linspace(0.3, 1.1, 17)
     coarse = floer.rho_continuity_profile(pencil, coarse_s)

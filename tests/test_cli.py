@@ -169,7 +169,7 @@ class TestFloerExperiment:
             floer.FloerPencil, "__post_init__", lambda self: pencils.append(self) or real_init(self)
         )
         monkeypatch.setattr(
-            floer, "_element_blocks", lambda cfg: quadratures.append(cfg) or real_blocks(cfg)
+            floer, "_element_blocks", lambda p: quadratures.append(p) or real_blocks(p)
         )
         monkeypatch.setattr(
             floer.FloerPencil, "at", lambda self, s: assembled.append(s) or real_at(self, s)
@@ -198,8 +198,8 @@ class TestFloerExperiment:
     def test_neighbour_rows_are_the_continuity_profile(self):
         rows = [r for r in cli.run_floer(grid_m=24, s_count=16) if r.metric.endswith("_neighbor")]
         sweep = np.linspace(0.0, 2.0 * np.pi, 16)[:5].tolist()
-        cfg = floer.FloerConfig(np.zeros(25, dtype=complex), 24)
-        profile = floer.rho_continuity_profile(floer.FloerPencil(cfg), sweep)
+        pencil = floer.FloerPencil(np.zeros(25, dtype=complex), 24)
+        profile = floer.rho_continuity_profile(pencil, sweep)
         assert [r.value for r in rows] == [v for m in profile for v in m]
         assert [r.metric for r in rows] == ["nu_neighbor", "rho_neighbor", "gamma_neighbor"] * 4
         for k, r in enumerate(rows):

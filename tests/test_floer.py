@@ -26,9 +26,7 @@ from fredlab.floer import (
     Coupling,
     CutoffProfile,
     DiscretizedOperator,
-    FloerConfig,
     FloerPencil,
-    assemble_floer_operator,
     boundary_coefficient_operator,
     boundary_lines,
     boundary_projector,
@@ -54,22 +52,23 @@ def ladder(s, count):
 class TestConfig:
     def test_too_few_elements(self):
         with pytest.raises(InvalidConfig):
-            FloerConfig.zero(4)
+            FloerPencil.zero(4)
 
     def test_fields_are_the_coefficient_alone(self):
-        names = [f.name for f in dataclasses.fields(FloerConfig)]
+        names = [f.name for f in dataclasses.fields(FloerPencil)]
         assert names == ["a_samples", "grid_m", "coupling"]
 
     @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
-    @pytest.mark.parametrize("reader", ["at", "spectra", "assemble", "domain"])
+    @pytest.mark.parametrize("reader", ["at", "spectra", "assemble", "domain", "projector"])
     def test_every_reader_checks_the_angle(self, reader, bad):
         # the angle is an argument of each call that reads one member
-        cfg = FloerConfig.zero(16)
+        pencil = FloerPencil.zero(16)
         read = {
-            "at": lambda: FloerPencil(cfg).at(bad),
-            "spectra": lambda: list(FloerPencil(cfg).spectra([0.1, 0.2, bad, 0.3], 5)),
-            "assemble": lambda: assemble_floer_operator(cfg, bad),
-            "domain": lambda: domain_subspace(cfg, bad),
+            "at": lambda: pencil.at(bad),
+            "spectra": lambda: list(pencil.spectra([0.1, 0.2, bad, 0.3], 5)),
+            "assemble": lambda: pencil.at(bad),
+            "domain": lambda: domain_subspace(pencil, bad),
+            "projector": lambda: boundary_projector(bad),
         }[reader]
         with pytest.raises(InvalidConfig, match="outside"):
             read()
@@ -77,73 +76,74 @@ class TestConfig:
     def test_coupling_is_coerced_to_the_enum(self):
         # the string used to fall through to the linear branch unnoticed
         samples = np.full(17, 1.5 - 0.7j)
-        cfg = FloerConfig(samples, 16, coupling="antilinear")
-        assert cfg.coupling is Coupling.ANTILINEAR
-        want = assemble_floer_operator(FloerConfig(samples, 16), 1.0).stiffness
-        got = assemble_floer_operator(cfg, 1.0).stiffness
+        pencil = FloerPencil(samples, 16, coupling="antilinear")
+        assert pencil.coupling is Coupling.ANTILINEAR
+        want = FloerPencil(samples, 16).at(1.0).stiffness
+        got = pencil.at(1.0).stiffness
         assert np.array_equal(got.toarray(), want.toarray())
         # and the string reaches the symmetry check of the linear coupling
         with pytest.raises(InvalidConfig, match="purely imaginary"):
-            FloerConfig(samples, 16, coupling="linear_imaginary")
+            FloerPencil(samples, 16, coupling="linear_imaginary")
 
     def test_unknown_coupling(self):
         with pytest.raises(InvalidConfig, match="not a valid Coupling"):
-            FloerConfig.constant(0.5, 16, coupling="nonsense")
+            FloerPencil.constant(0.5, 16, coupling="nonsense")
 
     @pytest.mark.parametrize("grid_m", [8.0, "8", None])
     def test_grid_must_be_an_integer(self, grid_m):
         with pytest.raises(InvalidConfig, match="integer"):
-            FloerConfig(np.zeros(9, dtype=complex), grid_m)
+            FloerPencil(np.zeros(9, dtype=complex), grid_m)
 
     @pytest.mark.parametrize("grid_m", [8.0, "8", None])
-    @pytest.mark.parametrize("factory", ["zero", "constant"])
+    @pytest.mark.parametrize("factory", ["zero", "constant", "smoothstep"])
     def test_factories_check_the_grid_before_sizing(self, factory, grid_m):
         # the factories size the samples from grid_m, so they check it first
         make = {
-            "zero": lambda: FloerConfig.zero(grid_m),
-            "constant": lambda: FloerConfig.constant(0.5, grid_m),
+            "zero": lambda: FloerPencil.zero(grid_m),
+            "constant": lambda: FloerPencil.constant(0.5, grid_m),
+            "smoothstep": lambda: CutoffProfile.smoothstep(grid_m),
         }[factory]
         with pytest.raises(InvalidConfig, match="integer"):
             make()
 
     def test_numpy_integer_grid(self):
-        cfg = FloerConfig(np.zeros(9, dtype=complex), np.int64(8))
-        assert type(cfg.grid_m) is int and cfg.grid_m == 8
+        pencil = FloerPencil(np.zeros(9, dtype=complex), np.int64(8))
+        assert type(pencil.grid_m) is int and pencil.grid_m == 8
 
     def test_sample_count_mismatch(self):
         with pytest.raises(InvalidConfig):
-            FloerConfig(np.zeros(10, dtype=complex), 16)
+            FloerPencil(np.zeros(10, dtype=complex), 16)
 
     def test_linear_coupling_needs_imaginary(self):
         with pytest.raises(InvalidConfig):
-            FloerConfig.constant(1.0, 16, coupling=Coupling.LINEAR_IMAGINARY)
-        FloerConfig.constant(0.7j, 16, coupling=Coupling.LINEAR_IMAGINARY)
+            FloerPencil.constant(1.0, 16, coupling=Coupling.LINEAR_IMAGINARY)
+        FloerPencil.constant(0.7j, 16, coupling=Coupling.LINEAR_IMAGINARY)
 
     def test_coefficient_encoding(self):
-        cfg = FloerConfig.constant(1.0, 8)
-        mats = floer.coefficient_matrices(cfg)
+        pencil = FloerPencil.constant(1.0, 8)
+        mats = floer.coefficient_matrices(pencil)
         for m in mats:
             np.testing.assert_allclose(m, [[1.0, 0.0], [0.0, -1.0]])
-        cfg = FloerConfig.constant(2.0 + 3.0j, 8)
+        pencil = FloerPencil.constant(2.0 + 3.0j, 8)
         np.testing.assert_allclose(
-            floer.coefficient_matrices(cfg)[0], [[2.0, 3.0], [3.0, -2.0]]
+            floer.coefficient_matrices(pencil)[0], [[2.0, 3.0], [3.0, -2.0]]
         )
 
     def test_linear_coupling_encoding(self):
-        cfg = FloerConfig.constant(0.5j, 8, coupling=Coupling.LINEAR_IMAGINARY)
+        pencil = FloerPencil.constant(0.5j, 8, coupling=Coupling.LINEAR_IMAGINARY)
         np.testing.assert_allclose(
-            floer.coefficient_matrices(cfg)[0], [[0.0, 0.5], [-0.5, 0.0]]
+            floer.coefficient_matrices(pencil)[0], [[0.0, 0.5], [-0.5, 0.0]]
         )
 
 
 class TestAssembly:
     def test_stiffness_symmetric(self):
-        for cfg, s in (
-            (FloerConfig.zero(8), 0.0),
-            (FloerConfig.constant(1.0 - 2.0j, 16), 2.0),
-            (FloerConfig.constant(0.3j, 12, coupling=Coupling.LINEAR_IMAGINARY), 1.0),
+        for pencil, s in (
+            (FloerPencil.zero(8), 0.0),
+            (FloerPencil.constant(1.0 - 2.0j, 16), 2.0),
+            (FloerPencil.constant(0.3j, 12, coupling=Coupling.LINEAR_IMAGINARY), 1.0),
         ):
-            op = assemble_floer_operator(cfg, s)
+            op = pencil.at(s)
             assert linalg.symmetry_defect(op.stiffness.toarray()) <= 1e-12
             assert linalg.symmetry_defect(op.square_stiffness.toarray()) <= 1e-12
             # the pencil stays banded: three nodes' worth of couplings per row
@@ -163,11 +163,11 @@ class TestAssembly:
             samples = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
         else:
             samples = np.full(m + 1, complex(a))
-        cfg = FloerConfig(samples, m)
-        op = assemble_floer_operator(cfg, s)
+        pencil = FloerPencil(samples, m)
+        op = pencil.at(s)
         n = 2 * (m + 1)
         monkeypatch.setattr(floer, "_node_dofs", lambda grid_m, s: (np.arange(n), np.ones(n)))
-        full = assemble_floer_operator(cfg, s)
+        full = pencil.at(s)
         v0, v1 = boundary_lines(s)
         r = np.zeros((n, n - 2))
         r[0:2, 0], r[-2:, -1] = v0, v1
@@ -182,21 +182,21 @@ class TestAssembly:
             assert np.all(x.data != 0.0)
 
     def test_nnz_at_grid_400(self):
-        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 400), 1.0)
+        op = FloerPencil.constant(0.3 + 0.2j, 400).at(1.0)
         assert (op.stiffness.nnz, op.mass.nnz, op.square_stiffness.nnz) == (4790, 2398, 2398)
 
     def test_dof_count(self):
         for m in (8, 33):
-            op = assemble_floer_operator(FloerConfig.zero(m), 1.0)
+            op = FloerPencil.zero(m).at(1.0)
             assert op.dim == 2 * (m + 1) - 2
 
     def test_mass_positive_definite(self):
-        op = assemble_floer_operator(FloerConfig.zero(16), 0.5)
+        op = FloerPencil.zero(16).at(0.5)
         w = np.linalg.eigvalsh(op.mass.toarray())
         assert np.min(w) > 0.0
 
     def test_mass_normalized_operator(self):
-        op = assemble_floer_operator(FloerConfig.zero(16), 0.5)
+        op = FloerPencil.zero(16).at(0.5)
         a = mass_normalized(op)
         # same pencil spectrum, computed through the unsymmetric product
         mass = op.mass.toarray()
@@ -216,14 +216,14 @@ class TestAssembly:
 def _case(kind, m=12):
     """One coefficient of each kind."""
     if kind == "zero":
-        return FloerConfig.zero(m)
+        return FloerPencil.zero(m)
     if kind == "constant":
-        return FloerConfig.constant(0.3 + 0.2j, m)
+        return FloerPencil.constant(0.3 + 0.2j, m)
     if kind == "random":
         rng = np.random.default_rng(5)
-        return FloerConfig(rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1), m)
+        return FloerPencil(rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1), m)
     q = 1.5 * np.cos(np.linspace(0.0, 3.0, m + 1))
-    return FloerConfig(1j * q, m, coupling=Coupling.LINEAR_IMAGINARY)
+    return FloerPencil(1j * q, m, coupling=Coupling.LINEAR_IMAGINARY)
 
 
 class TestFloerPencil:
@@ -233,14 +233,14 @@ class TestFloerPencil:
         # each constrained matrix is R^T X R, X the unassembled element blocks
         # and R the weighted dof table: entry (X_e[a, b] * w_a) * w_b summed
         # element by element, here through scipy's COO -> CSC route
-        cfg = _case(kind)
-        op = FloerPencil(cfg).at(s)
-        dof, weight = floer._node_dofs(cfg.grid_m, s)
-        coords = 2 * np.arange(cfg.grid_m)[:, None] + np.arange(4)
+        pencil = _case(kind)
+        op = pencil.at(s)
+        dof, weight = floer._node_dofs(pencil.grid_m, s)
+        coords = 2 * np.arange(pencil.grid_m)[:, None] + np.arange(4)
         d, w = dof[coords], weight[coords]
         rows, cols = np.broadcast_arrays(d[:, :, None], d[:, None, :])
         fields = ("stiffness", "mass", "square_stiffness")
-        for field, blocks in zip(fields, floer._element_blocks(cfg)):
+        for field, blocks in zip(fields, floer._element_blocks(pencil)):
             values = (blocks * w[:, :, None]) * w[:, None, :]
             want = scipy.sparse.coo_array(
                 (values.ravel(), (rows.ravel(), cols.ravel())), shape=(op.dim, op.dim)
@@ -251,14 +251,14 @@ class TestFloerPencil:
                 np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
             # exact cancellations leave no stored zeros behind
             assert np.all(got.data != 0.0)
-        direct = assemble_floer_operator(cfg, s)
+        direct = pencil.at(s)
         for field in fields:
             assert np.array_equal(getattr(direct, field).data, getattr(op, field).data)
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "random", "linear"])
     def test_border_is_the_assembled_last_column(self, kind):
         # the closed form of each angle's border against the element sum of at
-        pencil = FloerPencil(_case(kind))
+        pencil = _case(kind)
         angles = np.array([0.0, 0.4, np.pi / 2.0, np.pi, 4.4, 2.0 * np.pi])
         cols, diag = pencil.border(angles)
         assert cols.shape == (3, angles.size, 2) and diag.shape == (3, angles.size)
@@ -274,12 +274,17 @@ class TestFloerPencil:
                 np.testing.assert_array_equal(one_cols[x], cols[x, a])
                 assert one_diag[x] == diag[x, a]
 
+    def test_shooting_builds_no_element_blocks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(floer, "_element_blocks", lambda pencil: calls.append(pencil))
+        (roots,) = shooting_eigenvalues(FloerPencil.zero(16), [(1.0, (-2.0, 2.0))])
+        assert roots.size and calls == []
+
     def test_quadrature_runs_once_per_pencil(self, monkeypatch):
         calls = []
         real = floer.coefficient_matrices
-        monkeypatch.setattr(floer, "coefficient_matrices", lambda cfg: calls.append(cfg) or real(cfg))
-        cfg = FloerConfig.constant(0.3 + 0.2j, 16)
-        pencil = FloerPencil(cfg)
+        monkeypatch.setattr(floer, "coefficient_matrices", lambda p: calls.append(p) or real(p))
+        pencil = FloerPencil.constant(0.3 + 0.2j, 16)
         for s in np.linspace(0.0, 2.0 * np.pi, 9):
             pencil.at(float(s))
         assert len(calls) == 1
@@ -289,12 +294,12 @@ class TestFloerPencil:
         assert calls == []
 
     def test_every_angle_is_checked(self):
-        pencil = FloerPencil(FloerConfig.zero(8))
+        pencil = FloerPencil.zero(8)
         with pytest.raises(InvalidConfig, match="outside"):
             pencil.at(7.0)
 
     def test_overflowing_coefficient_raises_at_every_angle(self):
-        pencil = FloerPencil(FloerConfig.constant(1e308 + 1e308j, 16))
+        pencil = FloerPencil.constant(1e308 + 1e308j, 16)
         for s in (0.0, 1.0):
             with pytest.raises(InvalidConfig, match="NaN or Inf"):
                 pencil.at(s)
@@ -304,7 +309,7 @@ class TestValidatorRoutes:
     # symmetry is read off the CSC arrays when the pattern is symmetric and
     # canonical, and from the sparse difference otherwise
     def _dense(self):
-        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 8), 1.0)
+        op = FloerPencil.constant(0.3 + 0.2j, 8).at(1.0)
         return op.stiffness.toarray(), op.mass.toarray(), op.square_stiffness.toarray()
 
     def test_asymmetric_pattern(self):
@@ -343,13 +348,13 @@ class TestValidatorRoutes:
 
 class TestSpectrum:
     def test_kernel_at_zero_angle(self):
-        op = assemble_floer_operator(FloerConfig.zero(32), 0.0)
+        op = FloerPencil.zero(32).at(0.0)
         w = floer_spectrum(op, 3)
         assert np.min(np.abs(w)) <= 1e-10
 
     @pytest.mark.parametrize("s", [0.5, 1.0, np.pi, 5.0])
     def test_matches_rotation_ladder(self, s):
-        op = assemble_floer_operator(FloerConfig.zero(64), s)
+        op = FloerPencil.zero(64).at(s)
         w = floer_spectrum(op, 5)
         np.testing.assert_allclose(w, ladder(s, 5), atol=1e-4)
 
@@ -357,38 +362,38 @@ class TestSpectrum:
         s = 1.0
         errs = []
         for m in (32, 64):
-            w = floer_spectrum(assemble_floer_operator(FloerConfig.zero(m), s), 5)
+            w = floer_spectrum(FloerPencil.zero(m).at(s), 5)
             errs.append(np.max(np.abs(w - ladder(s, 5))))
         assert errs[1] <= errs[0] / 2.0
 
     def test_s_periodicity(self):
         s = 0.8
-        w1 = floer_spectrum(assemble_floer_operator(FloerConfig.zero(64), s), 4)
-        w2 = floer_spectrum(assemble_floer_operator(FloerConfig.zero(64), s + np.pi), 4)
+        w1 = floer_spectrum(FloerPencil.zero(64).at(s), 4)
+        w2 = floer_spectrum(FloerPencil.zero(64).at(s + np.pi), 4)
         np.testing.assert_allclose(w1, w2, atol=1e-6)
 
     def test_agrees_with_shooting_for_nonconstant_a(self):
         samples = (0.8 + 0.4j) * np.sin(np.pi * np.linspace(0.0, 1.0, 65))
-        cfg, s = FloerConfig(samples, 64), 1.3
-        w = floer_spectrum(assemble_floer_operator(cfg, s), 3)
-        (roots,) = shooting_eigenvalues(cfg, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
+        pencil, s = FloerPencil(samples, 64), 1.3
+        w = floer_spectrum(pencil.at(s), 3)
+        (roots,) = shooting_eigenvalues(pencil, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(w, roots, atol=5e-3)
 
     def test_linear_coupling_shifts_the_ladder(self):
         # for a = iq constant the system is a pure rotation at speed q + lam,
         # so the eigenvalues are {s - q + k*pi}
         s, q = 1.0, 0.7
-        cfg = FloerConfig.constant(1j * q, 64, coupling=Coupling.LINEAR_IMAGINARY)
-        w = floer_spectrum(assemble_floer_operator(cfg, s), 5)
+        pencil = FloerPencil.constant(1j * q, 64, coupling=Coupling.LINEAR_IMAGINARY)
+        w = floer_spectrum(pencil.at(s), 5)
         np.testing.assert_allclose(w, ladder(s - q, 5), atol=1e-4)
-        (roots,) = shooting_eigenvalues(cfg, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
+        (roots,) = shooting_eigenvalues(pencil, [(s, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(roots, ladder(s - q, 5), atol=1e-8)
 
     @pytest.mark.parametrize("window", [2.5, 5.0, "5", None])
     @pytest.mark.parametrize("route", ["spectra", "dense"])
     def test_window_size_must_be_an_integer(self, route, window):
         # a window is counted, so 2.5 is an error, not a window of 2
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         read = {
             "spectra": lambda: list(pencil.spectra([0.1], window)),
             "dense": lambda: floer_spectrum(pencil.at(0.1), window),
@@ -403,12 +408,12 @@ class TestSpectrum:
 
         monkeypatch.setattr(floer, "_interior_pairs", refused)
         with pytest.raises(InvalidConfig, match="window size"):
-            next(FloerPencil(FloerConfig.zero(16)).spectra([0.5], window))
+            next(FloerPencil.zero(16).spectra([0.5], window))
 
     def test_large_grid_path_deterministic_and_consistent(self):
         # the pencil's windows come from secular roots on the interior
         # eigenpairs; they must reproduce themselves and the dense route
-        pencil = FloerPencil(FloerConfig.zero(128))
+        pencil = FloerPencil.zero(128)
         (w1,) = pencil.spectra([0.8], 5)
         (w2,) = pencil.spectra([0.8], 5)
         np.testing.assert_array_equal(w1, w2)
@@ -417,7 +422,7 @@ class TestSpectrum:
     def test_full_window_from_the_secular_roots(self):
         # the secular route needs no slack beyond the window: a full window
         # takes every root, the one above the last interior eigenvalue too
-        pencil = FloerPencil(FloerConfig.zero(101))
+        pencil = FloerPencil.zero(101)
         op = pencil.at(0.8)
         (w,) = pencil.spectra([0.8], op.dim)
         np.testing.assert_array_equal(w, next(pencil.spectra([0.8], op.dim)))
@@ -439,8 +444,8 @@ class TestSpectrum:
         return calls
 
     def test_dense_window_is_one_solve(self, monkeypatch):
-        cfg = FloerConfig.constant(1.5 - 0.7j, 48)
-        op = assemble_floer_operator(cfg, 1.0)
+        pencil = FloerPencil.constant(1.5 - 0.7j, 48)
+        op = pencil.at(1.0)
         calls = self._count_full_solves(monkeypatch, op.dim)
         w = floer_spectrum(op, 5)
         assert calls == [(0, 10)]
@@ -451,7 +456,7 @@ class TestSpectrum:
         )
         ritz = scipy.linalg.eigvalsh(vecs.T @ (op.stiffness @ vecs), vecs.T @ (op.mass @ vecs))
         np.testing.assert_allclose(w, np.sort(sorted(ritz, key=abs)[:5]), rtol=0.0, atol=1e-12)
-        (roots,) = shooting_eigenvalues(cfg, [(1.0, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
+        (roots,) = shooting_eigenvalues(pencil, [(1.0, (float(w[0] - 0.4), float(w[-1] + 0.4)))])
         np.testing.assert_allclose(w, roots, atol=1e-2)
 
     def test_degenerate_slack_widens_the_subset(self, monkeypatch):
@@ -479,7 +484,7 @@ class TestSpectrum:
     def test_mirror_tie_takes_the_negative_value(self, s, k_window):
         # a = 0 puts s + k*pi at the window's edge as a +-lam pair: both
         # routes keep the negative one, whichever roundoff made smaller
-        pencil = FloerPencil(FloerConfig.zero(8))
+        pencil = FloerPencil.zero(8)
         (w,) = pencil.spectra([s], k_window)
         np.testing.assert_allclose(
             w, floer_spectrum(pencil.at(s), k_window), rtol=0.0, atol=1e-12
@@ -489,7 +494,7 @@ class TestSpectrum:
     def test_dropped_eigenpair_is_counted(self, monkeypatch):
         # a lost secular root would shift the window silently; the inertia
         # count at the cut sees one value more than the block
-        pencil = FloerPencil(FloerConfig.zero(128))
+        pencil = FloerPencil.zero(128)
         op = pencil.at(0.8)
         real_roots = floer._secular_roots
         calls = []
@@ -512,7 +517,7 @@ class TestSpectrum:
         # for a = 0 with the end lines parallel, half the interior modes do
         # not reach the last dof: their couplings are rounding noise and
         # deflate to exact eigenpairs of the interior
-        pencil = FloerPencil(FloerConfig.zero(grid_m))
+        pencil = FloerPencil.zero(grid_m)
         real_roots = floer._secular_roots
         poles = []
 
@@ -541,9 +546,8 @@ class TestSpectrum:
         return calls
 
     def test_one_interior_solve_per_coefficient(self, monkeypatch):
-        cfg = FloerConfig(smooth_coefficient(3, 24), 24)
+        pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         calls = self._count_interior_solves(monkeypatch, 2 * 24)
-        pencil = FloerPencil(cfg)
         windows = list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
         assert len(calls) == 1
         assert spectral_flow(windows) == 2
@@ -581,7 +585,7 @@ class TestSmoothSweep:
     def family(self):
         # the route run_floer takes: one pencil, secular windows per angle
         a = smooth_coefficient(6, self.GRID)
-        pencil = FloerPencil(FloerConfig(a, self.GRID))
+        pencil = FloerPencil(a, self.GRID)
         return a, list(pencil.spectra(self.SWEEP, 5))
 
     def test_every_window_matches_shooting(self, family):
@@ -589,7 +593,7 @@ class TestSmoothSweep:
         queries = [
             (float(s), (float(w[0] - 0.3), float(w[-1] + 0.3))) for s, w in zip(self.SWEEP, windows)
         ]
-        roots = shooting_eigenvalues(FloerConfig(a, self.GRID), queries)
+        roots = shooting_eigenvalues(FloerPencil(a, self.GRID), queries)
         for s, w, r in zip(self.SWEEP, windows, roots):
             assert r.size == 5, f"s = {s}: oracle finds {r}, window {w}"
             np.testing.assert_allclose(w, r, rtol=0.0, atol=1e-5, err_msg=f"s = {s}")
@@ -608,7 +612,7 @@ class TestBlockRoute:
     def test_mixed_block_matches_the_dense_route(self, grid_m):
         # s = 0, pi and 2 pi deflate half the interior modes for a = 0, so the
         # block holds two masks of coupled modes
-        pencil = FloerPencil(FloerConfig.zero(grid_m))
+        pencil = FloerPencil.zero(grid_m)
         angles = [0.0, 0.3, np.pi, 1.7, 2.0 * np.pi, np.pi / 2.0, 5.0, 0.0]
         for s, w in zip(angles, pencil.spectra(angles, 5)):
             np.testing.assert_allclose(
@@ -617,7 +621,7 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("k_window", [2, 4, 5])
     def test_mirror_ties_inside_a_block(self, k_window):
-        pencil = FloerPencil(FloerConfig.zero(8))
+        pencil = FloerPencil.zero(8)
         angles = [0.4, 0.0, np.pi / 2.0, np.pi, 2.5, 2.0 * np.pi]
         for s, w in zip(angles, pencil.spectra(angles, k_window)):
             np.testing.assert_allclose(
@@ -626,7 +630,7 @@ class TestBlockRoute:
 
     def test_window_does_not_depend_on_its_block(self, monkeypatch):
         monkeypatch.setattr(floer, "_BLOCK_ANGLES", 64)
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 48), 48))
+        pencil = FloerPencil(smooth_coefficient(3, 48), 48)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         block = list(pencil.spectra(sweep, 5))
         for s, w in zip(sweep, block):
@@ -636,7 +640,7 @@ class TestBlockRoute:
         # at a degeneracy tolerance between the smallest and the next relative
         # widest gap of the slack, one angle alone sees no open gap; the dense
         # route widens its subset, the secular solve is not repeated
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 12), 12))
+        pencil = FloerPencil(smooth_coefficient(3, 12), 12)
         pencil.interior  # its own call of at comes before the count
         angles = np.linspace(0.1, 6.0, 8)
         ratios = []
@@ -670,7 +674,7 @@ class TestBlockRoute:
             )
 
     def test_at_runs_only_for_the_interior_and_fallbacks(self, monkeypatch):
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 24), 24))
+        pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         real_at = FloerPencil.at
         built = []
 
@@ -694,7 +698,7 @@ class TestBlockRoute:
     def test_failed_secular_solve_sends_its_group_to_the_dense_route(self, monkeypatch):
         # the angles of a group share their poles, so a failed solve is not
         # retried per angle: every angle of the group takes the dense route
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         pencil.interior  # its own call of at comes before the count
         angles = [0.3, 1.1, 2.0, 4.4, 5.5]
         calls, built = [], []
@@ -719,12 +723,12 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
     def test_angle_outside_the_loop_inside_a_block(self, bad):
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         with pytest.raises(InvalidConfig, match="outside"):
             list(pencil.spectra([0.1, 0.2, bad, 0.3], 5))
 
     def test_border_checks(self):
-        interior = FloerPencil(FloerConfig.zero(16)).interior
+        interior = FloerPencil.zero(16).interior
         cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidConfig, match="NaN or Inf"):
             floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5)
@@ -742,7 +746,7 @@ class TestInteriorInertia:
     @pytest.mark.parametrize("cut", [0.49, 3.61, 10.89])
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_count_matches_the_dense_count(self, a, cut):
-        pencil = FloerPencil(FloerConfig.constant(a, 48))
+        pencil = FloerPencil.constant(a, 48)
         interior = pencil.interior
         neg, g = floer._interior_inertia(interior, cut)
         for s in np.linspace(0.0, 2.0 * np.pi, 41):
@@ -767,7 +771,7 @@ class TestInteriorInertia:
         return cuts
 
     def test_a_sweep_shares_its_factorizations(self, monkeypatch):
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 24), 24))
+        pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         pencil.interior
         cuts = self._count_factorizations(monkeypatch)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
@@ -787,7 +791,7 @@ class TestInteriorInertia:
         # for const:1.5,-0.7 at grid 48 the interior eigenvalue of the cut's
         # gap lies above the cut at about half the angles: there sigma < 0
         # counts the last value below the cut, and no window falls back
-        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, 48))
+        pencil = FloerPencil.constant(1.5 - 0.7j, 48)
         pencil.interior
         real_at = FloerPencil.at
         built = []
@@ -825,7 +829,7 @@ class TestInteriorInertia:
     ):
         # for a = 0 at 0.1 and 1.5 no middle of a cut gap of one angle lies in
         # the middle half of an open gap of the other
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         ops = [pencil.at(s) for s in angles]
         fields = [(op.stiffness, op.mass, op.square_stiffness) for op in ops]
         cols = np.stack([[x[:-1, [-1]].toarray()[:, 0] for x in f] for f in fields], axis=1)
@@ -840,7 +844,7 @@ class TestInteriorInertia:
 
 class TestDiscretizedOperator:
     def _pencil(self):
-        op = assemble_floer_operator(FloerConfig.constant(0.3 + 0.2j, 8), 1.0)
+        op = FloerPencil.constant(0.3 + 0.2j, 8).at(1.0)
         return op.stiffness.toarray(), op.mass.toarray(), op.square_stiffness.toarray()
 
     def test_dense_input_is_stored_sparse(self):
@@ -879,17 +883,17 @@ class TestDiscretizedOperator:
         with pytest.raises(InvalidConfig):
             DiscretizedOperator(k, m, k2)
         # a coefficient near the float limit overflows the squared form
-        cfg = FloerConfig.constant(1e308 + 1e308j, 16)
+        pencil = FloerPencil.constant(1e308 + 1e308j, 16)
         with pytest.raises(InvalidConfig):
-            assemble_floer_operator(cfg, 1.0)
+            pencil.at(1.0)
 
 
 class TestShooting:
     # for a = 0 the Prufer angle is theta(1; lam) = -lam exactly, so the
     # roots are the closed-form ladder {s + k*pi}
     def test_rotation_roots(self):
-        cfg = FloerConfig.zero(16)
-        (roots,) = shooting_eigenvalues(cfg, [(np.pi / 2.0, (-2.0, 2.0))])
+        pencil = FloerPencil.zero(16)
+        (roots,) = shooting_eigenvalues(pencil, [(np.pi / 2.0, (-2.0, 2.0))])
         np.testing.assert_allclose(
             roots, [-1.5707963267948966, 1.5707963267948966], rtol=0.0, atol=1e-11
         )
@@ -899,19 +903,19 @@ class TestShooting:
             (1.0, (-8.0, 8.0), (-2, -1, 0, 1, 2)),
             (np.pi, (-4.0, 4.0), (-2, -1, 0)),
         ):
-            (roots,) = shooting_eigenvalues(FloerConfig.zero(16), [(s, interval)])
+            (roots,) = shooting_eigenvalues(FloerPencil.zero(16), [(s, interval)])
             np.testing.assert_allclose(
                 roots, sorted(s + k * np.pi for k in ks), rtol=0.0, atol=1e-11
             )
 
     def test_grid_free(self):
-        (r1,) = shooting_eigenvalues(FloerConfig.zero(8), [(2.0, (-2.0, 4.0))])
-        (r2,) = shooting_eigenvalues(FloerConfig.zero(64), [(2.0, (-2.0, 4.0))])
+        (r1,) = shooting_eigenvalues(FloerPencil.zero(8), [(2.0, (-2.0, 4.0))])
+        (r2,) = shooting_eigenvalues(FloerPencil.zero(64), [(2.0, (-2.0, 4.0))])
         np.testing.assert_allclose(r1, r2, atol=1e-9)
 
     def test_empty_result_is_legal(self):
-        cfg = FloerConfig.zero(16)
-        assert shooting_eigenvalues(cfg, [(1.5, (1.6, 2.0))])[0].size == 0
+        pencil = FloerPencil.zero(16)
+        assert shooting_eigenvalues(pencil, [(1.5, (1.6, 2.0))])[0].size == 0
 
     @pytest.mark.parametrize("coupling", list(Coupling))
     def test_angle_matches_vector_integration(self, coupling):
@@ -922,13 +926,13 @@ class TestShooting:
             samples = (0.8 + 0.4j) * np.sin(np.pi * t) + 0.5 * t
         else:
             samples = 1j * (0.7 + np.cos(3.0 * t))
-        cfg = FloerConfig(samples, 16, coupling=coupling)
-        b = floer.coefficient_matrices(cfg)
+        pencil = FloerPencil(samples, 16, coupling=coupling)
+        b = floer.coefficient_matrices(pencil)
         lams = np.array([-25.0, -3.0, -0.4, 0.0, 1.7, 5.0, 25.0])
         expected = []
         for lam in lams:
             def rhs(x, u):
-                bx = np.array([np.interp(x, cfg.nodes, c) for c in b.reshape(-1, 4).T])
+                bx = np.array([np.interp(x, pencil.nodes, c) for c in b.reshape(-1, 4).T])
                 return (bx.reshape(2, 2) - lam * floer.J2) @ u
 
             sol = scipy.integrate.solve_ivp(
@@ -937,7 +941,7 @@ class TestShooting:
             )
             expected.append(np.unwrap(np.arctan2(sol.y[1], sol.y[0]))[-1])
         np.testing.assert_allclose(
-            floer._end_angles(cfg, lams, 1024), expected, rtol=0.0, atol=1e-9
+            floer._end_angles(pencil, lams, 1024), expected, rtol=0.0, atol=1e-9
         )
 
     def test_close_pair_is_counted(self):
@@ -945,26 +949,26 @@ class TestShooting:
         # must find both, however close they are
         t = np.linspace(0.0, 1.0, 65)
         samples = 14.0 * np.tanh(40.0 * (t - 0.25)) * np.tanh(40.0 * (t - 0.75))
-        cfg = FloerConfig(samples, 64)
-        (roots,) = shooting_eigenvalues(cfg, [(1.3, (-0.52, 0.48))])
+        pencil = FloerPencil(samples, 64)
+        (roots,) = shooting_eigenvalues(pencil, [(1.3, (-0.52, 0.48))])
         assert roots.size == 2
-        w = floer_spectrum(assemble_floer_operator(cfg, 1.3), 2)
+        w = floer_spectrum(pencil.at(1.3), 2)
         np.testing.assert_allclose(roots, w, atol=2e-3)
 
     def test_stiff_coefficient_is_rejected(self):
         # 2 |a| dt past the coefficient bound 2.785 is refused, not trusted
         for a in (1500.0, 1e150):
             with pytest.raises(SamplingTooCoarse):
-                shooting_eigenvalues(FloerConfig.constant(a, 16), [(1.0, (-1.0, 1.0))])
-        cfg = FloerConfig.constant(1000.0, 16)
-        assert shooting_eigenvalues(cfg, [(1.0, (-1.0, 1.0))])[0].size == 0
+                shooting_eigenvalues(FloerPencil.constant(a, 16), [(1.0, (-1.0, 1.0))])
+        pencil = FloerPencil.constant(1000.0, 16)
+        assert shooting_eigenvalues(pencil, [(1.0, (-1.0, 1.0))])[0].size == 0
 
     def test_turn_past_pi_in_one_step_is_rejected(self):
         # at 1024 steps and a = 0 one step turns u by |lam| / 1024, past pi
         # near |lam| = 3217, where the wrapped increments would miscount
         with pytest.raises(SamplingTooCoarse):
-            shooting_eigenvalues(FloerConfig.zero(16), [(1.0, (-5000.0, 5000.0))])
-        (roots,) = shooting_eigenvalues(FloerConfig.zero(16), [(1.0, (-8.0, 8.0))])
+            shooting_eigenvalues(FloerPencil.zero(16), [(1.0, (-5000.0, 5000.0))])
+        (roots,) = shooting_eigenvalues(FloerPencil.zero(16), [(1.0, (-8.0, 8.0))])
         np.testing.assert_allclose(
             roots, [1.0 + k * np.pi for k in (-2, -1, 0, 1, 2)], rtol=0.0, atol=1e-11
         )
@@ -973,35 +977,35 @@ class TestShooting:
     def test_end_angle_decreases_strictly(self, seed):
         # the count of multiples of pi is exact only while F(lam) = theta(1;
         # lam) + s decreases strictly
-        cfg = FloerConfig(smooth_coefficient(seed, 96), 96)
-        theta = floer._end_angles(cfg, np.linspace(-20.0, 20.0, 1601), 1056)
+        pencil = FloerPencil(smooth_coefficient(seed, 96), 96)
+        theta = floer._end_angles(pencil, np.linspace(-20.0, 20.0, 1601), 1056)
         assert np.all(np.diff(theta) < 0.0)
 
     def test_malformed_interval(self):
         for interval in ((2.0, 2.0), (-np.inf, 0.0), (0.0, np.nan)):
             with pytest.raises(NoRootBracketed):
-                shooting_eigenvalues(FloerConfig.zero(16), [(1.5, interval)])
+                shooting_eigenvalues(FloerPencil.zero(16), [(1.5, interval)])
         # one bad query spoils the batch, and the angle must be finite too
         queries = [(1.5, (0.0, 1.0)), (np.nan, (0.0, 1.0))]
         with pytest.raises(NoRootBracketed):
-            shooting_eigenvalues(FloerConfig.zero(16), queries)
+            shooting_eigenvalues(FloerPencil.zero(16), queries)
 
     def test_overflowing_coefficient_is_rejected(self):
         # c0 = -inf outright, or finite but overflowing the step exponents
         for q in (1e308, 5e307):
-            cfg = FloerConfig.constant(q * 1j, 16, coupling=Coupling.LINEAR_IMAGINARY)
+            pencil = FloerPencil.constant(q * 1j, 16, coupling=Coupling.LINEAR_IMAGINARY)
             for queries in ([(1.0, (-1.0, 1.0))], [(1.0, (-1.0, 1.0)), (2.0, (0.0, 3.0))]):
                 with pytest.raises(InvalidConfig):
-                    shooting_eigenvalues(cfg, queries)
+                    shooting_eigenvalues(pencil, queries)
 
     def test_batch_equals_single_queries_in_fewer_integrations(self, monkeypatch):
         # the four queries run_floer makes on const:1.5,-0.7; the batch must
         # give each query's roots and integrate no more often than the
         # slowest query does alone
-        cfg = FloerConfig.constant(1.5 - 0.7j, 48)
+        pencil = FloerPencil.constant(1.5 - 0.7j, 48)
         queries = []
         for s in (0.5, 1.0, np.pi, 5.0):
-            w = floer_spectrum(assemble_floer_operator(cfg, s), 5)
+            w = floer_spectrum(pencil.at(s), 5)
             queries.append((s, (float(w[0]) - 0.75, float(w[-1]) + 0.75)))
         calls = []
         real_end_angles = floer._end_angles
@@ -1014,10 +1018,10 @@ class TestShooting:
         singles, single_calls = [], []
         for query in queries:
             calls.clear()
-            singles.extend(shooting_eigenvalues(cfg, [query]))
+            singles.extend(shooting_eigenvalues(pencil, [query]))
             single_calls.append(len(calls))
         calls.clear()
-        batch = shooting_eigenvalues(cfg, queries)
+        batch = shooting_eigenvalues(pencil, queries)
         assert len(calls) <= max(single_calls) < sum(single_calls)
         assert len(batch) == len(queries)
         for roots, single in zip(batch, singles):
@@ -1025,13 +1029,13 @@ class TestShooting:
             np.testing.assert_allclose(roots, single, rtol=0.0, atol=1e-12)
 
     def test_empty_batch(self):
-        assert shooting_eigenvalues(FloerConfig.zero(16), []) == []
+        assert shooting_eigenvalues(FloerPencil.zero(16), []) == []
 
 
 def free_loop_windows(grid_m, count):
     """Windows of the zero-coefficient family at ``count`` angles over ``[0, 2 pi]``."""
     return [
-        floer_spectrum(assemble_floer_operator(FloerConfig.zero(grid_m), float(s)), 5)
+        floer_spectrum(FloerPencil.zero(grid_m).at(float(s)), 5)
         for s in np.linspace(0.0, 2.0 * np.pi, count)
     ]
 
@@ -1042,7 +1046,7 @@ class TestSpectralFlow:
         return free_loop_windows(48, 97)
 
     def test_constant_family(self):
-        w = floer_spectrum(assemble_floer_operator(FloerConfig.zero(16), 1.0), 4)
+        w = floer_spectrum(FloerPencil.zero(16).at(1.0), 4)
         assert spectral_flow([w, w, w]) == 0
 
     def test_full_loop(self, loop_windows):
@@ -1064,7 +1068,7 @@ class TestSpectralFlow:
         t = np.linspace(0.0, 1.0, 33)
         samples = 2.5 * np.sin(np.pi * t) + 1.0j * np.cos(np.pi * t)
         windows = [
-            floer_spectrum(assemble_floer_operator(FloerConfig(samples, 32), s), 4)
+            floer_spectrum(FloerPencil(samples, 32).at(s), 4)
             for s in np.linspace(0.2, 2.2, 3)
         ]
         with pytest.raises(SamplingTooCoarse):
@@ -1090,6 +1094,11 @@ class TestSpectralFlow:
         # but the value just below it moves by 0.9: margin 1.64
         with pytest.raises(SamplingTooCoarse, match="margin 1.64"):
             spectral_flow([[-1.0, 1.0, 3.0], [-1.0, 1.9, 3.0]])
+
+    @pytest.mark.parametrize("pair", [([], []), ([], [0.5]), ([0.5], [])])
+    def test_empty_window_raises(self, pair):
+        with pytest.raises(InvalidConfig, match="nonempty"):
+            spectral_flow([np.array(w) for w in pair])
 
 
 class TestBoundaryProjectors:
@@ -1120,8 +1129,8 @@ class TestBoundaryProjectors:
         assert d == pytest.approx(abs(np.sin(0.5)), abs=1e-12)
 
     def test_nu_lipschitz(self):
-        cfg = FloerConfig.constant(0.8 + 0.3j, 16)
-        d0 = boundary_coefficient_operator(cfg)
+        pencil = FloerPencil.constant(0.8 + 0.3j, 16)
+        d0 = boundary_coefficient_operator(pencil)
         c = 1.0 + 2.0 * linalg.operator_norm(d0)
         for s, ds in ((0.2, 0.01), (1.0, 0.05), (2.5, 0.15)):
             v = nu_metric(boundary_projector(s), boundary_projector(s + ds), d0)
@@ -1130,6 +1139,13 @@ class TestBoundaryProjectors:
     def test_validation(self):
         with pytest.raises(InvalidConfig):
             BoundaryProjector(np.eye(4))  # rank 4, not 2
+
+    def test_boundary_coefficient_is_the_antilinear_coefficient_at_the_ends(self):
+        pencil = FloerPencil(smooth_coefficient(3, 16), 16)
+        d0, b = boundary_coefficient_operator(pencil), floer.coefficient_matrices(pencil)
+        np.testing.assert_array_equal(d0[0:2, 0:2], b[0])
+        np.testing.assert_array_equal(d0[2:4, 2:4], b[-1])
+        assert not d0[0:2, 2:4].any() and not d0[2:4, 0:2].any()
 
 
 class TestGauge:
@@ -1180,14 +1196,14 @@ class TestCutoffGauge:
 
     def test_identity_gauge(self):
         m = 16
-        u = cutoff_gauge_U(np.eye(4), CutoffProfile.smoothstep(m), m)
+        u = cutoff_gauge_U(np.eye(4), CutoffProfile.smoothstep(m))
         np.testing.assert_allclose(u, np.eye(2 * (m + 1)), atol=1e-14)
 
     def test_endpoint_block_transported_exactly(self):
         m = 16
         p, q = boundary_projector(0.3), boundary_projector(0.45)
         hat = gauge_hat_U(p, q)
-        u = cutoff_gauge_U(hat, CutoffProfile.smoothstep(m), m)
+        u = cutoff_gauge_U(hat, CutoffProfile.smoothstep(m))
         np.testing.assert_allclose(u[-2:, -2:], hat[2:4, 2:4], atol=1e-14)
         np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-14)
 
@@ -1195,12 +1211,17 @@ class TestCutoffGauge:
         m = 64
         s, t = 0.6, 0.75
         hat = gauge_hat_U(boundary_projector(s), boundary_projector(t))
-        u = cutoff_gauge_U(hat, CutoffProfile.smoothstep(m), m)
-        moved = linalg.Subspace.from_spanning(u @ domain_subspace(FloerConfig.zero(m), s).basis)
+        u = cutoff_gauge_U(hat, CutoffProfile.smoothstep(m))
+        moved = linalg.Subspace.from_spanning(u @ domain_subspace(FloerPencil.zero(m), s).basis)
         assert (
-            topology.subspace_gap(moved, domain_subspace(FloerConfig.zero(m), t))
+            topology.subspace_gap(moved, domain_subspace(FloerPencil.zero(m), t))
             <= 1e-10
         )
+
+    @pytest.mark.parametrize("shape", [(18,), (18, 16), (17, 17), (2, 2)])
+    def test_h1_norm_needs_a_square_nodal_map(self, shape):
+        with pytest.raises(InvalidConfig, match="square nodal map"):
+            h1_operator_norm(np.zeros(shape))
 
     def test_h1_norm_grid_stable(self):
         p, q = boundary_projector(0.7), boundary_projector(0.9)
@@ -1208,8 +1229,8 @@ class TestCutoffGauge:
         hat_gap = linalg.operator_norm(hat - np.eye(4))
         norms = []
         for m in (50, 100, 200):
-            u = cutoff_gauge_U(hat, CutoffProfile.smoothstep(m), m)
-            norms.append(h1_operator_norm(u - np.eye(2 * (m + 1)), m))
+            u = cutoff_gauge_U(hat, CutoffProfile.smoothstep(m))
+            norms.append(h1_operator_norm(u - np.eye(2 * (m + 1))))
         assert abs(norms[0] - norms[2]) <= 0.1 * norms[2]
         assert abs(norms[1] - norms[2]) <= 0.1 * norms[2]
         # H1-norm controlled by the endpoint gauge with a grid-free constant
@@ -1224,7 +1245,7 @@ ROOT_ANGLES = [0.0, np.pi / 2, np.pi, 2.0 * np.pi, *np.linspace(0.0, 2.0 * np.pi
 def dense_profile(pencil, samples):
     """The neighbour profile by the dense route: :func:`mass_normalized` at each
     angle and the two metrics of each pair."""
-    d0 = boundary_coefficient_operator(pencil.cfg)
+    d0 = boundary_coefficient_operator(pencil)
     ops = [mass_normalized(pencil.at(s)) for s in samples]
     return [
         floer.NeighbourMetrics(
@@ -1245,9 +1266,9 @@ ROOT_GRIDS = [8, 16, 48, 96, 400]
 def root_pencils(grid_m):
     """One pencil per coefficient of the root checks: zero, constant, smooth."""
     return [
-        FloerPencil(FloerConfig.zero(grid_m)),
-        FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m)),
-        FloerPencil(FloerConfig(smooth_coefficient(3, grid_m), grid_m)),
+        FloerPencil.zero(grid_m),
+        FloerPencil.constant(1.5 - 0.7j, grid_m),
+        FloerPencil(smooth_coefficient(3, grid_m), grid_m),
     ]
 
 
@@ -1276,7 +1297,7 @@ class TestMassNormalizedOperators:
         outside the window, is the dense ``M(s)^{-1/2}``; the mass does not
         see the coefficient, so one pencil serves."""
         for grid_m in ROOT_GRIDS:
-            pencil = FloerPencil(FloerConfig.zero(grid_m))
+            pencil = FloerPencil.zero(grid_m)
             n = 2 * grid_m
             block, window = floer._border_block(n), floer._border_block(n, 2 * floer._BORDER_NODES)
             mass = pencil.at(s).mass[window, window].toarray()
@@ -1305,7 +1326,7 @@ class TestMassNormalizedOperators:
 
     @pytest.mark.parametrize("grid_m", [16, 96])
     def test_neighbours_differ_only_on_the_border_block(self, grid_m):
-        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m))
+        pencil = FloerPencil.constant(1.5 - 0.7j, grid_m)
         ops = [a.matrix for a in floer._mass_normalized_operators(pencil, ROOT_ANGLES)]
         outside = np.ones(ops[0].shape, dtype=bool)
         outside[floer._border_block(2 * grid_m), floer._border_block(2 * grid_m)] = False
@@ -1316,7 +1337,7 @@ class TestMassNormalizedOperators:
     def test_gamma_is_the_gap_metric_of_the_operators(self):
         """Read from the block, gamma agrees with the general route on the
         profile's own operators, to the roundoff of eigenvalues up to about 170."""
-        pencil = FloerPencil(FloerConfig(smooth_coefficient(3, 96), 96))
+        pencil = FloerPencil(smooth_coefficient(3, 96), 96)
         samples = ROOT_ANGLES[4:]
         ops = list(floer._mass_normalized_operators(pencil, samples))
         want = [topology.gap_metric(a0, a1) for a0, a1 in zip(ops, ops[1:])]
@@ -1324,7 +1345,7 @@ class TestMassNormalizedOperators:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-13)
 
     def test_an_operator_depends_on_its_angle_alone(self):
-        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, 48))
+        pencil = FloerPencil.constant(1.5 - 0.7j, 48)
         first, _, again = floer._mass_normalized_operators(pencil, [0.3, 1.2, 0.3])
         (alone,) = floer._mass_normalized_operators(pencil, [0.3])
         assert np.array_equal(first.matrix, again.matrix)
@@ -1341,7 +1362,7 @@ class TestMassNormalizedOperators:
         ids=["default", "floer_dense", "floer_grid128", "floer_smooth"],
     )
     def test_profile_matches_the_dense_oracle(self, grid_m, s_count, a_spec):
-        pencil = FloerPencil(FloerConfig(cli.parse_a_spec(a_spec, grid_m), grid_m))
+        pencil = FloerPencil(cli.parse_a_spec(a_spec, grid_m), grid_m)
         samples = np.linspace(0.0, 2.0 * np.pi, s_count)[: cli.NEIGHBOR_PAIRS + 1].tolist()
         got, want = rho_continuity_profile(pencil, samples), dense_profile(pencil, samples)
         assert [g.nu for g in got] == [w.nu for w in want]
@@ -1352,33 +1373,33 @@ class TestMassNormalizedOperators:
 
 class TestRhoContinuity:
     def test_zero_step(self):
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         reports = rho_continuity_profile(pencil, [0.4, 0.4])
         assert reports[0].rho == 0.0
         assert reports[0].gamma == 0.0
 
     def test_modulus_shrinks_with_step(self):
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         coarse = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 9))
         fine = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 17))
         assert max(r.rho for r in coarse) >= 1.5 * max(r.rho for r in fine)
 
     def test_joint_with_nu(self):
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         samples = np.linspace(0.3, 0.7, 5)
         reports = rho_continuity_profile(pencil, samples)
         assert max(r.nu for r in reports) < 0.11
         assert max(r.rho for r in reports) < 0.2
 
     def test_nu_is_the_boundary_projector_distance(self):
-        cfg = FloerConfig.constant(0.8 - 0.3j, 16)
+        pencil = FloerPencil.constant(0.8 - 0.3j, 16)
         samples = [0.3, 0.5, 1.2]
-        d0 = boundary_coefficient_operator(cfg)
+        d0 = boundary_coefficient_operator(pencil)
         expected = [
             nu_metric(boundary_projector(a), boundary_projector(b), d0)
             for a, b in zip(samples, samples[1:])
         ]
-        assert [r.nu for r in rho_continuity_profile(FloerPencil(cfg), samples)] == expected
+        assert [r.nu for r in rho_continuity_profile(pencil, samples)] == expected
 
     def test_at_most_two_operators_alive(self, monkeypatch):
         live, peak = set(), []
@@ -1392,7 +1413,7 @@ class TestRhoContinuity:
             return a
 
         monkeypatch.setattr(floer, "SelfAdjointOperator", tracked)
-        pencil = FloerPencil(FloerConfig.zero(16))
+        pencil = FloerPencil.zero(16)
         reports = rho_continuity_profile(pencil, np.linspace(0.3, 1.1, 9))
         # 9 operators, and the masses of 9 windows, which at grid 16 hold every dof
         assert len(reports) == 8 and len(peak) == 18
@@ -1411,7 +1432,7 @@ class TestRhoContinuity:
             return real_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, grid_m))
+        pencil = FloerPencil.constant(1.5 - 0.7j, grid_m)
         assert len(rho_continuity_profile(pencil, np.linspace(0.2, 1.4, k))) == k - 1
         n, w = 2 * grid_m, 4 * floer._BORDER_NODES + 1
         assert w == 133 < n - 1
@@ -1424,7 +1445,7 @@ class TestRhoContinuity:
         built = []
         real_at = FloerPencil.at
         monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
-        pencil = FloerPencil(FloerConfig.constant(1.5 - 0.7j, 48))
+        pencil = FloerPencil.constant(1.5 - 0.7j, 48)
         assert len(rho_continuity_profile(pencil, np.linspace(0.2, 1.4, k))) == k - 1
         assert built == [0.0]
         built.clear()
@@ -1433,14 +1454,14 @@ class TestRhoContinuity:
 
     @pytest.mark.parametrize("samples", [[], [0.4]])
     def test_fewer_than_two_angles_give_no_rows(self, samples):
-        assert rho_continuity_profile(FloerPencil(FloerConfig.zero(16)), samples) == []
+        assert rho_continuity_profile(FloerPencil.zero(16), samples) == []
 
     def test_lipschitz_constant_grid_stable(self):
         samples = np.linspace(0.3, 0.7, 5)
         step = samples[1] - samples[0]
         constants = []
         for m in (16, 32, 64):
-            reports = rho_continuity_profile(FloerPencil(FloerConfig.zero(m)), samples)
+            reports = rho_continuity_profile(FloerPencil.zero(m), samples)
             constants.append(max(r.rho for r in reports) / step)
         for a, b in zip(constants, constants[1:]):
             assert 0.75 * a <= b <= 1.25 * a

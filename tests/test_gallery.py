@@ -207,3 +207,8 @@ class TestRandomOperators:
         target = [0.0, 0.0, 1.0, 2.5]
         a = gallery.random_with_spectrum(target, seed=16)
         np.testing.assert_allclose(a.decomposition.eigenvalues, target, atol=1e-12)
+
+    @pytest.mark.parametrize("spectrum", [np.eye(2), 1.0])
+    def test_spectrum_must_be_one_dimensional(self, spectrum):
+        with pytest.raises(InvalidSpec, match="1-D"):
+            gallery.random_with_spectrum(spectrum, 1)

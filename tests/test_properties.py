@@ -16,9 +16,7 @@ from fredlab.errors import FredlabError
 from fredlab.floer import (
     Coupling,
     DiscretizedOperator,
-    FloerConfig,
     FloerPencil,
-    assemble_floer_operator,
     floer_spectrum,
 )
 
@@ -39,7 +37,7 @@ def _pair_operator(lam, eps, seed):
 def _smooth_operator(amps, s, grid_m=8):
     t = np.linspace(0.0, 1.0, grid_m + 1)
     a = sum(amp * np.cos((k + 1) * np.pi * t) for k, amp in enumerate(amps))
-    return assemble_floer_operator(FloerConfig(np.asarray(a, dtype=complex), grid_m), s)
+    return FloerPencil(np.asarray(a, dtype=complex), grid_m).at(s)
 
 
 def _dense_mus(op):
@@ -153,7 +151,7 @@ def test_pencil_window_equals_the_dense_window(amps, coupling, grid_m, s, k_frac
         a = 1j * np.imag(a)
     k_window = 1 + round(k_frac * (2 * grid_m - 1))
     try:
-        pencil = FloerPencil(FloerConfig(np.asarray(a, dtype=complex), grid_m, coupling))
+        pencil = FloerPencil(np.asarray(a, dtype=complex), grid_m, coupling)
         (w,) = pencil.spectra([s], k_window)
         dense = floer_spectrum(pencil.at(s), k_window)
     except FredlabError:

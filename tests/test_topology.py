@@ -122,7 +122,7 @@ class TestSelfAdjointOperator:
     def test_mass_normalized_checks_twice(self, monkeypatch):
         from fredlab import floer
 
-        ops = [floer.assemble_floer_operator(floer.FloerConfig.zero(16), s) for s in (0.5, 1.0)]
+        ops = [floer.FloerPencil.zero(16).at(s) for s in (0.5, 1.0)]
         calls = self._count_checks(monkeypatch)
         for op in ops:
             floer.mass_normalized(op).decomposition
@@ -340,9 +340,9 @@ class TestGapEigenbasisRoute:
     def test_floer_neighbours(self):
         from fredlab import floer
 
-        cfg = floer.FloerConfig.constant(1.5 - 0.7j, 48)
+        pencil = floer.FloerPencil.constant(1.5 - 0.7j, 48)
         a0, a1 = (
-            floer.mass_normalized(floer.assemble_floer_operator(cfg, s))
+            floer.mass_normalized(pencil.at(s))
             for s in (0.5, 0.55)
         )
         assert a0.dim == 96
@@ -362,7 +362,7 @@ def test_metrics_call_no_svd(monkeypatch):
     rng = np.random.default_rng(12)
     a0, a1 = (random_operator(rng, 12, scale=3.0) for _ in range(2))
     p, q = floer.boundary_projector(0.5), floer.boundary_projector(0.6)
-    d0 = floer.boundary_coefficient_operator(floer.FloerConfig.constant(1.5 - 0.7j, 16))
+    d0 = floer.boundary_coefficient_operator(floer.FloerPencil.constant(1.5 - 0.7j, 16))
 
     def run():
         profile = topology.generator_distance_profile(a0, a1)
@@ -407,7 +407,7 @@ class TestRieszMetric:
 
         rng = np.random.default_rng(16)
         a, b = random_operator(rng, 6), random_operator(rng, 6)
-        pencil, samples = floer.FloerPencil(floer.FloerConfig.zero(16)), np.linspace(0.3, 1.1, 4)
+        pencil, samples = floer.FloerPencil.zero(16), np.linspace(0.3, 1.1, 4)
         before = topology.riesz_metric(a, b), floer.rho_continuity_profile(pencil, samples)
 
         def refuse(*args, **kwargs):
