@@ -68,10 +68,14 @@ def coefficient_matrices(pencil):
     ``[[p, q], [q, -p]]``; the linear coupling with ``a = iq`` gives the skew
     matrix ``q*J^T``.
     """
-    p = pencil.a_samples.real
-    q = pencil.a_samples.imag
-    out = np.empty((pencil.grid_m + 1, 2, 2))
-    if pencil.coupling is Coupling.ANTILINEAR:
+    return _coupling_matrices(pencil.a_samples, pencil.coupling)
+
+
+def _coupling_matrices(a, coupling):
+    """The 2x2 matrix of each sample of ``a`` under ``coupling``."""
+    p, q = a.real, a.imag
+    out = np.empty(a.shape + (2, 2))
+    if coupling is Coupling.ANTILINEAR:
         out[:, 0, 0] = p
         out[:, 0, 1] = q
         out[:, 1, 0] = q
@@ -1074,16 +1078,11 @@ def boundary_projector(s):
 
 
 def boundary_coefficient_operator(pencil):
-    """``diag(B0, B1)`` on ``(u(0), u(1))``: each end sample ``a = p + iq`` as
-    ``[[p, q], [q, -p]]`` whatever the coupling; under antilinear coupling, the
-    end nodes of :func:`coefficient_matrices` (``B`` of ``u' = B u``, not ``C = -J B``)."""
-    a0, a1 = pencil.a_samples[0], pencil.a_samples[-1]
+    """``diag(B0, B1)`` on ``(u(0), u(1))``: the end nodes of
+    :func:`coefficient_matrices` under the pencil's coupling (``B`` of
+    ``u' = B u``, not ``C = -J B``), built from the two end samples alone."""
     out = np.zeros((4, 4))
-    for k, a in enumerate((a0, a1)):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [
-            [a.real, a.imag],
-            [a.imag, -a.real],
-        ]
+    out[:2, :2], out[2:, 2:] = _coupling_matrices(pencil.a_samples[[0, -1]], pencil.coupling)
     return out
 
 

@@ -111,15 +111,19 @@ def perturbation_family(base, seed, schedule):
 
 
 def _haar_conjugate(w, rng):
-    # Q diag(w) Q^T with Q the orthogonal factor of a Gaussian matrix
+    # Q diag(w) Q^T with Q the orthogonal factor of a Gaussian matrix; the
+    # operator keeps (w, Q) as its decomposition
     q, _ = np.linalg.qr(rng.standard_normal((w.size, w.size)))
-    return SelfAdjointOperator((q * w) @ q.T)
+    return SelfAdjointOperator._from_eigenpairs(w, q)
 
 
 def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
-    """Seeded random operator ``Q diag(w) Q^T`` with ``w`` uniform in the range."""
+    """Seeded random operator ``Q diag(w) Q^T`` with ``w`` uniform in the range,
+    whose ends and width must be finite (``InvalidSpec``)."""
     dim = require_integer(dim, "dimension", 1)
     lo, hi = float(spectrum_range[0]), float(spectrum_range[1])
+    if not np.isfinite(hi - lo):  # a NaN or infinite end, or a width past the float range
+        raise InvalidSpec(f"spectrum range ({lo}, {hi}) needs finite ends and width")
     if hi < lo:
         raise InvalidSpec("empty spectrum range")
     rng = generator(seed)
@@ -127,8 +131,11 @@ def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
 
 
 def random_with_spectrum(eigenvalues, seed):
-    """Seeded random operator with exactly the given eigenvalues, a 1-D array."""
+    """Seeded random operator with exactly the given eigenvalues, a non-empty
+    1-D array of finite values (``InvalidSpec``)."""
     w = np.asarray(eigenvalues, dtype=float)
-    if w.ndim != 1:
-        raise InvalidSpec(f"need a 1-D spectrum, got shape {w.shape}")
+    if w.ndim != 1 or w.size == 0:
+        raise InvalidSpec(f"need a non-empty 1-D spectrum, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise InvalidSpec(f"spectrum has non-finite eigenvalues {w[~np.isfinite(w)]}")
     return _haar_conjugate(w, generator(seed))

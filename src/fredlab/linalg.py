@@ -1,8 +1,9 @@
 """Dense linear-algebra core: the symmetry check, one operator norm for every
 matrix, spectral functional calculus and orthonormal subspace algebra.
-The :class:`SpectralDecomposition` values of the dense metric layer come only
-from :class:`topology.SelfAdjointOperator`; :func:`operator_norm` takes its own
-``eigvalsh`` of a Gram matrix, and ``floer`` its own eigensolves of the pencil.
+The :class:`SpectralDecomposition` values of the dense metric layer are held by
+:class:`topology.SelfAdjointOperator`: an ``eigh`` of its matrix, or the
+eigenpairs a ``gallery`` operator is built from; :func:`operator_norm` takes its
+own ``eigvalsh`` of a Gram matrix, and ``floer`` its own eigensolves of the pencil.
 
 Matrices are plain ``numpy.ndarray`` objects (real ``float64`` or
 ``complex128``); the structured values defined here
@@ -76,8 +77,11 @@ def require_symmetric(a, name="matrix"):
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; LAPACK guarantees
-    both, and ``SelfAdjointOperator.decomposition`` is the only builder.
+    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``.  Every instance is a
+    ``SelfAdjointOperator.decomposition``: LAPACK's ``eigh`` of the matrix, or the
+    eigenvalues and Householder-QR factor ``Q`` the matrix was built from as
+    ``Q diag(w) Q^T`` (sorted ascending).  Either way LAPACK guarantees the
+    vectors orthonormal to working precision.
     """
 
     eigenvalues: np.ndarray
@@ -113,6 +117,11 @@ def apply_scalar_function(dec, f):
     ``f`` is called once on the eigenvalue array; a scalar return ``c`` gives exactly
     ``c I``.  A non-finite value raises :class:`FunctionUndefinedAtEigenvalue`.
     """
+    return _spectral_product(dec, _function_values(dec, f))
+
+
+def _function_values(dec, f):
+    """``f`` called once on the eigenvalues of ``dec``, checked finite."""
     try:
         with np.errstate(all="ignore"):
             vals = f(dec.eigenvalues)
@@ -121,6 +130,11 @@ def apply_scalar_function(dec, f):
     if not np.all(np.isfinite(vals)):
         bad = dec.eigenvalues[~np.isfinite(vals)]
         raise FunctionUndefinedAtEigenvalue(f"non-finite value at eigenvalue(s) {bad}")
+    return vals
+
+
+def _spectral_product(dec, vals):
+    """``Q diag(vals) Q^T`` for the values of :func:`_function_values`."""
     q = dec.eigenvectors
     if np.ndim(vals) == 0:
         return vals * np.eye(q.shape[0])

@@ -20,14 +20,16 @@ from .errors import AmbientMismatch, DimensionMismatch, InvalidSpec, NoConvergen
 
 @dataclass(frozen=True, eq=False)
 class SelfAdjointOperator:
-    """A symmetric matrix, and the only route to a symmetric eigendecomposition.
+    """A symmetric matrix, and the holder of its symmetric eigendecomposition.
 
     The constructor checks the input once with :func:`linalg.require_symmetric`
     and stores its symmetric part ``(m + m^T) / 2``, halved before the sum
     where the sum would overflow, so no entry overflows and an exactly
     symmetric input is kept bit for bit.  The spectral decomposition and the
     spectrum are each computed once on first use and cached on the instance;
-    the values are immutable afterwards, so sharing across threads is safe.
+    an operator built from its eigenpairs (:meth:`_from_eigenpairs`) holds
+    them from the start.  The values are immutable afterwards, so sharing
+    across threads is safe.
     """
 
     matrix: np.ndarray
@@ -40,6 +42,22 @@ class SelfAdjointOperator:
         big = np.isinf(sym)  # the sum overflowed: halve before adding
         sym[big] = 0.5 * m[big] + 0.5 * m.T[big]
         object.__setattr__(self, "matrix", sym)
+
+    @classmethod
+    def _from_eigenpairs(cls, w, q):
+        """The operator ``Q diag(w) Q^T``, formed and checked as the constructor
+        does, with ``(w, Q)`` sorted ascending (stable) as its decomposition.
+
+        ``q`` must be orthogonal to working precision, as the Q factor of
+        LAPACK's Householder QR is and ``eigh``'s vectors are: the pair is then
+        exact for a matrix within rounding of the stored one, which is also
+        what ``eigh`` guarantees.
+        """
+        op = cls((q * w) @ q.T)
+        order = np.argsort(w, kind="stable")
+        dec = linalg.SpectralDecomposition(w[order], q[:, order])
+        object.__setattr__(op, "decomposition", dec)
+        return op
 
     @property
     def dim(self):
@@ -207,15 +225,36 @@ def subspace_gap(s1, s2):
     )
 
 
+def _same_values(v, u):
+    return all(np.array_equal(x, y) for x, y in zip(v, u))
+
+
 def generator_distance_profile(a0, a1, fns=DEFAULT_PROBES):
     """Distances ``|f(A0) - f(A1)|`` for each probe, bundled with the gap and
-    Riesz distances of the pair; two probes of one name are an :class:`InvalidSpec`."""
+    Riesz distances of the pair; two probes of one name are an :class:`InvalidSpec`.
+
+    Each distinct difference is normed once.  A probe whose values on both
+    spectra equal an earlier probe's, or are their conjugates, reads that
+    probe's distance: for real symmetric ``A``, ``conj(f)(A) = conj(f(A))``,
+    and conjugation keeps the operator norm (``Pminus`` is ``Pplus``'s).
+    """
     _check_same_dim(a0, a1)
-    dists = {}
+    dists, normed = {}, []  # normed: (values on both spectra, distance)
     for f in fns:
         if f.name in dists:
             raise InvalidSpec(f"two probes are named {f.name!r}")
-        dists[f.name] = linalg.operator_norm(a0.apply(f) - a1.apply(f))
+        vals = [linalg._function_values(a.decomposition, f) for a in (a0, a1)]
+        conj = [np.conj(v) for v in vals]
+        for u, dist in normed:
+            if _same_values(vals, u) or _same_values(conj, u):
+                break
+        else:
+            dist = linalg.operator_norm(
+                linalg._spectral_product(a0.decomposition, vals[0])
+                - linalg._spectral_product(a1.decomposition, vals[1])
+            )
+            normed.append((vals, dist))
+        dists[f.name] = dist
     return MetricReport(
         gamma=gap_metric(a0, a1),
         rho=riesz_metric(a0, a1),

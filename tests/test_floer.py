@@ -1147,6 +1147,13 @@ class TestBoundaryProjectors:
         np.testing.assert_array_equal(d0[2:4, 2:4], b[-1])
         assert not d0[0:2, 2:4].any() and not d0[2:4, 0:2].any()
 
+    def test_boundary_coefficient_follows_linear_coupling(self):
+        pencil = FloerPencil.constant(0.3j, 8, Coupling.LINEAR_IMAGINARY)
+        d0 = boundary_coefficient_operator(pencil)
+        block = np.array([[0.0, 0.3], [-0.3, 0.0]])
+        np.testing.assert_array_equal(d0, np.block([[block, 0 * block], [0 * block, block]]))
+        np.testing.assert_array_equal(d0[2:4, 2:4], floer.coefficient_matrices(pencil)[-1])
+
 
 class TestGauge:
     def test_identity_when_equal(self):

@@ -208,7 +208,75 @@ class TestRandomOperators:
         a = gallery.random_with_spectrum(target, seed=16)
         np.testing.assert_allclose(a.decomposition.eigenvalues, target, atol=1e-12)
 
-    @pytest.mark.parametrize("spectrum", [np.eye(2), 1.0])
+    @pytest.mark.parametrize("spectrum", [np.eye(2), 1.0, []])
     def test_spectrum_must_be_one_dimensional(self, spectrum):
         with pytest.raises(InvalidSpec, match="1-D"):
             gallery.random_with_spectrum(spectrum, 1)
+
+    @pytest.mark.parametrize(
+        "spectrum_range", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)]
+    )
+    def test_range_must_be_finite(self, spectrum_range):
+        with pytest.raises(InvalidSpec, match="finite ends"):
+            gallery.random_selfadjoint(3, 1, spectrum_range=spectrum_range)
+
+    @pytest.mark.parametrize("spectrum", [[1.0, np.nan], [np.inf, 0.0, 1.0]])
+    def test_eigenvalues_must_be_finite(self, spectrum):
+        with pytest.raises(InvalidSpec, match="non-finite"):
+            gallery.random_with_spectrum(spectrum, 1)
+
+
+def _check_decomposition(a):
+    """The cached decomposition of ``a`` against an independent solve of its matrix."""
+    dec, m = a.decomposition, a.matrix
+    lam, q = dec.eigenvalues, dec.eigenvectors
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(m))) <= 1e-12 * scale
+    assert np.max(np.abs(lam - np.linalg.eigh(m)[0])) <= 1e-12 * scale
+    assert linalg.operator_norm(q.T @ q - np.eye(a.dim)) <= 1e-13
+    assert linalg.operator_norm(m @ q - q * lam) <= 1e-13 * scale
+
+
+class TestRandomDecompositions:
+    """Gallery operators hold the eigenpairs they are built from, and no solve."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 50, 200])
+    def test_random_selfadjoint(self, dim, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gallery operator must not solve for its eigenpairs")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", refuse)
+            a = gallery.random_selfadjoint(dim, seed=dim, spectrum_range=(-5.0, 5.0))
+            dec = a.decomposition
+        assert a.decomposition is dec
+        _check_decomposition(a)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[3.0, -1.0, 0.0, 0.0, 2.0], [0.0] * 6, [1.0, -2.0, 1.0, 1.0, -2.0, 7.5], [-4.0]],
+        ids=["zeros", "all-zero", "repeated", "one"],
+    )
+    def test_random_with_spectrum(self, spectrum):
+        a = gallery.random_with_spectrum(spectrum, seed=17)
+        np.testing.assert_array_equal(a.decomposition.eigenvalues, np.sort(spectrum))
+        _check_decomposition(a)
+
+    def test_repeated_eigenvalues_keep_their_vectors_in_order(self):
+        a = gallery.random_with_spectrum([2.0, -1.0, 2.0, 2.0], seed=18)
+        q, _ = np.linalg.qr(gallery.generator(18).standard_normal((4, 4)))
+        np.testing.assert_array_equal(a.decomposition.eigenvectors, q[:, [1, 0, 2, 3]])
+
+    def test_zero_range(self):
+        a = gallery.random_selfadjoint(9, seed=19, spectrum_range=(0.0, 0.0))
+        assert not a.decomposition.eigenvalues.any()
+        _check_decomposition(a)
+
+    def test_matrix_is_the_conjugation(self):
+        rng = gallery.generator(20)
+        w = rng.uniform(-1.0, 1.0, size=30)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        m = (q * w) @ q.T
+        a = gallery.random_selfadjoint(30, seed=20)
+        assert a.matrix.tobytes() == topology.SelfAdjointOperator(m).matrix.tobytes()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fredlab import gallery, lagrangian, linalg, topology
-from fredlab.errors import AmbientMismatch, DimensionMismatch, FredlabError, InvalidSpec
+from fredlab.errors import (
+    AmbientMismatch,
+    DimensionMismatch,
+    FredlabError,
+    FunctionUndefinedAtEigenvalue,
+    InvalidSpec,
+)
 from fredlab.topology import (
     ALPHA_RAMP,
     P_MINUS,
@@ -43,7 +49,7 @@ def flipped_diag(n, dim):
 
 
 class TestSelfAdjointOperator:
-    """The one door to a symmetric eigendecomposition: check and symmetrize once."""
+    """The holder of a symmetric eigendecomposition: check and symmetrize once."""
 
     def test_exactly_symmetric_input_is_kept_bitwise(self):
         rng = np.random.default_rng(30)
@@ -543,6 +549,65 @@ class TestGeneratorProfile:
         fns = (ScalarFunction("x", np.sin), ScalarFunction("x", np.cos))
         with pytest.raises(InvalidSpec, match="'x'"):
             topology.generator_distance_profile(a, b, fns=fns)
+
+    @staticmethod
+    def _count_norms(monkeypatch):
+        kinds = []
+        norm = linalg.operator_norm
+        monkeypatch.setattr(
+            linalg,
+            "operator_norm",
+            lambda m: kinds.append("complex" if np.iscomplexobj(m) else "real") or norm(m),
+        )
+        return kinds
+
+    def test_random_pair_solves_no_eigenpairs(self, monkeypatch):
+        a0, a1 = (gallery.random_selfadjoint(30, seed=seed) for seed in (3, 4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gallery operators carry their eigenpairs")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        report = topology.generator_distance_profile(a0, a1)
+        assert report.gamma > 0.0 and report.rho > 0.0
+
+    @pytest.mark.parametrize("fns", [(P_PLUS, P_MINUS), (P_MINUS, P_PLUS)], ids=["+-", "-+"])
+    def test_conjugate_probes_take_one_complex_norm(self, fns, monkeypatch):
+        rng = np.random.default_rng(16)
+        a, b = random_operator(rng, 12, 2.0), random_operator(rng, 12, 2.0)
+        minus = linalg.operator_norm(a.apply(P_MINUS) - b.apply(P_MINUS))
+        kinds = self._count_norms(monkeypatch)
+        report = topology.generator_distance_profile(a, b, fns=fns)
+        # the two conjugate probes, then the gap and Riesz metrics' real norms
+        assert kinds == ["complex", "real", "real"]
+        d = report.generator_distances
+        assert d["Pplus"] == d["Pminus"]
+        assert d["Pminus"] == pytest.approx(minus, rel=1e-12)
+
+    def test_probes_of_equal_values_take_one_norm(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        a, b = random_operator(rng, 8), random_operator(rng, 8)
+        fns = (ScalarFunction("sin", np.sin), ScalarFunction("also_sin", lambda x: np.sin(x)))
+        kinds = self._count_norms(monkeypatch)
+        report = topology.generator_distance_profile(a, b, fns=fns)
+        assert kinds == ["real"] * 3
+        assert report.generator_distances["sin"] == report.generator_distances["also_sin"] > 0.0
+
+    def test_different_probes_are_each_normed(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        a, b = random_operator(rng, 8), random_operator(rng, 8)
+        kinds = self._count_norms(monkeypatch)
+        topology.generator_distance_profile(a, b)
+        # P0, Pplus, r and alpha_ramp; Pminus reads Pplus's
+        assert kinds == ["real", "complex", "real", "real", "real", "real"]
+
+    @pytest.mark.parametrize("first", [P_PLUS, topology.P0], ids=["after-Pplus", "after-P0"])
+    def test_undefined_probe_still_raises(self, first):
+        a, b = sa(np.diag([0.0, 1.0])), sa(np.diag([2.0, 1.0]))
+        with pytest.raises(FunctionUndefinedAtEigenvalue):
+            topology.generator_distance_profile(
+                a, b, fns=(first, ScalarFunction("inverse", lambda x: 1.0 / x))
+            )
 
 
 class TestRampFunction:
