@@ -320,15 +320,19 @@ class FloerPencil:
 
         The same windows as :func:`floer_spectrum` of :meth:`at`, computed
         ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows`, so
-        ``angles`` may be any iterable and is read one block ahead.  An angle
+        ``angles`` may be any iterable and is read one block ahead.  The call
+        keeps one list of the interior factorizations it has made, one per
+        cut (see :func:`_certify`), so a cut factored in one block certifies
+        the angles of later blocks too; the list ends with the call.  An angle
         with no open gap past its window, or whose window fails its inertia
         count, takes the dense route, and so does each angle of a secular
         solve that fails.
         """
         k_window = _window_size(k_window, self.base.dim)
         angles = iter(angles)
+        cuts = []
         while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
-            for si, w in zip(s, _bordered_windows(self.interior, *self.border(s), k_window)):
+            for si, w in zip(s, _bordered_windows(self.interior, *self.border(s), k_window, cuts)):
                 yield floer_spectrum(self.at(si), k_window) if isinstance(w, NoConvergence) else w
 
 
@@ -585,7 +589,7 @@ def _grams(interior, cols, diag, x, t):
     return out
 
 
-def _bordered_windows(interior, cols, diag, k_window):
+def _bordered_windows(interior, cols, diag, k_window, cuts):
     """The windows of :func:`floer_spectrum` at a block of angles, from the
     interior eigenpairs.
 
@@ -603,10 +607,11 @@ def _bordered_windows(interior, cols, diag, k_window):
     Rayleigh-Ritz step per block size, batched, gives the signed window
     (:func:`_nearest`), and an inertia count at a cut past its block
     certifies that no value was missed (see :func:`_certify`: one interior
-    ``LDL^T`` per cut that the block's angles share, and the sign of each
-    border's Schur form).  Returns one window per angle, or a
-    :class:`NoConvergence` where the angle has no open gap (see :func:`_cut`;
-    the dense route widens), or its count or its group's secular solve failed.
+    ``LDL^T`` per cut, taken from or appended to the caller's list ``cuts``,
+    and the sign of each border's Schur form).  Returns one window per angle,
+    or a :class:`NoConvergence` where the angle has no open gap (see
+    :func:`_cut`; the dense route widens), or its count or its group's
+    secular solve failed.
     """
     lam, v = interior.lam, interior.v
     dim = lam.size + 1
@@ -632,8 +637,6 @@ def _bordered_windows(interior, cols, diag, k_window):
         groups.setdefault(mask.tobytes(), []).append(i)
     n_req = min(k_window + 6, dim)
     found = [None] * alpha.size
-    # the squared values and block size of each angle whose window needs a count
-    block_mus, block_sizes = np.zeros((alpha.size, n_req)), np.zeros(alpha.size, dtype=int)
     for idx in map(np.array, groups.values()):
         try:
             mus, x, t = _bordered_pairs(
@@ -644,8 +647,8 @@ def _bordered_windows(interior, cols, diag, k_window):
                 found[i] = exc
             continue
         sizes = _cut(mus, k_window, dim)
-        for i in idx[sizes == 0]:
-            found[i] = NoConvergence(f"no open gap among the {n_req} smallest squared values")
+        no_gap = NoConvergence(f"no open gap among the {n_req} smallest squared values")
+        windows = [no_gap] * idx.size
         gram_k, gram_m = _grams(interior, cols[:2, idx], diag[:2, idx], x, t)
         for size in np.unique(sizes[sizes > 0]):
             sel = np.flatnonzero(sizes == size)
@@ -653,65 +656,54 @@ def _bordered_windows(interior, cols, diag, k_window):
             reduced = lower_inv @ gram_k[sel, :size, :size] @ lower_inv.transpose(0, 2, 1)
             ritz = np.linalg.eigvalsh(reduced)
             for j, window in zip(sel, _nearest(ritz, k_window)):
-                found[idx[j]] = window
-        # a short row repeats its last value: gaps of width 0 are never open;
-        # a block of the whole spectrum needs no count
-        block_mus[idx] = mus[:, np.minimum(np.arange(n_req), mus.shape[1] - 1)]
-        block_sizes[idx] = np.where(sizes == dim, 0, sizes)
-    _certify(interior, cols, diag, block_mus, block_sizes, found)
+                windows[j] = window
+        _certify(interior, cols[:, idx], diag[:, idx], mus, sizes, windows, cuts)
+        for i, window in zip(idx, windows):
+            found[i] = window
     return found
 
 
-def _certify(interior, cols, diag, mus, sizes, found):
-    """Check the windows in ``found`` by inertia counts, sharing each interior
-    factorization (:func:`_interior_inertia`) among the angles it serves.
+def _certify(interior, cols, diag, mus, sizes, found, cuts):
+    """Check the windows in ``found`` by inertia counts at the cuts listed in
+    ``cuts``, ``(cut, neg, G)`` from :func:`_interior_inertia`, oldest first.
 
-    ``mus[a]`` holds the squared values of angle ``a``, ascending, and
-    ``sizes[a]`` its block size (0: nothing to check).  A cut counts for an
-    angle if it lies in the middle half of an open gap ``(mus[t - 1],
-    mus[t])`` with ``t`` at least the block size; the angle then has ``t``
-    values below it.  The candidate cuts are the middles of the angles' own
-    cut gaps, so each angle's own cut counts for it, and the cut that counts
-    for the most unchecked angles is factored first.  A count that differs,
-    a failed factorization of the angle's own cut, or a border whose Schur
-    form is zero or not finite replaces the window by a
-    :class:`NoConvergence`.
+    Row ``a`` of ``mus`` holds the squared values of angle ``a``, ascending, and
+    ``sizes[a]`` its block size; a block of 0 (no open gap) or of the whole
+    row has nothing to check.  A cut counts for an angle if it lies in the
+    middle half of an open gap ``(mus[a, t - 1], mus[a, t])`` with ``t`` at
+    least the block size; the angle then has ``t`` values below it.  Each
+    angle takes the newest listed cut that counts for it, or else factors the
+    middle of its own cut gap and appends it to ``cuts``.  A count that
+    differs, a failed factorization, or a border whose Schur form is zero or
+    not finite replaces the window by a :class:`NoConvergence`.
     """
-    (need,) = np.nonzero(sizes)
-    mus, sizes, own = mus[need], sizes[need], np.arange(need.size)
-    cuts = 0.5 * (mus[own, sizes - 1] + mus[own, sizes])
     lo, hi = mus[:, :-1], mus[:, 1:]
     width, t = hi - lo, np.arange(1, mus.shape[1])
     gap_open = (t >= sizes[:, None]) & (width > _DEGENERACY_RTOL * np.maximum(1.0, mus[:, -1:]))
-    # inside[c, a, t - 1]: cut c lies in the middle half of gap t of angle a
-    c = cuts[:, None, None]
-    inside = gap_open & (lo + 0.25 * width <= c) & (c <= hi - 0.25 * width)
-    serves, expected = inside.any(axis=2), 1 + np.argmax(inside, axis=2)
-    serves[own, own], expected[own, own] = True, sizes
-    unchecked = np.ones(need.size, dtype=bool)
-    while unchecked.any():
-        best = int(np.argmax(np.sum(serves & unchecked, axis=1)))
-        served = np.flatnonzero(serves[best] & unchecked)
-        serves[best] = False  # each cut is factored once
-        cut = cuts[best]
-        try:
-            neg, g = _interior_inertia(interior, cut)
-        except NoConvergence as exc:
-            unchecked[best] = False
-            found[need[best]] = exc
-            continue
-        unchecked[served] = False
-        for a in served:
-            i = need[a]
-            b = cols[2, i] - cut * cols[1, i]
-            sigma = diag[2, i] - cut * diag[1, i] - b @ g @ b
-            if not (np.isfinite(sigma) and sigma != 0.0):
-                found[i] = NoConvergence(f"inertia count at {cut:.6g}: Schur form {sigma}")
+    for a in np.flatnonzero((sizes > 0) & (sizes < mus.shape[1])):
+        # inside[c, t - 1]: listed cut c lies in the middle half of open gap t
+        c = np.array([entry[0] for entry in cuts])[:, None]
+        inside = gap_open[a] & (lo[a] + 0.25 * width[a] <= c) & (c <= hi[a] - 0.25 * width[a])
+        (serving,) = np.nonzero(inside.any(axis=1))
+        if serving.size:
+            cut, neg, g = cuts[serving[-1]]
+            expected = 1 + np.argmax(inside[serving[-1]])
+        else:
+            cut, expected = 0.5 * (mus[a, sizes[a] - 1] + mus[a, sizes[a]]), sizes[a]
+            try:
+                neg, g = _interior_inertia(interior, cut)
+            except NoConvergence as exc:
+                found[a] = exc
                 continue
-            count = neg + int(sigma < 0.0)
-            if count != expected[best, a]:
-                missed = count - expected[best, a]
-                found[i] = NoConvergence(f"inertia count {count} below the cut: {missed} missed")
+            cuts.append((cut, neg, g))
+        b = cols[2, a] - cut * cols[1, a]
+        sigma = diag[2, a] - cut * diag[1, a] - b @ g @ b
+        if not (np.isfinite(sigma) and sigma != 0.0):
+            found[a] = NoConvergence(f"inertia count at {cut:.6g}: Schur form {sigma}")
+        elif (count := neg + int(sigma < 0.0)) != expected:
+            found[a] = NoConvergence(
+                f"inertia count {count} below the cut: {count - expected} missed"
+            )
 
 
 def mass_normalized(op):
@@ -1010,15 +1002,21 @@ def spectral_flow(windows):
     clearance.  A step raises :class:`SamplingTooCoarse` when the windows hold
     different numbers of values with ``|lam| < a``, or when its margin reaches
     1: the larger motion of the rank-matched ``|lam|`` just below and just
-    above ``a``, over the clearance.
+    above ``a``, over the clearance.  A window that is not a nonempty 1-D
+    array of finite real values raises :class:`InvalidConfig`.
     """
-    return sum(_phillips_step(p, q) for p, q in itertools.pairwise(map(np.asarray, windows)))
+    steps = itertools.pairwise(map(np.asarray, windows))
+    return sum(_phillips_step(k, p, q) for k, (p, q) in enumerate(steps))
 
 
-def _phillips_step(prev, nxt):
-    """``N(nxt) - N(prev)`` at the cut of one step (see :func:`spectral_flow`)."""
-    if not (prev.size and nxt.size):
-        raise InvalidConfig("spectral flow needs nonempty eigenvalue windows")
+def _phillips_step(k, prev, nxt):
+    """``N(nxt) - N(prev)`` at the cut of step ``k`` (see :func:`spectral_flow`)."""
+    for w in (prev, nxt):
+        if not (w.ndim == 1 and w.size and w.dtype.kind in "iuf" and np.all(np.isfinite(w))):
+            raise InvalidConfig(
+                f"step {k}: spectral flow needs nonempty 1-D eigenvalue windows of finite "
+                f"values, got {w!r}"
+            )
     mag0, mag1 = np.sort(np.abs(prev)), np.sort(np.abs(nxt))
     radius = min(mag0[-1], mag1[-1])
     # 0 and the smaller radius are both levels, so one gap at least

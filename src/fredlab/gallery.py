@@ -36,11 +36,12 @@ class FugledeSpec:
 
 
 def fuglede_operator(spec):
-    """Diagonal operator diag(1, .., N) with entry ``spec.n`` flipped to ``-n``."""
+    """Diagonal operator diag(1, .., N) with entry ``spec.n`` flipped to ``-n``,
+    which keeps its eigenpairs, the entries and the unit vectors."""
     diag = np.arange(1.0, spec.dim + 1.0)
     if spec.n >= 1:
         diag[spec.n - 1] = -float(spec.n)
-    return SelfAdjointOperator(np.diag(diag))
+    return SelfAdjointOperator._from_eigenpairs(diag, np.eye(spec.dim))
 
 
 class FugledeExpected(NamedTuple):
@@ -75,7 +76,8 @@ class PerturbationSchedule:
     """Perturbations ``S_k = (c_k / size) * direction`` of a base operator, with
     ``size`` the certified relative bound of the symmetric ``direction`` against
     ``base``, taken once; so ``S_k`` has relative bound exactly ``c_k``.  The
-    targets ``c_k`` must be finite, nonnegative and non-increasing (``InvalidSpec``)."""
+    targets ``c_k`` must be a sequence of finite, nonnegative and non-increasing
+    numbers (``InvalidSpec``)."""
 
     base: SelfAdjointOperator
     direction: np.ndarray
@@ -83,7 +85,12 @@ class PerturbationSchedule:
     size: float = field(init=False)
 
     def __post_init__(self):
-        targets = tuple(float(c) for c in self.bound_targets)
+        targets = np.asarray(self.bound_targets)
+        if targets.ndim != 1 or targets.dtype.kind not in "iuf":
+            raise InvalidSpec(
+                f"bound targets must be a sequence of numbers, got {self.bound_targets!r}"
+            )
+        targets = tuple(map(float, targets))
         if not all(0.0 <= c < np.inf for c in targets):
             raise InvalidSpec(f"bound targets must be finite and nonnegative, got {targets}")
         if any(b < a for a, b in zip(targets[1:], targets[:-1])):
@@ -119,9 +126,12 @@ def _haar_conjugate(w, rng):
 
 def random_selfadjoint(dim, seed, spectrum_range=(-1.0, 1.0)):
     """Seeded random operator ``Q diag(w) Q^T`` with ``w`` uniform in the range,
-    whose ends and width must be finite (``InvalidSpec``)."""
+    two numbers whose ends and width must be finite (``InvalidSpec``)."""
     dim = require_integer(dim, "dimension", 1)
-    lo, hi = float(spectrum_range[0]), float(spectrum_range[1])
+    ends = np.asarray(spectrum_range)
+    if ends.shape != (2,) or ends.dtype.kind not in "iuf":
+        raise InvalidSpec(f"spectrum range must be two numbers, got {spectrum_range!r}")
+    lo, hi = map(float, ends)
     if not np.isfinite(hi - lo):  # a NaN or infinite end, or a width past the float range
         raise InvalidSpec(f"spectrum range ({lo}, {hi}) needs finite ends and width")
     if hi < lo:

@@ -282,15 +282,34 @@ class TestSolverCalls:
     def test_graph(self, calls):
         cli.run_graph(dim=8, trials=5, seed=0)
         # per trial: one SVD for the kernel dimension, and values only for the
-        # suspension and two norms; the eigenpairs are the gap metrics of the
-        # five Fuglede pairs, each of which also takes two norms
-        assert dict(calls) == {"eigh": 5 * 2, "eigvalsh": 5 * 3 + 5 * 2, "svd": 5}
+        # suspension and two norms; the gap metrics of the five Fuglede pairs
+        # take two norms each, and the diagonal operators carry their eigenpairs
+        assert dict(calls) == {"eigvalsh": 5 * 3 + 5 * 2, "svd": 5}
 
     def test_identities(self, calls):
         cli.run_identities(trials=5, seed=0)
         # per trial: values only for psi and three norms; A carries the
         # eigenpairs it is built from
         assert dict(calls) == {"eigvalsh": 5 * 4}
+
+
+class TestCertificateCalls:
+    """The window certificate of a ``floer`` run, counted: interior
+    factorizations and dense fallbacks, whose number does not swing."""
+
+    def test_floer(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("_interior_inertia", "floer_spectrum"):
+
+            def counted(*args, _call=getattr(floer, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(floer, name, counted)
+        cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")
+        # two cuts per spectra call, the oracle angles' and the sweep's, each
+        # serving every angle of its call; no window falls back
+        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (4, 0)
 
 
 class TestASpec:

@@ -506,7 +506,9 @@ class TestSpectrum:
             return mus[:, keep], diff[:, keep]
 
         monkeypatch.setattr(floer, "_secular_roots", dropping)
-        (missed,) = floer._bordered_windows(pencil.interior, *pencil.border(np.array([0.8])), 5)
+        (missed,) = floer._bordered_windows(
+            pencil.interior, *pencil.border(np.array([0.8])), 5, []
+        )
         assert isinstance(missed, NoConvergence) and "1 missed" in str(missed)
         np.testing.assert_array_equal(next(pencil.spectra([0.8], 5)), floer_spectrum(op, 5))
         assert calls == [11, 11]
@@ -731,11 +733,11 @@ class TestBlockRoute:
         interior = FloerPencil.zero(16).interior
         cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidConfig, match="NaN or Inf"):
-            floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5)
+            floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5, [])
         # the mass is positive definite exactly when d - f^T f is
         diag[1, 1] = 0.0
         with pytest.raises(MassNotPositiveDefinite):
-            floer._bordered_windows(interior, cols, diag, 5)
+            floer._bordered_windows(interior, cols, diag, 5, [])
 
 
 class TestInteriorInertia:
@@ -776,16 +778,59 @@ class TestInteriorInertia:
         cuts = self._count_factorizations(monkeypatch)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         windows = list(pencil.spectra(sweep, 5))
-        # four blocks of 16 angles, one factorization per block and a second
-        # in the first and third: there the block size grows from 9 to 10
-        # mid-block, and no cut serves both halves (the size-9 cuts lie below
-        # the size-10 blocks, the size-10 cuts above the size-9 angles' values)
-        assert len(cuts) == 6
+        # the block size is 9 at angles 0-7, 25-38 and 56-63 and 10 between.
+        # Angle 0 factors its size-9 cut, which lies below the size-10 blocks;
+        # angle 8 factors its size-10 cut, which lies in the tenth gap of the
+        # size-9 angles 25-30, 33-38 and 56-61 too.  So the first cut serves
+        # angles 0-7, 31, 32, 62 and 63, the second all others, across blocks
+        assert len(cuts) == 2
         assert spectral_flow(windows) == 2
         for s, w in zip(sweep[::7], windows[::7]):
             np.testing.assert_allclose(
                 w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
             )
+
+    def test_each_angle_takes_the_newest_cut_that_serves_it(self, monkeypatch):
+        # a count one too high at the second cut sends exactly the angles it
+        # serves (see the sweep above) to the dense route
+        pencil = FloerPencil(smooth_coefficient(3, 24), 24)
+        pencil.interior
+        real, real_at = floer._interior_inertia, FloerPencil.at
+        cuts, built = [], []
+
+        def second_miscounts(interior, cut):
+            cuts.append(cut)
+            neg, g = real(interior, cut)
+            return neg + (len(cuts) == 2), g
+
+        monkeypatch.setattr(floer, "_interior_inertia", second_miscounts)
+        monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
+        sweep = np.linspace(0.0, 2.0 * np.pi, 64)
+        list(pencil.spectra(sweep, 5))
+        assert len(cuts) == 2
+        np.testing.assert_array_equal(built, sweep[np.r_[8:31, 33:62]])
+
+    def test_a_listed_cut_serves_a_later_block(self, monkeypatch):
+        pencil = FloerPencil(smooth_coefficient(3, 24), 24)
+        sweep = np.linspace(0.0, 2.0 * np.pi, 64)
+        listed = []
+        floer._bordered_windows(pencil.interior, *pencil.border(sweep[:16]), 5, listed)
+        assert len(listed) == 2
+        cuts = self._count_factorizations(monkeypatch)
+        (w,) = floer._bordered_windows(pencil.interior, *pencil.border(sweep[16:17]), 5, listed)
+        assert cuts == [] and len(listed) == 2
+        np.testing.assert_allclose(w, floer_spectrum(pencil.at(sweep[16]), 5), rtol=0.0, atol=1e-12)
+
+    def test_two_calls_share_no_cut(self, monkeypatch):
+        # the list of factorizations lives for one call; the pencil keeps none
+        pencil = FloerPencil(smooth_coefficient(3, 24), 24)
+        pencil.interior
+        cuts = self._count_factorizations(monkeypatch)
+        sweep = np.linspace(0.0, 2.0 * np.pi, 64)
+        first = list(pencil.spectra(sweep, 5))
+        second = list(pencil.spectra(sweep, 5))
+        assert len(cuts) == 4 and cuts[:2] == cuts[2:]
+        np.testing.assert_array_equal(first, second)
 
     def test_negative_schur_forms_are_counted(self, monkeypatch):
         # for const:1.5,-0.7 at grid 48 the interior eigenvalue of the cut's
@@ -819,7 +864,7 @@ class TestInteriorInertia:
         cols, diag = np.zeros((3, 2, 1)), np.zeros((3, 2))
         diag[2] = 1.0  # sigma = 1: the interior count is the whole count
         found = ["window 0", "window 1"]
-        floer._certify(None, cols, diag, mus, np.array([1, 3]), found)
+        floer._certify(None, cols, diag, mus, np.array([1, 3]), found, [])
         assert found[0] == "window 0"
         assert isinstance(found[1], NoConvergence) and "1 missed" in str(found[1])
 
@@ -836,7 +881,7 @@ class TestInteriorInertia:
         diag = np.array([[x[-1, -1] for x in f] for f in fields]).T
         interior = floer._interior_pairs(ops[0], np.arange(ops[0].dim - 1))
         cuts = self._count_factorizations(monkeypatch)
-        windows = floer._bordered_windows(interior, cols, diag, 5)
+        windows = floer._bordered_windows(interior, cols, diag, 5, [])
         assert len(cuts) == factorizations
         for op, w in zip(ops, windows):
             np.testing.assert_allclose(w, floer_spectrum(op, 5), rtol=0.0, atol=1e-12)
@@ -1099,6 +1144,18 @@ class TestSpectralFlow:
     def test_empty_window_raises(self, pair):
         with pytest.raises(InvalidConfig, match="nonempty"):
             spectral_flow([np.array(w) for w in pair])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.eye(3), [np.nan, 0.5, 2.0], [-1.0, np.inf, 2.0], [-1.0, 0.5j, 2.0], ["a", "b"]],
+        ids=["2-D", "nan", "inf", "complex", "strings"],
+    )
+    @pytest.mark.parametrize("where, step", [(0, 0), (2, 1)])
+    def test_malformed_window_names_its_step(self, bad, where, step):
+        windows = [[-1.0, 0.5, 2.0]] * 3
+        windows[where] = bad
+        with pytest.raises(InvalidConfig, match=f"^step {step}: .*1-D eigenvalue windows"):
+            spectral_flow(windows)
 
 
 class TestBoundaryProjectors:

@@ -147,6 +147,12 @@ class TestPerturbationFamily:
             assert ramp <= 2.0 * rho
         assert topology.riesz_metric(fam.perturbed(7), base) < 1e-2
 
+    @pytest.mark.parametrize("schedule", [0.5, None, [[0.5, 0.25]], ["0.5"]])
+    def test_schedule_must_be_a_sequence_of_numbers(self, schedule):
+        base = gallery.random_selfadjoint(4, seed=10)
+        with pytest.raises(InvalidSpec, match="sequence of numbers"):
+            gallery.perturbation_family(base, 2, schedule)
+
     def test_increasing_schedule_rejected(self):
         base = gallery.random_selfadjoint(4, seed=10)
         with pytest.raises(InvalidSpec):
@@ -220,6 +226,19 @@ class TestRandomOperators:
         with pytest.raises(InvalidSpec, match="finite ends"):
             gallery.random_selfadjoint(3, 1, spectrum_range=spectrum_range)
 
+    @pytest.mark.parametrize(
+        "spectrum_range", [(1.0,), 2.0, (0, 1, 2), ("-1", "1"), (0.0, None), (0.0, 1j), "01"]
+    )
+    def test_range_must_be_two_numbers(self, spectrum_range):
+        with pytest.raises(InvalidSpec, match="two numbers"):
+            gallery.random_selfadjoint(3, 1, spectrum_range=spectrum_range)
+
+    def test_range_of_integers_or_an_array(self):
+        want = gallery.random_selfadjoint(5, seed=2, spectrum_range=(-1.0, 3.0)).matrix
+        for spectrum_range in ((-1, 3), [-1, 3.0], np.array([-1.0, 3.0])):
+            got = gallery.random_selfadjoint(5, seed=2, spectrum_range=spectrum_range).matrix
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("spectrum", [[1.0, np.nan], [np.inf, 0.0, 1.0]])
     def test_eigenvalues_must_be_finite(self, spectrum):
         with pytest.raises(InvalidSpec, match="non-finite"):
@@ -267,6 +286,24 @@ class TestRandomDecompositions:
         a = gallery.random_with_spectrum([2.0, -1.0, 2.0, 2.0], seed=18)
         q, _ = np.linalg.qr(gallery.generator(18).standard_normal((4, 4)))
         np.testing.assert_array_equal(a.decomposition.eigenvectors, q[:, [1, 0, 2, 3]])
+
+    @pytest.mark.parametrize("n, dim", [(0, 1), (1, 2), (3, 8), (8, 16)])
+    def test_fuglede_operator(self, n, dim, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gallery operator must not solve for its eigenpairs")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", refuse)
+            a = fuglede_operator(FugledeSpec(n, dim))
+            dec = a.decomposition
+        diag = np.arange(1.0, dim + 1.0)
+        if n:
+            diag[n - 1] = -n
+        assert a.matrix.tobytes() == topology.SelfAdjointOperator(np.diag(diag)).matrix.tobytes()
+        order = np.argsort(diag)
+        np.testing.assert_array_equal(dec.eigenvalues, diag[order])
+        np.testing.assert_array_equal(dec.eigenvectors, np.eye(dim)[:, order])
+        _check_decomposition(a)
 
     def test_zero_range(self):
         a = gallery.random_selfadjoint(9, seed=19, spectrum_range=(0.0, 0.0))

@@ -53,7 +53,7 @@ def _certified_or_typed(op, k_window):
     diag = np.array([x[-1, -1] for x in fields])[:, None]
     try:
         interior = floer._interior_pairs(op, np.arange(op.dim - 1))
-        (w,) = floer._bordered_windows(interior, cols, diag, k_window)
+        (w,) = floer._bordered_windows(interior, cols, diag, k_window, [])
     except FredlabError:
         return
     if isinstance(w, FredlabError):
