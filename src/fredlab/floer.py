@@ -211,9 +211,9 @@ def _element_blocks(pencil):
     return np.stack([k_e, m_e, k2_e])
 
 
-#: Angles per block of :meth:`FloerPencil.spectra`.  It bounds the
-#: ``(angles, roots, poles)`` arrays of one secular solve, about 16 times
-#: ``11 x 800`` values at grid 400.
+#: Angles per block of :meth:`FloerPencil.spectra`.  It bounds the vectors of
+#: one Rayleigh-Ritz step, ``(angles, roots, dofs)``, about 16 times ``11 x
+#: 800`` values at grid 400.
 _BLOCK_ANGLES = 16
 
 
@@ -310,17 +310,26 @@ class FloerPencil:
         return self.at(0.0)
 
     @cached_property
-    def interior(self):
-        """The interior eigenpairs (see :func:`_interior_pairs`) of :attr:`base`, on first use."""
-        return _interior_pairs(self.base, self.border_rows)
+    def _interiors(self):
+        return {}
+
+    def interior(self, k_window):
+        """The near pairs and far remainder (see :func:`_interior_pairs`) of
+        :attr:`base` for windows of ``k_window`` values, made on first use for
+        each number of squared values they read; a run reads one."""
+        n_req = _request(k_window, self.base.dim)
+        if n_req not in self._interiors:
+            self._interiors[n_req] = _interior_pairs(self.base, self.border_rows, k_window)
+        return self._interiors[n_req]
 
     def spectra(self, angles, k_window):
         """The ``k_window`` eigenvalues nearest zero at each of ``angles``,
         each window ascending, yielded in input order.
 
         The same windows as :func:`floer_spectrum` of :meth:`at`, computed
-        ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows`, so
-        ``angles`` may be any iterable and is read one block ahead.  The call
+        ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows` from
+        the :meth:`interior` for ``k_window``, so ``angles`` may be any
+        iterable and is read one block ahead.  The call
         keeps one list of the interior factorizations it has made, one per
         cut (see :func:`_certify`), so a cut factored in one block certifies
         the angles of later blocks too; the list ends with the call.  An angle
@@ -332,7 +341,8 @@ class FloerPencil:
         angles = iter(angles)
         cuts = []
         while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
-            for si, w in zip(s, _bordered_windows(self.interior, *self.border(s), k_window, cuts)):
+            interior = self.interior(k_window)
+            for si, w in zip(s, _bordered_windows(interior, *self.border(s), k_window, cuts)):
                 yield floer_spectrum(self.at(si), k_window) if isinstance(w, NoConvergence) else w
 
 
@@ -392,7 +402,7 @@ def floer_spectrum(op, k_window):
     """
     k_window = _window_size(k_window, op.dim)
     k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
-    n_req = min(k_window + 6, op.dim)
+    n_req = _request(k_window, op.dim)
     while True:
         # DiscretizedOperator guarantees finite entries
         mus, vecs = scipy.linalg.eigh(
@@ -408,17 +418,54 @@ def floer_spectrum(op, k_window):
 
 
 class _Interior(NamedTuple):
-    """An operator cut at its last dof: the generalized eigenpairs ``(lam, v)``,
-    ``v^T M v = I``, of ``K2`` and ``M`` on all other dofs, the same blocks of
-    ``K``, ``M`` and ``K2``, and the ``rows`` of the interior that the border
-    reaches."""
+    """An operator cut at its last dof, for windows that read ``n_req``
+    squared values, and the ``rows`` of the interior that its border reaches.
 
+    ``lam`` are the near poles, the generalized eigenvalues of ``K2`` and
+    ``M`` on all other dofs below :data:`_NEAR_RATIO` times ``span[1]``, the
+    top of every bracket of a secular solve, and ``near`` their
+    ``M``-orthonormal vectors (see :func:`_near_pairs`).  ``far`` holds the
+    rest, the far remainder ``X_far`` on ``span`` (see :func:`_far_remainder`):
+    its Chebyshev coefficients, one ``rows x dofs`` block of ``X_far^T`` per
+    degree, and none where every pole is near; the span is then the whole
+    line.  ``mass_rows`` is the ``rows`` block of ``M^-1``, and the interior
+    blocks of ``K``, ``M`` and ``K2`` follow.
+    """
+
+    n_req: int
     lam: np.ndarray
-    v: np.ndarray
+    near: np.ndarray
+    far: np.ndarray
+    span: tuple
+    mass_rows: np.ndarray
     stiffness: scipy.sparse.csc_array
     mass: scipy.sparse.csc_array
     square_stiffness: scipy.sparse.csc_array
     rows: np.ndarray
+
+
+def _factor(shifted, what):
+    """One unpivoted ``LDL^T`` of a sparse symmetric matrix, SuperLU's in its
+    symmetric mode; an exactly zero pivot or a row swap raises
+    :class:`NoConvergence`, naming ``what`` was factored."""
+    options = {"SymmetricMode": True}
+    try:
+        lu = scipy.sparse.linalg.splu(shifted, "NATURAL", diag_pivot_thresh=0.0, options=options)
+    except RuntimeError as exc:  # an exactly zero pivot
+        raise NoConvergence(f"{what} failed: {exc}") from exc
+    if np.any(lu.perm_r != np.arange(shifted.shape[0])):
+        raise NoConvergence(f"{what} needed row pivoting")
+    return lu
+
+
+def _negative_count(lu):
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _unit_columns(n, rows):
+    unit = np.zeros((n, rows.size))
+    unit[rows, np.arange(rows.size)] = 1.0
+    return unit
 
 
 def _interior_inertia(interior, cut):
@@ -428,85 +475,285 @@ def _interior_inertia(interior, cut):
     Bordered by ``[b; d]`` at the last dof, ``K2 - cut M`` then has ``neg(T) +
     [sigma < 0]`` squared eigenvalues below ``cut`` (Sylvester; Haynsworth,
     Linear Algebra Appl. 1, 1968), with the Schur form ``sigma = d - b^T G b``
-    its last pivot.  Only the sparse blocks are read, not the eigenpairs, so
-    the count does not depend on the secular model it certifies.
+    its last pivot.  Only the sparse blocks are read, not the near pairs or
+    the remainder, so the count does not depend on the secular model it
+    certifies.
     """
-    shifted = interior.square_stiffness - cut * interior.mass
-    options = {"SymmetricMode": True}
-    try:
-        lu = scipy.sparse.linalg.splu(shifted, "NATURAL", diag_pivot_thresh=0.0, options=options)
-    except RuntimeError as exc:  # an exactly zero pivot
-        raise NoConvergence(f"inertia count at {cut:.6g} failed: {exc}") from exc
-    if np.any(lu.perm_r != np.arange(shifted.shape[0])):
-        raise NoConvergence(f"inertia count at {cut:.6g} needed row pivoting")
-    unit = np.zeros((shifted.shape[0], interior.rows.size))
-    unit[interior.rows, np.arange(interior.rows.size)] = 1.0
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0)), lu.solve(unit)[interior.rows]
+    lu = _factor(interior.square_stiffness - cut * interior.mass, f"inertia count at {cut:.6g}")
+    unit = _unit_columns(interior.mass.shape[0], interior.rows)
+    return _negative_count(lu), lu.solve(unit)[interior.rows]
 
 
-def _interior_pairs(op, rows):
-    """The :class:`_Interior` of ``op``, whose border reaches ``rows``.
+#: Near poles lie below this multiple of ``R``, the top of every bracket of a
+#: secular solve, so the far ones lie past ``4 R`` and their remainder is
+#: analytic well beyond ``[-R/4, R]``.  At ``R = lam_10`` (windows of 5) that
+#: is 21-22 near poles at grids 96, 400 and 800, for ``a = 0`` and
+#: ``const:1.5,-0.7``.
+_NEAR_RATIO = 4.0
 
-    The band Cholesky factor ``U`` of the interior mass reduces the pencil to
-    ``U^-T K2 U^-1`` by band solves (LAPACK's ``sygst``), and its eigenvectors
-    ``W`` give ``V = U^-1 W``.  The dense solve is numpy's ``eigh``, the LAPACK
-    that the neighbour metrics use too: scipy's generalized driver runs on a
-    second BLAS, whose thread buffers raised the peak RSS of a default
-    ``floer`` run from 115 to 119 MB.
+#: Passes of block inverse iteration before :func:`_inverse_iteration` gives
+#: up; 17 to 22 reach and confirm the rounding floor at grids 96 to 1600.
+_MAX_PASSES = 100
+
+
+def _request(k_window, dim):
+    """The squared values a window of ``k_window`` reads: six more for slack,
+    at most ``dim``."""
+    return min(k_window + 6, dim)
+
+
+def _near_pairs(k2, mass, n_req):
+    """The near poles of the pencil ``(k2, mass)``, below ``_NEAR_RATIO R``
+    with ``R`` its ``n_req``-th eigenvalue (infinite past the last), their
+    ``M``-orthonormal vectors, and ``R``.
+
+    By Cauchy interlacing the operator bordered by one dof has its
+    ``n_req`` smallest squared values at or below ``R``, so ``R`` tops every
+    bracket that a window reads.  The pairs come from block inverse iteration
+    (:func:`_inverse_iteration`) on one ``LDL^T`` of ``k2 + mass``.  The block
+    starts at ``4 n_req`` columns, about twice the near poles where the poles
+    grow like squares (the slowest near pair then converges by about ``1/4``
+    per pass), and doubles while they fill more than half of it; a block of
+    every dof is exact.  One ``LDL^T`` of ``k2 - _NEAR_RATIO R mass``
+    certifies the count of near poles; a count that differs doubles the block
+    too, and raises :class:`NoConvergence` once the block holds every dof.
     """
+    n = mass.shape[0]
+    shift = _factor(k2 + mass, "interior shift")
+    size = min(4 * n_req, n)
+    while True:
+        lam, v = _inverse_iteration(k2, mass, shift, size, n_req)
+        top = lam[n_req - 1] if n_req <= n else np.inf
+        near = int(np.count_nonzero(lam < _NEAR_RATIO * top))
+        if size < n and 2 * near > size:
+            size = min(2 * size, n)
+            continue
+        if near == n or near == _negative_count(
+            _factor(k2 - _NEAR_RATIO * top * mass, "near-pole count")
+        ):
+            return lam[:near], v[:, :near], top
+        if size == n:
+            raise NoConvergence(f"{near} near poles fail their count at {_NEAR_RATIO * top:.6g}")
+        size = min(2 * size, n)
+
+
+def _inverse_iteration(k2, mass, shift, size, n_req):
+    """Ritz pairs ``(lam, V)`` of ``(k2, mass)`` on ``size`` columns,
+    ascending and ``M``-orthonormal, from the ``LDL^T`` ``shift`` of ``k2 +
+    mass``.
+
+    Each pass solves for ``Y = shift^-1 M V (lam + 1)``, which keeps the
+    columns near unit size, and a Rayleigh-Ritz step on ``Y`` gives the next
+    pairs.  The columns start from a fixed seed, so the pairs are the same
+    at every call.  The iteration stops once the largest relative residual
+    ``|K2 v - lam M v| / ((lam + 1) |M v|)`` of the pairs below
+    ``_NEAR_RATIO`` times the ``n_req``-th falls by less than a tenth in a
+    pass: the residuals have reached their rounding floor, 2e-12 to 6e-11
+    at grids 96 to 1600.
+    """
+    n = mass.shape[0]
+    mv = mass @ np.random.default_rng(0).standard_normal((n, size))
+    lam, worst = np.zeros(size), np.inf
+    for _ in range(_MAX_PASSES):
+        y = shift.solve(mv * (lam + 1.0))
+        ky, my = k2 @ y, mass @ y
+        try:
+            lower_inv = np.linalg.inv(np.linalg.cholesky(y.T @ my))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"inverse iteration lost its block: {exc}") from exc
+        lam, z = np.linalg.eigh(lower_inv @ (y.T @ ky) @ lower_inv.T)
+        z = lower_inv.T @ z
+        kv, mv = ky @ z, my @ z
+        top = lam[n_req - 1] if n_req <= n else np.inf
+        near = max(1, int(np.count_nonzero(lam < _NEAR_RATIO * top)))
+        residual = np.linalg.norm(kv[:, :near] - mv[:, :near] * lam[:near], axis=0)
+        residual = np.max(residual / ((lam[:near] + 1.0) * np.linalg.norm(mv[:, :near], axis=0)))
+        if residual > 0.9 * worst:
+            return lam, y @ z
+        worst = residual
+    raise NoConvergence(f"inverse iteration stalled at a residual of {worst:.3e}")
+
+
+#: Chebyshev nodes of the far remainder.  At 12 its ``rows`` block is within
+#: 2e-15 to 1.1e-14 relative of direct solves between the nodes (grids 48,
+#: 400 and 800, ``a = 0`` and ``const:1.5,-0.7``); 8 nodes give 1e-11 to
+#: 5e-10, and 16 no better than 12.
+_FAR_NODES = 12
+
+#: Relative error of the remainder's ``rows`` block, against direct solves
+#: between the nodes, above which the nodes double.
+_FAR_RTOL = 1e-13
+
+
+def _far_remainder(k2, mass, rows, near, span):
+    """Chebyshev coefficients on ``span`` of the far remainder ``X_far(mu) =
+    P (K2 - mu M)^-1 P^T E``, with ``E`` the unit columns of ``rows`` and
+    ``P = I - V V^T M`` the ``M``-orthogonal projector past the near vectors
+    ``V``: one ``rows x dofs`` block of ``X_far^T`` per degree.
+
+    With exact near pairs ``X_far`` is the sum over the far poles, ``v
+    v[rows]^T / (lam - mu)``, analytic where no far pole lies; projecting on
+    both sides keeps an error ``eps`` of the near vectors to ``eps^2``.  Each
+    node costs one ``LDL^T`` and a solve on ``P^T E``.  Two direct solves
+    between the nodes, next to the top of the span and at its middle, check
+    the ``rows`` block against :data:`_FAR_RTOL`; a miss doubles the nodes,
+    and a third miss raises :class:`NoConvergence`.
+    """
+    cheb = np.polynomial.chebyshev
+    rhs = _unit_columns(mass.shape[0], rows)
+    rhs -= mass @ (near @ near[rows].T)
+    lo, hi = span
+
+    def direct(x):
+        y = _factor(k2 - (lo + 0.5 * (hi - lo) * (x + 1.0)) * mass, "far remainder").solve(rhs)
+        return (y - near @ (near.T @ (mass @ y))).T
+
+    for nodes in _FAR_NODES * np.array([1, 2, 4]):
+        x = cheb.chebpts1(nodes)
+        values = np.array([direct(xi) for xi in x])
+        coef = (2.0 / nodes) * (cheb.chebvander(x, nodes - 1).T @ values.reshape(nodes, -1))
+        coef[0] *= 0.5
+        coef = coef.reshape(values.shape)
+        checks = [np.cos(np.pi / nodes), 0.0]
+        fitted = np.tensordot(cheb.chebvander(np.array(checks), nodes - 1), coef, axes=1)
+        wanted = [direct(xi)[:, rows] for xi in checks]
+        if all(
+            np.max(np.abs(got[:, rows] - want)) <= _FAR_RTOL * np.max(np.abs(want))
+            for got, want in zip(fitted, wanted)
+        ):
+            return coef
+    raise NoConvergence(f"the far remainder misses {_FAR_RTOL:g} at {nodes} nodes")
+
+
+def _interior_pairs(op, rows, k_window):
+    """The :class:`_Interior` of ``op``, whose border reaches ``rows``, for
+    windows of ``k_window`` values: the near pairs of :func:`_near_pairs`
+    and, where poles remain past them, the remainder of
+    :func:`_far_remainder` on ``[-R/4, R]``, which holds every bracket of a
+    secular solve, root 0's below 0 too.  No ``n x n`` array is formed.
+    """
+    n_req = _request(k_window, op.dim)
     mass, k2 = op.mass[:-1, :-1], op.square_stiffness[:-1, :-1]
-    upper = scipy.linalg.cholesky_banded(_upper_band(mass))
-    solve = scipy.linalg.lapack.dtbtrs
-    half, _ = solve(upper, k2.toarray(order="F"), trans="T", overwrite_b=1)
-    full, _ = solve(upper, np.asfortranarray(half.T), trans="T", overwrite_b=1)
-    del half
-    lam, w = np.linalg.eigh(full)
-    del full
-    v, _ = solve(upper, np.asfortranarray(w), overwrite_b=1)
-    return _Interior(lam, v, op.stiffness[:-1, :-1], mass, k2, np.asarray(rows))
+    rows = np.asarray(rows)
+    lam, near, top = _near_pairs(k2, mass, n_req)
+    if lam.size < mass.shape[0]:
+        span = (-0.25 * top, top)
+        far = _far_remainder(k2, mass, rows, near, span)
+    else:
+        span, far = (-np.inf, np.inf), np.zeros((0, rows.size, mass.shape[0]))
+    mass_rows = _factor(mass, "interior mass").solve(_unit_columns(mass.shape[0], rows))[rows]
+    return _Interior(
+        n_req, lam, near, far, span, mass_rows, op.stiffness[:-1, :-1], mass, k2, rows
+    )
 
 
-def _secular_roots(poles, weights, alpha, beta, count):
-    """The ``count`` smallest roots of ``w(mu) = alpha - beta mu + sum_j
-    weights_j / (mu - poles_j)`` at each angle, with ``diff[a, k, j] = mu[a, k]
-    - poles_j``.
+class _FarForm:
+    """The far poles at a group of angles as one term of their secular
+    function: ``q(mu) = u^T H(mu) u`` with ``u = b - mu e`` from the borders
+    ``[b; c]`` of ``K2`` and ``[e; d]`` of ``M``, and ``H`` the ``rows`` block
+    of the interior's remainder ``X_far``, analytic on :attr:`span`.  Where
+    the interior has no far poles, ``q`` is 0 on the whole line."""
+
+    def __init__(self, interior, cols):
+        self.far, self.span = interior.far, interior.span
+        self.b, self.e = cols[2], cols[1]
+        h = self.far[:, :, interior.rows]
+        self.h = 0.5 * (h + h.transpose(0, 2, 1))
+        if self.far.size:
+            lo, hi = self.span
+            self.dh = np.polynomial.chebyshev.chebder(self.h, axis=0, scl=2.0 / (hi - lo))
+
+    def _basis(self, mu, degrees):
+        lo, hi = self.span
+        return np.polynomial.chebyshev.chebvander((2.0 * mu - lo - hi) / (hi - lo), degrees - 1)
+
+    def _u(self, mu):
+        return self.b[:, None, :] - mu[..., None] * self.e[:, None, :]
+
+    def __call__(self, mu):
+        """``q`` and ``dq/dmu`` at ``mu``, whose row ``a`` is read with the
+        border of angle ``a``."""
+        if not self.far.size:
+            return np.zeros(mu.shape), np.zeros(mu.shape)
+        n, r = self.h.shape[:2]
+        u = self._u(mu)
+        h = (self._basis(mu, n) @ self.h.reshape(n, -1)).reshape(*mu.shape, r, r)
+        dh = (self._basis(mu, n - 1) @ self.dh.reshape(n - 1, -1)).reshape(*mu.shape, r, r)
+        hu = np.einsum("akij,akj->aki", h, u)
+        slope = np.einsum("aki,akij,akj->ak", u, dh, u) - 2.0 * np.einsum("ai,aki->ak", self.e, hu)
+        return np.einsum("aki,aki->ak", u, hu), slope
+
+    def weights(self, mu):
+        """The coefficients of ``X_far(mu) u`` on the blocks of ``far``, one
+        per degree and row: ``T_n(mu) u_i``."""
+        n = self.far.shape[0]
+        if not n:
+            return np.zeros((*mu.shape, 0))
+        u = self._u(mu)
+        return (self._basis(mu, n)[..., :, None] * u[..., None, :]).reshape(*mu.shape, -1)
+
+
+def _secular_roots(poles, weights, alpha, beta, count, far):
+    """The ``count`` smallest roots of ``w(mu) = alpha - beta mu - q(mu) +
+    sum_j weights_j / (mu - poles_j)`` at each angle, with ``diff[a, k, j] =
+    mu[a, k] - poles_j``; ``q`` is the :class:`_FarForm` ``far``.
 
     The angles (the leading axis of ``weights``, ``alpha`` and ``beta``) share
-    the ``poles``.  These ascend and ``weights`` and ``beta`` are positive, so
-    ``w`` decreases strictly between poles and root ``k`` is the one between
-    poles ``k - 1`` and ``k``.  Each root is sought as an offset ``tau`` from
-    its nearer pole, so ``diff`` carries no cancellation, by fixed-weight
-    steps as in LAPACK's ``dlaed4``: the model keeps that pole with its own
-    weight and matches ``w'`` with one more pole at the bracket's far end
-    (past an end pole, with a slope).  A step that leaves the bracket bisects
-    it, and a root stops once ``|w|`` is within the rounding bound of its
-    evaluation; its offset then stays while the other roots go on.
+    the ``poles``.  These ascend and ``weights`` are positive, and ``-w'`` is
+    the squared ``M``-norm of the root's vector, so ``w`` decreases strictly
+    between poles and root ``k`` is the one between poles ``k - 1`` and
+    ``k``.  Each root is sought as an offset ``tau`` from its nearer pole, so
+    ``diff`` carries no cancellation, by fixed-weight steps as in LAPACK's
+    ``dlaed4``: the model keeps that pole with its own weight, ``alpha - beta
+    mu - q`` at its value and slope, and matches ``w'`` with one more pole at
+    the bracket's far end (past an end pole, with a slope).  A step that
+    leaves the bracket bisects it, and a root stops once ``|w|`` is within the
+    rounding bound of its evaluation; its offset then stays while the other
+    roots go on.  Where ``q`` is 0 an end root's bracket is bounded from
+    ``alpha`` and ``beta``.  Otherwise the brackets end at ``far.span``: root
+    0's at its bottom, and a root whose upper pole lies past its top at the
+    top, where ``w >= 0`` puts the root past the span; it is returned as
+    ``inf``, with ``diff`` too.
     """
     m, n_ang = poles.size, alpha.size
+    lo_span, hi_span = far.span
+    k = np.arange(count)
+    left, right = np.maximum(k - 1, 0), np.minimum(k, m - 1)
+    # a capped root has no pole above it inside the span
+    capped = (k >= m) | (m > 0 and poles[right] > hi_span)
+    if capped[0] and np.isfinite(hi_span):
+        raise NoConvergence("no coupled pole below the top of the span")
     if m == 0:
         return (alpha / beta)[:, None], np.zeros((n_ang, 1, 0))
     if np.any(np.diff(poles) <= 0.0):
         raise NoConvergence("two coupled interior eigenvalues coincide")
-    k = np.arange(count)
-    left, right = np.maximum(k - 1, 0), np.minimum(k, m - 1)
-    both = (k > 0) & (k < m)
+    both = (k > 0) & ~capped
     alpha, beta = alpha[:, None], beta[:, None]
+
+    def w_at(x):
+        """``w`` at the points ``x[a]`` of each angle ``a``."""
+        x = np.broadcast_to(x, (n_ang, x.size))
+        poles_term = np.sum(weights[:, None] / (x[:, :, None] - poles), axis=2)
+        return alpha - beta * x - far(x)[0] + poles_term
+
     # between two poles the sign of w at the middle picks the nearer one
-    origin = np.repeat(right[None], n_ang, axis=0)
-    mid = 0.5 * (poles[left[both]] + poles[right[both]])
-    w_mid = alpha - beta * mid + np.sum(weights[:, None, :] / (mid[:, None] - poles), axis=2)
+    origin = np.repeat(np.where(capped, left, right)[None], n_ang, axis=0)
+    w_mid = w_at(0.5 * (poles[left[both]] + poles[right[both]]))
     origin[:, both] = np.where(w_mid < 0.0, left[both], right[both])
     from_right = origin == k
     p_o = poles[origin]
     delta = poles - p_o[:, :, None]
-    far = np.where(from_right, poles[left] - p_o, poles[right] - p_o)
+    far_end = np.where(from_right, poles[left] - p_o, poles[right] - p_o)
     others = np.where(np.arange(m) == origin[:, :, None], 0.0, weights[:, None, :])
     z_o = np.take_along_axis(weights, origin, axis=1)
     c0 = alpha - beta * p_o
-    # past an end pole |alpha - beta p| / beta + sqrt(Z / beta) bounds the root,
-    # because each term of the sum is at most Z / |mu - p| there
-    end = np.abs(c0) / beta + np.sqrt(np.sum(weights, axis=1, keepdims=True) / beta)
-    reach = np.where(both, 0.5 * np.abs(far), end)
+    if np.isfinite(hi_span):
+        end = np.where(from_right, p_o - lo_span, hi_span - p_o)
+    else:
+        # past an end pole |alpha - beta p| / beta + sqrt(Z / beta) bounds the root,
+        # because each term of the sum is at most Z / |mu - p| there
+        end = np.abs(c0) / beta + np.sqrt(np.sum(weights, axis=1, keepdims=True) / beta)
+    reach = np.where(both, 0.5 * np.abs(far_end), end)
     lo = np.where(from_right, -reach, 0.0)
     hi = np.where(from_right, 0.0, reach)
     tau = 0.5 * (lo + hi)
@@ -517,14 +764,22 @@ def _secular_roots(poles, weights, alpha, beta, count):
             tau[:, m] = np.minimum(tau[:, m], poles[-1] - poles[-2])
     eps = np.finfo(float).eps
     done = np.zeros(tau.shape, dtype=bool)
+    beyond = done.copy()
+    if np.isfinite(hi_span):
+        # w(top) >= 0: the capped root lies past the span
+        w_top = w_at(np.full(np.count_nonzero(capped), hi_span))
+        beyond[:, capped] = done[:, capped] = w_top >= 0.0
+        tau[beyond] = hi[beyond]
     for _ in range(64):
         d = tau[:, :, None] - delta
         t, t_o = others / d, z_o / tau
-        w = c0 - beta * tau + t_o + np.sum(t, axis=2)
-        terms = np.abs(c0) + beta * np.abs(tau) + np.abs(t_o) + np.sum(np.abs(t), axis=2)
+        q, dq = far(p_o + tau)
+        w = c0 - beta * tau - q + t_o + np.sum(t, axis=2)
+        terms = np.abs(c0) + beta * np.abs(tau) + np.abs(q) + np.abs(t_o)
+        terms += np.sum(np.abs(t), axis=2)
         lo, hi = np.where(w > 0.0, tau, lo), np.where(w < 0.0, tau, hi)
-        rest = np.sum(t / d, axis=2) + beta
-        d_far = np.where(both, tau - far, 1.0)
+        rest = np.sum(t / d, axis=2) + beta + dq
+        d_far = np.where(both, tau - far_end, 1.0)
         z_far = np.where(both, rest * d_far * d_far, 0.0)
         c = w - t_o - z_far / d_far
         # the model's root: c (eta + tau) (eta + d_far) + z_o (eta + d_far) +
@@ -534,45 +789,55 @@ def _secular_roots(poles, weights, alpha, beta, count):
         qb = np.where(both, c * (tau + d_far) + z_o + z_far, c - rest * tau)
         qc = tau * d_far * w
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-            nxt = tau + np.stack([qc / q, q / qa])
+            root = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+            nxt = tau + np.stack([qc / root, root / qa])
             inside = (nxt > lo) & (nxt < hi)
         nxt = np.where(inside[0], nxt[0], np.where(inside[1], nxt[1], 0.5 * (lo + hi)))
         done |= (np.abs(w) <= 8.0 * eps * terms) | (nxt == tau)
         if done.all():
-            return p_o + tau, tau[:, :, None] - delta
+            diff = np.where(beyond[:, :, None], np.inf, tau[:, :, None] - delta)
+            return np.where(beyond, np.inf, p_o + tau), diff
         tau = np.where(done, tau, nxt)
     raise NoConvergence(f"{np.count_nonzero(~done)} secular roots did not converge")
 
 
-def _bordered_pairs(interior, r, f, alpha, beta, coupled, n_req):
+def _bordered_pairs(interior, far, r, f, alpha, beta, coupled):
     """The ``n_req`` smallest squared eigenpairs at a group of angles that
-    share the mask ``coupled``: ascending ``mus``, and the interior parts ``x``
-    and last entries ``t`` of the M-orthonormal vectors, one row each.
+    share the mask ``coupled`` of near poles: ascending ``mus``, and the
+    interior parts ``x`` and last entries ``t`` of the M-orthonormal vectors,
+    one row each.
 
-    The roots of the coupled modes have vectors ``[V (r / (mu - lam) - f); 1]``
-    and each decoupled mode the exact pair ``(lam_i, [V e_i; 0])``.  Root ``k``
-    is the ``(k+1)``-th smallest among the coupled values, so the first
-    ``n_req`` roots and deflated values hold the ``n_req`` smallest.  The
-    vectors of all angles come from one product with ``V``.
+    A root ``mu`` of a coupled mode has the vector ``[V (r / (mu - lam) - f)
+    - X_far(mu) (b - mu e); 1]``, with ``V`` the near vectors and ``X_far``
+    the remainder of the :class:`_FarForm` ``far``, and each decoupled mode
+    the exact pair ``(lam_i, [V e_i; 0])``.  By Cauchy interlacing the
+    ``n_req`` smallest values lie at or below the top of ``far.span``, so
+    the roots below it and the deflated values hold them.  The vectors of all
+    angles come from one product with the near vectors and the remainder's
+    coefficients, ``n_req`` rows per angle.
     """
-    lam, n = interior.lam, interior.lam.size
+    lam, n, n_req = interior.lam, interior.mass.shape[0], interior.n_req
     on, off = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    mus, diff = _secular_roots(lam[on], r[:, on] ** 2, alpha, beta, min(n_req, on.size + 1))
+    count = min(n_req, np.count_nonzero(lam[on] < far.span[1]) + 1)
+    mus, diff = _secular_roots(lam[on], r[:, on] ** 2, alpha, beta, count, far)
     n_ang, n_roots = mus.shape
+    at = np.minimum(mus, far.span[1])  # a root past the span is never kept
     u = r[:, None, on] / diff
-    norm = np.sqrt(np.sum(u * u, axis=2) + beta[:, None])
+    norm = np.sqrt(np.sum(u * u, axis=2) + beta[:, None] + far(at)[1])
     kept = off[:n_req]
-    coef = np.zeros((n_ang, n_roots + kept.size, n))
-    coef[:, :n_roots] = -f[:, None, :]
+    # each vector on the near vectors and on the remainder's coefficients
+    basis = np.concatenate([interior.near.T, interior.far.reshape(-1, n)])
+    coef = np.zeros((n_ang, n_roots + kept.size, basis.shape[0]))
+    coef[:, :n_roots, : lam.size] = -f[:, None, :]
     coef[:, :n_roots, on] += u
+    coef[:, :n_roots, lam.size :] = -far.weights(at)
     coef[:, :n_roots] /= norm[:, :, None]
     coef[:, n_roots + np.arange(kept.size), kept] = 1.0
     t = np.concatenate([1.0 / norm, np.zeros((n_ang, kept.size))], axis=1)
     mus = np.concatenate([mus, np.broadcast_to(lam[kept], (n_ang, kept.size))], axis=1)
     order = np.argsort(mus, axis=1, kind="stable")[:, :n_req]
     coef = np.take_along_axis(coef, order[:, :, None], axis=1)
-    x = (coef.reshape(-1, n) @ interior.v.T).reshape(coef.shape)
+    x = (coef.reshape(-1, basis.shape[0]) @ basis).reshape(*coef.shape[:2], n)
     return np.take_along_axis(mus, order, axis=1), x, np.take_along_axis(t, order, axis=1)
 
 
@@ -591,17 +856,19 @@ def _grams(interior, cols, diag, x, t):
 
 def _bordered_windows(interior, cols, diag, k_window, cuts):
     """The windows of :func:`floer_spectrum` at a block of angles, from the
-    interior eigenpairs.
+    near pairs and the far remainder of ``interior``, made for
+    ``k_window``.
 
     ``cols`` and ``diag`` are :meth:`FloerPencil.border` at a block of
-    angles.  With ``V`` the interior eigenvectors, the border ``[b; c]`` of
-    ``K2`` and ``[e; d]`` of ``M`` enters as ``g = V^T b`` and ``f = V^T e``.
-    Eliminating ``f`` leaves an arrowhead pencil: with ``r = g - lam f``,
-    ``beta = d - f^T f`` (the Schur complement of ``M``, positive exactly
-    when ``M`` is, as the interior mass is) and ``alpha = c - 2 r^T f - sum
-    lam_i f_i^2``, the squared eigenvalues are the roots of ``alpha - beta mu
-    + sum r_i^2 / (mu - lam_i)``, one between each two poles (see
-    :func:`_bordered_pairs`).
+    angles.  With ``V`` the near vectors, the border ``[b; c]`` of ``K2`` and
+    ``[e; d]`` of ``M`` enters as ``g = V^T b`` and ``f = V^T e``.
+    Eliminating ``f`` leaves an arrowhead pencil on the near poles: with ``r
+    = g - lam f``, ``beta = d - f^T f`` and ``alpha = c - 2 r^T f - sum lam_i
+    f_i^2``, the squared eigenvalues are the roots of ``alpha - beta mu -
+    q(mu) + sum r_i^2 / (mu - lam_i)``, one between each two near poles, with
+    ``q`` the far poles' term (:class:`_FarForm`; see :func:`_bordered_pairs`).
+    ``d - e^T M_int^-1 e``, the Schur complement of ``M``, is positive exactly
+    when ``M`` is, as the interior mass is.
     A coupling ``r_i`` at rounding level deflates.  Angles with one mask of
     coupled modes share a secular solve of ``k_window + 6`` roots.  One
     Rayleigh-Ritz step per block size, batched, gives the signed window
@@ -613,18 +880,19 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
     :func:`_cut`; the dense route widens), or its count or its group's
     secular solve failed.
     """
-    lam, v = interior.lam, interior.v
-    dim = lam.size + 1
+    lam, near = interior.lam, interior.near
+    dim = interior.mass.shape[0] + 1
     if not (np.all(np.isfinite(cols)) and np.all(np.isfinite(diag))):
         raise InvalidConfig("border of stiffness, mass or square holds NaN or Inf")
-    edge = v[interior.rows]
+    schur = diag[1] - np.einsum("ai,ij,aj->a", cols[1], interior.mass_rows, cols[1])
+    if np.any(schur <= 0.0):
+        raise MassNotPositiveDefinite(
+            f"mass Schur complement {float(np.min(schur)):.3e} at the last dof"
+        )
+    edge = near[interior.rows]
     g, f = cols[2] @ edge, cols[1] @ edge
     r = g - lam * f
     beta = diag[1] - np.sum(f * f, axis=1)
-    if np.any(beta <= 0.0):
-        raise MassNotPositiveDefinite(
-            f"mass Schur complement {float(np.min(beta)):.3e} at the last dof"
-        )
     alpha = diag[2] - 2.0 * np.sum(r * f, axis=1) - (f * f) @ lam
     # rounding level of the arrowhead [[lam, r / sqrt(beta)], [., alpha / beta]]
     scale = np.maximum(
@@ -635,19 +903,19 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
     groups = {}
     for i, mask in enumerate(coupled):
         groups.setdefault(mask.tobytes(), []).append(i)
-    n_req = min(k_window + 6, dim)
     found = [None] * alpha.size
     for idx in map(np.array, groups.values()):
         try:
             mus, x, t = _bordered_pairs(
-                interior, r[idx], f[idx], alpha[idx], beta[idx], coupled[idx[0]], n_req
+                interior, _FarForm(interior, cols[:, idx]), r[idx], f[idx], alpha[idx],
+                beta[idx], coupled[idx[0]],
             )
         except NoConvergence as exc:
             for i in idx:
                 found[i] = exc
             continue
         sizes = _cut(mus, k_window, dim)
-        no_gap = NoConvergence(f"no open gap among the {n_req} smallest squared values")
+        no_gap = NoConvergence(f"no open gap among the {interior.n_req} smallest squared values")
         windows = [no_gap] * idx.size
         gram_k, gram_m = _grams(interior, cols[:2, idx], diag[:2, idx], x, t)
         for size in np.unique(sizes[sizes > 0]):

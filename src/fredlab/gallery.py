@@ -37,11 +37,12 @@ class FugledeSpec:
 
 def fuglede_operator(spec):
     """Diagonal operator diag(1, .., N) with entry ``spec.n`` flipped to ``-n``,
-    which keeps its eigenpairs, the entries and the unit vectors."""
+    which keeps its eigenpairs, the entries and the unit vectors; the matrix
+    is formed as a diagonal, with no product."""
     diag = np.arange(1.0, spec.dim + 1.0)
     if spec.n >= 1:
         diag[spec.n - 1] = -float(spec.n)
-    return SelfAdjointOperator._from_eigenpairs(diag, np.eye(spec.dim))
+    return SelfAdjointOperator._from_eigenpairs(diag, np.eye(spec.dim), np.diag(diag))
 
 
 class FugledeExpected(NamedTuple):

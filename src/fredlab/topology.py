@@ -44,16 +44,17 @@ class SelfAdjointOperator:
         object.__setattr__(self, "matrix", sym)
 
     @classmethod
-    def _from_eigenpairs(cls, w, q):
+    def _from_eigenpairs(cls, w, q, matrix=None):
         """The operator ``Q diag(w) Q^T``, formed and checked as the constructor
-        does, with ``(w, Q)`` sorted ascending (stable) as its decomposition.
+        does, with ``(w, Q)`` sorted ascending (stable) as its decomposition;
+        a caller that holds the product already passes it as ``matrix``.
 
         ``q`` must be orthogonal to working precision, as the Q factor of
         LAPACK's Householder QR is and ``eigh``'s vectors are: the pair is then
         exact for a matrix within rounding of the stored one, which is also
         what ``eigh`` guarantees.
         """
-        op = cls((q * w) @ q.T)
+        op = cls((q * w) @ q.T if matrix is None else matrix)
         order = np.argsort(w, kind="stable")
         dec = linalg.SpectralDecomposition(w[order], q[:, order])
         object.__setattr__(op, "decomposition", dec)

@@ -178,8 +178,9 @@ class TestFloerExperiment:
         assert len(pencils) == 1 and len(quadratures) == 1 and assembled == [0.0]
 
     def test_profile_runs_before_the_interior_eigenpairs(self, monkeypatch):
-        """The profile's n x n operators are freed before the interior's n x n
-        eigenvectors are computed, so the two never share the peak RSS."""
+        """The profile's n x n operators are freed before the interior's near
+        pairs and far remainder are set up, so the set-up's temporaries never
+        share the peak RSS with them."""
         events = []
         real_ops, real_pairs = floer._mass_normalized_operators, floer._interior_pairs
 
@@ -206,6 +207,37 @@ class TestFloerExperiment:
             s_a, s_b = sweep[k // 3], sweep[k // 3 + 1]
             assert (r.label, r.param) == (f"s={s_a:.4f}->{s_b:.4f}", repr(s_b - s_a))
         assert rows[0].label == "s=0.0000->0.4189" and rows[0].param == "0.41887902047863906"
+
+    @pytest.mark.parametrize("a_spec", ["0", "const:1.5,-0.7", "const:-2,1"])
+    def test_eig_rows_converge_at_fourth_order(self, a_spec):
+        # the eig_near0 bound 400 m^-4 rests on C = error * m^4 staying between
+        # 113.6 and 154.3 from grid 16 to 400
+        for grid_m in (24, 48, 96):
+            rows = cli.run_floer(grid_m=grid_m, s_count=32, a_spec=a_spec)
+            eig_rows = [r for r in rows if r.metric.startswith("eig_near0_")]
+            assert {r.tol for r in eig_rows} == {400.0 / grid_m**4}
+            assert 100.0 < max(r.abs_error for r in eig_rows) * grid_m**4 < 160.0
+
+    def test_planted_eig_error_fails_strict(self, monkeypatch, tmp_path, capsys):
+        # ten times the bound on the first oracle window; the sweep is left alone
+        out = str(tmp_path / "report.csv")
+        argv = ["floer", "--grid", "48", "--s-count", "16", "--strict", "--out", out]
+        assert cli.main(argv) == 0
+        real, planted = floer.FloerPencil.spectra, []
+
+        def spectra(self, angles, k_window):
+            windows = real(self, angles, k_window)
+            if not planted:
+                planted.append(next(windows) + 10.0 * 400.0 / 48**4)
+                yield planted[0]
+            yield from windows
+
+        monkeypatch.setattr(floer.FloerPencil, "spectra", spectra)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("tolerance violation eig_near0_") == cli.WINDOW
+        assert err.count("(s=0.5000)") == cli.WINDOW
 
     def test_flow_expected_for_nonzero_coefficient(self):
         # theta(1; 0) does not depend on s, so every full loop has flow +2
@@ -297,19 +329,42 @@ class TestCertificateCalls:
     """The window certificate of a ``floer`` run, counted: interior
     factorizations and dense fallbacks, whose number does not swing."""
 
-    def test_floer(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, module, names):
         counts = collections.Counter()
-        for name in ("_interior_inertia", "floer_spectrum"):
+        for name in names:
 
-            def counted(*args, _call=getattr(floer, name), _name=name, **kwargs):
+            def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _call(*args, **kwargs)
 
-            monkeypatch.setattr(floer, name, counted)
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_floer(self, monkeypatch):
+        counts = self._count(monkeypatch, floer, ("_interior_inertia", "floer_spectrum"))
         cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")
         # two cuts per spectra call, the oracle angles' and the sweep's, each
         # serving every angle of its call; no window falls back
         assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (4, 0)
+
+    def test_interior_set_up(self, monkeypatch):
+        counts = self._count(monkeypatch, floer, ("_factor", "_interior_pairs"))
+        cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")
+        # one set-up per run: the shift of the inverse iteration, the count of
+        # near poles, the mass, 12 nodes and 2 checks of the remainder; then
+        # the 4 cuts of the certificate
+        assert (counts["_interior_pairs"], counts["_factor"]) == (1, 1 + 1 + 1 + 12 + 2 + 4)
+
+    def test_default_run_makes_one_full_eigendecomposition(self, monkeypatch):
+        # the profile's interior mass root; the spectra diagonalize nothing
+        # of the interior's size
+        shapes, real = [], np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a, *args: shapes.append(np.shape(a)) or real(a, *args)
+        )
+        cli.run_floer()
+        assert shapes.count((799, 799)) == 1
 
 
 class TestASpec:

@@ -499,15 +499,15 @@ class TestSpectrum:
         real_roots = floer._secular_roots
         calls = []
 
-        def dropping(poles, weights, alpha, beta, count):
+        def dropping(poles, weights, alpha, beta, count, far):
             calls.append(count)
-            mus, diff = real_roots(poles, weights, alpha, beta, count)
+            mus, diff = real_roots(poles, weights, alpha, beta, count, far)
             keep = np.arange(mus.shape[1]) != 1
             return mus[:, keep], diff[:, keep]
 
         monkeypatch.setattr(floer, "_secular_roots", dropping)
         (missed,) = floer._bordered_windows(
-            pencil.interior, *pencil.border(np.array([0.8])), 5, []
+            pencil.interior(5), *pencil.border(np.array([0.8])), 5, []
         )
         assert isinstance(missed, NoConvergence) and "1 missed" in str(missed)
         np.testing.assert_array_equal(next(pencil.spectra([0.8], 5)), floer_spectrum(op, 5))
@@ -529,7 +529,8 @@ class TestSpectrum:
 
         monkeypatch.setattr(floer, "_secular_roots", recording)
         (w,) = pencil.spectra([s], 5)
-        assert poles and max(poles) < 2 * grid_m - 1 - grid_m // 2
+        # 11 of the 21 near poles stay coupled
+        assert poles and max(poles) <= pencil.interior(5).lam.size // 2 + 1
         np.testing.assert_allclose(
             w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12
         )
@@ -551,7 +552,9 @@ class TestSpectrum:
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         calls = self._count_interior_solves(monkeypatch, 2 * 24)
         windows = list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
-        assert len(calls) == 1
+        # the near pairs come from block inverse iteration: the spectra take
+        # no dense interior solve
+        assert calls == []
         assert spectral_flow(windows) == 2
         calls.clear()
         rho_continuity_profile(pencil, np.linspace(0.0, 0.4, 5))
@@ -643,7 +646,7 @@ class TestBlockRoute:
         # widest gap of the slack, one angle alone sees no open gap; the dense
         # route widens its subset, the secular solve is not repeated
         pencil = FloerPencil(smooth_coefficient(3, 12), 12)
-        pencil.interior  # its own call of at comes before the count
+        pencil.interior(5)  # its own call of at comes before the count
         angles = np.linspace(0.1, 6.0, 8)
         ratios = []
         for s in angles:
@@ -657,9 +660,9 @@ class TestBlockRoute:
         real_roots, real_at = floer._secular_roots, FloerPencil.at
         calls, built = [], []
 
-        def recording(poles, weights, alpha, beta, count):
+        def recording(poles, weights, alpha, beta, count, far):
             calls.append((weights.shape[0], count))
-            return real_roots(poles, weights, alpha, beta, count)
+            return real_roots(poles, weights, alpha, beta, count, far)
 
         def counting(self, s):
             built.append(s)
@@ -689,7 +692,7 @@ class TestBlockRoute:
         assert built == [0.0]
         assert spectral_flow(windows) == 2
         # a count that fails at every angle sends each one to the dense route
-        rows = pencil.interior.rows.size
+        rows = pencil.border_rows.size
         monkeypatch.setattr(
             floer, "_interior_inertia", lambda interior, cut: (-1, np.zeros((rows, rows)))
         )
@@ -701,11 +704,11 @@ class TestBlockRoute:
         # the angles of a group share their poles, so a failed solve is not
         # retried per angle: every angle of the group takes the dense route
         pencil = FloerPencil.zero(16)
-        pencil.interior  # its own call of at comes before the count
+        pencil.interior(5)  # its own call of at comes before the count
         angles = [0.3, 1.1, 2.0, 4.4, 5.5]
         calls, built = [], []
 
-        def failing(poles, weights, alpha, beta, count):
+        def failing(poles, weights, alpha, beta, count, far):
             calls.append(weights.shape[0])
             raise NoConvergence("secular roots did not converge")
 
@@ -730,7 +733,7 @@ class TestBlockRoute:
             list(pencil.spectra([0.1, 0.2, bad, 0.3], 5))
 
     def test_border_checks(self):
-        interior = FloerPencil.zero(16).interior
+        interior = FloerPencil.zero(16).interior(5)
         cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidConfig, match="NaN or Inf"):
             floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5, [])
@@ -749,7 +752,7 @@ class TestInteriorInertia:
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_count_matches_the_dense_count(self, a, cut):
         pencil = FloerPencil.constant(a, 48)
-        interior = pencil.interior
+        interior = pencil.interior(5)
         neg, g = floer._interior_inertia(interior, cut)
         for s in np.linspace(0.0, 2.0 * np.pi, 41):
             op = pencil.at(s)
@@ -774,7 +777,7 @@ class TestInteriorInertia:
 
     def test_a_sweep_shares_its_factorizations(self, monkeypatch):
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        pencil.interior
+        pencil.interior(5)
         cuts = self._count_factorizations(monkeypatch)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         windows = list(pencil.spectra(sweep, 5))
@@ -794,7 +797,7 @@ class TestInteriorInertia:
         # a count one too high at the second cut sends exactly the angles it
         # serves (see the sweep above) to the dense route
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        pencil.interior
+        pencil.interior(5)
         real, real_at = floer._interior_inertia, FloerPencil.at
         cuts, built = [], []
 
@@ -814,17 +817,17 @@ class TestInteriorInertia:
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         listed = []
-        floer._bordered_windows(pencil.interior, *pencil.border(sweep[:16]), 5, listed)
+        floer._bordered_windows(pencil.interior(5), *pencil.border(sweep[:16]), 5, listed)
         assert len(listed) == 2
         cuts = self._count_factorizations(monkeypatch)
-        (w,) = floer._bordered_windows(pencil.interior, *pencil.border(sweep[16:17]), 5, listed)
+        (w,) = floer._bordered_windows(pencil.interior(5), *pencil.border(sweep[16:17]), 5, listed)
         assert cuts == [] and len(listed) == 2
         np.testing.assert_allclose(w, floer_spectrum(pencil.at(sweep[16]), 5), rtol=0.0, atol=1e-12)
 
     def test_two_calls_share_no_cut(self, monkeypatch):
         # the list of factorizations lives for one call; the pencil keeps none
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        pencil.interior
+        pencil.interior(5)
         cuts = self._count_factorizations(monkeypatch)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         first = list(pencil.spectra(sweep, 5))
@@ -837,7 +840,7 @@ class TestInteriorInertia:
         # gap lies above the cut at about half the angles: there sigma < 0
         # counts the last value below the cut, and no window falls back
         pencil = FloerPencil.constant(1.5 - 0.7j, 48)
-        pencil.interior
+        pencil.interior(5)
         real_at = FloerPencil.at
         built = []
         monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
@@ -879,12 +882,101 @@ class TestInteriorInertia:
         fields = [(op.stiffness, op.mass, op.square_stiffness) for op in ops]
         cols = np.stack([[x[:-1, [-1]].toarray()[:, 0] for x in f] for f in fields], axis=1)
         diag = np.array([[x[-1, -1] for x in f] for f in fields]).T
-        interior = floer._interior_pairs(ops[0], np.arange(ops[0].dim - 1))
+        interior = floer._interior_pairs(ops[0], np.arange(ops[0].dim - 1), 5)
         cuts = self._count_factorizations(monkeypatch)
         windows = floer._bordered_windows(interior, cols, diag, 5, [])
         assert len(cuts) == factorizations
         for op, w in zip(ops, windows):
             np.testing.assert_allclose(w, floer_spectrum(op, 5), rtol=0.0, atol=1e-12)
+
+
+class TestNearFarInterior:
+    """The interior keeps its near poles, below four times ``R``, the top of
+    every bracket of a window, and one Chebyshev remainder for the rest."""
+
+    @pytest.mark.parametrize("grid_m", [48, 400])
+    @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
+    def test_near_poles_are_the_count_below_the_cut(self, grid_m, a):
+        interior = FloerPencil.constant(a, grid_m).interior(5)
+        cut = floer._NEAR_RATIO * interior.span[1]
+        neg, _ = floer._interior_inertia(interior, cut)
+        assert neg == interior.lam.size and interior.lam[-1] < cut
+        # a window of 5 reads 11 squared values, at or below the 11th pole
+        assert interior.lam[10] == interior.span[1]
+        assert interior.span[0] == -0.25 * interior.span[1]
+
+    @pytest.mark.parametrize("grid_m", [48, 400])
+    @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
+    def test_remainder_matches_direct_solves_between_nodes(self, grid_m, a):
+        interior = FloerPencil.constant(a, grid_m).interior(5)
+        v, m, rows = interior.near, interior.mass, interior.rows
+        assert interior.far.shape == (12, rows.size, m.shape[0])
+        rhs = np.zeros((m.shape[0], rows.size))
+        rhs[rows, np.arange(rows.size)] = 1.0
+        rhs -= m @ (v @ v[rows].T)
+        lo, hi = interior.span
+        for x in np.linspace(-0.95, 0.95, 7) + 0.01:
+            mu = lo + 0.5 * (hi - lo) * (x + 1.0)
+            y = scipy.sparse.linalg.spsolve(interior.square_stiffness - mu * m, rhs)
+            want = y - v @ (v.T @ (m @ y))
+            got = np.polynomial.chebyshev.chebval(x, interior.far).T
+            # the rows block is what the secular function reads
+            err = np.max(np.abs(got[rows] - want[rows])) / np.max(np.abs(want[rows]))
+            assert err <= 1e-13, f"mu = {mu}"
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), f"mu = {mu}"
+
+    def test_a_miss_doubles_the_nodes(self):
+        # at grid 12 the far poles crowd the cut, and 12 nodes miss 1e-13
+        pencil = FloerPencil.zero(12)
+        assert pencil.interior(5).far.shape[0] == 24
+        sweep = np.linspace(0.0, 2.0 * np.pi, 7)
+        for s, w in zip(sweep, pencil.spectra(sweep, 5)):
+            np.testing.assert_allclose(w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k_window", [2, 4])
+    def test_a_root_past_the_span_is_left_out(self, monkeypatch, k_window):
+        # for a = 0 at s = 0, pi and 2 pi every other pole deflates; for an
+        # even window the top of the span is one of them, and the root above
+        # the last coupled pole below it lies past the top
+        pencil = FloerPencil.zero(96)
+        real, past = floer._secular_roots, []
+
+        def recording(*args):
+            mus, diff = real(*args)
+            past.append(int(np.count_nonzero(np.isinf(mus))))
+            return mus, diff
+
+        monkeypatch.setattr(floer, "_secular_roots", recording)
+        angles = [0.0, np.pi, 2.0 * np.pi, 0.3]
+        for s, w in zip(angles, pencil.spectra(angles, k_window)):
+            np.testing.assert_allclose(
+                w, floer_spectrum(pencil.at(s), k_window), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
+            )
+        assert past == [3, 0]
+
+    @pytest.mark.parametrize("grid_m", [10, 400])
+    @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
+    def test_windows_match_the_dense_route(self, grid_m, a):
+        # at grid 10 every pole is near and the remainder is empty
+        pencil = FloerPencil.constant(a, grid_m)
+        interior = pencil.interior(5)
+        assert (interior.far.size == 0) == (interior.lam.size == 2 * grid_m - 1) == (grid_m == 10)
+        angles = [0.0, 0.8, np.pi, 4.0, 2.0 * np.pi]
+        for s, w in zip(angles, pencil.spectra(angles, 5)):
+            np.testing.assert_allclose(
+                w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
+            )
+
+    def test_one_set_up_per_request_size(self, monkeypatch):
+        pencil = FloerPencil.zero(24)
+        real, calls = floer._interior_pairs, []
+        monkeypatch.setattr(
+            floer, "_interior_pairs", lambda *args: calls.append(args[2]) or real(*args)
+        )
+        for k_window in (5, 5, 3, 5, 3):
+            list(pencil.spectra([0.4, 2.0], k_window))
+        assert calls == [5, 3]
+        assert pencil.interior(5).n_req == 11 and pencil.interior(3).n_req == 9
 
 
 class TestDiscretizedOperator:

@@ -52,7 +52,7 @@ def _certified_or_typed(op, k_window):
     cols = np.stack([x[:-1, [-1]].toarray()[:, 0] for x in fields])[:, None, :]
     diag = np.array([x[-1, -1] for x in fields])[:, None]
     try:
-        interior = floer._interior_pairs(op, np.arange(op.dim - 1))
+        interior = floer._interior_pairs(op, np.arange(op.dim - 1), k_window)
         (w,) = floer._bordered_windows(interior, cols, diag, k_window, [])
     except FredlabError:
         return
@@ -121,7 +121,7 @@ def test_inertia_count_matches_the_dense_count(amps, s, slot, frac):
     cut = mus[slot] + frac * (mus[slot + 1] - mus[slot])
     # the interior count and the sign of the border's Schur form (Haynsworth)
     shifted = (op.square_stiffness - cut * op.mass).toarray()
-    interior = floer._interior_pairs(op, np.arange(op.dim - 1))
+    interior = floer._interior_pairs(op, np.arange(op.dim - 1), 1)
     try:
         neg, g = floer._interior_inertia(interior, cut)
     except FredlabError:
