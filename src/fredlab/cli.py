@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gallery, lagrangian, linalg, topology
+from . import flow, gallery, lagrangian, linalg, topology
 from .errors import FredlabError, InvalidConfig, require_integer
 from .gallery import FugledeSpec, fuglede_expected, fuglede_operator
 from .topology import ALPHA_RAMP, P_MINUS, P_PLUS
@@ -199,14 +199,14 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
                 ReportRow("floer", label, param, f"eig_near0_{i}", float(lam), expected, tol)
             )
 
-    flow = floer.spectral_flow(pencil.spectra(sweep, WINDOW))
+    crossings = flow.spectral_flow(pencil.spectra(sweep, WINDOW))
     rows.append(
         ReportRow(
             "floer",
             "sweep 0..2pi",
             str(s_count),
             "spectral_flow",
-            float(flow),
+            float(crossings),
             2.0,
             0.0,
         )

@@ -22,7 +22,8 @@ class NoConvergence(FredlabError):
 
 
 class MalformedMatrix(FredlabError, ValueError):
-    """A matrix was not two-dimensional or held NaN or Inf entries."""
+    """A matrix was not two-dimensional or held NaN or Inf entries, or a
+    subspace basis was not an orthonormal set of columns in its ambient space."""
 
 
 class EmptyMatrix(FredlabError):
@@ -62,10 +63,6 @@ class NoRootBracketed(FredlabError):
 
 class SamplingTooCoarse(FredlabError):
     """Parameter samples are too far apart to track eigenvalues safely."""
-
-
-class GaugeSingular(FredlabError):
-    """Two projectors are too far apart for the gauge operator to be invertible."""
 
 
 def require_integer(value, what, low):

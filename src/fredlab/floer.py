@@ -7,9 +7,9 @@ zeroth-order term ``C(t) = -J S(t)`` built from a complex coefficient
 the line of angle ``-s``, so sweeping ``s`` rotates the boundary condition.
 
 The module discretizes the family with piecewise-linear elements, computes
-spectra and spectral flow, provides a grid-free shooting oracle, and realizes
-the boundary-projector distance together with the gauge operators that
-transport one domain onto another.
+the spectra near zero, provides a grid-free shooting oracle, and realizes the
+boundary-projector distance and the metric moduli between neighbouring
+members; ``flow`` counts the spectral flow of the windows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import scipy  # submodules load on first use
 
 from . import linalg, topology
 from .errors import (
-    GaugeSingular,
     InvalidConfig,
     MassNotPositiveDefinite,
     NoConvergence,
@@ -1254,61 +1253,6 @@ def shooting_eigenvalues(pencil, queries):
     raise NoConvergence(f"shooting left a bracket of width {float(np.max(b - a)):.3e}")
 
 
-#: Below this magnitude (under the physical scale) an eigenvalue sits at zero.
-_ZERO_TOL = 1e-9
-
-
-def spectral_flow(windows):
-    """Signed count of eigenvalues crossing zero along a family (Phillips).
-
-    ``windows`` is any iterable of ascending eigenvalue arrays, such as
-    :func:`floer_spectrum` of each member; it is consumed once.  A step adds
-    ``N(next) - N(prev)``, where ``N`` counts the values in ``[-_ZERO_TOL, a)``,
-    so a crossing counts when a value arrives at zero, not when it leaves.
-    The cut ``a`` is the middle of the widest gap of ``{0}`` and the ``|lam|``
-    of both windows up to the smaller window radius; half the gap is its
-    clearance.  A step raises :class:`SamplingTooCoarse` when the windows hold
-    different numbers of values with ``|lam| < a``, or when its margin reaches
-    1: the larger motion of the rank-matched ``|lam|`` just below and just
-    above ``a``, over the clearance.  A window that is not a nonempty 1-D
-    array of finite real values raises :class:`InvalidConfig`.
-    """
-    steps = itertools.pairwise(map(np.asarray, windows))
-    return sum(_phillips_step(k, p, q) for k, (p, q) in enumerate(steps))
-
-
-def _phillips_step(k, prev, nxt):
-    """``N(nxt) - N(prev)`` at the cut of step ``k`` (see :func:`spectral_flow`)."""
-    for w in (prev, nxt):
-        if not (w.ndim == 1 and w.size and w.dtype.kind in "iuf" and np.all(np.isfinite(w))):
-            raise InvalidConfig(
-                f"step {k}: spectral flow needs nonempty 1-D eigenvalue windows of finite "
-                f"values, got {w!r}"
-            )
-    mag0, mag1 = np.sort(np.abs(prev)), np.sort(np.abs(nxt))
-    radius = min(mag0[-1], mag1[-1])
-    # 0 and the smaller radius are both levels, so one gap at least
-    levels = np.sort(np.concatenate([[0.0], mag0[mag0 <= radius], mag1[mag1 <= radius]]))
-    i = int(np.argmax(np.diff(levels)))
-    cut = 0.5 * (levels[i] + levels[i + 1])
-    clearance = cut - levels[i]
-    below, below_next = np.searchsorted(mag0, cut), np.searchsorted(mag1, cut)
-    if below != below_next:
-        raise SamplingTooCoarse(f"{below} vs {below_next} values below the cut {cut:.3e}")
-    ranks = slice(max(below - 1, 0), below + 1)  # the |lam| just below and above the cut
-    motion = np.max(np.abs(mag1[ranks] - mag0[ranks]))
-    if motion >= clearance:
-        margin = motion / clearance if clearance else math.inf
-        raise SamplingTooCoarse(
-            f"margin {margin:.3g}: motion {motion:.3e}, clearance {clearance:.3e}"
-        )
-
-    def count(w):
-        return np.count_nonzero((w >= -_ZERO_TOL) & (w < cut))
-
-    return count(nxt) - count(prev)
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryProjector:
     """Rank-2 orthogonal projector on the boundary values ``(u(0), u(1))``."""
@@ -1333,7 +1277,10 @@ def boundary_projector(s):
 
     The domain constraint reads ``P (u(0), u(1)) = 0``, so the projector maps
     onto the orthogonal complements of the allowed lines at both endpoints.
+    ``s`` is one angle; an array of them raises :class:`InvalidConfig`.
     """
+    if np.ndim(s) != 0:
+        raise InvalidConfig(f"boundary projector needs one angle, got shape {np.shape(s)}")
     v0, v1 = boundary_lines(s)
     n0 = np.array([-v0[1], v0[0]])
     n1 = np.array([-v1[1], v1[0]])
@@ -1357,87 +1304,6 @@ def nu_metric(p, q, d0_boundary):
     d0 = np.asarray(d0_boundary, dtype=float)
     diff = p.matrix - q.matrix
     return linalg.operator_norm(diff) + linalg.operator_norm(diff @ d0 - d0 @ diff)
-
-
-def gauge_hat_U(p, q):
-    """Invertible interpolation ``Q P + (I - Q)(I - P)`` between projectors.
-
-    Maps ``ker P`` onto ``ker Q`` (and ``ran P`` onto ``ran Q``); requires
-    ``|Q - P| < 1`` for invertibility.
-    """
-    pm, qm = p.matrix, q.matrix
-    if linalg.operator_norm(qm - pm) >= 1.0:
-        raise GaugeSingular("projectors too far apart: |Q - P| >= 1")
-    eye = np.eye(4)
-    return qm @ pm + (eye - qm) @ (eye - pm)
-
-
-@dataclass(frozen=True, eq=False)
-class CutoffProfile:
-    """Monotone grid samples of a collar cutoff: 0 up to 1/4, 1 from 3/4 on."""
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.eta, dtype=float)
-        if e.ndim != 1 or e.size < 2:
-            raise InvalidConfig("cutoff must be sampled on at least two nodes")
-        if np.any(np.diff(e) < 0.0):
-            raise InvalidConfig("cutoff must be nondecreasing")
-        t = np.linspace(0.0, 1.0, e.size)
-        if np.any(e[t <= 0.25] != 0.0) or np.any(e[t >= 0.75] != 1.0):
-            raise InvalidConfig("cutoff must be 0 on [0, 1/4] and 1 on [3/4, 1]")
-        object.__setattr__(self, "eta", e)
-
-    @classmethod
-    def smoothstep(cls, grid_m):
-        t = np.linspace(0.0, 1.0, _element_count(grid_m) + 1)
-        x = np.clip((t - 0.25) / 0.5, 0.0, 1.0)
-        return cls(x * x * (3.0 - 2.0 * x))
-
-
-def cutoff_gauge_U(hat_u, eta):
-    """Gauge on grid functions: identity away from ``t = 1``, endpoint block near it.
-
-    Acts node by node as ``(1 - eta) I + eta G`` where ``G`` is the
-    endpoint-1 block of ``hat_u`` extended constantly along the collar.
-    """
-    hat_u = np.asarray(hat_u, dtype=float)
-    if hat_u.shape != (4, 4):
-        raise InvalidConfig("gauge must be a 4x4 boundary operator")
-    g = hat_u[2:4, 2:4]
-    out = np.zeros((2 * eta.eta.size, 2 * eta.eta.size))
-    for j, e in enumerate(eta.eta):
-        out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (1.0 - e) * np.eye(2) + e * g
-    return out
-
-
-def _h1_gram(grid_m):
-    h = 1.0 / grid_m
-    mass = h * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-    stiff = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    n = 2 * (grid_m + 1)
-    blocks = np.broadcast_to(np.kron(mass + stiff, np.eye(2)), (grid_m, 4, 4))
-    return _element_sum(blocks, np.arange(n), np.ones(n)).toarray()
-
-
-def h1_operator_norm(x):
-    """Operator norm of a nodal map (two components per node) in the discrete H^1 inner product."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2 or x.shape[0] < 4:
-        raise InvalidConfig(f"need a square nodal map of even size >= 4, got shape {x.shape}")
-    gram = _h1_gram(x.shape[0] // 2 - 1)
-    chol = np.linalg.cholesky(gram)
-    conj = chol.T @ x @ np.linalg.solve(chol.T, np.eye(chol.shape[0]))
-    return linalg.operator_norm(conj)
-
-
-def domain_subspace(pencil, s):
-    """Constrained grid functions at boundary angle ``s``, as a subspace."""
-    dof, weight = _node_dofs(pencil.grid_m, s)
-    basis = np.zeros((dof.size, int(dof[-1]) + 1))
-    basis[np.arange(dof.size), dof] = weight
-    return linalg.Subspace(dof.size, basis)
 
 
 class NeighbourMetrics(NamedTuple):

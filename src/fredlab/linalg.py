@@ -25,6 +25,7 @@ from .errors import (
     NoConvergence,
     NonSquare,
     NotSymmetric,
+    require_integer,
 )
 
 #: Relative slack below which an input matrix counts as symmetric.
@@ -150,24 +151,29 @@ def _spectral_product(dec, vals):
 class Subspace:
     """A linear subspace of R^n held as a matrix with orthonormal columns.
 
-    ``dim == 0`` is legal and is represented by a ``(n, 0)`` basis.
+    ``dim == 0`` is legal and is represented by a ``(n, 0)`` basis.  An
+    ambient dimension that is not an integer of at least 0 raises
+    :class:`InvalidConfig`, and a basis that is not an orthonormal set of
+    finite columns in R^n raises :class:`MalformedMatrix`.
     """
 
     ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
+        n = require_integer(self.ambient_dim, "ambient dimension", 0)
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ValueError(f"basis shape {b.shape} does not sit in R^{self.ambient_dim}")
-        if b.shape[1] > self.ambient_dim:
-            raise ValueError("more basis vectors than ambient dimensions")
+        if b.ndim != 2 or b.shape[0] != n:
+            raise MalformedMatrix(f"basis shape {b.shape} does not sit in R^{n}")
+        if b.shape[1] > n:
+            raise MalformedMatrix("more basis vectors than ambient dimensions")
         if not np.all(np.isfinite(b)):
-            raise ValueError("basis contains NaN or Inf entries")
+            raise MalformedMatrix("basis contains NaN or Inf entries")
         if b.shape[1] > 0:
             defect = np.max(np.abs(b.T @ b - np.eye(b.shape[1])))
             if defect > ORTHONORMALITY_TOL:
-                raise ValueError(f"basis not orthonormal (defect {defect:.3e})")
+                raise MalformedMatrix(f"basis not orthonormal (defect {defect:.3e})")
+        object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "basis", b)
 
     @property
@@ -176,10 +182,14 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors):
-        """Subspace spanned by the columns of ``vectors`` (rank-trimmed SVD)."""
+        """Subspace spanned by the columns of ``vectors`` (rank-trimmed SVD);
+        a spanning set that is not a matrix of finite entries raises
+        :class:`MalformedMatrix`."""
         v = np.asarray(vectors, dtype=float)
         if v.ndim != 2:
-            raise ValueError("spanning set must be a matrix of column vectors")
+            raise MalformedMatrix("spanning set must be a matrix of column vectors")
+        if not np.all(np.isfinite(v)):
+            raise MalformedMatrix("spanning set contains NaN or Inf entries")
         if v.shape[1] == 0:
             return cls(v.shape[0], v)
         u, s, _ = np.linalg.svd(v, full_matrices=False)

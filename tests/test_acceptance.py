@@ -6,9 +6,11 @@ criterion.  Tolerances are pinned here and nowhere else.
 
 import numpy as np
 
-from fredlab import floer, gallery, lagrangian, linalg, topology
+from fredlab import floer, flow, gallery, lagrangian, linalg, topology
 from fredlab.gallery import FugledeSpec, fuglede_expected, fuglede_operator
 from fredlab.topology import ALPHA_RAMP
+
+import gauge_suite
 
 FLIP_INDICES = (1, 2, 4, 8, 16)
 ORACLE_ANGLES = (0.5, 1.0, float(np.pi), 5.0)
@@ -171,30 +173,30 @@ def test_criterion_8_spectral_flow():
     windows = [
         floer.floer_spectrum(pencil.at(float(s)), 5) for s in sweep
     ]
-    assert floer.spectral_flow(windows) == 2
-    assert floer.spectral_flow(windows[::-1]) == -2
+    assert flow.spectral_flow(windows) == 2
+    assert flow.spectral_flow(windows[::-1]) == -2
     print("ACCEPTANCE 8 PASS: spectral flow +2 forward, -2 reversed (128 samples)")
 
 
 def test_criterion_9_gauge_suite():
     """Gauge operators: algebraic identity, norm bound, exact domain transport."""
     grid_m = 100
-    eta = floer.CutoffProfile.smoothstep(grid_m)
+    eta = gauge_suite.CutoffProfile.smoothstep(grid_m)
     for s, ds in ((0.3, 0.2), (1.0, 0.1), (2.2, 0.05), (4.0, 0.15)):
         p = floer.boundary_projector(s)
         q = floer.boundary_projector(s + ds)
-        hat = floer.gauge_hat_U(p, q)
+        hat = gauge_suite.gauge_hat_U(p, q)
         alt = (q.matrix - p.matrix) @ (2.0 * p.matrix - np.eye(4)) + np.eye(4)
         assert linalg.operator_norm(hat - alt) <= 1e-14
         bound = linalg.operator_norm(q.matrix - p.matrix) * linalg.operator_norm(
             2.0 * p.matrix - np.eye(4)
         )
         assert linalg.operator_norm(hat - np.eye(4)) <= bound + 1e-12
-        u = floer.cutoff_gauge_U(hat, eta)
+        u = gauge_suite.cutoff_gauge_U(hat, eta)
         moved = linalg.Subspace.from_spanning(
-            u @ floer.domain_subspace(floer.FloerPencil.zero(grid_m), s).basis
+            u @ gauge_suite.domain_subspace(floer.FloerPencil.zero(grid_m), s).basis
         )
-        target = floer.domain_subspace(floer.FloerPencil.zero(grid_m), s + ds)
+        target = gauge_suite.domain_subspace(floer.FloerPencil.zero(grid_m), s + ds)
         assert topology.subspace_gap(moved, target) <= 1e-10
     print("ACCEPTANCE 9 PASS: gauge forms, norm bound and domain transport verified")
 

@@ -617,8 +617,9 @@ class TestSeeds:
 
 class TestColdStart:
     # only floer needs scipy, and cli imports floer inside run_floer, so the
-    # dense experiments never import scipy.  A fresh process is needed because
-    # pytest's warning filters import scipy.sparse into this one.
+    # dense experiments and the flow count never import scipy.  A fresh
+    # process is needed because pytest's warning filters import scipy.sparse
+    # into this one.
     PROBE = """
 import json, os, sys
 loaded = {}
@@ -646,6 +647,21 @@ print(json.dumps(loaded))
         loaded = json.loads(proc.stdout)
         steps = ["import fredlab", "import fredlab.cli", *(argv[0] for argv in self.DENSE_RUNS)]
         assert loaded == {step: [] for step in steps}
+
+    FLOW_PROBE = """
+import json, sys
+import numpy as np
+from fredlab import flow
+# a ladder of spacing pi whose value nearest zero rises through it
+windows = [np.sort(s + np.pi * np.arange(-2, 3)) for s in np.linspace(-1.0, 1.0, 9)]
+counts = [int(flow.spectral_flow(w)) for w in (windows, windows[::-1])]
+print(json.dumps([counts, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+    def test_flow_count_does_not_load_scipy(self):
+        proc = _python("-c", self.FLOW_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[1, -1], []]
 
     def test_floer_runs_in_a_fresh_process(self):
         proc = _python("-m", "fredlab", "floer", "--grid", "24", "--s-count", "16")

@@ -13,7 +13,6 @@ import scipy.sparse.linalg
 
 from fredlab import cli, floer, linalg, topology
 from fredlab.errors import (
-    GaugeSingular,
     InvalidConfig,
     MassNotPositiveDefinite,
     NoConvergence,
@@ -24,22 +23,26 @@ from fredlab.errors import (
 from fredlab.floer import (
     BoundaryProjector,
     Coupling,
-    CutoffProfile,
     DiscretizedOperator,
     FloerPencil,
     boundary_coefficient_operator,
     boundary_lines,
     boundary_projector,
-    cutoff_gauge_U,
-    domain_subspace,
     floer_spectrum,
-    gauge_hat_U,
-    h1_operator_norm,
     mass_normalized,
     nu_metric,
     rho_continuity_profile,
     shooting_eigenvalues,
-    spectral_flow,
+)
+from fredlab.flow import spectral_flow
+
+from gauge_suite import (
+    CutoffProfile,
+    GaugeSingular,
+    cutoff_gauge_U,
+    domain_subspace,
+    gauge_hat_U,
+    h1_operator_norm,
 )
 
 
@@ -1288,6 +1291,14 @@ class TestBoundaryProjectors:
     def test_validation(self):
         with pytest.raises(InvalidConfig):
             BoundaryProjector(np.eye(4))  # rank 4, not 2
+
+    @pytest.mark.parametrize(
+        "angles", [[0.5], np.array([0.1, 0.2]), np.array([[0.3]])], ids=["list", "pair", "2-D"]
+    )
+    def test_projector_takes_one_angle(self, angles):
+        # a list used to raise IndexError, and a pair a broadcasting ValueError
+        with pytest.raises(InvalidConfig, match="one angle"):
+            boundary_projector(angles)
 
     def test_boundary_coefficient_is_the_antilinear_coefficient_at_the_ends(self):
         pencil = FloerPencil(smooth_coefficient(3, 16), 16)

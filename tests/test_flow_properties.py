@@ -14,8 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredlab import floer
-from fredlab.floer import spectral_flow
+from fredlab import flow
+from fredlab.flow import spectral_flow
 
 #: Ladder values on each side of the one nearest zero at ``t = 0``; the window
 #: (at most 6 values) travels at most 4 spacings, so it never reaches an end.
@@ -47,7 +47,7 @@ def sampled_ladders(draw):
 def test_flow_is_the_net_count_of_signed_zero_crossings(ladder):
     windows, start, end = ladder
     # each value moves monotonically, so it crosses zero at most once
-    nonneg_start, nonneg_end = start >= -floer._ZERO_TOL, end >= -floer._ZERO_TOL
+    nonneg_start, nonneg_end = start >= -flow._ZERO_TOL, end >= -flow._ZERO_TOL
     up = int(np.count_nonzero(~nonneg_start & nonneg_end))
     down = int(np.count_nonzero(nonneg_start & ~nonneg_end))
     assert spectral_flow(windows) == up - down

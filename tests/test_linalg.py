@@ -10,6 +10,8 @@ from fredlab.errors import (
     AmbientMismatch,
     EmptyMatrix,
     FunctionUndefinedAtEigenvalue,
+    InvalidConfig,
+    MalformedMatrix,
     NonSquare,
     NotSymmetric,
 )
@@ -297,6 +299,44 @@ class TestSubspaces:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             linalg.Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "basis, match",
+        [
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), "not orthonormal"),
+            (np.eye(3)[:, :2], r"does not sit in R\^2"),
+            (np.ones(2), r"does not sit in R\^2"),
+            (np.eye(2, 3), "more basis vectors"),
+            (np.array([[np.nan], [0.0]]), "NaN or Inf"),
+        ],
+        ids=["skew", "ambient", "1-D", "too-many", "nan"],
+    )
+    def test_malformed_basis_is_a_typed_error(self, basis, match):
+        with pytest.raises(MalformedMatrix, match=match):
+            linalg.Subspace(2, basis)
+
+    @pytest.mark.parametrize("ambient", [2.5, "2", None, -1])
+    def test_ambient_dimension_must_be_a_nonnegative_integer(self, ambient):
+        with pytest.raises(InvalidConfig, match="ambient dimension"):
+            linalg.Subspace(ambient, np.zeros((2, 0)))
+
+    def test_numpy_integer_ambient_dimension(self):
+        s = linalg.Subspace(np.int64(2), np.eye(2))
+        assert type(s.ambient_dim) is int and s.ambient_dim == 2
+
+    @pytest.mark.parametrize(
+        "vectors, match",
+        [
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "NaN or Inf"),
+            (np.array([[np.inf], [1.0]]), "NaN or Inf"),
+            (np.ones(3), "matrix of column vectors"),
+        ],
+        ids=["nan", "inf", "1-D"],
+    )
+    def test_malformed_spanning_set_is_a_typed_error(self, vectors, match):
+        # a NaN column used to reach the SVD, which failed to converge
+        with pytest.raises(MalformedMatrix, match=match):
+            linalg.Subspace.from_spanning(vectors)
 
 
 class TestMeetDims:
