@@ -210,10 +210,11 @@ def _element_blocks(pencil):
     return np.stack([k_e, m_e, k2_e])
 
 
-#: Angles per block of :meth:`FloerPencil.spectra`.  It bounds the vectors of
-#: one Rayleigh-Ritz step, ``(angles, roots, dofs)``, about 16 times ``11 x
-#: 800`` values at grid 400.
-_BLOCK_ANGLES = 16
+#: Angles per block of :meth:`FloerPencil.spectra`.  A Rayleigh-Ritz step
+#: holds its vectors as coefficients on the interior's reduced basis, about
+#: ``11 x 45`` values per angle at every grid, so a block forms no
+#: dof-length array and its size bounds only the batched secular solve.
+_BLOCK_ANGLES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +429,15 @@ class _Interior(NamedTuple):
     its Chebyshev coefficients, one ``rows x dofs`` block of ``X_far^T`` per
     degree, and none where every pole is near; the span is then the whole
     line.  ``mass_rows`` is the ``rows`` block of ``M^-1``, and the interior
-    blocks of ``K``, ``M`` and ``K2`` follow.
+    blocks of ``M`` and ``K2`` follow.
+
+    Every Ritz vector of a window lies, on the interior, in the span of the
+    reduced basis ``W``: the near vectors and the rows of ``far``, 45 or 46
+    at windows of 5 (21 or 22 + 12 x 2 at grids 48 to 1600, for ``a = 0``
+    and ``const:1.5,-0.7``).  ``grams`` holds ``W K W^T`` and ``W M W^T`` of
+    the interior blocks, and ``basis_rows`` is ``W[:, rows]``, so a Ritz
+    step reads the vectors through their coefficients on ``W`` alone (see
+    :func:`_grams`).
     """
 
     n_req: int
@@ -437,10 +446,11 @@ class _Interior(NamedTuple):
     far: np.ndarray
     span: tuple
     mass_rows: np.ndarray
-    stiffness: scipy.sparse.csc_array
     mass: scipy.sparse.csc_array
     square_stiffness: scipy.sparse.csc_array
     rows: np.ndarray
+    grams: np.ndarray
+    basis_rows: np.ndarray
 
 
 def _factor(shifted, what):
@@ -629,20 +639,23 @@ def _interior_pairs(op, rows, k_window):
     windows of ``k_window`` values: the near pairs of :func:`_near_pairs`
     and, where poles remain past them, the remainder of
     :func:`_far_remainder` on ``[-R/4, R]``, which holds every bracket of a
-    secular solve, root 0's below 0 too.  No ``n x n`` array is formed.
+    secular solve, root 0's below 0 too.  The reduced basis, its Grams
+    and its ``rows`` are formed once here.  No ``n x n`` array is formed.
     """
     n_req = _request(k_window, op.dim)
     mass, k2 = op.mass[:-1, :-1], op.square_stiffness[:-1, :-1]
-    rows = np.asarray(rows)
+    n, rows = mass.shape[0], np.asarray(rows)
     lam, near, top = _near_pairs(k2, mass, n_req)
-    if lam.size < mass.shape[0]:
+    if lam.size < n:
         span = (-0.25 * top, top)
         far = _far_remainder(k2, mass, rows, near, span)
     else:
-        span, far = (-np.inf, np.inf), np.zeros((0, rows.size, mass.shape[0]))
-    mass_rows = _factor(mass, "interior mass").solve(_unit_columns(mass.shape[0], rows))[rows]
+        span, far = (-np.inf, np.inf), np.zeros((0, rows.size, n))
+    mass_rows = _factor(mass, "interior mass").solve(_unit_columns(n, rows))[rows]
+    basis = np.concatenate([near.T, far.reshape(-1, n)])
+    grams = np.array([basis @ (block @ basis.T) for block in (op.stiffness[:-1, :-1], mass)])
     return _Interior(
-        n_req, lam, near, far, span, mass_rows, op.stiffness[:-1, :-1], mass, k2, rows
+        n_req, lam, near, far, span, mass_rows, mass, k2, rows, grams, basis[:, rows]
     )
 
 
@@ -803,19 +816,21 @@ def _secular_roots(poles, weights, alpha, beta, count, far):
 def _bordered_pairs(interior, far, r, f, alpha, beta, coupled):
     """The ``n_req`` smallest squared eigenpairs at a group of angles that
     share the mask ``coupled`` of near poles: ascending ``mus``, and the
-    interior parts ``x`` and last entries ``t`` of the M-orthonormal vectors,
-    one row each.
+    interior parts ``x = coef W``, as their coefficients ``coef`` on the
+    interior's reduced basis ``W``, and last entries ``t`` of the
+    M-orthonormal vectors, one row each.
 
     A root ``mu`` of a coupled mode has the vector ``[V (r / (mu - lam) - f)
     - X_far(mu) (b - mu e); 1]``, with ``V`` the near vectors and ``X_far``
     the remainder of the :class:`_FarForm` ``far``, and each decoupled mode
     the exact pair ``(lam_i, [V e_i; 0])``.  By Cauchy interlacing the
     ``n_req`` smallest values lie at or below the top of ``far.span``, so
-    the roots below it and the deflated values hold them.  The vectors of all
-    angles come from one product with the near vectors and the remainder's
-    coefficients, ``n_req`` rows per angle.
+    the roots below it and the deflated values hold them.  The rows of ``W``
+    are the near vectors, then the remainder's blocks, so a vector's
+    coefficients are its near terms and :meth:`_FarForm.weights`; no
+    dof-length vector is formed.
     """
-    lam, n, n_req = interior.lam, interior.mass.shape[0], interior.n_req
+    lam, n_req = interior.lam, interior.n_req
     on, off = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     count = min(n_req, np.count_nonzero(lam[on] < far.span[1]) + 1)
     mus, diff = _secular_roots(lam[on], r[:, on] ** 2, alpha, beta, count, far)
@@ -824,9 +839,7 @@ def _bordered_pairs(interior, far, r, f, alpha, beta, coupled):
     u = r[:, None, on] / diff
     norm = np.sqrt(np.sum(u * u, axis=2) + beta[:, None] + far(at)[1])
     kept = off[:n_req]
-    # each vector on the near vectors and on the remainder's coefficients
-    basis = np.concatenate([interior.near.T, interior.far.reshape(-1, n)])
-    coef = np.zeros((n_ang, n_roots + kept.size, basis.shape[0]))
+    coef = np.zeros((n_ang, n_roots + kept.size, interior.basis_rows.shape[0]))
     coef[:, :n_roots, : lam.size] = -f[:, None, :]
     coef[:, :n_roots, on] += u
     coef[:, :n_roots, lam.size :] = -far.weights(at)
@@ -836,19 +849,20 @@ def _bordered_pairs(interior, far, r, f, alpha, beta, coupled):
     mus = np.concatenate([mus, np.broadcast_to(lam[kept], (n_ang, kept.size))], axis=1)
     order = np.argsort(mus, axis=1, kind="stable")[:, :n_req]
     coef = np.take_along_axis(coef, order[:, :, None], axis=1)
-    x = (coef.reshape(-1, basis.shape[0]) @ basis).reshape(*coef.shape[:2], n)
-    return np.take_along_axis(mus, order, axis=1), x, np.take_along_axis(t, order, axis=1)
+    return np.take_along_axis(mus, order, axis=1), coef, np.take_along_axis(t, order, axis=1)
 
 
-def _grams(interior, cols, diag, x, t):
-    """Gram matrices of ``K`` and ``M`` on the vectors ``[x; t]``, per angle:
-    the interior blocks act on ``x``, the border on ``x[rows]`` and ``t``."""
-    flat = x.reshape(-1, x.shape[2])
+def _grams(interior, cols, diag, coef, t):
+    """Gram matrices of ``K`` and ``M`` on the vectors ``[coef W; t]``, per
+    angle, with ``W`` the interior's reduced basis: ``coef (W X W^T)
+    coef^T`` from :attr:`_Interior.grams` for the interior block ``X``, and
+    the border on ``coef W[:, rows]`` and ``t``."""
+    edge = coef @ interior.basis_rows
     tt = t[:, :, None] * t[:, None, :]
     out = []
-    for block, col, d in zip((interior.stiffness, interior.mass), cols, diag):
-        inner = x @ (block @ flat.T).T.reshape(x.shape).transpose(0, 2, 1)
-        cross = (x[:, :, interior.rows] @ col[:, :, None]) * t[:, None, :]
+    for gram, col, d in zip(interior.grams, cols, diag):
+        inner = coef @ gram @ coef.transpose(0, 2, 1)
+        cross = (edge @ col[:, :, None]) * t[:, None, :]
         out.append(inner + cross + cross.transpose(0, 2, 1) + d[:, None, None] * tt)
     return out
 
@@ -905,7 +919,7 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
     found = [None] * alpha.size
     for idx in map(np.array, groups.values()):
         try:
-            mus, x, t = _bordered_pairs(
+            mus, coef, t = _bordered_pairs(
                 interior, _FarForm(interior, cols[:, idx]), r[idx], f[idx], alpha[idx],
                 beta[idx], coupled[idx[0]],
             )
@@ -916,7 +930,7 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
         sizes = _cut(mus, k_window, dim)
         no_gap = NoConvergence(f"no open gap among the {interior.n_req} smallest squared values")
         windows = [no_gap] * idx.size
-        gram_k, gram_m = _grams(interior, cols[:2, idx], diag[:2, idx], x, t)
+        gram_k, gram_m = _grams(interior, cols[:2, idx], diag[:2, idx], coef, t)
         for size in np.unique(sizes[sizes > 0]):
             sel = np.flatnonzero(sizes == size)
             lower_inv = np.linalg.inv(np.linalg.cholesky(gram_m[sel, :size, :size]))

@@ -29,7 +29,8 @@ def spectral_flow(windows):
     different numbers of values with ``|lam| < a``, or when its margin reaches
     1: the larger motion of the rank-matched ``|lam|`` just below and just
     above ``a``, over the clearance.  A window that is not a nonempty 1-D
-    array of finite real values raises :class:`InvalidConfig`.
+    array of finite real values raises :class:`InvalidConfig`.  The count is
+    a Python ``int`` for any number of windows, 0 for fewer than two.
     """
     steps = itertools.pairwise(map(np.asarray, windows))
     return sum(_phillips_step(k, p, q) for k, (p, q) in enumerate(steps))
@@ -62,6 +63,6 @@ def _phillips_step(k, prev, nxt):
         )
 
     def count(w):
-        return np.count_nonzero((w >= -_ZERO_TOL) & (w < cut))
+        return int(np.count_nonzero((w >= -_ZERO_TOL) & (w < cut)))
 
     return count(nxt) - count(prev)

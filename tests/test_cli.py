@@ -654,7 +654,7 @@ import numpy as np
 from fredlab import flow
 # a ladder of spacing pi whose value nearest zero rises through it
 windows = [np.sort(s + np.pi * np.arange(-2, 3)) for s in np.linspace(-1.0, 1.0, 9)]
-counts = [int(flow.spectral_flow(w)) for w in (windows, windows[::-1])]
+counts = [flow.spectral_flow(w) for w in (windows, windows[::-1])]
 print(json.dumps([counts, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -636,13 +637,66 @@ class TestBlockRoute:
                 w, floer_spectrum(pencil.at(s), k_window), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
             )
 
-    def test_window_does_not_depend_on_its_block(self, monkeypatch):
-        monkeypatch.setattr(floer, "_BLOCK_ANGLES", 64)
+    @pytest.mark.parametrize("size", [5, 16, 64])
+    def test_window_does_not_depend_on_its_block(self, monkeypatch, size):
+        # the cuts one call factors serve its later blocks too, so the count
+        # of interior factorizations does not depend on the block size either
         pencil = FloerPencil(smooth_coefficient(3, 48), 48)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
-        block = list(pencil.spectra(sweep, 5))
-        for s, w in zip(sweep, block):
-            np.testing.assert_allclose(w, next(pencil.spectra([s], 5)), rtol=0.0, atol=1e-13)
+        single = [next(pencil.spectra([s], 5)) for s in sweep]
+        real, counts = floer._interior_inertia, []
+        monkeypatch.setattr(
+            floer, "_interior_inertia", lambda *args: counts.append(args[1]) or real(*args)
+        )
+        monkeypatch.setattr(floer, "_BLOCK_ANGLES", size)
+        for s, w, want in zip(sweep, pencil.spectra(sweep, 5), single):
+            np.testing.assert_allclose(w, want, rtol=0.0, atol=1e-13, err_msg=f"s = {s}")
+        assert len(counts) == 2
+
+    @pytest.mark.parametrize("grid_m", [48, 400])
+    @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
+    def test_reduced_grams_match_the_explicit_vectors(self, monkeypatch, grid_m, a):
+        # the oracle forms each vector on the dofs, x = coef W with W the
+        # reduced basis, and applies the interior blocks of K and M to it
+        pencil = FloerPencil.constant(a, grid_m)
+        real, calls = floer._grams, []
+
+        def recording(interior, cols, diag, coef, t):
+            got = real(interior, cols, diag, coef, t)
+            calls.append((interior, cols, diag, coef, t, got))
+            return got
+
+        monkeypatch.setattr(floer, "_grams", recording)
+        list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 16), 5))
+        assert len(calls) == 2  # the block holds two masks of coupled modes
+        stiffness = pencil.base.stiffness[:-1, :-1]
+        for interior, cols, diag, coef, t, got in calls:
+            n = interior.mass.shape[0]
+            x = coef @ np.concatenate([interior.near.T, interior.far.reshape(-1, n)])
+            tt = t[:, :, None] * t[:, None, :]
+            for block, col, d, gram in zip((stiffness, interior.mass), cols, diag, got):
+                inner = np.array([xa @ (block @ xa.T) for xa in x])
+                cross = (x[:, :, interior.rows] @ col[:, :, None]) * t[:, None, :]
+                want = inner + cross + cross.transpose(0, 2, 1) + d[:, None, None] * tt
+                scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+                assert np.all(np.abs(gram - want) <= 1e-12 * scale)
+
+    def test_block_size_does_not_raise_the_sweep_peak(self, monkeypatch):
+        # a block forms no dof-length array: the vectors of 64 angles, 11
+        # each on 3199 dofs at grid 1600, would take 18 MB alone
+        pencil = FloerPencil(smooth_coefficient(3, 1600), 1600)
+        pencil.interior(5)
+        sweep = np.linspace(0.0, 2.0 * np.pi, 128)
+        peaks = {}
+        for size in (16, 64):
+            monkeypatch.setattr(floer, "_BLOCK_ANGLES", size)
+            tracemalloc.start()
+            try:
+                list(pencil.spectra(sweep, 5))
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= peaks[16] + 2**20, peaks
 
     def test_no_gap_sends_only_that_angle_to_the_dense_route(self, monkeypatch):
         # at a degeneracy tolerance between the smallest and the next relative
@@ -1197,6 +1251,11 @@ class TestSpectralFlow:
         cut = 40
         total = spectral_flow(loop_windows)
         assert spectral_flow(loop_windows[: cut + 1]) + spectral_flow(loop_windows[cut:]) == total
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_count_is_a_python_int(self, loop_windows, count):
+        # fewer than two windows count 0; every count serializes as an int
+        assert type(spectral_flow(loop_windows[:count])) is int
 
     def test_family_may_be_a_one_pass_iterator(self):
         windows = free_loop_windows(32, 128)
