@@ -14,6 +14,7 @@ members; ``flow`` counts the spectral flow of the windows.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -423,21 +424,23 @@ class _Interior(NamedTuple):
 
     ``lam`` are the near poles, the generalized eigenvalues of ``K2`` and
     ``M`` on all other dofs below :data:`_NEAR_RATIO` times ``span[1]``, the
-    top of every bracket of a secular solve, and ``near`` their
-    ``M``-orthonormal vectors (see :func:`_near_pairs`).  ``far`` holds the
-    rest, the far remainder ``X_far`` on ``span`` (see :func:`_far_remainder`):
-    its Chebyshev coefficients, one ``rows x dofs`` block of ``X_far^T`` per
-    degree, and none where every pole is near; the span is then the whole
-    line.  ``mass_rows`` is the ``rows`` block of ``M^-1``, and the interior
-    blocks of ``M`` and ``K2`` follow.
+    top of every bracket of a secular solve, and ``near`` the ``rows`` of
+    their ``M``-orthonormal vectors (see :func:`_near_pairs`).  ``far`` holds
+    the rest, the far remainder ``X_far`` on ``span`` (see
+    :func:`_far_remainder`): the ``rows`` columns of its Chebyshev
+    coefficients, one ``rows x rows`` block of ``X_far^T`` per degree, and
+    none where every pole is near; the span is then the whole line.
+    ``mass_rows`` is the ``rows`` block of ``M^-1``, and the interior blocks
+    of ``M`` and ``K2`` follow.
 
     Every Ritz vector of a window lies, on the interior, in the span of the
-    reduced basis ``W``: the near vectors and the rows of ``far``, 45 or 46
-    at windows of 5 (21 or 22 + 12 x 2 at grids 48 to 1600, for ``a = 0``
-    and ``const:1.5,-0.7``).  ``grams`` holds ``W K W^T`` and ``W M W^T`` of
-    the interior blocks, and ``basis_rows`` is ``W[:, rows]``, so a Ritz
-    step reads the vectors through their coefficients on ``W`` alone (see
-    :func:`_grams`).
+    reduced basis ``W``: the near vectors and the rows of the remainder's
+    blocks, 45 or 46 at windows of 5 (21 or 22 + 12 x 2 at grids 48 to
+    1600, for ``a = 0`` and ``const:1.5,-0.7``).  ``grams`` holds ``W K
+    W^T`` and ``W M W^T`` of the interior blocks, and ``near`` and ``far``
+    hold ``W[:, rows]``, so a Ritz step reads the vectors through their
+    coefficients on ``W`` alone (see :func:`_grams`) and the interior keeps
+    no dof-length vector.
     """
 
     n_req: int
@@ -450,7 +453,6 @@ class _Interior(NamedTuple):
     square_stiffness: scipy.sparse.csc_array
     rows: np.ndarray
     grams: np.ndarray
-    basis_rows: np.ndarray
 
 
 def _factor(shifted, what):
@@ -655,7 +657,7 @@ def _interior_pairs(op, rows, k_window):
     basis = np.concatenate([near.T, far.reshape(-1, n)])
     grams = np.array([basis @ (block @ basis.T) for block in (op.stiffness[:-1, :-1], mass)])
     return _Interior(
-        n_req, lam, near, far, span, mass_rows, mass, k2, rows, grams, basis[:, rows]
+        n_req, lam, near[rows], far[:, :, rows], span, mass_rows, mass, k2, rows, grams
     )
 
 
@@ -667,11 +669,11 @@ class _FarForm:
     the interior has no far poles, ``q`` is 0 on the whole line."""
 
     def __init__(self, interior, cols):
-        self.far, self.span = interior.far, interior.span
+        self.span = interior.span
         self.b, self.e = cols[2], cols[1]
-        h = self.far[:, :, interior.rows]
+        h = interior.far
         self.h = 0.5 * (h + h.transpose(0, 2, 1))
-        if self.far.size:
+        if self.h.size:
             lo, hi = self.span
             self.dh = np.polynomial.chebyshev.chebder(self.h, axis=0, scl=2.0 / (hi - lo))
 
@@ -685,7 +687,7 @@ class _FarForm:
     def __call__(self, mu):
         """``q`` and ``dq/dmu`` at ``mu``, whose row ``a`` is read with the
         border of angle ``a``."""
-        if not self.far.size:
+        if not self.h.size:
             return np.zeros(mu.shape), np.zeros(mu.shape)
         n, r = self.h.shape[:2]
         u = self._u(mu)
@@ -696,9 +698,9 @@ class _FarForm:
         return np.einsum("aki,aki->ak", u, hu), slope
 
     def weights(self, mu):
-        """The coefficients of ``X_far(mu) u`` on the blocks of ``far``, one
-        per degree and row: ``T_n(mu) u_i``."""
-        n = self.far.shape[0]
+        """The coefficients of ``X_far(mu) u`` on the blocks of the
+        remainder, one per degree and row: ``T_n(mu) u_i``."""
+        n = self.h.shape[0]
         if not n:
             return np.zeros((*mu.shape, 0))
         u = self._u(mu)
@@ -839,7 +841,7 @@ def _bordered_pairs(interior, far, r, f, alpha, beta, coupled):
     u = r[:, None, on] / diff
     norm = np.sqrt(np.sum(u * u, axis=2) + beta[:, None] + far(at)[1])
     kept = off[:n_req]
-    coef = np.zeros((n_ang, n_roots + kept.size, interior.basis_rows.shape[0]))
+    coef = np.zeros((n_ang, n_roots + kept.size, interior.grams.shape[1]))
     coef[:, :n_roots, : lam.size] = -f[:, None, :]
     coef[:, :n_roots, on] += u
     coef[:, :n_roots, lam.size :] = -far.weights(at)
@@ -857,7 +859,8 @@ def _grams(interior, cols, diag, coef, t):
     angle, with ``W`` the interior's reduced basis: ``coef (W X W^T)
     coef^T`` from :attr:`_Interior.grams` for the interior block ``X``, and
     the border on ``coef W[:, rows]`` and ``t``."""
-    edge = coef @ interior.basis_rows
+    r = interior.rows.size
+    edge = coef @ np.concatenate([interior.near.T, interior.far.reshape(-1, r)])
     tt = t[:, :, None] * t[:, None, :]
     out = []
     for gram, col, d in zip(interior.grams, cols, diag):
@@ -893,7 +896,7 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
     :func:`_cut`; the dense route widens), or its count or its group's
     secular solve failed.
     """
-    lam, near = interior.lam, interior.near
+    lam = interior.lam
     dim = interior.mass.shape[0] + 1
     if not (np.all(np.isfinite(cols)) and np.all(np.isfinite(diag))):
         raise InvalidConfig("border of stiffness, mass or square holds NaN or Inf")
@@ -902,8 +905,7 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
         raise MassNotPositiveDefinite(
             f"mass Schur complement {float(np.min(schur)):.3e} at the last dof"
         )
-    edge = near[interior.rows]
-    g, f = cols[2] @ edge, cols[1] @ edge
+    g, f = cols[2] @ interior.near, cols[1] @ interior.near
     r = g - lam * f
     beta = diag[1] - np.sum(f * f, axis=1)
     alpha = diag[2] - 2.0 * np.sum(r * f, axis=1) - (f * f) @ lam
@@ -1338,6 +1340,69 @@ def _resolvent_factor(a, block):
     return np.linalg.qr(q[block].T / np.hypot(1.0, lam)[:, None], mode="r")
 
 
+#: Lanczos vectors that :func:`_riesz_distance` keeps, ARPACK's default for
+#: one eigenvalue; one cycle converges at grids 48 to 800, on 21 products.
+_LANCZOS_VECTORS = 20
+
+
+def _riesz_distance(a0, a1):
+    """``|r(A1) - r(A0)|`` with ``r`` = :func:`topology.bounded_transform_scalar`,
+    from the cached decompositions ``A_k = Q_k diag(l_k) Q_k^T``.
+
+    It is the largest ``|eigenvalue|`` of the symmetric operator ``x -> Q1
+    (r(l1) o Q1^T x) - Q0 (r(l0) o Q0^T x)``, found by implicitly restarted
+    Lanczos (ARPACK; Lehoucq, Sorensen and Yang, SIAM 1998) to machine
+    tolerance from a fixed seeded start, so a pair gives the same value at
+    every call.  Each product is four matrix-vector products with the
+    eigenvector matrices, and no ``n x n`` array is formed;
+    :func:`topology.riesz_metric` is the dense oracle.  Equal matrices give
+    exactly 0, which ARPACK could not start from.  A run that does not
+    converge raises :class:`NoConvergence` with the residual of the best Ritz
+    pair on the last vectors it applied (see :func:`_ritz_residual`).
+    """
+    if np.array_equal(a0.matrix, a1.matrix):
+        return 0.0
+    (q0, r0), (q1, r1) = (
+        (d.eigenvectors, topology.bounded_transform_scalar(d.eigenvalues))
+        for d in (a0.decomposition, a1.decomposition)
+    )
+    seen = collections.deque(maxlen=_LANCZOS_VECTORS)
+
+    def apply(x):
+        y = q1 @ (r1 * (x @ q1)) - q0 @ (r0 * (x @ q0))
+        seen.append((x.copy(), y))
+        return y
+
+    n = q0.shape[0]
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        (top,) = scipy.sparse.linalg.eigsh(
+            op, k=1, which="LM", tol=0, v0=start, ncv=min(_LANCZOS_VECTORS, n),
+            return_eigenvectors=False,
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        theta, residual = _ritz_residual(seen)
+        raise NoConvergence(
+            f"Riesz distance: {exc}; the best Ritz value {theta:.6g} has a residual "
+            f"of {residual:.3e}"
+        ) from exc
+    return abs(float(top))
+
+
+def _ritz_residual(seen):
+    """The Ritz value of largest magnitude on the span of the vectors ``x`` of
+    the pairs ``(x, y = A x)`` in ``seen``, and its residual ``|A v - theta
+    v|`` for a unit ``v``."""
+    x, y = (np.array(v).T for v in zip(*seen))
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    keep = sv > x.shape[0] * np.finfo(float).eps * sv[0]
+    basis, image = u[:, keep], (y @ vt[keep].T) / sv[keep]
+    theta, z = np.linalg.eigh(basis.T @ image)
+    i = np.argmax(np.abs(theta))
+    return float(theta[i]), float(np.linalg.norm(image @ z[:, i] - theta[i] * (basis @ z[:, i])))
+
+
 def rho_continuity_profile(pencil, s_samples):
     """Metric moduli between neighbouring members of the family of ``pencil``.
 
@@ -1345,13 +1410,15 @@ def rho_continuity_profile(pencil, s_samples):
     ``nu`` and the Riesz and gap distances of the two mass-normalized
     operators on the shared grid, which come from
     :func:`_mass_normalized_operators` (no assembly or dense solve of
-    ``M(s)``; :func:`mass_normalized` is their oracle).  Neighbours differ
-    only on :func:`_border_block`, by ``delta``, so ``(i + A0)^-1 - (i +
-    A1)^-1 = G0 delta G1^T`` with ``G_k = (i + A_k)^{-1}[:, block] = Q_k R_k``
-    (:func:`_resolvent_factor`), and the gap distance, the sum of the ``+-i``
-    branches, is ``2 |R0 delta R1^T|``; :func:`topology.gap_metric` is its
-    oracle.  Built one angle at a time, at most two operators are alive;
-    fewer than two angles give no rows.
+    ``M(s)``; :func:`mass_normalized` is their oracle).  The Riesz distance
+    is :func:`_riesz_distance` on the cached decompositions, by Lanczos with
+    no ``n x n`` product; :func:`topology.riesz_metric` is its oracle.
+    Neighbours differ only on :func:`_border_block`, by ``delta``, so ``(i +
+    A0)^-1 - (i + A1)^-1 = G0 delta G1^T`` with ``G_k = (i + A_k)^{-1}[:,
+    block] = Q_k R_k`` (:func:`_resolvent_factor`), and the gap distance, the
+    sum of the ``+-i`` branches, is ``2 |R0 delta R1^T|``;
+    :func:`topology.gap_metric` is its oracle.  Built one angle at a time, at
+    most two operators are alive; fewer than two angles give no rows.
     """
     d0 = boundary_coefficient_operator(pencil)
     samples = [float(s) for s in s_samples]
@@ -1360,14 +1427,13 @@ def rho_continuity_profile(pencil, s_samples):
     profile, p0, a0, r0 = [], None, None, None
     # next(operators) builds a1 while a0 is alive: two operators at most
     for s, a1 in zip(samples, operators):
-        # the n x block temporaries of r1 end before the Riesz metric's W
         p1, r1 = boundary_projector(s), _resolvent_factor(a1, block)
         if a0 is not None:
             delta = a1.matrix[block, block] - a0.matrix[block, block]
             profile.append(
                 NeighbourMetrics(
                     nu_metric(p0, p1, d0),
-                    topology.riesz_metric(a0, a1),
+                    _riesz_distance(a0, a1),
                     2.0 * linalg.operator_norm(r0 @ delta @ r1.T),
                 )
             )

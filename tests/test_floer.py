@@ -1,7 +1,9 @@
 """Tests for the interval boundary-value family: assembly, spectra, flow, gauges."""
 
+import concurrent.futures
 import dataclasses
 import pathlib
+import re
 import tracemalloc
 import weakref
 
@@ -613,6 +615,21 @@ class TestSmoothSweep:
         assert spectral_flow(windows) == 2
 
 
+def full_interior(interior):
+    """The near vectors and the remainder of ``interior`` on every dof, which
+    it keeps on its ``rows`` alone: rebuilt from its own interior blocks by
+    :func:`floer._near_pairs` and :func:`floer._far_remainder`, whose seeded
+    iteration and fixed nodes repeat them bit for bit."""
+    k2, mass, rows = interior.square_stiffness, interior.mass, interior.rows
+    lam, near, _ = floer._near_pairs(k2, mass, interior.n_req)
+    assert np.array_equal(lam, interior.lam)
+    if interior.far.size:
+        far = floer._far_remainder(k2, mass, rows, near, interior.span)
+    else:
+        far = np.zeros((0, rows.size, mass.shape[0]))
+    return near, far
+
+
 class TestBlockRoute:
     """``FloerPencil.spectra`` works a block of angles at a time; each window
     is the dense window of its own operator, whatever else is in its block."""
@@ -672,7 +689,8 @@ class TestBlockRoute:
         stiffness = pencil.base.stiffness[:-1, :-1]
         for interior, cols, diag, coef, t, got in calls:
             n = interior.mass.shape[0]
-            x = coef @ np.concatenate([interior.near.T, interior.far.reshape(-1, n)])
+            near, far = full_interior(interior)
+            x = coef @ np.concatenate([near.T, far.reshape(-1, n)])
             tt = t[:, :, None] * t[:, None, :]
             for block, col, d, gram in zip((stiffness, interior.mass), cols, diag, got):
                 inner = np.array([xa @ (block @ xa.T) for xa in x])
@@ -966,8 +984,9 @@ class TestNearFarInterior:
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_remainder_matches_direct_solves_between_nodes(self, grid_m, a):
         interior = FloerPencil.constant(a, grid_m).interior(5)
-        v, m, rows = interior.near, interior.mass, interior.rows
-        assert interior.far.shape == (12, rows.size, m.shape[0])
+        m, rows = interior.mass, interior.rows
+        v, far = full_interior(interior)
+        assert far.shape == (12, rows.size, m.shape[0])
         rhs = np.zeros((m.shape[0], rows.size))
         rhs[rows, np.arange(rows.size)] = 1.0
         rhs -= m @ (v @ v[rows].T)
@@ -976,7 +995,7 @@ class TestNearFarInterior:
             mu = lo + 0.5 * (hi - lo) * (x + 1.0)
             y = scipy.sparse.linalg.spsolve(interior.square_stiffness - mu * m, rhs)
             want = y - v @ (v.T @ (m @ y))
-            got = np.polynomial.chebyshev.chebval(x, interior.far).T
+            got = np.polynomial.chebyshev.chebval(x, far).T
             # the rows block is what the secular function reads
             err = np.max(np.abs(got[rows] - want[rows])) / np.max(np.abs(want[rows]))
             assert err <= 1e-13, f"mu = {mu}"
@@ -1023,6 +1042,15 @@ class TestNearFarInterior:
             np.testing.assert_allclose(
                 w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
             )
+
+    @pytest.mark.parametrize("grid_m", [10, 400])
+    def test_keeps_only_the_rows_it_reads(self, grid_m):
+        interior = FloerPencil.constant(1.5 - 0.7j, grid_m).interior(5)
+        near, far = full_interior(interior)
+        rows = interior.rows
+        assert np.array_equal(interior.near, near[rows])
+        assert np.array_equal(interior.far, far[:, :, rows])
+        assert interior.far.shape[1:] == (rows.size, rows.size)
 
     def test_one_set_up_per_request_size(self, monkeypatch):
         pencil = FloerPencil.zero(24)
@@ -1595,6 +1623,74 @@ class TestMassNormalizedOperators:
         np.testing.assert_allclose(
             [(g.rho, g.gamma) for g in got], [(w.rho, w.gamma) for w in want], rtol=0.0, atol=1e-12
         )
+
+
+def neighbour_operators(grid_m, a_spec, angles):
+    """The profile's operators of one pencil at ``angles``, decomposed."""
+    pencil = FloerPencil(cli.parse_a_spec(a_spec, grid_m), grid_m)
+    ops = list(floer._mass_normalized_operators(pencil, angles))
+    for a in ops:
+        a.decomposition
+    return ops
+
+
+class TestRieszDistance:
+    """``rho`` of the profile by Lanczos on ``r(A1) - r(A0)``, against the
+    dense route :func:`topology.riesz_metric`."""
+
+    STEPS = [2.0 * np.pi / 127, 0.5, 2.0]
+
+    @pytest.mark.parametrize("grid_m", [48, 96, 400])
+    @pytest.mark.parametrize("a_spec", ["0", "const:1.5,-0.7"])
+    def test_matches_the_dense_route(self, grid_m, a_spec):
+        a0, *rest = neighbour_operators(grid_m, a_spec, [0.3] + [0.3 + h for h in self.STEPS])
+        for step, a1 in zip(self.STEPS, rest):
+            got, want = floer._riesz_distance(a0, a1), topology.riesz_metric(a0, a1)
+            assert abs(got - want) <= 1e-13 * want, (step, got, want)
+
+    def test_equal_operators_skip_arpack(self, monkeypatch):
+        a0, a1 = neighbour_operators(16, "0", [0.4, 0.4])
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", None)
+        assert floer._riesz_distance(a0, a1) == 0.0
+
+    def test_a_pair_allocates_less_than_one_square_array(self):
+        a0, a1 = neighbour_operators(96, "const:1.5,-0.7", [0.3, 0.8])
+        n = a0.dim
+        floer._riesz_distance(a0, a1)  # scipy's first call loads ARPACK
+        tracemalloc.start()
+        try:
+            floer._riesz_distance(a0, a1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, (peak, 8 * n * n)
+
+    def test_no_convergence_is_typed(self, monkeypatch):
+        # one restart of three Lanczos vectors cannot reach machine tolerance
+        real = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(
+            scipy.sparse.linalg,
+            "eigsh",
+            lambda *args, **kwargs: real(*args, **{**kwargs, "ncv": 3, "maxiter": 1}),
+        )
+        a0, a1 = neighbour_operators(48, "const:1.5,-0.7", [0.3, 0.8])
+        with pytest.raises(NoConvergence, match=r"\(\d+ iterations") as info:
+            floer._riesz_distance(a0, a1)
+        found = re.search(r"value (\S+) has a residual of (\S+)$", str(info.value))
+        theta, residual = (float(x) for x in found.groups())
+        assert 0.0 < residual and abs(theta) <= topology.riesz_metric(a0, a1) * (1.0 + 1e-12)
+
+    def test_threads_share_a_pencil(self):
+        samples = np.linspace(0.0, 2.0 * np.pi, 9)
+        a = cli.parse_a_spec("const:1.5,-0.7", 48)
+        serial = rho_continuity_profile(FloerPencil(a, 48), samples)
+        pencil = FloerPencil(a, 48)
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            runs = list(
+                pool.map(lambda _: rho_continuity_profile(pencil, samples), range(2), timeout=60)
+            )
+        for run in runs:
+            assert np.array(run).tobytes() == np.array(serial).tobytes()
 
 
 class TestRhoContinuity:
