@@ -956,36 +956,48 @@ def _certify(interior, cols, diag, mus, sizes, found, cuts):
     middle half of an open gap ``(mus[a, t - 1], mus[a, t])`` with ``t`` at
     least the block size; the angle then has ``t`` values below it.  Each
     angle takes the newest listed cut that counts for it, or else factors the
-    middle of its own cut gap and appends it to ``cuts``.  A count that
-    differs, a failed factorization, or a border whose Schur form is zero or
-    not finite replaces the window by a :class:`NoConvergence`.
+    middle of its own cut gap and appends it to ``cuts``.  The angles are
+    matched to the list at once; the first that no cut serves factors its
+    cut, and the angles after it are matched again, so each angle sees the
+    list as the angles before it left it.  A count that differs, a failed
+    factorization, or a border whose Schur form is zero or not finite
+    replaces the window by a :class:`NoConvergence`.
     """
     lo, hi = mus[:, :-1], mus[:, 1:]
     width, t = hi - lo, np.arange(1, mus.shape[1])
     gap_open = (t >= sizes[:, None]) & (width > _DEGENERACY_RTOL * np.maximum(1.0, mus[:, -1:]))
-    for a in np.flatnonzero((sizes > 0) & (sizes < mus.shape[1])):
-        # inside[c, t - 1]: listed cut c lies in the middle half of open gap t
+    low, high = lo + 0.25 * width, hi - 0.25 * width
+    taken, expected = np.full(sizes.size, -1), np.zeros(sizes.size, dtype=int)
+    todo = np.flatnonzero((sizes > 0) & (sizes < mus.shape[1]))
+    while todo.size:
+        # inside[a, c, t - 1]: listed cut c lies in the middle half of open gap t
         c = np.array([entry[0] for entry in cuts])[:, None]
-        inside = gap_open[a] & (lo[a] + 0.25 * width[a] <= c) & (c <= hi[a] - 0.25 * width[a])
-        (serving,) = np.nonzero(inside.any(axis=1))
-        if serving.size:
-            cut, neg, g = cuts[serving[-1]]
-            expected = 1 + np.argmax(inside[serving[-1]])
-        else:
-            cut, expected = 0.5 * (mus[a, sizes[a] - 1] + mus[a, sizes[a]]), sizes[a]
+        inside = gap_open[todo, None] & (low[todo, None] <= c) & (c <= high[todo, None])
+        newest = np.max(np.where(inside.any(axis=2), np.arange(len(cuts)), -1), axis=1, initial=-1)
+        stop = np.argmin(newest) if np.any(newest < 0) else todo.size
+        served = todo[:stop]
+        taken[served] = newest[:stop]
+        expected[served] = 1 + np.argmax(inside[np.arange(stop), newest[:stop]], axis=1)
+        if stop < todo.size:
+            a = todo[stop]
+            cut = 0.5 * (mus[a, sizes[a] - 1] + mus[a, sizes[a]])
             try:
-                neg, g = _interior_inertia(interior, cut)
+                cuts.append((cut, *_interior_inertia(interior, cut)))
+                taken[a], expected[a] = len(cuts) - 1, sizes[a]
             except NoConvergence as exc:
                 found[a] = exc
-                continue
-            cuts.append((cut, neg, g))
-        b = cols[2, a] - cut * cols[1, a]
-        sigma = diag[2, a] - cut * diag[1, a] - b @ g @ b
-        if not (np.isfinite(sigma) and sigma != 0.0):
-            found[a] = NoConvergence(f"inertia count at {cut:.6g}: Schur form {sigma}")
-        elif (count := neg + int(sigma < 0.0)) != expected:
-            found[a] = NoConvergence(
-                f"inertia count {count} below the cut: {count - expected} missed"
+        todo = todo[stop + 1 :]
+    for i in np.unique(taken[taken >= 0]):
+        cut, neg, g = cuts[i]
+        (sel,) = np.nonzero(taken == i)
+        b = cols[2, sel] - cut * cols[1, sel]
+        sigma = diag[2, sel] - cut * diag[1, sel] - np.einsum("ai,ij,aj->a", b, g, b)
+        singular = ~np.isfinite(sigma) | (sigma == 0.0)
+        count = neg + (sigma < 0.0)
+        for j in np.flatnonzero(singular | (count != expected[sel])):
+            found[sel[j]] = NoConvergence(
+                f"inertia count at {cut:.6g}: Schur form {sigma[j]}" if singular[j] else
+                f"inertia count {count[j]} below the cut: {count[j] - expected[sel[j]]} missed"
             )
 
 
@@ -1231,8 +1243,9 @@ def shooting_eigenvalues(pencil, queries):
     ``theta`` the Prufer angle of ``u``, which does not depend on ``s``.
     ``F`` decreases strictly, so the multiples between ``F(hi)`` and ``F(lo)``
     count the roots in ``[lo, hi]`` exactly; the roots of all queries are
-    refined at once by Illinois steps to a bracket of ``1e-12``.  Returns one
-    ascending root array per query; an empty one is legal.
+    refined at once by Illinois steps to a bracket of ``1e-12``, and each root
+    is the secant point of its last bracket.  Returns one ascending root
+    array per query; an empty one is legal.
     """
     queries = np.array([(s, lo, hi) for s, (lo, hi) in queries], dtype=float).reshape(-1, 3)
     for s, lo, hi in queries:
@@ -1255,7 +1268,11 @@ def shooting_eigenvalues(pencil, queries):
     for _ in range(100):
         act = np.flatnonzero(b - a > 1e-12)
         if not act.size:
-            roots = 0.5 * (a + b)
+            # unlike the bracket's midpoint, its secant point does not move
+            # with the ends of the query
+            with np.errstate(divide="ignore", invalid="ignore"):
+                roots = b - gb * (b - a) / (gb - ga)
+            roots = np.where((ga != gb) & (a <= roots) & (roots <= b), roots, 0.5 * (a + b))
             return [np.sort(roots[owner == q]) for q in range(s.size)]
         x = np.clip(b[act] - gb[act] * (b[act] - a[act]) / (gb[act] - ga[act]), a[act], b[act])
         gx = _end_angles(pencil, x, n_steps) + s[owner[act]] - targets[act]

@@ -348,6 +348,24 @@ class TestCertificateCalls:
         # serving every angle of its call; no window falls back
         assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (4, 0)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {},
+            {"grid_m": 96, "s_count": 512},
+            {
+                "grid_m": 96,
+                "s_count": 512,
+                "a_spec": f"samples:{pathlib.Path(__file__).parent / 'data' / 'smooth3_grid96.txt'}",
+            },
+        ],
+        ids=["default", "dense_sweep", "dense_sweep_smooth"],
+    )
+    def test_floer_default_and_dense_sweep(self, monkeypatch, flags):
+        counts = self._count(monkeypatch, floer, ("_interior_inertia", "floer_spectrum"))
+        cli.run_floer(**flags)
+        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (4, 0)
+
     def test_interior_set_up(self, monkeypatch):
         counts = self._count(monkeypatch, floer, ("_factor", "_interior_pairs"))
         cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")

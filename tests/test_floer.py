@@ -39,6 +39,7 @@ from fredlab.floer import (
 )
 from fredlab.flow import spectral_flow
 
+import sweep_oracles
 from gauge_suite import (
     CutoffProfile,
     GaugeSingular,
@@ -869,24 +870,67 @@ class TestInteriorInertia:
             )
 
     def test_each_angle_takes_the_newest_cut_that_serves_it(self, monkeypatch):
-        # a count one too high at the second cut sends exactly the angles it
-        # serves (see the sweep above) to the dense route
+        # a count one too high at one cut sends exactly the angles it serves
+        # (see the sweep above) to the dense route
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         pencil.interior(5)
         real, real_at = floer._interior_inertia, FloerPencil.at
-        cuts, built = [], []
-
-        def second_miscounts(interior, cut):
-            cuts.append(cut)
-            neg, g = real(interior, cut)
-            return neg + (len(cuts) == 2), g
-
-        monkeypatch.setattr(floer, "_interior_inertia", second_miscounts)
-        monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
-        list(pencil.spectra(sweep, 5))
-        assert len(cuts) == 2
-        np.testing.assert_array_equal(built, sweep[np.r_[8:31, 33:62]])
+        for wrong, served in ((1, np.r_[0:8, 31:33, 62:64]), (2, np.r_[8:31, 33:62])):
+            cuts, built = [], []
+
+            def one_miscounts(interior, cut, cuts=cuts, wrong=wrong):
+                cuts.append(cut)
+                neg, g = real(interior, cut)
+                return neg + (len(cuts) == wrong), g
+
+            monkeypatch.setattr(floer, "_interior_inertia", one_miscounts)
+            monkeypatch.setattr(
+                FloerPencil, "at", lambda self, s, built=built: built.append(s) or real_at(self, s)
+            )
+            list(pencil.spectra(sweep, 5))
+            assert len(cuts) == 2
+            np.testing.assert_array_equal(built, sweep[served])
+
+    @pytest.mark.parametrize(
+        "listed, fails, new", [(0, False, 2), (1, False, 1), (2, False, 0), (0, True, 2)]
+    )
+    def test_block_matches_the_per_angle_loop(self, monkeypatch, listed, fails, new):
+        # the per-angle loop is the reference.  Each cut's count is off by
+        # its own thousands, so an angle's message names the cut it took and
+        # the count it expected; with fails, the first factorization raises
+        pencil = FloerPencil(smooth_coefficient(3, 24), 24)
+        interior = pencil.interior(5)
+        calls, real_certify = [], floer._certify
+        monkeypatch.setattr(
+            floer,
+            "_certify",
+            lambda *args: calls.append((*args[:5], list(args[5]))) or real_certify(*args),
+        )
+        list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
+        ((_, cols, diag, mus, sizes, windows),) = calls
+        real, offsets, factored = floer._interior_inertia, {}, []
+
+        def offset(interior, cut):
+            factored.append(cut)
+            if fails and len(factored) == 1:
+                raise NoConvergence("planted")
+            neg, g = real(interior, cut)
+            return neg + offsets.setdefault(cut, 1000 * (len(offsets) + 1)), g
+
+        monkeypatch.setattr(floer, "_interior_inertia", offset)
+        both = []
+        sweep_oracles.certify(interior, cols, diag, mus, sizes, list(windows), both)
+        results = []
+        for certify in (floer._certify, sweep_oracles.certify):
+            found, cuts = list(windows), both[:listed]
+            factored.clear()
+            certify(interior, cols, diag, mus, sizes, found, cuts)
+            assert len(cuts) == listed + new
+            messages = [str(w) if isinstance(w, NoConvergence) else id(w) for w in found]
+            results.append(([c[:2] for c in cuts], messages))
+        assert results[0] == results[1]
+        assert all(isinstance(w, NoConvergence) for w in found)
 
     def test_a_listed_cut_serves_a_later_block(self, monkeypatch):
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
@@ -1219,6 +1263,23 @@ class TestShooting:
             for queries in ([(1.0, (-1.0, 1.0))], [(1.0, (-1.0, 1.0)), (2.0, (0.0, 3.0))]):
                 with pytest.raises(InvalidConfig):
                     shooting_eigenvalues(pencil, queries)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_roots_do_not_depend_on_the_query_ends(self, end):
+        # each root is the secant point of its last bracket: moving either end
+        # of the query over +-1e-12 moves no root by more than a few ulps
+        # (the bracket's midpoint moved root 2 by 1.28e-13 here)
+        pencil = FloerPencil.constant(1.5 - 0.7j, 48)
+        w = floer_spectrum(pencil.at(0.5), 5)
+        queries = []
+        for d in np.linspace(-1e-12, 1e-12, 41):
+            ends = [float(w[0]) - 0.75, float(w[-1]) + 0.75]
+            ends[end] += d
+            queries.append((0.5, tuple(ends)))
+        roots = np.array(shooting_eigenvalues(pencil, queries))
+        assert roots.shape == (41, 5)
+        ulp = np.spacing(np.maximum(np.max(np.abs(roots), axis=0), 1.0))
+        assert np.all(np.ptp(roots, axis=0) <= 4.0 * ulp)
 
     def test_batch_equals_single_queries_in_fewer_integrations(self, monkeypatch):
         # the four queries run_floer makes on const:1.5,-0.7; the batch must
