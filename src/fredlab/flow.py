@@ -69,7 +69,7 @@ def _phillips_block(start, windows):
         if nonfinite.size:
             bad = int(np.searchsorted(np.cumsum(sizes), nonfinite[0], side="right"))
         if bad >= 2:
-            count = _phillips_steps(flat[: np.sum(sizes[:bad])], sizes[:bad])
+            count = _phillips_steps(start, flat[: np.sum(sizes[:bad])], sizes[:bad])
     if bad < len(windows):
         raise InvalidConfig(
             f"step {start + max(bad - 1, 0)}: spectral flow needs nonempty 1-D eigenvalue "
@@ -78,10 +78,11 @@ def _phillips_block(start, windows):
     return count
 
 
-def _phillips_steps(flat, sizes):
+def _phillips_steps(start, flat, sizes):
     """``sum N(next) - N(prev)`` over the steps between the windows that
     ``flat`` holds back to back, ``sizes`` values each, as array operations
-    over the steps; raises the first step's :class:`SamplingTooCoarse`.
+    over the steps, the first of them step ``start``; raises the first
+    step's :class:`SamplingTooCoarse`, naming its index.
 
     The windows are padded to one length with ``+inf``, which no count reads,
     and the levels past a step's radius become the radius: zero gaps after
@@ -112,11 +113,13 @@ def _phillips_steps(flat, sizes):
         k = coarse[0]
         if below[k] != below_next[k]:
             raise SamplingTooCoarse(
-                f"{below[k]} vs {below_next[k]} values below the cut {cut[k]:.3e}"
+                f"step {start + k}: {below[k]} vs {below_next[k]} values below the cut "
+                f"{cut[k]:.3e}"
             )
         margin = motion[k] / clearance[k] if clearance[k] else math.inf
         raise SamplingTooCoarse(
-            f"margin {margin:.3g}: motion {motion[k]:.3e}, clearance {clearance[k]:.3e}"
+            f"step {start + k}: margin {margin:.3g}: motion {motion[k]:.3e}, "
+            f"clearance {clearance[k]:.3e}"
         )
     nonneg = values >= -_ZERO_TOL
     counted = nonneg[:-1] & (values[:-1] < cut[:, None])

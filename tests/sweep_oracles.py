@@ -40,13 +40,15 @@ def phillips_step(k, prev, nxt):
     clearance = cut - levels[i]
     below, below_next = np.searchsorted(mag0, cut), np.searchsorted(mag1, cut)
     if below != below_next:
-        raise SamplingTooCoarse(f"{below} vs {below_next} values below the cut {cut:.3e}")
+        raise SamplingTooCoarse(
+            f"step {k}: {below} vs {below_next} values below the cut {cut:.3e}"
+        )
     ranks = slice(max(below - 1, 0), below + 1)  # the |lam| just below and above the cut
     motion = np.max(np.abs(mag1[ranks] - mag0[ranks]))
     if motion >= clearance:
         margin = motion / clearance if clearance else math.inf
         raise SamplingTooCoarse(
-            f"margin {margin:.3g}: motion {motion:.3e}, clearance {clearance:.3e}"
+            f"step {k}: margin {margin:.3g}: motion {motion:.3e}, clearance {clearance:.3e}"
         )
 
     def count(w):

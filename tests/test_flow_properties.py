@@ -152,6 +152,8 @@ def test_failure_at_a_block_boundary_names_its_step(offset, failure):
     windows[j] = windows[j] + 1.5 if failure == "coarse" else np.array([np.nan])
     want = outcome(sweep_oracles.spectral_flow, windows)
     assert want[0] is (SamplingTooCoarse if failure == "coarse" else InvalidConfig)
+    # the first step that reads window j fails, and says which it is
+    assert want[1].startswith(f"step {j - 1}: ")
     with mock.patch.object(flow, "_CHUNK", 4):
         assert outcome(spectral_flow, iter(windows)) == want
 
