@@ -26,6 +26,10 @@ class MalformedMatrix(FredlabError, ValueError):
     subspace basis was not an orthonormal set of columns in its ambient space."""
 
 
+class InvalidMetric(FredlabError, ValueError):
+    """A metric report entry was NaN, infinite or negative."""
+
+
 class EmptyMatrix(FredlabError):
     """A matrix with at least one entry was required."""
 

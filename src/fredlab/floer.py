@@ -17,7 +17,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -144,12 +144,16 @@ class DiscretizedOperator:
     squared operator; central first-order stencils carry a spurious sawtooth
     branch through the near-zero spectrum, so eigenvalues are extracted from
     the square, which is free of it.  All three are banded and stored as
-    ``scipy.sparse.csc_array``; dense input is converted.
+    ``scipy.sparse.csc_array``; dense input is converted.  ``mass_factor`` is
+    the upper band Cholesky factor ``U`` of the mass, ``M = U^T U``, in the
+    layout of :func:`_upper_band`: taken once, where the mass is checked
+    positive definite, and the only factorization of the mass.
     """
 
     stiffness: scipy.sparse.csc_array
     mass: scipy.sparse.csc_array
     square_stiffness: scipy.sparse.csc_array
+    mass_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         fields = (self.stiffness, self.mass, self.square_stiffness)
@@ -164,12 +168,13 @@ class DiscretizedOperator:
             if abs(x - x.T).max() > linalg.SYMMETRY_TOL * scale:
                 raise NotSymmetric(f"{name} is not symmetric")
         try:
-            scipy.linalg.cholesky_banded(_upper_band(m))
+            factor = scipy.linalg.cholesky_banded(_upper_band(m))
         except np.linalg.LinAlgError as exc:
             raise MassNotPositiveDefinite(str(exc)) from exc
         object.__setattr__(self, "stiffness", k)
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "square_stiffness", k2)
+        object.__setattr__(self, "mass_factor", factor)
 
     @property
     def dim(self):
@@ -638,7 +643,9 @@ def _interior_pairs(op, rows, k_window):
     the span of the near vectors and, through the Chebyshev interpolant, its
     far part in the span of the remainder's columns.  So the Ritz pairs on
     ``W`` (:func:`_ritz_pairs`) stand for the whole interior, the far poles
-    among them.  No ``n x n`` array is formed.
+    among them.  The interior mass is not factored again: its upper band
+    Cholesky factor is the leading block of ``op.mass_factor``, which gives
+    the Ritz step and ``mass_rows``.  No ``n x n`` array is formed.
     """
     n_req = _request(k_window, op.dim)
     mass, k2 = op.mass[:-1, :-1], op.square_stiffness[:-1, :-1]
@@ -648,31 +655,33 @@ def _interior_pairs(op, rows, k_window):
     if lam.size < n:
         far = _far_remainder(k2, mass, rows, near, (-0.25 * top, top))
         basis = np.concatenate([near, far.reshape(-1, n).T], axis=1)
-    lam, y = _ritz_pairs(k2, mass, basis)
-    mass_rows = _factor(mass, "interior mass").solve(_unit_columns(n, rows))[rows]
+    band = op.mass_factor[:, :-1]
+    lam, y = _ritz_pairs(k2, band, basis)
+    unit = _unit_columns(n, rows)
+    mass_rows = scipy.linalg.cho_solve_banded((band, False), unit, check_finite=False)[rows]
     grams = np.array([y.T @ (op.stiffness[:-1, :-1] @ y), np.eye(lam.size)])
     return _Interior(n_req, lam, y[rows], mass_rows, mass, k2, rows, grams)
 
 
-def _ritz_pairs(k2, mass, basis):
-    """Ritz pairs of ``(k2, mass)`` on the span of ``basis``: ascending
-    values and ``M``-orthonormal vectors.
+def _ritz_pairs(k2, band, basis):
+    """Ritz pairs of ``(k2, M)`` on the span of ``basis``: ascending values
+    and ``M``-orthonormal vectors, with ``M = U^T U`` and ``band`` the upper
+    band Cholesky factor ``U`` (see :class:`DiscretizedOperator`).
 
     The span is made ``M``-orthonormal as ``Z = U^-1 Q``, from a Householder
-    QR of ``U basis`` with ``M = U^T U`` the banded Cholesky factor; ``Q``
-    stays orthonormal where the columns are nearly dependent, as the
-    remainder's high degrees are, and no Gram of ``basis`` is formed.  The
-    two triangles of ``Z^T K2 Z`` are averaged, which halves the rounding
-    that the far directions bring to the lowest values.  The QR is numpy's:
-    in a sweep on a 2 vCPU host at two BLAS threads scipy's took 0.4 to 4.5
-    ms a call, and numpy's 0.3 ms.  The ``eigh`` is scipy's MRRR: at grid
-    400 its lowest values lie within 6e-13 relative of the near pairs,
-    against 1.4e-12 by numpy's divide and conquer, and its vectors of the
-    modes that do not reach the border keep couplings that deflate.
+    QR of ``U basis``; ``Q`` stays orthonormal where the columns are nearly
+    dependent, as the remainder's high degrees are, and no Gram of ``basis``
+    is formed.  The two triangles of ``Z^T K2 Z`` are averaged, which halves
+    the rounding that the far directions bring to the lowest values.  The
+    QR is numpy's: in a sweep on a 2 vCPU host at two BLAS threads scipy's
+    took 0.4 to 4.5 ms a call, and numpy's 0.3 ms.  The ``eigh`` is scipy's
+    MRRR: at grid 400 its lowest values lie within 6e-13 relative of the
+    near pairs, against 1.4e-12 by numpy's divide and conquer, and its
+    vectors of the modes that do not reach the border keep couplings that
+    deflate.
     """
-    band = scipy.linalg.cholesky_banded(_upper_band(mass), check_finite=False)
-    width = band.shape[0] - 1
-    upper = scipy.sparse.dia_array((band, np.arange(width, -1, -1)), shape=mass.shape)
+    width, n = band.shape[0] - 1, band.shape[1]
+    upper = scipy.sparse.dia_array((band, np.arange(width, -1, -1)), shape=(n, n))
     q, _ = np.linalg.qr(upper @ basis)
     z = scipy.linalg.solve_banded((0, width), band, q, check_finite=False)
     ritz = z.T @ (k2 @ z)
@@ -1045,27 +1054,20 @@ _SCAN_ENTRIES = 1 << 13
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _end_angles(pencil, lams, n_steps):
-    """Prufer angle ``theta(1)`` of ``u' = (B(t) - lam J) u``, ``u(0) = (1, 0)``.
+def _magnus_steps(pencil, n_steps):
+    """The ``n_steps`` equal steps of :func:`_end_angles`, which do not depend
+    on ``lam``, so a call of :func:`shooting_eigenvalues` builds them once:
+    ``(n_steps, Omega0, Omega1, c0, |(c1, c2)|)``, each ``Omega`` as the
+    entries ``(x, y, z)`` of ``[[x, y], [z, -x]]`` per step, and the angle
+    rates at the nodes, which the turn bound reads.
 
-    With ``u = r (cos theta, sin theta)`` the angle alone obeys ``theta' =
-    c0 - lam + c1 cos(2 theta) + c2 sin(2 theta)``.  Each of ``n_steps``
-    equal steps has the two-point Gauss Magnus exponent ``Omega0 + lam
-    Omega1`` (fourth order), from ``B1``, ``B2`` at its Gauss points:
-    ``Omega0 = h/2 (B1 + B2) + k [B2, B1]`` and ``Omega1 = -h J - k [B2 - B1,
-    J]`` with ``k = sqrt(3)/12 h^2``.  For each block of the spectral
-    parameters ``lams``, one scan of the step propagators gives ``u(1)`` and
-    every ``u_k`` on the way, and ``theta(1)`` sums the wrapped angle
-    increments of the ``u_k``.
-
-    Two bounds guard the count, and each raises :class:`SamplingTooCoarse`.
-    The coefficient bound keeps ``h |(c1, c2)|`` at most 1.39.  The turn
-    bound keeps ``h max(|c0 - lam| + |(c1, c2)|)``, over the nodes and the
-    range of ``lams``, below ``pi``: it bounds how far one step turns ``u``,
-    and a turn past ``pi`` would slip through the wrapped increments
-    unnoticed.  A coefficient near the float limit overflows the exponents;
-    that raises :class:`InvalidConfig` once the angle is found not finite,
-    before the turn bound is checked.
+    With ``u = r (cos theta, sin theta)`` the angle of ``u' = (B(t) - lam J)
+    u`` obeys ``theta' = c0 - lam + c1 cos(2 theta) + c2 sin(2 theta)``.  Each
+    step has the two-point Gauss Magnus exponent (fourth order), from ``B1``,
+    ``B2`` at its Gauss points: ``Omega0 = h/2 (B1 + B2) + k [B2, B1]`` and
+    ``Omega1 = -h J - k [B2 - B1, J]`` with ``k = sqrt(3)/12 h^2``.  The
+    coefficient bound keeps ``h |(c1, c2)|`` at most 1.39 and raises
+    :class:`SamplingTooCoarse` past it.
     """
     b = coefficient_matrices(pencil)
     c0, c1, c2 = (
@@ -1073,11 +1075,11 @@ def _end_angles(pencil, lams, n_steps):
         for x in (b[:, 1, 0] - b[:, 0, 1], b[:, 1, 0] + b[:, 0, 1], b[:, 1, 1] - b[:, 0, 0])
     )
     h = 1.0 / n_steps
+    spread = np.hypot(c1, c2)
     # theta relaxes to its equilibria at rate 2 |(c1, c2)|; a coefficient that
     # relaxes it within 1/2.785 of a step is refused, not trusted
-    if 2.0 * h * float(np.max(np.hypot(c1, c2))) > 2.785:
+    if 2.0 * h * float(np.max(spread)) > 2.785:
         raise SamplingTooCoarse(f"{n_steps} steps cannot resolve a coefficient this large")
-    lams = np.asarray(lams, dtype=float)
     t = (np.arange(n_steps)[:, None] + _MAGNUS_XI) * h
     (x1, x2), (y1, y2), (z1, z2) = (
         np.interp(t, pencil.nodes, b[:, i, j]).T for i, j in ((0, 0), (0, 1), (1, 0))
@@ -1092,6 +1094,27 @@ def _end_angles(pencil, lams, n_steps):
     )
     dx = x2 - x1
     omega1 = (-k * (y2 - y1 + z2 - z1), h + 2.0 * k * dx, -h + 2.0 * k * dx)
+    return n_steps, omega0, omega1, c0, spread
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _end_angles(steps, lams):
+    """Prufer angle ``theta(1)`` of ``u' = (B(t) - lam J) u``, ``u(0) = (1,
+    0)``, over the :func:`_magnus_steps` ``steps``.
+
+    For each block of the spectral parameters ``lams``, one scan of the step
+    propagators gives ``u(1)`` and every ``u_k`` on the way, and ``theta(1)``
+    sums the wrapped angle increments of the ``u_k``.  The turn bound keeps
+    ``h max(|c0 - lam| + |(c1, c2)|)``, over the nodes and the range of
+    ``lams``, below ``pi`` and raises :class:`SamplingTooCoarse` past it: it
+    bounds how far one step turns ``u``, and a turn past ``pi`` would slip
+    through the wrapped increments unnoticed.  A coefficient near the float
+    limit overflows the exponents; that raises :class:`InvalidConfig` once the
+    angle is found not finite, before the turn bound is checked.
+    """
+    n_steps, omega0, omega1, c0, spread = steps
+    h = 1.0 / n_steps
+    lams = np.asarray(lams, dtype=float)
     rows = max(1, _SCAN_ENTRIES // n_steps)
     theta = np.empty(lams.size)
     for i in range(0, lams.size, rows):
@@ -1105,7 +1128,7 @@ def _end_angles(pencil, lams, n_steps):
         raise InvalidConfig("coefficient too large: the Prufer angle is not finite")
     if lams.size:
         lo, hi = lams.min(), lams.max()
-        rate = np.maximum(np.abs(c0 - lo), np.abs(c0 - hi)) + np.hypot(c1, c2)
+        rate = np.maximum(np.abs(c0 - lo), np.abs(c0 - hi)) + spread
         turn = h * float(np.max(rate))
         if turn >= np.pi:
             raise SamplingTooCoarse(
@@ -1189,8 +1212,8 @@ def shooting_eigenvalues(pencil, queries):
         if not (np.all(np.isfinite((s, lo, hi))) and lo < hi):
             raise NoRootBracketed(f"malformed query: angle {s}, interval ({lo}, {hi})")
     s, lo, hi = queries.T
-    n_steps = max(1, math.ceil(1024 / pencil.grid_m)) * pencil.grid_m
-    f_lo, f_hi = _end_angles(pencil, np.concatenate([lo, hi]), n_steps).reshape(2, -1) + s
+    steps = _magnus_steps(pencil, max(1, math.ceil(1024 / pencil.grid_m)) * pencil.grid_m)
+    f_lo, f_hi = _end_angles(steps, np.concatenate([lo, hi])).reshape(2, -1) + s
     multiples = [
         np.arange(math.ceil(fh / np.pi), math.floor(fl / np.pi) + 1) for fl, fh in zip(f_lo, f_hi)
     ]
@@ -1212,7 +1235,7 @@ def shooting_eigenvalues(pencil, queries):
             roots = np.where((ga != gb) & (a <= roots) & (roots <= b), roots, 0.5 * (a + b))
             return [np.sort(roots[owner == q]) for q in range(s.size)]
         x = np.clip(b[act] - gb[act] * (b[act] - a[act]) / (gb[act] - ga[act]), a[act], b[act])
-        gx = _end_angles(pencil, x, n_steps) + s[owner[act]] - targets[act]
+        gx = _end_angles(steps, x) + s[owner[act]] - targets[act]
         to_a, to_b = gx >= 0.0, gx <= 0.0
         # Illinois: halve the value at an end kept twice in a row
         ga[act[~to_a & (side[act] > 0)]] *= 0.5

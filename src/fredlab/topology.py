@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import linalg
-from .errors import AmbientMismatch, DimensionMismatch, InvalidSpec, NoConvergence
+from .errors import AmbientMismatch, DimensionMismatch, InvalidMetric, InvalidSpec, NoConvergence
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +137,9 @@ class MetricReport:
     def __post_init__(self):
         vals = [self.gamma, self.rho, *self.generator_distances.values()]
         arr = np.asarray(vals, dtype=float)
-        if not (np.all(np.isfinite(arr)) and np.all(arr >= 0.0)):
-            raise ValueError("metric report entries must be finite and nonnegative")
+        bad = arr[~(np.isfinite(arr) & (arr >= 0.0))]
+        if bad.size:
+            raise InvalidMetric(f"metric report entries must be finite and nonnegative: {bad}")
 
 
 def riesz_map(a):

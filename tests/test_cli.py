@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fredlab import cli, floer, gallery, topology
 from fredlab.errors import InvalidConfig
@@ -368,11 +369,14 @@ class TestCertificateCalls:
 
     def test_interior_set_up(self, monkeypatch):
         counts = self._count(monkeypatch, floer, ("_factor", "_interior_pairs"))
+        mass = self._count(monkeypatch, scipy.linalg, ("cholesky_banded",))
         cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")
         # one set-up per run: the shift of the inverse iteration, the count of
-        # near poles, the mass, 12 nodes and 2 checks of the remainder; then
-        # the 4 cuts of the certificate
-        assert (counts["_interior_pairs"], counts["_factor"]) == (1, 1 + 1 + 1 + 12 + 2 + 4)
+        # near poles, 12 nodes and 2 checks of the remainder; then the 4 cuts
+        # of the certificate.  The mass is factored once, by the operator's
+        # check of it, and the set-up reads that factor
+        assert (counts["_interior_pairs"], counts["_factor"]) == (1, 1 + 1 + 12 + 2 + 4)
+        assert mass["cholesky_banded"] == 1
 
     def test_default_run_makes_one_full_eigendecomposition(self, monkeypatch):
         # the profile's interior mass root; the spectra diagonalize nothing
@@ -392,6 +396,11 @@ class TestASpec:
     def test_const(self):
         samples = cli.parse_a_spec("const:1.5,-2", 8)
         np.testing.assert_allclose(samples, np.full(9, 1.5 - 2.0j))
+
+    @pytest.mark.parametrize("text", ["const:1.5", "const:1,2,3", "const:p,q", "const:"])
+    def test_malformed_const(self, text):
+        with pytest.raises(InvalidConfig, match="bad constant coefficient spec"):
+            cli.parse_a_spec(text, 8)
 
     def test_samples_file(self, tmp_path):
         path = tmp_path / "a.txt"

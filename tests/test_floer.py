@@ -93,6 +93,13 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="purely imaginary"):
             FloerPencil(samples, 16, coupling="linear_imaginary")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_nonfinite_samples(self, bad):
+        samples = np.zeros(17, dtype=complex)
+        samples[5] = bad
+        with pytest.raises(InvalidConfig, match="NaN or Inf"):
+            FloerPencil(samples, 16)
+
     def test_unknown_coupling(self):
         with pytest.raises(InvalidConfig, match="not a valid Coupling"):
             FloerPencil.constant(0.5, 16, coupling="nonsense")
@@ -427,6 +434,18 @@ class TestSpectrum:
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_allclose(w1, floer_spectrum(pencil.at(0.8), 5), atol=1e-9)
 
+    def test_secular_roots_with_no_coupled_pole(self):
+        # w(mu) = alpha - beta mu has the one root alpha / beta
+        alpha, beta = np.array([1.0, 2.0, -3.0]), np.array([2.0, 4.0, 1.0])
+        roots, diff = floer._secular_roots(np.zeros(0), np.zeros((3, 0)), alpha, beta, 1)
+        np.testing.assert_array_equal(roots, [[0.5], [0.5], [-3.0]])
+        assert diff.shape == (3, 1, 0)
+
+    def test_secular_roots_refuse_coincident_poles(self):
+        poles, weights = np.array([1.0, 1.0, 2.0]), np.ones((1, 3))
+        with pytest.raises(NoConvergence, match="coincide"):
+            floer._secular_roots(poles, weights, np.zeros(1), np.ones(1), 3)
+
     def test_full_window_from_the_secular_roots(self):
         # the secular route needs no slack beyond the window: a full window
         # takes every root, the one above the last interior eigenvalue too
@@ -636,8 +655,9 @@ def full_interior(interior):
     """The :class:`FullInterior` of ``interior``, which keeps its Ritz
     vectors on its ``rows`` alone: rebuilt from its own interior blocks by
     :func:`floer._near_pairs`, :func:`floer._far_remainder` and
-    :func:`floer._ritz_pairs`, whose seeded iteration, fixed nodes and fixed
-    steps repeat them bit for bit."""
+    :func:`floer._ritz_pairs` on a fresh band Cholesky factor of the
+    interior mass, whose seeded iteration, fixed nodes and fixed steps repeat
+    them bit for bit."""
     k2, mass, rows = interior.square_stiffness, interior.mass, interior.rows
     n = mass.shape[0]
     lam, near, top = floer._near_pairs(k2, mass, interior.n_req)
@@ -645,7 +665,8 @@ def full_interior(interior):
     if lam.size < n:
         far = floer._far_remainder(k2, mass, rows, near, (-0.25 * top, top))
         basis = np.concatenate([near, far.reshape(-1, n).T], axis=1)
-    ritz, y = floer._ritz_pairs(k2, mass, basis)
+    band = scipy.linalg.cholesky_banded(floer._upper_band(mass))
+    ritz, y = floer._ritz_pairs(k2, band, basis)
     assert np.array_equal(ritz, interior.lam)
     return FullInterior(lam, near, top, far, y)
 
@@ -840,6 +861,19 @@ class TestInteriorInertia:
     """One factorization of the interior of ``K2 - c M`` counts the squared
     values below ``c`` at every angle: ``neg(T) + [sigma < 0]`` with the
     border's Schur form ``sigma`` (Haynsworth)."""
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1.0, 1.0], [1.0, 1.0]], "failed: Factor is exactly singular"),
+            ([[0.0, 1.0], [1.0, 0.0]], "needed row pivoting"),
+        ],
+        ids=["zero_pivot", "row_pivot"],
+    )
+    def test_factor_refuses_pivots_it_cannot_count(self, matrix, message):
+        # an inertia count reads the pivots of an unpivoted LDL^T
+        with pytest.raises(NoConvergence, match=f"^count at 1 {message}"):
+            floer._factor(scipy.sparse.csc_array(np.array(matrix)), "count at 1")
 
     @pytest.mark.parametrize("cut", [0.49, 3.61, 10.89])
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
@@ -1043,6 +1077,22 @@ class TestNearFarInterior:
         # a window of 5 reads 11 squared values, at or below the 11th pole
         assert full.lam[10] == full.top
 
+    def test_block_doubles_while_near_poles_fill_half_of_it(self, monkeypatch):
+        # a = 5 + 5i at grid 48 has 23 near poles, more than half of the 44
+        # columns a window of 5 starts with, so the block grows to 88
+        real, sizes = floer._inverse_iteration, []
+        monkeypatch.setattr(
+            floer, "_inverse_iteration", lambda *args: sizes.append(args[3]) or real(*args)
+        )
+        pencil = FloerPencil.constant(5.0 + 5.0j, 48)
+        angles = np.linspace(0.0, 2.0 * np.pi, 16)
+        windows = list(pencil.spectra(angles, 5))
+        assert sizes == [44, 88]
+        for s, w in zip(angles, windows):
+            np.testing.assert_allclose(
+                w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-13, err_msg=f"s = {s}"
+            )
+
     @pytest.mark.parametrize("grid_m", [48, 400])
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_ritz_pairs_extend_the_near_pairs(self, grid_m, a):
@@ -1186,6 +1236,22 @@ class TestDiscretizedOperator:
         with pytest.raises(NotSymmetric, match=f"^{name} is not symmetric"):
             DiscretizedOperator(*pencil)
 
+    @pytest.mark.parametrize("grid_m", [8, 48, 96])
+    def test_mass_factor(self, grid_m):
+        # the check's band Cholesky factor is kept: M = U^T U, and its leading
+        # block is the factor of the interior mass, bit for bit
+        op = FloerPencil.constant(1.5 - 0.7j, grid_m).base
+        band, n = op.mass_factor, op.dim
+        width = band.shape[0] - 1
+        u = np.zeros((n, n))
+        for j in range(n):
+            for i in range(max(0, j - width), j + 1):
+                u[i, j] = band[width + i - j, j]
+        m = op.mass.toarray()
+        assert np.max(np.abs(u.T @ u - m)) <= 1e-15 * np.max(np.abs(m))
+        interior = scipy.linalg.cholesky_banded(floer._upper_band(op.mass[:-1, :-1]))
+        assert np.array_equal(band[:, :-1], interior)
+
     def test_indefinite_mass(self):
         k, m, k2 = self._pencil()
         # positive diagonal, indefinite 2x2 minor: only the band can tell
@@ -1265,7 +1331,8 @@ class TestShooting:
             )
             expected.append(np.unwrap(np.arctan2(sol.y[1], sol.y[0]))[-1])
         np.testing.assert_allclose(
-            floer._end_angles(pencil, lams, 1024), expected, rtol=0.0, atol=1e-9
+            floer._end_angles(floer._magnus_steps(pencil, 1024), lams), expected,
+            rtol=0.0, atol=1e-9,
         )
 
     def test_close_pair_is_counted(self):
@@ -1302,7 +1369,8 @@ class TestShooting:
         # the count of multiples of pi is exact only while F(lam) = theta(1;
         # lam) + s decreases strictly
         pencil = FloerPencil(smooth_coefficient(seed, 96), 96)
-        theta = floer._end_angles(pencil, np.linspace(-20.0, 20.0, 1601), 1056)
+        steps = floer._magnus_steps(pencil, 1056)
+        theta = floer._end_angles(steps, np.linspace(-20.0, 20.0, 1601))
         assert np.all(np.diff(theta) < 0.0)
 
     def test_malformed_interval(self):
@@ -1371,6 +1439,22 @@ class TestShooting:
 
     def test_empty_batch(self):
         assert shooting_eigenvalues(FloerPencil.zero(16), []) == []
+
+    def test_steps_are_built_once_per_call(self, monkeypatch):
+        # the steps do not depend on lam, so every Illinois pass reads the
+        # same ones; only the turn bound reads the pass's lams
+        pencil = FloerPencil(smooth_coefficient(3, 96), 96)
+        real_steps, real_angles = floer._magnus_steps, floer._end_angles
+        built, passes = [], []
+        monkeypatch.setattr(
+            floer, "_magnus_steps", lambda *args: built.append(args) or real_steps(*args)
+        )
+        monkeypatch.setattr(
+            floer, "_end_angles", lambda *args: passes.append(args[0]) or real_angles(*args)
+        )
+        shooting_eigenvalues(pencil, [(0.5, (-3.0, 3.0)), (2.0, (-1.0, 4.0))])
+        assert len(built) == 1 and len(passes) > 2
+        assert all(steps is passes[0] for steps in passes)
 
 
 def free_loop_windows(grid_m, count):
@@ -1497,6 +1581,15 @@ class TestBoundaryProjectors:
     def test_validation(self):
         with pytest.raises(InvalidConfig):
             BoundaryProjector(np.eye(4))  # rank 4, not 2
+        with pytest.raises(InvalidConfig, match="must be 4x4"):
+            BoundaryProjector(np.eye(3))
+        skewed = boundary_projector(0.9).matrix.copy()
+        skewed[0, 1] += 1e-6
+        with pytest.raises(NotSymmetric, match="not symmetric"):
+            BoundaryProjector(skewed)
+        # symmetric with trace 2, but not a projector
+        with pytest.raises(InvalidConfig, match="not idempotent"):
+            BoundaryProjector(np.diag([1.0, 1.0, 0.5, -0.5]))
 
     @pytest.mark.parametrize(
         "angles", [[0.5], np.array([0.1, 0.2]), np.array([[0.3]])], ids=["list", "pair", "2-D"]

@@ -195,6 +195,10 @@ class TestRandomOperators:
         with pytest.raises(InvalidConfig):
             gallery.random_selfadjoint(dim, seed=1)
 
+    def test_empty_range(self):
+        with pytest.raises(InvalidSpec, match="empty spectrum range"):
+            gallery.random_selfadjoint(3, 1, spectrum_range=(1.0, -1.0))
+
     def test_degenerate_range(self):
         a = gallery.random_selfadjoint(6, seed=13, spectrum_range=(0.0, 0.0))
         np.testing.assert_allclose(a.matrix, 0.0, atol=1e-14)

@@ -69,6 +69,11 @@ class TestSymEig:
         with pytest.raises(NotSymmetric):
             SelfAdjointOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_complex(self):
+        # a Hermitian matrix is not a real symmetric one
+        with pytest.raises(NotSymmetric, match="must be real"):
+            linalg.require_symmetric(np.array([[1.0, 1j], [-1j, 1.0]]), "hermitian")
+
 
 class TestSymmetryDefect:
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -241,6 +246,16 @@ class TestScalarFunction:
         np.testing.assert_allclose(
             linalg.apply_scalar_function(dec, lambda lam: 1.0), np.eye(2), atol=1e-15
         )
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError, OverflowError])
+    def test_raising_function(self, error):
+        # f is called on the eigenvalue array, so a scalar-only f raises there
+        def f(lam):
+            raise error("undefined here")
+
+        dec = SelfAdjointOperator(np.diag([0.0, 1.0])).decomposition
+        with pytest.raises(FunctionUndefinedAtEigenvalue, match="undefined here"):
+            linalg.apply_scalar_function(dec, f)
 
     @pytest.mark.parametrize("c", [1.0, -2.5, 0.0, 0.5 - 3j])
     def test_scalar_return_is_exactly_c_times_identity(self, c):

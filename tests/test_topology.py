@@ -9,6 +9,7 @@ from fredlab.errors import (
     DimensionMismatch,
     FredlabError,
     FunctionUndefinedAtEigenvalue,
+    InvalidMetric,
     InvalidSpec,
 )
 from fredlab.topology import (
@@ -633,6 +634,10 @@ class TestRelativeBound:
         c = topology.relative_bound_surrogate(sa([[10.0]]), np.array([[1.0]]))
         assert c == pytest.approx(1.0 / 11.0, abs=1e-14)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="3 != perturbation dim 2"):
+            topology.relative_bound_surrogate(sa(np.eye(3)), np.eye(2))
+
     def test_certified_bound_holds(self):
         rng = np.random.default_rng(15)
         a = random_operator(rng, 12, scale=4.0)
@@ -644,3 +649,24 @@ class TestRelativeBound:
             rhs = c * (np.linalg.norm(a.matrix @ u) + np.linalg.norm(u))
             assert lhs <= rhs + 1e-10
 
+
+class TestMetricReport:
+    def test_valid_entries(self):
+        report = topology.MetricReport(gamma=0.0, rho=0.5, generator_distances={"p0": 1.0})
+        assert (report.gamma, report.rho) == (0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{"gamma": np.nan, "rho": 0.5}, {"gamma": 0.1, "rho": 0.5, "p0": np.inf}],
+        ids=["nan", "inf"],
+    )
+    def test_nonfinite_entry(self, entries):
+        gamma, rho = entries.pop("gamma"), entries.pop("rho")
+        with pytest.raises(InvalidMetric, match="finite and nonnegative"):
+            topology.MetricReport(gamma=gamma, rho=rho, generator_distances=entries)
+
+    def test_negative_entry(self):
+        # typed, and still a ValueError for callers that catch one
+        with pytest.raises(InvalidMetric, match=r"\[-0.25\]") as exc:
+            topology.MetricReport(gamma=0.1, rho=-0.25)
+        assert isinstance(exc.value, ValueError)
