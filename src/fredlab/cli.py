@@ -184,7 +184,9 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
     pencil = floer.FloerPencil(samples, grid_m)
     sweep = np.linspace(0.0, 2.0 * np.pi, s_count)
     profile = floer.rho_continuity_profile(pencil, sweep[: NEIGHBOR_PAIRS + 1])
-    windows = list(pencil.spectra(ORACLE_ANGLES, WINDOW))
+    # one spectra call, so one interior and one list of cuts serve every window
+    stream = pencil.spectra([*ORACLE_ANGLES, *sweep], WINDOW)
+    windows = list(itertools.islice(stream, len(ORACLE_ANGLES)))
     # one batch: the Prufer angle does not depend on s, so one pencil serves all
     oracle = floer.shooting_eigenvalues(
         pencil,
@@ -199,7 +201,7 @@ def run_floer(grid_m=400, s_count=128, a_spec="0"):
                 ReportRow("floer", label, param, f"eig_near0_{i}", float(lam), expected, tol)
             )
 
-    crossings = flow.spectral_flow(pencil.spectra(sweep, WINDOW))
+    crossings = flow.spectral_flow(stream)
     rows.append(
         ReportRow(
             "floer",

@@ -315,39 +315,28 @@ class FloerPencil:
         """The operator at angle 0, assembled and checked once, on first use."""
         return self.at(0.0)
 
-    @cached_property
-    def _interiors(self):
-        return {}
-
-    def interior(self, k_window):
-        """The Ritz pairs on the reduced basis (see :func:`_interior_pairs`) of
-        :attr:`base` for windows of ``k_window`` values, made on first use for
-        each number of squared values they read; a run reads one."""
-        n_req = _request(k_window, self.base.dim)
-        if n_req not in self._interiors:
-            self._interiors[n_req] = _interior_pairs(self.base, self.border_rows, k_window)
-        return self._interiors[n_req]
-
     def spectra(self, angles, k_window):
         """The ``k_window`` eigenvalues nearest zero at each of ``angles``,
         each window ascending, yielded in input order.
 
         The same windows as :func:`floer_spectrum` of :meth:`at`, computed
         ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows` from
-        the :meth:`interior` for ``k_window``, so ``angles`` may be any
-        iterable and is read one block ahead.  The call
-        keeps one list of the interior factorizations it has made, one per
-        cut (see :func:`_certify`), so a cut factored in one block certifies
-        the angles of later blocks too; the list ends with the call.  An angle
-        with no open gap past its window, or whose window fails its inertia
-        count, takes the dense route, and so does each angle of a secular
-        solve that fails.
+        one :func:`_interior_pairs` of :attr:`base` for ``k_window``, set up
+        when the first block arrives, so ``angles`` may be any iterable and is
+        read one block ahead.  The call keeps one list of the interior
+        factorizations it has made, one per cut (see :func:`_certify`), so a
+        cut factored in one block certifies the angles of later blocks too;
+        the interior and the list end with the call, and the pencil keeps
+        neither.  An angle with no open gap past its window, or whose window
+        fails its inertia count, takes the dense route, and so does each angle
+        of a secular solve that fails.
         """
         k_window = _window_size(k_window, self.base.dim)
         angles = iter(angles)
-        cuts = []
+        interior, cuts = None, []
         while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
-            interior = self.interior(k_window)
+            if interior is None:
+                interior = _interior_pairs(self.base, self.border_rows, k_window)
             for si, w in zip(s, _bordered_windows(interior, *self.border(s), k_window, cuts)):
                 yield floer_spectrum(self.at(si), k_window) if isinstance(w, NoConvergence) else w
 
@@ -433,22 +422,20 @@ class _Interior(NamedTuple):
     45 or 46 at windows of 5 (21 or 22 near pairs and 12 x 2 remainder
     columns at grids 48 to 1600, for ``a = 0`` and ``const:1.5,-0.7``).  The
     lowest are the near poles of :func:`_near_pairs`.  Every Ritz vector of a
-    window lies, on the interior, in the span of ``Y``, so ``grams`` holds
-    ``Y^T K Y`` and ``Y^T M Y = I`` of the interior blocks, a Ritz step reads
+    window lies, on the interior, in the span of ``Y``, so ``gram_k`` holds
+    ``Y^T K Y`` of the interior block (``Y^T M Y = I``), a Ritz step reads
     the vectors through their coefficients on ``Y`` alone (see
-    :func:`_grams`), and the interior keeps no dof-length vector.
-    ``mass_rows`` is the ``rows`` block of ``M^-1``, and the interior blocks
-    of ``M`` and ``K2`` follow.
+    :func:`_grams`), and the interior keeps no dof-length vector.  The
+    interior blocks of ``M`` and ``K2`` follow.
     """
 
     n_req: int
     lam: np.ndarray
     near: np.ndarray
-    mass_rows: np.ndarray
     mass: scipy.sparse.csc_array
     square_stiffness: scipy.sparse.csc_array
     rows: np.ndarray
-    grams: np.ndarray
+    gram_k: np.ndarray
 
 
 def _factor(shifted, what):
@@ -644,8 +631,8 @@ def _interior_pairs(op, rows, k_window):
     far part in the span of the remainder's columns.  So the Ritz pairs on
     ``W`` (:func:`_ritz_pairs`) stand for the whole interior, the far poles
     among them.  The interior mass is not factored again: its upper band
-    Cholesky factor is the leading block of ``op.mass_factor``, which gives
-    the Ritz step and ``mass_rows``.  No ``n x n`` array is formed.
+    Cholesky factor, which the Ritz step reads, is the leading block of
+    ``op.mass_factor``.  No ``n x n`` array is formed.
     """
     n_req = _request(k_window, op.dim)
     mass, k2 = op.mass[:-1, :-1], op.square_stiffness[:-1, :-1]
@@ -655,12 +642,9 @@ def _interior_pairs(op, rows, k_window):
     if lam.size < n:
         far = _far_remainder(k2, mass, rows, near, (-0.25 * top, top))
         basis = np.concatenate([near, far.reshape(-1, n).T], axis=1)
-    band = op.mass_factor[:, :-1]
-    lam, y = _ritz_pairs(k2, band, basis)
-    unit = _unit_columns(n, rows)
-    mass_rows = scipy.linalg.cho_solve_banded((band, False), unit, check_finite=False)[rows]
-    grams = np.array([y.T @ (op.stiffness[:-1, :-1] @ y), np.eye(lam.size)])
-    return _Interior(n_req, lam, y[rows], mass_rows, mass, k2, rows, grams)
+    lam, y = _ritz_pairs(k2, op.mass_factor[:, :-1], basis)
+    gram_k = y.T @ (op.stiffness[:-1, :-1] @ y)
+    return _Interior(n_req, lam, y[rows], mass, k2, rows, gram_k)
 
 
 def _ritz_pairs(k2, band, basis):
@@ -805,14 +789,14 @@ def _bordered_pairs(interior, r, f, alpha, beta, coupled):
 
 def _grams(interior, cols, diag, coef, t):
     """Gram matrices of ``K`` and ``M`` on the vectors ``[Y coef; t]``, per
-    angle, with ``Y`` the interior's Ritz vectors: ``coef^T (Y^T X Y) coef``
-    from :attr:`_Interior.grams` for the interior block ``X``, and the border
-    on ``Y[rows] coef`` and ``t``."""
-    edge = coef @ interior.near.T
+    angle, with ``Y`` the interior's Ritz vectors: ``coef (Y^T X Y) coef^T``
+    for the interior block ``X``, from :attr:`_Interior.gram_k` for ``K`` and
+    ``coef coef^T`` for ``M`` (``Y`` is ``M``-orthonormal), and the border on
+    ``Y[rows] coef`` and ``t``."""
+    edge, coef_t = coef @ interior.near.T, coef.transpose(0, 2, 1)
     tt = t[:, :, None] * t[:, None, :]
     out = []
-    for gram, col, d in zip(interior.grams, cols, diag):
-        inner = coef @ gram @ coef.transpose(0, 2, 1)
+    for inner, col, d in zip((coef @ interior.gram_k @ coef_t, coef @ coef_t), cols, diag):
         cross = (edge @ col[:, :, None]) * t[:, None, :]
         out.append(inner + cross + cross.transpose(0, 2, 1) + d[:, None, None] * tt)
     return out
@@ -829,29 +813,21 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
     ``r = g - lam f``, ``beta = d - f^T f`` and ``alpha = c - 2 r^T f - sum
     lam_i f_i^2``, the squared eigenvalues are the roots of ``alpha - beta
     mu + sum r_i^2 / (mu - lam_i)``, one between each two poles (see
-    :func:`_bordered_pairs`).
-    ``d - e^T M_int^-1 e``, the Schur complement of ``M``, is positive exactly
-    when ``M`` is, as the interior mass is.
-    A coupling ``r_i`` at rounding level deflates.  Angles with one mask of
-    coupled modes share a secular solve of ``k_window + 6`` roots.  One
-    Rayleigh-Ritz step per block size, batched, gives the signed window
-    (:func:`_nearest`), and an inertia count at a cut past its block
-    certifies that no value was missed (see :func:`_certify`: one interior
-    ``LDL^T`` per cut, taken from or appended to the caller's list ``cuts``,
-    and the sign of each border's Schur form).  Returns one window per angle,
-    or a :class:`NoConvergence` where the angle has no open gap (see
-    :func:`_cut`; the dense route widens), or its count or its group's
-    secular solve failed.
+    :func:`_bordered_pairs`).  A coupling ``r_i`` at rounding level
+    deflates.  Angles with one mask of coupled modes share a secular solve of
+    ``k_window + 6`` roots.  One Rayleigh-Ritz step per block size, batched,
+    gives the signed window (:func:`_nearest`), and an inertia count at a cut
+    past its block certifies that no value was missed (see :func:`_certify`:
+    one interior ``LDL^T`` per cut, taken from or appended to the caller's
+    list ``cuts``, and the sign of each border's Schur form).  Returns one
+    window per angle, or a :class:`NoConvergence` where the angle has no open
+    gap (see :func:`_cut`; the dense route widens), or its count or its
+    group's secular solve failed.
     """
     lam = interior.lam
     dim = interior.mass.shape[0] + 1
     if not (np.all(np.isfinite(cols)) and np.all(np.isfinite(diag))):
         raise InvalidConfig("border of stiffness, mass or square holds NaN or Inf")
-    schur = diag[1] - np.einsum("ai,ij,aj->a", cols[1], interior.mass_rows, cols[1])
-    if np.any(schur <= 0.0):
-        raise MassNotPositiveDefinite(
-            f"mass Schur complement {float(np.min(schur)):.3e} at the last dof"
-        )
     g, f = cols[2] @ interior.near, cols[1] @ interior.near
     r = g - lam * f
     beta = diag[1] - np.sum(f * f, axis=1)

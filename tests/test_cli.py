@@ -345,9 +345,9 @@ class TestCertificateCalls:
     def test_floer(self, monkeypatch):
         counts = self._count(monkeypatch, floer, ("_interior_inertia", "floer_spectrum"))
         cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")
-        # two cuts per spectra call, the oracle angles' and the sweep's, each
-        # serving every angle of its call; no window falls back
-        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (4, 0)
+        # one spectra call per run, for the oracle angles and the sweep; its
+        # two cuts serve every angle, and no window falls back
+        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (2, 0)
 
     @pytest.mark.parametrize(
         "flags",
@@ -365,17 +365,17 @@ class TestCertificateCalls:
     def test_floer_default_and_dense_sweep(self, monkeypatch, flags):
         counts = self._count(monkeypatch, floer, ("_interior_inertia", "floer_spectrum"))
         cli.run_floer(**flags)
-        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (4, 0)
+        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (2, 0)
 
     def test_interior_set_up(self, monkeypatch):
         counts = self._count(monkeypatch, floer, ("_factor", "_interior_pairs"))
         mass = self._count(monkeypatch, scipy.linalg, ("cholesky_banded",))
         cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")
         # one set-up per run: the shift of the inverse iteration, the count of
-        # near poles, 12 nodes and 2 checks of the remainder; then the 4 cuts
+        # near poles, 12 nodes and 2 checks of the remainder; then the 2 cuts
         # of the certificate.  The mass is factored once, by the operator's
         # check of it, and the set-up reads that factor
-        assert (counts["_interior_pairs"], counts["_factor"]) == (1, 1 + 1 + 12 + 2 + 4)
+        assert (counts["_interior_pairs"], counts["_factor"]) == (1, 1 + 1 + 12 + 2 + 2)
         assert mass["cholesky_banded"] == 1
 
     def test_default_run_makes_one_full_eigendecomposition(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 import pathlib
 import re
 import tracemalloc
@@ -534,7 +535,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(floer, "_secular_roots", dropping)
         (missed,) = floer._bordered_windows(
-            pencil.interior(5), *pencil.border(np.array([0.8])), 5, []
+            interior_of(pencil), *pencil.border(np.array([0.8])), 5, []
         )
         assert isinstance(missed, NoConvergence) and "1 missed" in str(missed)
         np.testing.assert_array_equal(next(pencil.spectra([0.8], 5)), floer_spectrum(op, 5))
@@ -547,7 +548,7 @@ class TestSpectrum:
         # not reach the last dof: their couplings are rounding noise and
         # deflate to exact eigenpairs of the interior
         pencil = FloerPencil.zero(grid_m)
-        interior = pencil.interior(5)
+        interior = interior_of(pencil)
         cut = floer._NEAR_RATIO * interior.lam[interior.n_req - 1]
         real_roots = floer._secular_roots
         poles = []
@@ -637,6 +638,11 @@ class TestSmoothSweep:
         _, windows = family
         assert spectral_flow(windows[120:130]) == 0
         assert spectral_flow(windows) == 2
+
+
+def interior_of(pencil, k_window=5):
+    """The interior that ``pencil.spectra`` sets up for windows of ``k_window``."""
+    return floer._interior_pairs(pencil.base, pencil.border_rows, k_window)
 
 
 class FullInterior(NamedTuple):
@@ -740,9 +746,11 @@ class TestBlockRoute:
 
     def test_block_size_does_not_raise_the_sweep_peak(self, monkeypatch):
         # a block forms no dof-length array: the vectors of 64 angles, 11
-        # each on 3199 dofs at grid 1600, would take 18 MB alone
+        # each on 3199 dofs at grid 1600, would take 18 MB alone.  Each call
+        # reads one interior, built before the peaks are traced
         pencil = FloerPencil(smooth_coefficient(3, 1600), 1600)
-        pencil.interior(5)
+        interior = interior_of(pencil)
+        monkeypatch.setattr(floer, "_interior_pairs", lambda *args: interior)
         sweep = np.linspace(0.0, 2.0 * np.pi, 128)
         peaks = {}
         for size in (16, 64):
@@ -760,7 +768,7 @@ class TestBlockRoute:
         # widest gap of the slack, one angle alone sees no open gap; the dense
         # route widens its subset, the secular solve is not repeated
         pencil = FloerPencil(smooth_coefficient(3, 12), 12)
-        pencil.interior(5)  # its own call of at comes before the count
+        pencil.base  # its own call of at comes before the count
         angles = np.linspace(0.1, 6.0, 8)
         ratios = []
         for s in angles:
@@ -818,7 +826,7 @@ class TestBlockRoute:
         # the angles of a group share their poles, so a failed solve is not
         # retried per angle: every angle of the group takes the dense route
         pencil = FloerPencil.zero(16)
-        pencil.interior(5)  # its own call of at comes before the count
+        pencil.base  # its own call of at comes before the count
         angles = [0.3, 1.1, 2.0, 4.4, 5.5]
         calls, built = [], []
 
@@ -847,14 +855,54 @@ class TestBlockRoute:
             list(pencil.spectra([0.1, 0.2, bad, 0.3], 5))
 
     def test_border_checks(self):
-        interior = FloerPencil.zero(16).interior(5)
+        interior = interior_of(FloerPencil.zero(16))
         cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidConfig, match="NaN or Inf"):
             floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5, [])
-        # the mass is positive definite exactly when d - f^T f is
-        diag[1, 1] = 0.0
-        with pytest.raises(MassNotPositiveDefinite):
-            floer._bordered_windows(interior, cols, diag, 5, [])
+
+    def test_threads_share_a_pencil(self):
+        # each call sets up its own interior and cuts: two threads on one
+        # pencil read the windows of a serial run, bit for bit
+        a = cli.parse_a_spec("const:1.5,-0.7", 48)
+        sweep = np.linspace(0.0, 2.0 * np.pi, 130)
+        serial = np.array(list(FloerPencil(a, 48).spectra(sweep, 5)))
+        pencil = FloerPencil(a, 48)
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(lambda _: list(pencil.spectra(sweep, 5)), range(2), timeout=60))
+        for run in runs:
+            assert np.array(run).tobytes() == serial.tobytes()
+
+    def test_a_call_leaves_the_pencil_as_it_found_it(self):
+        pencil = FloerPencil.zero(24)
+        pencil.base
+        before = set(vars(pencil))
+        list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 16), 5))
+        assert set(vars(pencil)) == before == {"a_samples", "grid_m", "coupling", "blocks", "base"}
+        assert not hasattr(pencil, "interior") and not hasattr(pencil, "_interiors")
+
+    @staticmethod
+    def _mass_schur(grid_m, angles):
+        # d - e^T M_int^-1 e of the mass at each angle, by a dense solve
+        pencil = FloerPencil.constant(1.5 - 0.7j, grid_m)
+        factor = scipy.linalg.cho_factor(pencil.base.mass[:-1, :-1].toarray())
+        out = []
+        for s in angles:
+            mass = pencil.at(s).mass.toarray()
+            e = mass[:-1, -1]
+            out.append(mass[-1, -1] - e @ scipy.linalg.cho_solve(factor, e))
+        return np.array(out)
+
+    @pytest.mark.parametrize("grid_m", [48, 400])
+    def test_border_mass_schur_complement(self, grid_m):
+        # M(s) = D(s)^T M_full D(s) with an injective dof table, so the mass
+        # is positive definite at every angle and the windows need not check
+        # its Schur complement on the last dof: it is h / (2 sqrt 3) throughout
+        schur = self._mass_schur(grid_m, np.linspace(0.0, 2.0 * np.pi, 33))
+        want = 1.0 / (2.0 * np.sqrt(3.0) * grid_m)
+        assert np.max(np.abs(schur - want)) <= 1e-10 * want
+
+    def test_border_mass_schur_complement_is_positive_on_a_coarse_grid(self):
+        assert np.all(self._mass_schur(8, np.linspace(0.0, 2.0 * np.pi, 33)) > 0.0)
 
 
 class TestInteriorInertia:
@@ -879,7 +927,7 @@ class TestInteriorInertia:
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_count_matches_the_dense_count(self, a, cut):
         pencil = FloerPencil.constant(a, 48)
-        interior = pencil.interior(5)
+        interior = interior_of(pencil)
         neg, g = floer._interior_inertia(interior, cut)
         for s in np.linspace(0.0, 2.0 * np.pi, 41):
             op = pencil.at(s)
@@ -904,7 +952,6 @@ class TestInteriorInertia:
 
     def test_a_sweep_shares_its_factorizations(self, monkeypatch):
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        pencil.interior(5)
         cuts = self._count_factorizations(monkeypatch)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         windows = list(pencil.spectra(sweep, 5))
@@ -924,7 +971,7 @@ class TestInteriorInertia:
         # a count one too high at one cut sends exactly the angles it serves
         # (see the sweep above) to the dense route
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        pencil.interior(5)
+        pencil.base  # its own call of at comes before the count
         real, real_at = floer._interior_inertia, FloerPencil.at
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         for wrong, served in ((1, np.r_[0:8, 31:33, 62:64]), (2, np.r_[8:31, 33:62])):
@@ -951,7 +998,7 @@ class TestInteriorInertia:
         # its own thousands, so an angle's message names the cut it took and
         # the count it expected; with fails, the first factorization raises
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        interior = pencil.interior(5)
+        interior = interior_of(pencil)
         calls, real_certify = [], floer._certify
         monkeypatch.setattr(
             floer,
@@ -986,18 +1033,17 @@ class TestInteriorInertia:
     def test_a_listed_cut_serves_a_later_block(self, monkeypatch):
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
-        listed = []
-        floer._bordered_windows(pencil.interior(5), *pencil.border(sweep[:16]), 5, listed)
+        interior, listed = interior_of(pencil), []
+        floer._bordered_windows(interior, *pencil.border(sweep[:16]), 5, listed)
         assert len(listed) == 2
         cuts = self._count_factorizations(monkeypatch)
-        (w,) = floer._bordered_windows(pencil.interior(5), *pencil.border(sweep[16:17]), 5, listed)
+        (w,) = floer._bordered_windows(interior, *pencil.border(sweep[16:17]), 5, listed)
         assert cuts == [] and len(listed) == 2
         np.testing.assert_allclose(w, floer_spectrum(pencil.at(sweep[16]), 5), rtol=0.0, atol=1e-12)
 
     def test_two_calls_share_no_cut(self, monkeypatch):
         # the list of factorizations lives for one call; the pencil keeps none
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        pencil.interior(5)
         cuts = self._count_factorizations(monkeypatch)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         first = list(pencil.spectra(sweep, 5))
@@ -1010,7 +1056,7 @@ class TestInteriorInertia:
         # gap lies above the cut at about half the angles: there sigma < 0
         # counts the last value below the cut, and no window falls back
         pencil = FloerPencil.constant(1.5 - 0.7j, 48)
-        pencil.interior(5)
+        pencil.base  # its own call of at comes before the count
         real_at = FloerPencil.at
         built = []
         monkeypatch.setattr(FloerPencil, "at", lambda self, s: built.append(s) or real_at(self, s))
@@ -1069,7 +1115,7 @@ class TestNearFarInterior:
     @pytest.mark.parametrize("grid_m", [48, 400])
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_near_poles_are_the_count_below_the_cut(self, grid_m, a):
-        interior = FloerPencil.constant(a, grid_m).interior(5)
+        interior = interior_of(FloerPencil.constant(a, grid_m))
         full = full_interior(interior)
         cut = floer._NEAR_RATIO * full.top
         neg, _ = floer._interior_inertia(interior, cut)
@@ -1096,7 +1142,7 @@ class TestNearFarInterior:
     @pytest.mark.parametrize("grid_m", [48, 400])
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_ritz_pairs_extend_the_near_pairs(self, grid_m, a):
-        interior = FloerPencil.constant(a, grid_m).interior(5)
+        interior = interior_of(FloerPencil.constant(a, grid_m))
         full = full_interior(interior)
         m = interior.mass
         np.testing.assert_allclose(
@@ -1114,7 +1160,7 @@ class TestNearFarInterior:
     @pytest.mark.parametrize("grid_m", [48, 400])
     @pytest.mark.parametrize("a", [0.0, 1.5 - 0.7j])
     def test_remainder_matches_direct_solves_between_nodes(self, grid_m, a):
-        interior = FloerPencil.constant(a, grid_m).interior(5)
+        interior = interior_of(FloerPencil.constant(a, grid_m))
         m, rows = interior.mass, interior.rows
         full = full_interior(interior)
         v, far = full.near, full.far
@@ -1137,7 +1183,7 @@ class TestNearFarInterior:
     def test_a_miss_doubles_the_nodes(self):
         # at grid 12 the far poles crowd the cut, and 12 nodes miss 1e-13
         pencil = FloerPencil.zero(12)
-        assert full_interior(pencil.interior(5)).far.shape[0] == 24
+        assert full_interior(interior_of(pencil)).far.shape[0] == 24
         sweep = np.linspace(0.0, 2.0 * np.pi, 7)
         for s, w in zip(sweep, pencil.spectra(sweep, 5)):
             np.testing.assert_allclose(w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12)
@@ -1158,7 +1204,7 @@ class TestNearFarInterior:
     def test_windows_match_the_dense_route(self, grid_m, a):
         # at grid 10 every pole is near and the remainder is empty
         pencil = FloerPencil.constant(a, grid_m)
-        interior = pencil.interior(5)
+        interior = interior_of(pencil)
         assert (interior.lam.size == 2 * grid_m - 1) == (grid_m == 10)
         angles = [0.0, 0.8, np.pi, 4.0, 2.0 * np.pi]
         for s, w in zip(angles, pencil.spectra(angles, 5)):
@@ -1191,29 +1237,18 @@ class TestNearFarInterior:
 
     @pytest.mark.parametrize("grid_m", [10, 400])
     def test_keeps_only_the_rows_it_reads(self, grid_m):
-        interior = FloerPencil.constant(1.5 - 0.7j, grid_m).interior(5)
+        interior = interior_of(FloerPencil.constant(1.5 - 0.7j, grid_m))
         rows = interior.rows
         assert np.array_equal(interior.near, full_interior(interior).y[rows])
         assert interior.near.shape == (rows.size, interior.lam.size)
 
     def test_no_array_has_dof_length(self):
         # every array but the sparse blocks has one shape at grids 48 and 1600
-        small, large = (FloerPencil.zero(g).interior(5) for g in (48, 1600))
+        small, large = (interior_of(FloerPencil.zero(g)) for g in (48, 1600))
         for name, x, y in zip(small._fields, small, large):
             if name not in ("mass", "square_stiffness"):
                 assert np.shape(x) == np.shape(y), name
         assert large.mass.shape == (3199, 3199)
-
-    def test_one_set_up_per_request_size(self, monkeypatch):
-        pencil = FloerPencil.zero(24)
-        real, calls = floer._interior_pairs, []
-        monkeypatch.setattr(
-            floer, "_interior_pairs", lambda *args: calls.append(args[2]) or real(*args)
-        )
-        for k_window in (5, 5, 3, 5, 3):
-            list(pencil.spectra([0.4, 2.0], k_window))
-        assert calls == [5, 3]
-        assert pencil.interior(5).n_req == 11 and pencil.interior(3).n_req == 9
 
 
 class TestDiscretizedOperator:
@@ -1906,6 +1941,20 @@ class TestRieszDistance:
 
 
 class TestRhoContinuity:
+    def test_gamma_converges_to_the_continuum_at_a_0(self):
+        # at a = 0 the pair 1 -> 1 + 2 pi/127 has the continuum gamma 0.0849651
+        # (the closed form on the eigenbases s + k pi, extrapolated in the
+        # truncation); away from the crossings at s = 0 the row converges to
+        # it at first order in h
+        step, continuum = 2.0 * np.pi / 127, 0.0849651
+        errors = []
+        for grid_m in (50, 100, 200):
+            (row,) = rho_continuity_profile(FloerPencil.zero(grid_m), [1.0, 1.0 + step])
+            errors.append(row.gamma - continuum)
+            assert -0.0460 <= grid_m * errors[-1] <= -0.0450, grid_m
+        for coarse, fine in itertools.pairwise(errors):
+            assert 0.49 <= fine / coarse <= 0.51
+
     def test_zero_step(self):
         pencil = FloerPencil.zero(16)
         reports = rho_continuity_profile(pencil, [0.4, 0.4])
