@@ -232,8 +232,8 @@ class FloerPencil:
     angle enters only through the weights of the last dof, so every per-angle
     computation reads it from :meth:`border`, that dof's column in closed
     form: :meth:`spectra` and the neighbour profile build no operator per
-    angle.  :meth:`at` sums the blocks into a full operator: at angle 0 once,
-    as :attr:`base`, for the fixed interior, and for the dense routes.  The dof
+    angle.  :meth:`at` sums the blocks into a full operator, which a run
+    builds once, at angle 0, as :attr:`base`, for the fixed interior.  The dof
     table keeps one scalar coordinate at each endpoint, along its boundary line.
     A coefficient near the float limit overflows the element sums; the NaN or
     Inf entries raise :class:`InvalidConfig` in :class:`DiscretizedOperator`.
@@ -319,17 +319,15 @@ class FloerPencil:
         """The ``k_window`` eigenvalues nearest zero at each of ``angles``,
         each window ascending, yielded in input order.
 
-        The same windows as :func:`floer_spectrum` of :meth:`at`, computed
-        ``_BLOCK_ANGLES`` angles at a time by :func:`_bordered_windows` from
-        one :func:`_interior_pairs` of :attr:`base` for ``k_window``, set up
-        when the first block arrives, so ``angles`` may be any iterable and is
-        read one block ahead.  The call keeps one list of the interior
-        factorizations it has made, one per cut (see :func:`_certify`), so a
-        cut factored in one block certifies the angles of later blocks too;
-        the interior and the list end with the call, and the pencil keeps
-        neither.  An angle with no open gap past its window, or whose window
-        fails its inertia count, takes the dense route, and so does each angle
-        of a secular solve that fails.
+        The windows come ``_BLOCK_ANGLES`` angles at a time from
+        :func:`_bordered_windows`, on one :func:`_interior_pairs` of
+        :attr:`base` for ``k_window``, set up when the first block arrives, so
+        ``angles`` may be any iterable and is read one block ahead.  The call
+        keeps one list of the interior factorizations it has made, one per
+        cut (see :func:`_certify`), so a cut factored in one block certifies
+        the angles of later blocks too; the interior and the list end with
+        the call, and the pencil keeps neither.  An angle whose window cannot
+        be certified raises :class:`NoConvergence`, naming the angle.
         """
         k_window = _window_size(k_window, self.base.dim)
         angles = iter(angles)
@@ -337,8 +335,7 @@ class FloerPencil:
         while (s := np.fromiter(itertools.islice(angles, _BLOCK_ANGLES), dtype=float)).size:
             if interior is None:
                 interior = _interior_pairs(self.base, self.border_rows, k_window)
-            for si, w in zip(s, _bordered_windows(interior, *self.border(s), k_window, cuts)):
-                yield floer_spectrum(self.at(si), k_window) if isinstance(w, NoConvergence) else w
+            yield from _bordered_windows(interior, s, *self.border(s), k_window, cuts)
 
 
 #: Relative spacing below which two squared eigenvalues count as degenerate.
@@ -380,36 +377,6 @@ def _window_size(k_window, dim):
     if k_window > dim:
         raise InvalidConfig(f"need window size <= {dim}, got {k_window}")
     return k_window
-
-
-def floer_spectrum(op, k_window):
-    """The ``k_window`` eigenvalues nearest zero, ascending, by a dense solve.
-
-    Solves the squared pencil ``K2 x = mu M x``; the smallest ``mu`` are the
-    squares of the wanted eigenvalues and carry no contribution from the
-    sawtooth branch of the first-order stencil.  One Rayleigh-Ritz step of
-    the first-order form on their vectors, cut at the widest gap beyond the
-    window (:func:`_cut`), gives the signed values and keeps ``+-lam`` pairs
-    together (:func:`_nearest`).  LAPACK selects the subset by index with
-    Sturm counts, so it is certified to be the smallest; a degenerate slack
-    widens it.  This is the route for a single operator, and the oracle and
-    fallback of :meth:`FloerPencil.spectra`.
-    """
-    k_window = _window_size(k_window, op.dim)
-    k2, mass = op.square_stiffness.toarray(), op.mass.toarray()
-    n_req = _request(k_window, op.dim)
-    while True:
-        # DiscretizedOperator guarantees finite entries
-        mus, vecs = scipy.linalg.eigh(
-            k2, mass, subset_by_index=(0, n_req - 1), check_finite=False
-        )
-        (size,) = _cut(mus[None], k_window, op.dim)
-        if size:
-            break
-        n_req = min(2 * n_req, op.dim)
-    v = vecs[:, :size]
-    ritz = scipy.linalg.eigh(v.T @ (op.stiffness @ v), v.T @ (op.mass @ v), eigvals_only=True)
-    return _nearest(ritz[None], k_window)[0]
 
 
 class _Interior(NamedTuple):
@@ -802,27 +769,34 @@ def _grams(interior, cols, diag, coef, t):
     return out
 
 
-def _bordered_windows(interior, cols, diag, k_window, cuts):
-    """The windows of :func:`floer_spectrum` at a block of angles, from the
-    Ritz pairs of ``interior``, made for ``k_window``.
+def _uncertified(angle, cause):
+    """The error of an angle whose window could not be certified."""
+    return NoConvergence(f"no certified window at angle {float(angle)!r}: {cause}")
 
-    ``cols`` and ``diag`` are :meth:`FloerPencil.border` at a block of
-    angles.  With ``Y`` the interior's Ritz vectors, the border ``[b; c]``
-    of ``K2`` and ``[e; d]`` of ``M`` enters as ``g = Y^T b`` and ``f = Y^T
-    e``.  Eliminating ``f`` leaves an arrowhead pencil on the poles: with
-    ``r = g - lam f``, ``beta = d - f^T f`` and ``alpha = c - 2 r^T f - sum
-    lam_i f_i^2``, the squared eigenvalues are the roots of ``alpha - beta
-    mu + sum r_i^2 / (mu - lam_i)``, one between each two poles (see
+
+def _bordered_windows(interior, angles, cols, diag, k_window, cuts):
+    """The ``k_window`` eigenvalues nearest zero at a block of ``angles``, one
+    ascending row each, from the Ritz pairs of ``interior``, made for
+    ``k_window``.
+
+    ``cols`` and ``diag`` are :meth:`FloerPencil.border` at the angles.  With
+    ``Y`` the interior's Ritz vectors, the border ``[b; c]`` of ``K2`` and
+    ``[e; d]`` of ``M`` enters as ``g = Y^T b`` and ``f = Y^T e``.
+    Eliminating ``f`` leaves an arrowhead pencil on the poles: with ``r = g -
+    lam f``, ``beta = d - f^T f`` and ``alpha = c - 2 r^T f - sum lam_i
+    f_i^2``, the squared eigenvalues are the roots of ``alpha - beta mu + sum
+    r_i^2 / (mu - lam_i)``, one between each two poles (see
     :func:`_bordered_pairs`).  A coupling ``r_i`` at rounding level
     deflates.  Angles with one mask of coupled modes share a secular solve of
-    ``k_window + 6`` roots.  One Rayleigh-Ritz step per block size, batched,
-    gives the signed window (:func:`_nearest`), and an inertia count at a cut
-    past its block certifies that no value was missed (see :func:`_certify`:
-    one interior ``LDL^T`` per cut, taken from or appended to the caller's
-    list ``cuts``, and the sign of each border's Schur form).  Returns one
-    window per angle, or a :class:`NoConvergence` where the angle has no open
-    gap (see :func:`_cut`; the dense route widens), or its count or its
-    group's secular solve failed.
+    ``k_window + 6`` roots, and their block sizes (:func:`_cut`) need an open
+    gap among those squared values.  One Rayleigh-Ritz step per block size,
+    batched, gives the signed window (:func:`_nearest`), and an inertia count
+    at a cut past its block certifies that no value was missed (see
+    :func:`_certify`: one interior ``LDL^T`` per cut, taken from or appended
+    to the caller's list ``cuts``, and the sign of each border's Schur form).
+    A group whose secular solve fails, or that holds an angle with no open
+    gap, raises :class:`NoConvergence` naming its first such angle, and so
+    does a window that fails its certificate.
     """
     lam = interior.lam
     dim = interior.mass.shape[0] + 1
@@ -841,56 +815,52 @@ def _bordered_windows(interior, cols, diag, k_window, cuts):
     groups = {}
     for i, mask in enumerate(coupled):
         groups.setdefault(mask.tobytes(), []).append(i)
-    found = [None] * alpha.size
+    windows = np.empty((alpha.size, k_window))
     for idx in map(np.array, groups.values()):
         try:
             mus, coef, t = _bordered_pairs(
                 interior, r[idx], f[idx], alpha[idx], beta[idx], coupled[idx[0]]
             )
         except NoConvergence as exc:
-            for i in idx:
-                found[i] = exc
-            continue
+            raise _uncertified(angles[idx[0]], exc) from exc
         sizes = _cut(mus, k_window, dim)
-        no_gap = NoConvergence(f"no open gap among the {interior.n_req} smallest squared values")
-        windows = [no_gap] * idx.size
+        if not np.all(sizes):
+            cause = f"no open gap among the {interior.n_req} smallest squared values"
+            raise _uncertified(angles[idx[np.argmin(sizes)]], cause)
         gram_k, gram_m = _grams(interior, cols[:2, idx], diag[:2, idx], coef, t)
-        for size in np.unique(sizes[sizes > 0]):
+        for size in np.unique(sizes):
             sel = np.flatnonzero(sizes == size)
             lower_inv = np.linalg.inv(np.linalg.cholesky(gram_m[sel, :size, :size]))
             reduced = lower_inv @ gram_k[sel, :size, :size] @ lower_inv.transpose(0, 2, 1)
-            ritz = np.linalg.eigvalsh(reduced)
-            for j, window in zip(sel, _nearest(ritz, k_window)):
-                windows[j] = window
-        _certify(interior, cols[:, idx], diag[:, idx], mus, sizes, windows, cuts)
-        for i, window in zip(idx, windows):
-            found[i] = window
-    return found
+            windows[idx[sel]] = _nearest(np.linalg.eigvalsh(reduced), k_window)
+        _certify(interior, angles[idx], cols[:, idx], diag[:, idx], mus, sizes, cuts)
+    return windows
 
 
-def _certify(interior, cols, diag, mus, sizes, found, cuts):
-    """Check the windows in ``found`` by inertia counts at the cuts listed in
+def _certify(interior, angles, cols, diag, mus, sizes, cuts):
+    """Check the windows at ``angles`` by inertia counts at the cuts listed in
     ``cuts``, ``(cut, neg, G)`` from :func:`_interior_inertia`, oldest first.
 
     Row ``a`` of ``mus`` holds the squared values of angle ``a``, ascending, and
-    ``sizes[a]`` its block size; a block of 0 (no open gap) or of the whole
-    row has nothing to check.  A cut counts for an angle if it lies in the
-    middle half of an open gap ``(mus[a, t - 1], mus[a, t])`` with ``t`` at
-    least the block size; the angle then has ``t`` values below it.  Each
-    angle takes the newest listed cut that counts for it, or else factors the
-    middle of its own cut gap and appends it to ``cuts``.  The angles are
-    matched to the list at once; the first that no cut serves factors its
-    cut, and the angles after it are matched again, so each angle sees the
-    list as the angles before it left it.  A count that differs, a failed
-    factorization, or a border whose Schur form is zero or not finite
-    replaces the window by a :class:`NoConvergence`.
+    ``sizes[a]`` its block size; a block of the whole row has nothing to
+    check.  A cut counts for an angle if it lies in the middle half of an
+    open gap ``(mus[a, t - 1], mus[a, t])`` with ``t`` at least the block
+    size; the angle then has ``t`` values below it.  Each angle takes the
+    newest listed cut that counts for it, or else factors the middle of its
+    own cut gap and appends it to ``cuts``.  The angles are matched to the
+    list at once; the first that no cut serves factors its cut, and the
+    angles after it are matched again, so each angle sees the list as the
+    angles before it left it.  A failed factorization raises
+    :class:`NoConvergence` naming its angle; once every angle is matched, so
+    does the first angle whose count differs or whose border's Schur form is
+    zero or not finite.
     """
     lo, hi = mus[:, :-1], mus[:, 1:]
     width, t = hi - lo, np.arange(1, mus.shape[1])
     gap_open = (t >= sizes[:, None]) & (width > _DEGENERACY_RTOL * np.maximum(1.0, mus[:, -1:]))
     low, high = lo + 0.25 * width, hi - 0.25 * width
     taken, expected = np.full(sizes.size, -1), np.zeros(sizes.size, dtype=int)
-    todo = np.flatnonzero((sizes > 0) & (sizes < mus.shape[1]))
+    todo = np.flatnonzero(sizes < mus.shape[1])
     while todo.size:
         # inside[a, c, t - 1]: listed cut c lies in the middle half of open gap t
         c = np.array([entry[0] for entry in cuts])[:, None]
@@ -905,22 +875,26 @@ def _certify(interior, cols, diag, mus, sizes, found, cuts):
             cut = 0.5 * (mus[a, sizes[a] - 1] + mus[a, sizes[a]])
             try:
                 cuts.append((cut, *_interior_inertia(interior, cut)))
-                taken[a], expected[a] = len(cuts) - 1, sizes[a]
             except NoConvergence as exc:
-                found[a] = exc
+                raise _uncertified(angles[a], exc) from exc
+            taken[a], expected[a] = len(cuts) - 1, sizes[a]
         todo = todo[stop + 1 :]
+    sigma, count = np.ones(sizes.size), expected.copy()
     for i in np.unique(taken[taken >= 0]):
         cut, neg, g = cuts[i]
         (sel,) = np.nonzero(taken == i)
         b = cols[2, sel] - cut * cols[1, sel]
-        sigma = diag[2, sel] - cut * diag[1, sel] - np.einsum("ai,ij,aj->a", b, g, b)
-        singular = ~np.isfinite(sigma) | (sigma == 0.0)
-        count = neg + (sigma < 0.0)
-        for j in np.flatnonzero(singular | (count != expected[sel])):
-            found[sel[j]] = NoConvergence(
-                f"inertia count at {cut:.6g}: Schur form {sigma[j]}" if singular[j] else
-                f"inertia count {count[j]} below the cut: {count[j] - expected[sel[j]]} missed"
-            )
+        sigma[sel] = diag[2, sel] - cut * diag[1, sel] - np.einsum("ai,ij,aj->a", b, g, b)
+        count[sel] = neg + (sigma[sel] < 0.0)
+    singular = ~np.isfinite(sigma) | (sigma == 0.0)
+    bad = np.flatnonzero(singular | (count != expected))
+    if bad.size:
+        a = bad[0]
+        raise _uncertified(
+            angles[a],
+            f"inertia count at {cuts[taken[a]][0]:.6g}: Schur form {sigma[a]}" if singular[a] else
+            f"inertia count {count[a]} below the cut: {count[a] - expected[a]} missed",
+        )
 
 
 def mass_normalized(op):

@@ -57,15 +57,17 @@ def phillips_step(k, prev, nxt):
     return count(nxt) - count(prev)
 
 
-def certify(interior, cols, diag, mus, sizes, found, cuts):
+def certify(interior, angles, cols, diag, mus, sizes, cuts):
     """:func:`fredlab.floer._certify`, one angle at a time: each angle matches
-    the list of cuts as it stands after the angles before it."""
+    the list of cuts as it stands after the angles before it, and the first
+    that fails raises."""
     lo, hi = mus[:, :-1], mus[:, 1:]
     width, t = hi - lo, np.arange(1, mus.shape[1])
     gap_open = (t >= sizes[:, None]) & (
         width > floer._DEGENERACY_RTOL * np.maximum(1.0, mus[:, -1:])
     )
-    for a in np.flatnonzero((sizes > 0) & (sizes < mus.shape[1])):
+    for a in np.flatnonzero(sizes < mus.shape[1]):
+        failed = f"no certified window at angle {float(angles[a])!r}"
         # inside[c, t - 1]: listed cut c lies in the middle half of open gap t
         c = np.array([entry[0] for entry in cuts])[:, None]
         inside = gap_open[a] & (lo[a] + 0.25 * width[a] <= c) & (c <= hi[a] - 0.25 * width[a])
@@ -78,14 +80,13 @@ def certify(interior, cols, diag, mus, sizes, found, cuts):
             try:
                 neg, g = floer._interior_inertia(interior, cut)
             except NoConvergence as exc:
-                found[a] = exc
-                continue
+                raise NoConvergence(f"{failed}: {exc}") from exc
             cuts.append((cut, neg, g))
         b = cols[2, a] - cut * cols[1, a]
         sigma = diag[2, a] - cut * diag[1, a] - b @ g @ b
         if not (np.isfinite(sigma) and sigma != 0.0):
-            found[a] = NoConvergence(f"inertia count at {cut:.6g}: Schur form {sigma}")
-        elif (count := neg + int(sigma < 0.0)) != expected:
-            found[a] = NoConvergence(
-                f"inertia count {count} below the cut: {count - expected} missed"
+            raise NoConvergence(f"{failed}: inertia count at {cut:.6g}: Schur form {sigma}")
+        if (count := neg + int(sigma < 0.0)) != expected:
+            raise NoConvergence(
+                f"{failed}: inertia count {count} below the cut: {count - expected} missed"
             )

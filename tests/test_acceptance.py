@@ -146,11 +146,12 @@ def test_criterion_6_perturbation_trend():
 def test_criterion_7_floer_oracle_agreement():
     """Element spectra near zero match the shooting oracle, improving >= 2x per refinement."""
     worst_400 = 0.0
-    for s in ORACLE_ANGLES:
+    pencils = {m: floer.FloerPencil.zero(m) for m in (200, 400)}
+    windows = {m: list(pencil.spectra(ORACLE_ANGLES, 5)) for m, pencil in pencils.items()}
+    for j, s in enumerate(ORACLE_ANGLES):
         errs = {}
-        for m in (200, 400):
-            pencil = floer.FloerPencil.zero(m)
-            w = floer.floer_spectrum(pencil.at(s), 5)
+        for m, pencil in pencils.items():
+            w = windows[m][j]
             (roots,) = floer.shooting_eigenvalues(
                 pencil, [(s, (float(w[0]) - 0.75, float(w[-1]) + 0.75))]
             )
@@ -169,10 +170,7 @@ def test_criterion_7_floer_oracle_agreement():
 def test_criterion_8_spectral_flow():
     """A full boundary-angle loop produces flow +2, and -2 when reversed."""
     sweep = np.linspace(0.0, 2.0 * np.pi, 128)
-    pencil = floer.FloerPencil.zero(128)
-    windows = [
-        floer.floer_spectrum(pencil.at(float(s)), 5) for s in sweep
-    ]
+    windows = list(floer.FloerPencil.zero(128).spectra(sweep, 5))
     assert flow.spectral_flow(windows) == 2
     assert flow.spectral_flow(windows[::-1]) == -2
     print("ACCEPTANCE 8 PASS: spectral flow +2 forward, -2 reversed (128 samples)")

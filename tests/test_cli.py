@@ -4,6 +4,7 @@ import argparse
 import collections
 import csv
 import inspect
+import itertools
 import json
 import os
 import pathlib
@@ -94,6 +95,15 @@ class TestRows:
         assert not ok.violates
         assert bad.violates
         assert free.abs_error is None and not free.violates
+
+    def test_nan_value_or_expected_violates(self, monkeypatch, capsys):
+        nan_value = cli.ReportRow("identities", "l", "5", "m", np.nan, 0.0, 1e-10)
+        nan_expected = cli.ReportRow("identities", "l", "5", "m", 0.0, np.nan, 1e-10)
+        assert cli.violations([nan_value, nan_expected]) == [nan_value, nan_expected]
+        monkeypatch.setattr(cli, "run_identities", lambda **flags: [nan_value, nan_expected])
+        assert cli.main(["identities"]) == 0
+        assert cli.main(["identities", "--strict"]) == 1
+        assert capsys.readouterr().err.count("fredlab: tolerance violation m (l)") == 2
 
     def test_csv_layout(self):
         rows = [cli.ReportRow("e", "l", "p", "m", 0.5, expected=0.25, tol=1.0)]
@@ -240,6 +250,58 @@ class TestFloerExperiment:
         assert err.count("tolerance violation eig_near0_") == cli.WINDOW
         assert err.count("(s=0.5000)") == cli.WINDOW
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {},
+            {"grid_m": 48, "s_count": 32, "a_spec": "const:1.5,-0.7"},
+            {"grid_m": 128, "s_count": 16},
+        ],
+        ids=["default", "grid48_const", "grid128"],
+    )
+    def test_oracle_cells_do_not_move_with_the_windows(self, monkeypatch, flags):
+        # the shooting queries end at whole numbers past the windows, so a
+        # 1e-14 relative move of the oracle windows leaves every expected cell
+        expected = [r.expected for r in cli.run_floer(**flags) if r.metric.startswith("eig_near0_")]
+        real = floer.FloerPencil.spectra
+
+        def spectra(self, angles, k_window):
+            windows = real(self, angles, k_window)
+            oracle = itertools.islice(windows, len(cli.ORACLE_ANGLES))
+            yield from (w * (1.0 + 1e-14) for w in oracle)
+            yield from windows
+
+        monkeypatch.setattr(floer.FloerPencil, "spectra", spectra)
+        rows = [r for r in cli.run_floer(**flags) if r.metric.startswith("eig_near0_")]
+        assert [r.expected for r in rows] == expected
+        assert all(np.isfinite(expected))
+
+    def test_no_oracle_root_fails_strict(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            floer, "shooting_eigenvalues", lambda pencil, queries: [np.empty(0) for _ in queries]
+        )
+        rows = cli.run_floer(grid_m=48, s_count=16)
+        eig_rows = [r for r in rows if r.metric.startswith("eig_near0_")]
+        assert len(eig_rows) == 4 * cli.WINDOW and all(np.isnan(r.expected) for r in eig_rows)
+        assert cli.main(["floer", "--grid", "48", "--s-count", "16", "--strict"]) == 1
+        assert capsys.readouterr().err.count("tolerance violation eig_near0_") == 4 * cli.WINDOW
+
+    def test_failed_certificate_exits_2_naming_the_angle(self, monkeypatch, capsys):
+        # the oracle angles come first, so the first failing window is s = 0.5
+        real = floer._interior_inertia
+
+        def miscounting(interior, cut):
+            neg, g = real(interior, cut)
+            return neg + 1, g
+
+        monkeypatch.setattr(floer, "_interior_inertia", miscounting)
+        assert cli.main(["floer", "--grid", "48", "--s-count", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("fredlab: no certified window at angle 0.5: inertia count ")
+        assert line.endswith(" below the cut: 1 missed")
+
     def test_flow_expected_for_nonzero_coefficient(self):
         # theta(1; 0) does not depend on s, so every full loop has flow +2
         rows = cli.run_floer(grid_m=32, s_count=64, a_spec="const:1.5,-0.7")
@@ -328,26 +390,28 @@ class TestSolverCalls:
 
 class TestCertificateCalls:
     """The window certificate of a ``floer`` run, counted: interior
-    factorizations and dense fallbacks, whose number does not swing."""
+    factorizations, and the one assembly of an operator, whose number does not
+    swing."""
 
     @staticmethod
-    def _count(monkeypatch, module, names):
+    def _count(monkeypatch, owner, names):
         counts = collections.Counter()
         for name in names:
 
-            def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+            def counted(*args, _call=getattr(owner, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _call(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return counts
 
     def test_floer(self, monkeypatch):
-        counts = self._count(monkeypatch, floer, ("_interior_inertia", "floer_spectrum"))
+        counts = self._count(monkeypatch, floer, ("_interior_inertia",))
+        assembled = self._count(monkeypatch, floer.FloerPencil, ("at",))
         cli.run_floer(grid_m=48, s_count=64, a_spec="const:1.5,-0.7")
         # one spectra call per run, for the oracle angles and the sweep; its
-        # two cuts serve every angle, and no window falls back
-        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (2, 0)
+        # two cuts serve every angle, and only the base operator is assembled
+        assert (counts["_interior_inertia"], assembled["at"]) == (2, 1)
 
     @pytest.mark.parametrize(
         "flags",
@@ -363,9 +427,10 @@ class TestCertificateCalls:
         ids=["default", "dense_sweep", "dense_sweep_smooth"],
     )
     def test_floer_default_and_dense_sweep(self, monkeypatch, flags):
-        counts = self._count(monkeypatch, floer, ("_interior_inertia", "floer_spectrum"))
+        counts = self._count(monkeypatch, floer, ("_interior_inertia",))
+        assembled = self._count(monkeypatch, floer.FloerPencil, ("at",))
         cli.run_floer(**flags)
-        assert (counts["_interior_inertia"], counts["floer_spectrum"]) == (2, 0)
+        assert (counts["_interior_inertia"], assembled["at"]) == (2, 1)
 
     def test_interior_set_up(self, monkeypatch):
         counts = self._count(monkeypatch, floer, ("_factor", "_interior_pairs"))

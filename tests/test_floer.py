@@ -33,7 +33,6 @@ from fredlab.floer import (
     boundary_coefficient_operator,
     boundary_lines,
     boundary_projector,
-    floer_spectrum,
     mass_normalized,
     nu_metric,
     rho_continuity_profile,
@@ -42,6 +41,7 @@ from fredlab.floer import (
 from fredlab.flow import spectral_flow
 
 import sweep_oracles
+from dense_oracle import floer_spectrum
 from gauge_suite import (
     CutoffProfile,
     GaugeSingular,
@@ -521,9 +521,9 @@ class TestSpectrum:
 
     def test_dropped_eigenpair_is_counted(self, monkeypatch):
         # a lost secular root would shift the window silently; the inertia
-        # count at the cut sees one value more than the block
+        # count at the cut sees one value more than the block, and the angle
+        # raises with the count and the miss
         pencil = FloerPencil.zero(128)
-        op = pencil.at(0.8)
         real_roots = floer._secular_roots
         calls = []
 
@@ -534,12 +534,10 @@ class TestSpectrum:
             return mus[:, keep], diff[:, keep]
 
         monkeypatch.setattr(floer, "_secular_roots", dropping)
-        (missed,) = floer._bordered_windows(
-            interior_of(pencil), *pencil.border(np.array([0.8])), 5, []
-        )
-        assert isinstance(missed, NoConvergence) and "1 missed" in str(missed)
-        np.testing.assert_array_equal(next(pencil.spectra([0.8], 5)), floer_spectrum(op, 5))
-        assert calls == [11, 11]
+        message = r"^no certified window at angle 0\.8: inertia count 10 below the cut: 1 missed$"
+        with pytest.raises(NoConvergence, match=message):
+            list(pencil.spectra([0.8], 5))
+        assert calls == [11]
 
     @pytest.mark.parametrize("grid_m", [48, 96, 400])
     @pytest.mark.parametrize("s", [0.0, np.pi, 2.0 * np.pi])
@@ -763,10 +761,10 @@ class TestBlockRoute:
                 tracemalloc.stop()
         assert peaks[64] <= peaks[16] + 2**20, peaks
 
-    def test_no_gap_sends_only_that_angle_to_the_dense_route(self, monkeypatch):
+    def test_no_gap_names_its_angle(self, monkeypatch):
         # at a degeneracy tolerance between the smallest and the next relative
-        # widest gap of the slack, one angle alone sees no open gap; the dense
-        # route widens its subset, the secular solve is not repeated
+        # widest gap of the slack, one angle alone sees no open gap: the
+        # block raises naming it, after one secular solve and no assembly
         pencil = FloerPencil(smooth_coefficient(3, 12), 12)
         pencil.base  # its own call of at comes before the count
         angles = np.linspace(0.1, 6.0, 8)
@@ -792,15 +790,14 @@ class TestBlockRoute:
 
         monkeypatch.setattr(floer, "_secular_roots", recording)
         monkeypatch.setattr(FloerPencil, "at", counting)
-        windows = list(pencil.spectra(angles, 5))
+        angle = re.escape(repr(float(angles[np.argmin(ratios)])))
+        message = f"^no certified window at angle {angle}: no open gap among the 11 smallest"
+        with pytest.raises(NoConvergence, match=message):
+            list(pencil.spectra(angles, 5))
         assert calls == [(8, 11)]
-        assert built == [angles[np.argmin(ratios)]]
-        for s, w in zip(angles, windows):
-            np.testing.assert_allclose(
-                w, floer_spectrum(real_at(pencil, s), 5), rtol=0.0, atol=1e-12
-            )
+        assert built == []
 
-    def test_at_runs_only_for_the_interior_and_fallbacks(self, monkeypatch):
+    def test_at_runs_only_for_the_interior(self, monkeypatch):
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         real_at = FloerPencil.at
         built = []
@@ -813,18 +810,21 @@ class TestBlockRoute:
         windows = list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
         assert built == [0.0]
         assert spectral_flow(windows) == 2
-        # a count that fails at every angle sends each one to the dense route
+        # a count that fails at every angle raises at the first, and
+        # assembles nothing
         rows = pencil.border_rows.size
         monkeypatch.setattr(
             floer, "_interior_inertia", lambda interior, cut: (-1, np.zeros((rows, rows)))
         )
         built.clear()
-        list(pencil.spectra([0.5, 1.0, 2.0], 5))
-        assert built == [0.5, 1.0, 2.0]
+        with pytest.raises(NoConvergence, match=r"^no certified window at angle 0\.5: .* missed$"):
+            list(pencil.spectra([0.5, 1.0, 2.0], 5))
+        assert built == []
 
-    def test_failed_secular_solve_sends_its_group_to_the_dense_route(self, monkeypatch):
+    def test_failed_secular_solve_names_its_first_angle(self, monkeypatch):
         # the angles of a group share their poles, so a failed solve is not
-        # retried per angle: every angle of the group takes the dense route
+        # retried per angle: the group raises at its first angle, with the
+        # solver's message
         pencil = FloerPencil.zero(16)
         pencil.base  # its own call of at comes before the count
         angles = [0.3, 1.1, 2.0, 4.4, 5.5]
@@ -842,11 +842,34 @@ class TestBlockRoute:
 
         monkeypatch.setattr(floer, "_secular_roots", failing)
         monkeypatch.setattr(FloerPencil, "at", counting)
-        windows = list(pencil.spectra(angles, 5))
+        message = r"^no certified window at angle 0\.3: secular roots did not converge$"
+        with pytest.raises(NoConvergence, match=message) as raised:
+            list(pencil.spectra(angles, 5))
+        assert str(raised.value.__cause__) == "secular roots did not converge"
         assert calls == [len(angles)]
-        assert built == angles
-        for s, w in zip(angles, windows):
-            np.testing.assert_array_equal(w, floer_spectrum(real_at(pencil, s), 5))
+        assert built == []
+
+    def test_a_failed_count_raises_without_a_dense_solve(self, monkeypatch):
+        # one n x n float64 array at grid 1600 takes 78 MiB; a window that
+        # fails its count raises, naming its angle, with no dense array formed
+        pencil = FloerPencil(smooth_coefficient(3, 1600), 1600)
+        dim = pencil.base.dim
+        real = floer._interior_inertia
+
+        def miscounting(interior, cut):
+            neg, g = real(interior, cut)
+            return neg + 1, g
+
+        monkeypatch.setattr(floer, "_interior_inertia", miscounting)
+        sweep = np.linspace(0.0, 2.0 * np.pi, 128)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoConvergence, match=r"^no certified window at angle 0\.0: "):
+                list(pencil.spectra(sweep, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 8, peak
 
     @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
     def test_angle_outside_the_loop_inside_a_block(self, bad):
@@ -858,7 +881,7 @@ class TestBlockRoute:
         interior = interior_of(FloerPencil.zero(16))
         cols, diag = np.zeros((3, 2, 2)), np.ones((3, 2))
         with pytest.raises(InvalidConfig, match="NaN or Inf"):
-            floer._bordered_windows(interior, np.full_like(cols, np.nan), diag, 5, [])
+            floer._bordered_windows(interior, np.zeros(2), np.full_like(cols, np.nan), diag, 5, [])
 
     def test_threads_share_a_pencil(self):
         # each call sets up its own interior and cuts: two threads on one
@@ -967,77 +990,114 @@ class TestInteriorInertia:
                 w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
             )
 
+    @staticmethod
+    def _certify_calls(monkeypatch, pencil, sweep):
+        """The arguments of each ``_certify`` call of one spectra call; the
+        list of cuts is the call's own, as the run left it."""
+        calls, real = [], floer._certify
+        monkeypatch.setattr(floer, "_certify", lambda *args: calls.append(args) or real(*args))
+        list(pencil.spectra(sweep, 5))
+        monkeypatch.setattr(floer, "_certify", real)
+        return calls
+
     def test_each_angle_takes_the_newest_cut_that_serves_it(self, monkeypatch):
-        # a count one too high at one cut sends exactly the angles it serves
-        # (see the sweep above) to the dense route
+        # a count one too high at one cut fails exactly the angles it serves
+        # (see the sweep above): the sweep raises at the first of them, and
+        # one angle at a time, against the cuts listed before it, each such
+        # angle.  Angles 0 and 8 factor the two cuts
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        pencil.base  # its own call of at comes before the count
-        real, real_at = floer._interior_inertia, FloerPencil.at
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
-        for wrong, served in ((1, np.r_[0:8, 31:33, 62:64]), (2, np.r_[8:31, 33:62])):
-            cuts, built = [], []
+        ((interior, angles, cols, diag, mus, sizes, listed),) = self._certify_calls(
+            monkeypatch, pencil, sweep
+        )
+        factored_at = np.array([0, 8])
+        size = sizes[factored_at]
+        own = 0.5 * (mus[factored_at, size - 1] + mus[factored_at, size])
+        np.testing.assert_array_equal([c[0] for c in listed], own)
+        real = floer._interior_inertia
+        for wrong, served in ((0, np.r_[0:8, 31:33, 62:64]), (1, np.r_[8:31, 33:62])):
+            cuts = []
 
             def one_miscounts(interior, cut, cuts=cuts, wrong=wrong):
                 cuts.append(cut)
                 neg, g = real(interior, cut)
-                return neg + (len(cuts) == wrong), g
+                return neg + (len(cuts) == wrong + 1), g
 
             monkeypatch.setattr(floer, "_interior_inertia", one_miscounts)
-            monkeypatch.setattr(
-                FloerPencil, "at", lambda self, s, built=built: built.append(s) or real_at(self, s)
-            )
-            list(pencil.spectra(sweep, 5))
+            angle = re.escape(repr(float(sweep[served[0]])))
+            with pytest.raises(NoConvergence, match=f"^no certified window at angle {angle}: "):
+                list(pencil.spectra(sweep, 5))
             assert len(cuts) == 2
-            np.testing.assert_array_equal(built, sweep[served])
+            planted = [(c, neg + (i == wrong), g) for i, (c, neg, g) in enumerate(listed)]
+            failed = []
+            for a in range(sweep.size):
+                one = slice(a, a + 1)
+                try:
+                    floer._certify(
+                        interior, angles[one], cols[:, one], diag[:, one], mus[one], sizes[one],
+                        planted[: np.count_nonzero(factored_at <= a)],
+                    )
+                except NoConvergence as exc:
+                    assert "1 missed" in str(exc)
+                    failed.append(a)
+            np.testing.assert_array_equal(failed, served)
+            assert len(cuts) == 2
 
     @pytest.mark.parametrize(
         "listed, fails, new", [(0, False, 2), (1, False, 1), (2, False, 0), (0, True, 2)]
     )
     def test_block_matches_the_per_angle_loop(self, monkeypatch, listed, fails, new):
-        # the per-angle loop is the reference.  Each cut's count is off by
-        # its own thousands, so an angle's message names the cut it took and
-        # the count it expected; with fails, the first factorization raises
+        # the per-angle loop is the reference.  A block that passes lists the
+        # same cuts, ``new`` of them its own, after the first ``listed`` of
+        # the sweep's; one whose new cuts each count 1000 times their number
+        # too many, or whose first factorization raises, raises the same
+        # error, at the same angle
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
-        interior = interior_of(pencil)
-        calls, real_certify = [], floer._certify
-        monkeypatch.setattr(
-            floer,
-            "_certify",
-            lambda *args: calls.append((*args[:5], list(args[5]))) or real_certify(*args),
+        ((interior, angles, cols, diag, mus, sizes, sweep_cuts),) = self._certify_calls(
+            monkeypatch, pencil, np.linspace(0.0, 2.0 * np.pi, 64)
         )
-        list(pencil.spectra(np.linspace(0.0, 2.0 * np.pi, 64), 5))
-        ((_, cols, diag, mus, sizes, windows),) = calls
-        real, offsets, factored = floer._interior_inertia, {}, []
+        real, factored = floer._interior_inertia, []
 
-        def offset(interior, cut):
+        def planted(interior, cut, offsets):
             factored.append(cut)
             if fails and len(factored) == 1:
                 raise NoConvergence("planted")
             neg, g = real(interior, cut)
-            return neg + offsets.setdefault(cut, 1000 * (len(offsets) + 1)), g
+            return neg + offsets * 1000 * len(factored), g
 
-        monkeypatch.setattr(floer, "_interior_inertia", offset)
-        both = []
-        sweep_oracles.certify(interior, cols, diag, mus, sizes, list(windows), both)
-        results = []
-        for certify in (floer._certify, sweep_oracles.certify):
-            found, cuts = list(windows), both[:listed]
-            factored.clear()
-            certify(interior, cols, diag, mus, sizes, found, cuts)
-            assert len(cuts) == listed + new
-            messages = [str(w) if isinstance(w, NoConvergence) else id(w) for w in found]
-            results.append(([c[:2] for c in cuts], messages))
-        assert results[0] == results[1]
-        assert all(isinstance(w, NoConvergence) for w in found)
+        results = {}
+        for offsets in (False, True):
+            monkeypatch.setattr(
+                floer, "_interior_inertia", lambda i, c, offsets=offsets: planted(i, c, offsets)
+            )
+            outcomes = []
+            for certify in (floer._certify, sweep_oracles.certify):
+                cuts = sweep_cuts[:listed]
+                factored.clear()
+                try:
+                    certify(interior, angles, cols, diag, mus, sizes, cuts)
+                    outcomes.append([c[:2] for c in cuts])
+                except NoConvergence as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            results[offsets] = outcomes[0]
+        assert len(sweep_cuts) == listed + new
+        if fails:
+            assert results[False] == results[True] == "no certified window at angle 0.0: planted"
+        else:
+            assert results[False] == [c[:2] for c in sweep_cuts]
+            assert isinstance(results[True], str) == (new > 0)
 
     def test_a_listed_cut_serves_a_later_block(self, monkeypatch):
         pencil = FloerPencil(smooth_coefficient(3, 24), 24)
         sweep = np.linspace(0.0, 2.0 * np.pi, 64)
         interior, listed = interior_of(pencil), []
-        floer._bordered_windows(interior, *pencil.border(sweep[:16]), 5, listed)
+        floer._bordered_windows(interior, sweep[:16], *pencil.border(sweep[:16]), 5, listed)
         assert len(listed) == 2
         cuts = self._count_factorizations(monkeypatch)
-        (w,) = floer._bordered_windows(interior, *pencil.border(sweep[16:17]), 5, listed)
+        (w,) = floer._bordered_windows(
+            interior, sweep[16:17], *pencil.border(sweep[16:17]), 5, listed
+        )
         assert cuts == [] and len(listed) == 2
         np.testing.assert_allclose(w, floer_spectrum(pencil.at(sweep[16]), 5), rtol=0.0, atol=1e-12)
 
@@ -1072,7 +1132,7 @@ class TestInteriorInertia:
         # angle 1 lost the value 1.6 from its block [1, 2, 9]; angle 0's own
         # cut 1.3 lies in the middle half of angle 1's first gap (1, 2) and
         # counts right there, but it is below angle 1's block, so angle 1
-        # takes the cut 14.5, which sees the loss
+        # takes the cut 14.5, which sees the loss; angle 0 passes
         true = np.array([1.0, 1.6, 2.0, 9.0, 20.0, 30.0])
         monkeypatch.setattr(
             floer,
@@ -1082,10 +1142,9 @@ class TestInteriorInertia:
         mus = np.array([true, [1.0, 2.0, 9.0, 20.0, 30.0, 40.0]])
         cols, diag = np.zeros((3, 2, 1)), np.zeros((3, 2))
         diag[2] = 1.0  # sigma = 1: the interior count is the whole count
-        found = ["window 0", "window 1"]
-        floer._certify(None, cols, diag, mus, np.array([1, 3]), found, [])
-        assert found[0] == "window 0"
-        assert isinstance(found[1], NoConvergence) and "1 missed" in str(found[1])
+        message = r"^no certified window at angle 5\.0: inertia count 4 below the cut: 1 missed$"
+        with pytest.raises(NoConvergence, match=message):
+            floer._certify(None, np.array([4.0, 5.0]), cols, diag, mus, np.array([1, 3]), [])
 
     @pytest.mark.parametrize("angles, factorizations", [((0.1, 1.5), 2), ((0.1, 0.2), 1)])
     def test_angles_share_a_cut_only_where_it_lies_in_both_gaps(
@@ -1100,7 +1159,7 @@ class TestInteriorInertia:
         diag = np.array([[x[-1, -1] for x in f] for f in fields]).T
         interior = floer._interior_pairs(ops[0], np.arange(ops[0].dim - 1), 5)
         cuts = self._count_factorizations(monkeypatch)
-        windows = floer._bordered_windows(interior, cols, diag, 5, [])
+        windows = floer._bordered_windows(interior, np.array(angles), cols, diag, 5, [])
         assert len(cuts) == factorizations
         for op, w in zip(ops, windows):
             np.testing.assert_allclose(w, floer_spectrum(op, 5), rtol=0.0, atol=1e-12)
@@ -1212,13 +1271,8 @@ class TestNearFarInterior:
                 w, floer_spectrum(pencil.at(s), 5), rtol=0.0, atol=1e-12, err_msg=f"s = {s}"
             )
 
-    def test_catalogue_windows_match_the_dense_route(self, monkeypatch):
-        # every seeded coefficient of the catalogue at windows of 3 and 5,
-        # with no dense fallback
-        real, fallbacks = floer.floer_spectrum, []
-        monkeypatch.setattr(
-            floer, "floer_spectrum", lambda op, k: fallbacks.append(k) or real(op, k)
-        )
+    def test_catalogue_windows_match_the_dense_route(self):
+        # every seeded coefficient of the catalogue at windows of 3 and 5
         angles = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 16), cli.ORACLE_ANGLES])
         # every window before any dense solve: the set-ups' small numpy calls
         # stall right after scipy's, and interleaved the test took 2.8-3.9 s
@@ -1230,10 +1284,9 @@ class TestNearFarInterior:
                 op = pencil.at(s)
                 for k, got in windows.items():
                     np.testing.assert_allclose(
-                        got[j], real(op, k), rtol=0.0, atol=1e-12,
+                        got[j], floer_spectrum(op, k), rtol=0.0, atol=1e-12,
                         err_msg=f"coefficient {i}, window {k}, s = {s}",
                     )
-        assert fallbacks == []
 
     @pytest.mark.parametrize("grid_m", [10, 400])
     def test_keeps_only_the_rows_it_reads(self, grid_m):

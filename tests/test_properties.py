@@ -13,12 +13,9 @@ from hypothesis import strategies as st
 
 from fredlab import floer
 from fredlab.errors import FredlabError
-from fredlab.floer import (
-    Coupling,
-    DiscretizedOperator,
-    FloerPencil,
-    floer_spectrum,
-)
+from fredlab.floer import Coupling, DiscretizedOperator, FloerPencil
+
+from dense_oracle import floer_spectrum
 
 DIM = 24
 
@@ -53,10 +50,8 @@ def _certified_or_typed(op, k_window):
     diag = np.array([x[-1, -1] for x in fields])[:, None]
     try:
         interior = floer._interior_pairs(op, np.arange(op.dim - 1), k_window)
-        (w,) = floer._bordered_windows(interior, cols, diag, k_window, [])
+        (w,) = floer._bordered_windows(interior, np.zeros(1), cols, diag, k_window, [])
     except FredlabError:
-        return
-    if isinstance(w, FredlabError):
         return
     np.testing.assert_allclose(w, floer_spectrum(op, k_window), rtol=0.0, atol=1e-8)
 
@@ -143,8 +138,8 @@ def test_inertia_count_matches_the_dense_count(amps, s, slot, frac):
 )
 def test_pencil_window_equals_the_dense_window(amps, coupling, grid_m, s, k_frac):
     # k_window runs from 1 to dim: the top windows take the root above the
-    # last interior eigenvalue, and degenerate slack sends the angle to the
-    # dense route, which widens its subset
+    # last interior eigenvalue.  A window the pencil cannot certify raises;
+    # no derandomized example here does
     t = np.linspace(0.0, 1.0, grid_m + 1)
     a = sum(amp * np.cos((k + 1) * np.pi * t) for k, amp in enumerate(amps))
     if coupling is Coupling.LINEAR_IMAGINARY:
